@@ -16,9 +16,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -89,19 +89,6 @@ class GridSpec:
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"start": self.start, "stop": self.stop, "count": self.count}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], where: str) -> "GridSpec":
-        _require(isinstance(data, Mapping), f"{where} must be an object with start/stop/count")
-        extra = set(data) - {"start", "stop", "count"}
-        _require(not extra, f"{where} has unknown keys: {sorted(extra)}")
-        _require({"start", "stop", "count"} <= set(data), f"{where} needs start, stop, and count")
-        count = data["count"]
-        _require(isinstance(count, int) and not isinstance(count, bool), f"{where}.count must be an integer")
-        return cls(start=float(data["start"]), stop=float(data["stop"]), count=count)
-
 
 @dataclass(frozen=True)
 class AtomParams:
@@ -127,29 +114,6 @@ class AtomParams:
         except ValueError as exc:
             raise ConfigError(f"invalid atom parameters: {exc}") from exc
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "frequency_hz": self.frequency_hz,
-            "anharmonicity_hz": self.anharmonicity_hz,
-            "decay_hz": self.decay_hz,
-            "upper_decay_hz": self.upper_decay_hz,
-            "dephasing1_hz": self.dephasing1_hz,
-            "dephasing2_hz": self.dephasing2_hz,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AtomParams":
-        _require(isinstance(data, Mapping), "atom must be an object")
-        known = {
-            "frequency_hz", "anharmonicity_hz", "decay_hz",
-            "upper_decay_hz", "dephasing1_hz", "dephasing2_hz",
-        }
-        extra = set(data) - known
-        _require(not extra, f"atom has unknown keys: {sorted(extra)}")
-        _require({"frequency_hz", "anharmonicity_hz", "decay_hz"} <= set(data),
-                 "atom needs frequency_hz, anharmonicity_hz, and decay_hz")
-        return cls(**{k: float(v) for k, v in data.items()})
-
 
 @dataclass(frozen=True)
 class IdtParams:
@@ -172,34 +136,6 @@ class IdtParams:
             )
         except ValueError as exc:
             raise ConfigError(f"invalid idt parameters: {exc}") from exc
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "pairs": self.pairs,
-            "frequency_hz": self.frequency_hz,
-            "k2": self.k2,
-            "capacitance_f": self.capacitance_f,
-            "inductance_h": self.inductance_h,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "IdtParams":
-        _require(isinstance(data, Mapping), "idt must be an object")
-        known = {"pairs", "frequency_hz", "k2", "capacitance_f", "inductance_h"}
-        extra = set(data) - known
-        _require(not extra, f"idt has unknown keys: {sorted(extra)}")
-        _require({"pairs", "frequency_hz", "k2", "capacitance_f"} <= set(data),
-                 "idt needs pairs, frequency_hz, k2, and capacitance_f")
-        pairs = data["pairs"]
-        _require(isinstance(pairs, int) and not isinstance(pairs, bool), "idt.pairs must be an integer")
-        inductance = data.get("inductance_h")
-        return cls(
-            pairs=pairs,
-            frequency_hz=float(data["frequency_hz"]),
-            k2=float(data["k2"]),
-            capacitance_f=float(data["capacitance_f"]),
-            inductance_h=None if inductance is None else float(inductance),
-        )
 
 
 @dataclass(frozen=True)
@@ -231,22 +167,6 @@ class CalibrationParams:
         except ValueError as exc:
             raise ConfigError(f"invalid calibration: {exc}") from exc
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "k_hz2_per_watt": self.k_hz2_per_watt,
-            "anchor_power_dbm": self.anchor_power_dbm,
-            "anchor_rabi_hz": self.anchor_rabi_hz,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CalibrationParams":
-        _require(isinstance(data, Mapping), "calibration must be an object")
-        known = {"k_hz2_per_watt", "anchor_power_dbm", "anchor_rabi_hz"}
-        extra = set(data) - known
-        _require(not extra, f"calibration has unknown keys: {sorted(extra)}")
-        values = {k: (None if data.get(k) is None else float(data.get(k))) for k in known}
-        return cls(**values)
-
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -261,23 +181,6 @@ class NoiseParams:
         _require(isinstance(self.seed, int) and not isinstance(self.seed, bool)
                  and 0 <= self.seed < 2**64, "noise.seed must be an integer in [0, 2^64)")
         _require(self.kind in ("complex", "magnitude"), "noise.kind must be 'complex' or 'magnitude'")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"sigma_rel": self.sigma_rel, "seed": self.seed, "kind": self.kind}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NoiseParams":
-        _require(isinstance(data, Mapping), "noise must be an object")
-        known = {"sigma_rel", "seed", "kind"}
-        extra = set(data) - known
-        _require(not extra, f"noise has unknown keys: {sorted(extra)}")
-        seed = data.get("seed", 0)
-        _require(isinstance(seed, int) and not isinstance(seed, bool), "noise.seed must be an integer")
-        return cls(
-            sigma_rel=float(data.get("sigma_rel", 0.0)),
-            seed=seed,
-            kind=str(data.get("kind", "complex")),
-        )
 
 
 @dataclass(frozen=True)
@@ -301,6 +204,9 @@ class ExperimentConfig:
     noise: NoiseParams = field(default_factory=NoiseParams)
     output_path: str | None = None
     output_format: str = "csv"
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         _require(self.scheme in SCHEMES, f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
@@ -334,30 +240,7 @@ class ExperimentConfig:
                      "control_rabi_hz values must be finite and nonnegative")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "scheme": self.scheme,
-            "atom": self.atom.to_dict(),
-            "idt": None if self.idt is None else self.idt.to_dict(),
-            "calibration": None if self.calibration is None else self.calibration.to_dict(),
-            "probe_detuning_hz": self.probe_detuning_hz,
-            "power_grid": None if self.power_grid is None else self.power_grid.to_dict(),
-            "control_frequency_grid": (
-                None if self.control_frequency_grid is None else self.control_frequency_grid.to_dict()
-            ),
-            "probe_detuning_grid": (
-                None if self.probe_detuning_grid is None else self.probe_detuning_grid.to_dict()
-            ),
-            "control_rabi_hz": list(self.control_rabi_hz),
-            "control_frequency_hz": self.control_frequency_hz,
-            "residual_detuning_hz": self.residual_detuning_hz,
-            "crosstalk_re": self.crosstalk_re,
-            "crosstalk_im": self.crosstalk_im,
-            "scale": self.scale,
-            "noise": self.noise.to_dict(),
-            "output_path": self.output_path,
-            "output_format": self.output_format,
-        }
+        return {"schema_version": SCHEMA_VERSION, **_encode(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
@@ -366,58 +249,64 @@ class ExperimentConfig:
         version = data.pop("schema_version", None)
         _require(version == SCHEMA_VERSION,
                  f"config schema_version must be {SCHEMA_VERSION}, got {version!r}")
-        known = {
-            "scheme", "atom", "idt", "calibration", "probe_detuning_hz", "power_grid",
-            "control_frequency_grid", "probe_detuning_grid", "control_rabi_hz",
-            "control_frequency_hz", "residual_detuning_hz", "crosstalk_re", "crosstalk_im",
-            "scale", "noise", "output_path", "output_format",
-        }
-        extra = set(data) - known
-        _require(not extra, f"config has unknown keys: {sorted(extra)}")
-        _require("scheme" in data, "config needs a scheme")
-        _require("atom" in data and data["atom"] is not None, "config needs an atom section")
-        rabi = data.get("control_rabi_hz", [])
-        _require(isinstance(rabi, (list, tuple)), "control_rabi_hz must be a list")
-        out_path = data.get("output_path")
-        cfg = cls(
-            scheme=str(data["scheme"]),
-            atom=AtomParams.from_dict(data["atom"]),
-            idt=None if data.get("idt") is None else IdtParams.from_dict(data["idt"]),
-            calibration=(
-                None if data.get("calibration") is None
-                else CalibrationParams.from_dict(data["calibration"])
-            ),
-            probe_detuning_hz=float(data.get("probe_detuning_hz", 0.0)),
-            power_grid=(
-                None if data.get("power_grid") is None
-                else GridSpec.from_dict(data["power_grid"], "power_grid")
-            ),
-            control_frequency_grid=(
-                None if data.get("control_frequency_grid") is None
-                else GridSpec.from_dict(data["control_frequency_grid"], "control_frequency_grid")
-            ),
-            probe_detuning_grid=(
-                None if data.get("probe_detuning_grid") is None
-                else GridSpec.from_dict(data["probe_detuning_grid"], "probe_detuning_grid")
-            ),
-            control_rabi_hz=tuple(float(v) for v in rabi),
-            control_frequency_hz=(
-                None if data.get("control_frequency_hz") is None
-                else float(data["control_frequency_hz"])
-            ),
-            residual_detuning_hz=float(data.get("residual_detuning_hz", 0.0)),
-            crosstalk_re=float(data.get("crosstalk_re", 0.0)),
-            crosstalk_im=float(data.get("crosstalk_im", 0.0)),
-            scale=float(data.get("scale", 1.0)),
-            noise=(
-                NoiseParams() if data.get("noise") is None
-                else NoiseParams.from_dict(data["noise"])
-            ),
-            output_path=None if out_path is None else str(out_path),
-            output_format=str(data.get("output_format", "csv")),
-        )
-        cfg.validate()
-        return cfg
+        return _decode(cls, data, "")
+
+
+def _encode(value: Any) -> Any:
+    """Plain JSON-ready form of a config dataclass: nested sections become
+    dicts and tuples become lists, in field declaration order."""
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(cls: type, data: Any, path: str) -> Any:
+    """Build config dataclass cls from a JSON object, checking each key
+    against the declared field types. path is the section name ("" at the
+    top level) used in error messages."""
+    where = path or "config"
+    _require(isinstance(data, Mapping), f"{where} must be an object")
+    declared = fields(cls)
+    extra = set(data) - {f.name for f in declared}
+    _require(not extra, f"{where} has unknown keys: {sorted(extra)}")
+    required = [f.name for f in declared if f.default is MISSING and f.default_factory is MISSING]
+    if not set(required) <= set(data):
+        *head, last = required
+        listed = f"{', '.join(head)}, and {last}" if len(head) > 1 else " and ".join(required)
+        raise ConfigError(f"{where} needs {listed}")
+    hints = get_type_hints(cls)
+    return cls(**{
+        name: _decode_value(hints[name], value, f"{path}.{name}" if path else name)
+        for name, value in data.items()
+    })
+
+
+def _decode_value(hint: Any, value: Any, path: str) -> Any:
+    args = get_args(hint)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        hint = args[0]
+    if is_dataclass(hint):
+        return _decode(hint, value, path)
+    if hint is int:
+        _require(isinstance(value, int) and not isinstance(value, bool), f"{path} must be an integer")
+        return value
+    if hint is float:
+        _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{path} must be a number")
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{path} is too large for a float") from None
+    if hint is str:
+        _require(isinstance(value, str), f"{path} must be a string")
+        return value
+    # tuple[float, ...]
+    _require(isinstance(value, list), f"{path} must be a list")
+    item = get_args(hint)[0]
+    return tuple(_decode_value(item, v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def merge_config_dicts(base: Mapping[str, Any], overlay: Mapping[str, Any]) -> dict[str, Any]:
@@ -482,7 +371,7 @@ def paper_profile(scheme: str) -> ExperimentConfig:
     """Built-in device profile reproducing the published datasets per scheme."""
     _require(scheme in SCHEMES, f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if scheme == "control-sweep":
-        cfg = ExperimentConfig(
+        return ExperimentConfig(
             scheme=scheme,
             atom=_REFLECTION_ATOM,
             idt=_PROFILE_IDT,
@@ -491,7 +380,7 @@ def paper_profile(scheme: str) -> ExperimentConfig:
             control_frequency_grid=GridSpec(start=2.10e9, stop=2.20e9, count=201),
         )
     elif scheme == "power-sweep":
-        cfg = ExperimentConfig(
+        return ExperimentConfig(
             scheme=scheme,
             atom=_REFLECTION_ATOM,
             idt=_PROFILE_IDT,
@@ -500,7 +389,7 @@ def paper_profile(scheme: str) -> ExperimentConfig:
             control_frequency_hz=2.15e9,
         )
     elif scheme == "linewidth-pipeline":
-        cfg = ExperimentConfig(
+        return ExperimentConfig(
             scheme=scheme,
             atom=_REFLECTION_ATOM,
             idt=_PROFILE_IDT,
@@ -509,7 +398,7 @@ def paper_profile(scheme: str) -> ExperimentConfig:
             control_frequency_grid=GridSpec(start=2.125e9, stop=2.175e9, count=201),
         )
     else:
-        cfg = ExperimentConfig(
+        return ExperimentConfig(
             scheme=scheme,
             atom=_TRANSMISSION_ATOM,
             idt=_PROFILE_IDT,
@@ -520,8 +409,6 @@ def paper_profile(scheme: str) -> ExperimentConfig:
             crosstalk_re=0.05,
             crosstalk_im=0.0,
         )
-    cfg.validate()
-    return cfg
 
 
 def resolve_config(
@@ -563,16 +450,13 @@ def resolve_config(
         raise ConfigError("need --config, --profile, or both")
     updates: dict[str, Any] = {}
     if seed is not None:
-        _require(0 <= seed < 2**64, "seed must be in [0, 2^64)")
-        updates["noise"] = NoiseParams(sigma_rel=cfg.noise.sigma_rel, seed=seed, kind=cfg.noise.kind)
+        updates["noise"] = replace(cfg.noise, seed=seed)
     if output_path is not None:
         updates["output_path"] = output_path
     if output_format is not None:
-        _require(output_format in FORMATS, f"output_format must be one of {FORMATS}")
         updates["output_format"] = output_format
     if updates:
         cfg = replace(cfg, **updates)
-        cfg.validate()
     return cfg
 
 
@@ -720,7 +604,6 @@ def _threshold_summary(atom: ThreeLevelAtom, calibration: PowerCalibration | Non
 
 def run_control_sweep(config: ExperimentConfig) -> RunResult:
     """2-D reflection map over (control power dBm, control frequency Hz)."""
-    config.validate()
     _require(config.scheme == "control-sweep", "config scheme must be control-sweep")
     atom = config.atom.build()
     calibration = config.calibration.build()
@@ -742,7 +625,6 @@ def run_control_sweep(config: ExperimentConfig) -> RunResult:
 
 def run_power_sweep(config: ExperimentConfig) -> RunResult:
     """1-D reflection versus control power at a fixed control frequency."""
-    config.validate()
     _require(config.scheme == "power-sweep", "config scheme must be power-sweep")
     atom = config.atom.build()
     calibration = config.calibration.build()
@@ -777,7 +659,6 @@ def run_flux_sweep(config: ExperimentConfig) -> RunResult:
     offset at probe resonance as the residual detuning; a constant complex
     crosstalk background and a real scale multiply the model transmission.
     """
-    config.validate()
     _require(config.scheme == "flux-sweep", "config scheme must be flux-sweep")
     atom = config.atom.build()
     detunings = config.probe_detuning_grid.values()
@@ -817,7 +698,6 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
     with error bars per point. Rows whose dip fit fails are kept with a
     status message and excluded from the line fit.
     """
-    config.validate()
     _require(config.scheme == "linewidth-pipeline", "config scheme must be linewidth-pipeline")
     atom = config.atom.build()
     calibration = config.calibration.build()
@@ -948,7 +828,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         "flux-sweep": run_flux_sweep,
         "linewidth-pipeline": run_linewidth_pipeline,
     }
-    config.validate()
     return runners[config.scheme](config)
 
 

@@ -15,7 +15,7 @@ frequencies (rad/s); converting from Hz happens at the package boundary
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -145,6 +145,30 @@ def _reflection_grid(Gamma10: float, gamma10: float, gamma20: float, Omega_c: fl
     return np.where(transparent, 0.0 + 0.0j, r)
 
 
+def _scalar_terms(gamma10: float, gamma20: float, Omega_c: float,
+                  Delta_p: float, two_photon_detuning: float):
+    """Scalar two-photon factor and scattering denominator.
+
+    Returns (two_photon, denominator) with two_photon = gamma20 - i*two_photon_detuning
+    and denominator = 2*(gamma10 - i*Delta_p) + Omega_c**2 / (2*two_photon).
+    The denominator is None at perfect transparency (two-photon factor exactly
+    zero with the control on, where r = 0); any other vanishing denominator
+    raises SingularModelError.
+    """
+    two_photon = complex(gamma20, -two_photon_detuning)
+    if Omega_c == 0.0:
+        control_term = 0.0 + 0.0j
+    elif two_photon == 0.0:
+        return two_photon, None
+    else:
+        control_term = Omega_c**2 / (2.0 * two_photon)
+    denominator = 2.0 * complex(gamma10, -Delta_p) + control_term
+    if denominator == 0.0:
+        raise SingularModelError(
+            "reflection denominator vanished; need gamma10 > 0 or Delta_p != 0")
+    return two_photon, denominator
+
+
 def reflection_coefficient(Gamma10: float, gamma10: float, gamma20: float,
                            Omega_c: float, Delta_p, Delta_c):
     """Weak-probe reflection from bare rates.
@@ -156,19 +180,8 @@ def reflection_coefficient(Gamma10: float, gamma10: float, gamma20: float,
     """
     if np.ndim(Delta_p) == 0 and np.ndim(Delta_c) == 0:
         dp = float(Delta_p)
-        dc = float(Delta_c)
-        if Omega_c == 0.0:
-            control_term = 0.0 + 0.0j
-        else:
-            two_photon = complex(gamma20, -(dp + dc))
-            if two_photon == 0.0:
-                return 0.0 + 0.0j
-            control_term = Omega_c**2 / (2.0 * two_photon)
-        denominator = 2.0 * complex(gamma10, -dp) + control_term
-        if denominator == 0.0:
-            raise SingularModelError(
-                "reflection denominator vanished; need gamma10 > 0 or Delta_p != 0")
-        return -Gamma10 / denominator
+        _, denominator = _scalar_terms(gamma10, gamma20, Omega_c, dp, dp + float(Delta_c))
+        return 0.0 + 0.0j if denominator is None else -Gamma10 / denominator
     dp = np.asarray(Delta_p, dtype=float)
     dc = np.asarray(Delta_c, dtype=float)
     return _reflection_grid(Gamma10, gamma10, gamma20, Omega_c, dp + dc, dp)
@@ -185,18 +198,8 @@ def transmission_flux_coefficient(Gamma10: float, gamma10: float, gamma20: float
     """
     if np.ndim(Delta_p) == 0:
         dp = float(Delta_p)
-        if Omega_c == 0.0:
-            control_term = 0.0 + 0.0j
-        else:
-            two_photon = complex(gamma20, -(2.0 * dp + delta))
-            if two_photon == 0.0:
-                return 1.0 + 0.0j
-            control_term = Omega_c**2 / (2.0 * two_photon)
-        denominator = 2.0 * complex(gamma10, -dp) + control_term
-        if denominator == 0.0:
-            raise SingularModelError(
-                "transmission denominator vanished; need gamma10 > 0 or Delta_p != 0")
-        return 1.0 - Gamma10 / denominator
+        _, denominator = _scalar_terms(gamma10, gamma20, Omega_c, dp, 2.0 * dp + delta)
+        return 1.0 + 0.0j if denominator is None else 1.0 - Gamma10 / denominator
     dp = np.asarray(Delta_p, dtype=float)
     return 1.0 + _reflection_grid(Gamma10, gamma10, gamma20, Omega_c, 2.0 * dp + delta, dp)
 
@@ -256,11 +259,6 @@ def dip_shape(Gamma10: float, gamma10: float, gamma20: float, Omega_c: float) ->
                     amplitude=amplitude, window=window)
 
 
-def _transmission_at(atom: ThreeLevelAtom, drive: DriveCondition, Delta_p: float) -> complex:
-    return reflection_coefficient(atom.Gamma10, atom.gamma10, atom.gamma20,
-                                  drive.Omega_c, Delta_p, drive.Delta_c) + 1.0
-
-
 def group_delay(atom: ThreeLevelAtom, drive: DriveCondition, h: float | None = None) -> float:
     """Group delay tau_g = d arg(t) / d Delta_p in seconds.
 
@@ -278,27 +276,20 @@ def group_delay(atom: ThreeLevelAtom, drive: DriveCondition, h: float | None = N
     if h is not None:
         if not h > 0.0:
             raise ValueError("finite-difference step h must be positive")
-        t_plus = _transmission_at(atom, drive, drive.Delta_p + h)
-        t_minus = _transmission_at(atom, drive, drive.Delta_p - h)
+        t_plus = transmission(atom, replace(drive, Delta_p=drive.Delta_p + h))
+        t_minus = transmission(atom, replace(drive, Delta_p=drive.Delta_p - h))
         if t_plus == 0.0 or t_minus == 0.0:
             raise UndefinedPhaseError("transmission is zero at a stencil point")
         # phase of the ratio unwraps the difference as long as |dphi| < pi
         return math.atan2((t_plus / t_minus).imag, (t_plus / t_minus).real) / (2.0 * h)
 
     Omega_c = drive.Omega_c
-    if Omega_c == 0.0:
-        control_term = 0.0 + 0.0j
-        control_slope = 0.0 + 0.0j
-    else:
-        two_photon = complex(atom.gamma20, -(drive.Delta_p + drive.Delta_c))
-        if two_photon == 0.0:
-            # ideal transparency point: t = 1 there and the exact limit of the
-            # phase slope is 2*Gamma10/Omega_c**2
-            return 2.0 * atom.Gamma10 / Omega_c**2
-        control_term = Omega_c**2 / (2.0 * two_photon)
-        control_slope = 1j * Omega_c**2 / (2.0 * two_photon**2)
-    denominator = 2.0 * complex(atom.gamma10, -drive.Delta_p) + control_term
-    if denominator == 0.0:
-        raise SingularModelError("scattering model singular at this detuning")
+    two_photon, denominator = _scalar_terms(atom.gamma10, atom.gamma20, Omega_c,
+                                            drive.Delta_p, drive.Delta_p + drive.Delta_c)
+    if denominator is None:
+        # ideal transparency point: t = 1 there and the exact limit of the
+        # phase slope is 2*Gamma10/Omega_c**2
+        return 2.0 * atom.Gamma10 / Omega_c**2
+    control_slope = 0.0 + 0.0j if Omega_c == 0.0 else 1j * Omega_c**2 / (2.0 * two_photon**2)
     d_reflection = atom.Gamma10 * (-2j + control_slope) / denominator**2
     return (d_reflection / t0).imag

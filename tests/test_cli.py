@@ -184,3 +184,19 @@ def test_oracle_check_passes(capsys):
 def test_oracle_check_flag_validation(capsys):
     assert main(["oracle", "check", "--grid-count", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("overlay", [
+    {"atom": {"decay_hz": "fast"}},
+    {"atom": {"decay_hz": None}},
+    {"atom": {"decay_hz": [20.1e6]}},
+    {"power_grid": {"start": "low"}},
+    {"noise": {"sigma_rel": True}},
+    {"control_rabi_hz": ["x"]},
+], ids=["atom-string", "atom-null", "atom-list", "grid-string", "noise-bool", "rabi-string"])
+def test_malformed_config_value_is_config_error(tmp_path, capsys, overlay):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(overlay))
+    code = main(["simulate", "power-sweep", "--profile", "paper", "--config", str(path)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err

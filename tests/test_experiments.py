@@ -65,12 +65,16 @@ def test_grid_spec_validation():
         GridSpec(start=0.0, stop=1.0, count=0)
     with pytest.raises(ConfigError):
         GridSpec(start=float("nan"), stop=1.0, count=3)
-    with pytest.raises(ConfigError):
-        GridSpec.from_dict({"start": 0.0, "stop": 1.0}, "grid")
-    with pytest.raises(ConfigError):
-        GridSpec.from_dict({"start": 0.0, "stop": 1.0, "count": 3, "step": 1}, "grid")
-    with pytest.raises(ConfigError):
-        GridSpec.from_dict({"start": 0.0, "stop": 1.0, "count": True}, "grid")
+    data = paper_profile("power-sweep").to_dict()
+    data["power_grid"] = {"start": 0.0, "stop": 1.0}
+    with pytest.raises(ConfigError, match=r"^power_grid needs start, stop, and count$"):
+        ExperimentConfig.from_dict(data)
+    data["power_grid"] = {"start": 0.0, "stop": 1.0, "count": 3, "step": 1}
+    with pytest.raises(ConfigError, match=r"^power_grid has unknown keys: \['step'\]$"):
+        ExperimentConfig.from_dict(data)
+    data["power_grid"] = {"start": 0.0, "stop": 1.0, "count": True}
+    with pytest.raises(ConfigError, match=r"^power_grid.count must be an integer$"):
+        ExperimentConfig.from_dict(data)
 
 
 def test_param_builders_wrap_domain_errors():
