@@ -178,6 +178,9 @@ def _handle_oracle_check(args: argparse.Namespace) -> int:
     )
     print(f"points={report.points}")
     print("max_abs=%.3e max_rel=%.3e" % (report.max_abs, report.max_rel))
+    print("worst_delta_p_hz=%.6g worst_delta_c_hz=%.6g worst_omega_c_hz=%.6g" % (
+        angular_to_hz(report.worst_Delta_p), angular_to_hz(report.worst_Delta_c),
+        angular_to_hz(report.worst_Omega_c)))
     if report.max_rel <= _ORACLE_TOLERANCE:
         print(f"oracle check passed: max relative deviation <= {_ORACLE_TOLERANCE:g}")
         return 0

@@ -43,14 +43,14 @@ class IdtTransducer:
     def __post_init__(self) -> None:
         if not (isinstance(self.pairs, int) and self.pairs >= 1):
             raise ValueError("pairs must be an integer >= 1")
-        if self.omega_center <= 0.0:
-            raise ValueError("omega_center must be positive")
+        if not (self.omega_center > 0.0 and math.isfinite(self.omega_center)):
+            raise ValueError("omega_center must be positive and finite")
         if not (0.0 < self.k2 < 1.0):
             raise ValueError("k2 must lie in (0, 1)")
-        if self.capacitance <= 0.0:
-            raise ValueError("capacitance must be positive")
-        if self.inductance is not None and self.inductance <= 0.0:
-            raise ValueError("inductance, if given, must be positive")
+        if not (self.capacitance > 0.0 and math.isfinite(self.capacitance)):
+            raise ValueError("capacitance must be positive and finite")
+        if self.inductance is not None and not (self.inductance > 0.0 and math.isfinite(self.inductance)):
+            raise ValueError("inductance, if given, must be positive and finite")
 
     @property
     def conductance_peak(self) -> float:

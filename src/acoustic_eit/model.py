@@ -59,10 +59,10 @@ class ThreeLevelAtom:
     gphi2: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.omega10 <= 0.0:
-            raise ValueError("omega10 must be positive")
-        if self.anharmonicity <= 0.0:
-            raise ValueError("anharmonicity must be positive")
+        if not (self.omega10 > 0.0 and math.isfinite(self.omega10)):
+            raise ValueError("omega10 must be positive and finite")
+        if not (self.anharmonicity > 0.0 and math.isfinite(self.anharmonicity)):
+            raise ValueError("anharmonicity must be positive and finite")
         # also validates nonnegativity of the four rates
         coherence_rates(self.Gamma10, self.Gamma21, self.gphi1, self.gphi2)
 

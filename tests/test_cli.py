@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -181,6 +182,18 @@ def test_oracle_check_passes(capsys):
     assert "oracle check passed" in out
 
 
+def test_oracle_check_prints_worst_point(capsys):
+    assert main(["oracle", "check", "--grid-count", "5", "--span-hz", "30e6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "points=75"
+    assert lines[1].startswith("max_abs=")
+    fields = dict(item.split("=") for item in lines[2].split())
+    assert sorted(fields) == ["worst_delta_c_hz", "worst_delta_p_hz", "worst_omega_c_hz"]
+    assert float(fields["worst_omega_c_hz"]) in (0.0, 6.1e6, 30.0e6)
+    for key in ("worst_delta_p_hz", "worst_delta_c_hz"):
+        assert float(fields[key]) in (-30e6, -15e6, 0.0, 15e6, 30e6)
+
+
 def test_oracle_check_flag_validation(capsys):
     assert main(["oracle", "check", "--grid-count", "1"]) == 2
     capsys.readouterr()
@@ -193,7 +206,11 @@ def test_oracle_check_flag_validation(capsys):
     {"power_grid": {"start": "low"}},
     {"noise": {"sigma_rel": True}},
     {"control_rabi_hz": ["x"]},
-], ids=["atom-string", "atom-null", "atom-list", "grid-string", "noise-bool", "rabi-string"])
+    {"atom": {"frequency_hz": math.inf}},
+    {"atom": {"anharmonicity_hz": math.nan}},
+    {"idt": {"inductance_h": math.nan}},
+], ids=["atom-string", "atom-null", "atom-list", "grid-string", "noise-bool", "rabi-string",
+        "atom-frequency-inf", "atom-anharmonicity-nan", "idt-inductance-nan"])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, overlay):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(overlay))

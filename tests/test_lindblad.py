@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from acoustic_eit import (
+    DeviationReport,
     DriveCondition,
     LiouvillianSpec,
     SteadyStateError,
@@ -22,8 +27,11 @@ from acoustic_eit import (
     validate_density_matrix,
     weak_probe_deviation,
 )
+from acoustic_eit.lindblad import _CHUNK
 
 MHZ = 2.0 * math.pi * 1e6
+WEAK_PROBE = 2.0 * math.pi * 1.0e4
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _random_atom_drive(rng):
@@ -230,6 +238,148 @@ def test_weak_probe_deviation_rejects_empty_grid(reflection_atom):
         weak_probe_deviation(reflection_atom, [0.0], [0.0], [])
     with pytest.raises(ValueError):
         weak_probe_deviation(reflection_atom, [0.0], [0.0], [6.1 * MHZ], Omega_p=0.0)
+
+
+def _reference_deviation(atom, dp_values, dc_values, oc_values, Omega_p):
+    """Point-by-point oracle, Omega_c outer and Delta_p inner: the loop the
+    batched weak_probe_deviation replaces."""
+    max_abs = max_rel = 0.0
+    worst = (dp_values[0], dc_values[0], oc_values[0])
+    for oc in oc_values:
+        for dc in dc_values:
+            for dp in dp_values:
+                drive = DriveCondition(Delta_p=float(dp), Delta_c=float(dc),
+                                       Omega_p=Omega_p, Omega_c=float(oc))
+                r_wp = reflection(atom, drive)
+                dev = abs(master_equation_reflection(atom, drive) - r_wp)
+                rel = dev / max(abs(r_wp), 1e-30)
+                max_abs = max(max_abs, dev)
+                if rel > max_rel:
+                    max_rel, worst = rel, (float(dp), float(dc), float(oc))
+    return max_abs, max_rel, worst
+
+
+def test_batched_deviation_matches_point_loop():
+    rng = np.random.Generator(np.random.Philox(7))
+    # the last grid (11 x 10 x 10 = 1100 points) spans two chunks
+    for shape in ((7, 4, 3), (5, 3, 2), (1, 1, 1), (6, 5, 4), (10, 10, 11)):
+        atom, _ = _random_atom_drive(rng)
+        n_p, n_c, n_o = shape
+        dp = rng.uniform(-50.0, 50.0, n_p) * MHZ
+        dc = rng.uniform(-50.0, 50.0, n_c) * MHZ
+        oc = rng.uniform(0.0, 40.0, n_o) * MHZ
+        report = weak_probe_deviation(atom, dp, dc, oc, Omega_p=WEAK_PROBE)
+        max_abs, max_rel, worst = _reference_deviation(atom, dp, dc, oc, WEAK_PROBE)
+        assert report.points == n_p * n_c * n_o
+        assert (report.worst_Delta_p, report.worst_Delta_c, report.worst_Omega_c) == worst
+        assert report.max_abs == pytest.approx(max_abs, rel=1e-8)
+        assert report.max_rel == pytest.approx(max_rel, rel=1e-8)
+
+
+def test_deviation_grid_with_decoupled_point_raises():
+    # Omega_c = 0 with Gamma21 = gphi2 = 0 leaves |2> decoupled (see
+    # test_decoupled_level_has_no_unique_steady_state); Omega_c outermost puts
+    # its first point at stack index 3 * 2 = 6
+    atom = ThreeLevelAtom(omega10=1e9, anharmonicity=1e8, Gamma10=8.0 * MHZ,
+                          Gamma21=0.0, gphi1=2.5 * MHZ, gphi2=0.0)
+    dp = [-5.0 * MHZ, 0.0, 5.0 * MHZ]
+    dc = [0.0, 2.0 * MHZ]
+    with pytest.raises(SteadyStateError, match=r"stack index 6$"):
+        weak_probe_deviation(atom, dp, dc, [6.1 * MHZ, 0.0], Omega_p=1.0 * MHZ)
+
+
+def test_multi_chunk_grid_is_max_over_control_slices(reflection_atom):
+    grid = np.linspace(-50.0, 50.0, 21) * MHZ
+    controls = np.array([0.0, 6.1, 30.0]) * MHZ
+    full = weak_probe_deviation(reflection_atom, grid, grid, controls)
+    parts = [weak_probe_deviation(reflection_atom, grid, grid, [oc]) for oc in controls]
+    assert full.points == 1323 > _CHUNK
+    assert full.max_abs == max(p.max_abs for p in parts)
+    assert full.max_rel == max(p.max_rel for p in parts)
+    worst = max(parts, key=lambda p: p.max_rel)
+    assert full[3:] == worst[3:]
+
+
+def test_deviation_memory_is_bounded_by_the_chunk(reflection_atom):
+    axis = np.linspace(-40.0, 40.0, 20) * MHZ
+    controls = np.linspace(0.0, 30.0, 20) * MHZ
+    full_stack_bytes = 8000 * 81 * 16
+    weak_probe_deviation(reflection_atom, axis[:2], axis[:2], controls[:2])
+    tracemalloc.start()
+    try:
+        report = weak_probe_deviation(reflection_atom, axis, axis, controls)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.points == 8000
+    assert peak < full_stack_bytes
+
+
+def test_deviation_report_positional_construction():
+    report = DeviationReport(1e-7, 2e-7, 15)
+    assert (report.max_abs, report.max_rel, report.points) == (1e-7, 2e-7, 15)
+    assert all(math.isnan(v) for v in report[3:])
+
+
+def test_weak_probe_deviation_rejects_bad_axes(reflection_atom):
+    with pytest.raises(ValueError, match="nonnegative"):
+        weak_probe_deviation(reflection_atom, [0.0], [0.0], [-1.0])
+    with pytest.raises(ValueError, match="finite"):
+        weak_probe_deviation(reflection_atom, [math.nan], [0.0], [0.0])
+    with pytest.raises(ValueError, match="finite"):
+        weak_probe_deviation(reflection_atom, [0.0], [0.0], [0.0], Omega_p=math.inf)
+
+
+# ---------------------------------------------------------------------------
+# Batched generator and solver
+# ---------------------------------------------------------------------------
+
+
+def _random_specs(seed, count):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return [LiouvillianSpec.from_atom_drive(*_random_atom_drive(rng)) for _ in range(count)]
+
+
+def test_stacked_steady_states_match_single_solves():
+    lvs = np.stack([spec.matrix() for spec in _random_specs(5, 60)])
+    singles = np.stack([steady_state(lv) for lv in lvs])
+    stacked = steady_state(lvs)
+    assert stacked.shape == (60, 3, 3)
+    np.testing.assert_allclose(stacked, singles, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(steady_state(lvs.reshape(6, 10, 9, 9)),
+                               singles.reshape(6, 10, 3, 3), rtol=0.0, atol=1e-14)
+
+
+def test_stacked_liouvillian_matches_single_builds():
+    specs = _random_specs(9, 20)
+    jumps = specs[0].jumps
+    hs = np.stack([spec.hamiltonian for spec in specs])
+    singles = np.stack([build_liouvillian(h, jumps) for h in hs])
+    assert np.array_equal(build_liouvillian(hs, jumps), singles)
+    assert build_liouvillian(hs.reshape(4, 5, 3, 3), jumps).shape == (4, 5, 9, 9)
+    with pytest.raises(ValueError):
+        build_liouvillian(np.zeros((4, 2, 2)), jumps)
+
+
+def test_steady_state_names_failing_stack_index():
+    lvs = np.stack([spec.matrix() for spec in _random_specs(3, 5)])
+    lvs[3, 0, 0] += 1e3 * np.linalg.norm(lvs[3])
+    lvs[4, 0, 0] += 1e3 * np.linalg.norm(lvs[4])
+    with pytest.raises(SteadyStateError, match=r"liouvillian norm at stack index 3$"):
+        steady_state(lvs)
+    with pytest.raises(SteadyStateError, match=r"liouvillian norm$"):
+        steady_state(lvs[3])
+    with pytest.raises(SteadyStateError, match=r"at stack index \(1, 0\)$"):
+        steady_state(lvs[1:].reshape(2, 2, 9, 9))
+
+
+def test_import_does_not_load_scipy_linalg():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", "import acoustic_eit, sys; print('scipy.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
