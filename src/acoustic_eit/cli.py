@@ -9,6 +9,7 @@ tolerance (which would indicate a broken build, not a bad config).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -56,7 +57,7 @@ def _handle_sweep(args: argparse.Namespace) -> int:
     result = run_experiment(config)
     if config.output_path:
         export_result(result, config.output_path)
-        print(f"wrote {len(result.table)} rows to {config.output_path}")
+        print(f"wrote {len(result.data[result.columns[0]])} rows to {config.output_path}")
     else:
         sys.stdout.write(result_text(result))
     return 0
@@ -74,7 +75,7 @@ def _handle_pipeline(args: argparse.Namespace) -> int:
     result = run_experiment(config)
     if config.output_path:
         export_result(result, config.output_path)
-        print(f"wrote {len(result.table)} rows to {config.output_path}")
+        print(f"wrote {len(result.data[result.columns[0]])} rows to {config.output_path}")
         line = result.summary["line_fit"]
         print(
             "gamma20_hz=%.17g gamma20_sigma_hz=%.17g"
@@ -123,26 +124,21 @@ def _handle_idt_response(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     f_min = args.f_min if args.f_min is not None else args.f_idt * (1.0 - 2.0 / args.pairs)
     f_max = args.f_max if args.f_max is not None else args.f_idt * (1.0 + 2.0 / args.pairs)
-    if not (0.0 < f_min < f_max):
-        raise ConfigError("need 0 < --f-min < --f-max")
+    if not (0.0 < f_min < f_max < math.inf):
+        raise ConfigError("need 0 < --f-min < --f-max, both finite")
     if args.count < 2:
         raise ConfigError("--count must be at least 2")
     freqs = np.linspace(f_min, f_max, args.count)
     omegas = hz_to_angular(freqs)
     rates = coupling_rate(idt, omegas)
-    conductances = acoustic_conductance(idt, omegas)
-    response = rates / idt.decay_peak
-    columns = ("frequency_hz", "detuning_parameter", "response", "coupling_rate_hz", "conductance_s")
-    rows = [
-        {
-            "frequency_hz": float(f),
-            "detuning_parameter": float(detuning_parameter(idt, w)),
-            "response": float(s),
-            "coupling_rate_hz": angular_to_hz(float(r)),
-            "conductance_s": float(g),
-        }
-        for f, w, s, r, g in zip(freqs, omegas, response, rates, conductances)
-    ]
+    data = {
+        "frequency_hz": freqs,
+        "detuning_parameter": detuning_parameter(idt, omegas),
+        "response": rates / idt.decay_peak,
+        "coupling_rate_hz": angular_to_hz(rates),
+        "conductance_s": acoustic_conductance(idt, omegas),
+    }
+    columns = tuple(data)
     summary = {
         "bandwidth_hz": angular_to_hz(idt_bandwidth(idt)),
         "peak_rate_hz": angular_to_hz(idt.decay_peak),
@@ -150,22 +146,22 @@ def _handle_idt_response(args: argparse.Namespace) -> int:
     fmt = args.format or "csv"
     if args.out:
         if fmt == "csv":
-            export_csv(columns, rows, args.out)
+            export_csv(columns, data, args.out)
         else:
-            export_json(columns, rows, args.out, summary=summary)
-        print(f"wrote {len(rows)} rows to {args.out}")
+            export_json(columns, data, args.out, summary=summary)
+        print(f"wrote {freqs.size} rows to {args.out}")
         print("bandwidth_hz=%.17g peak_rate_hz=%.17g" % (summary["bandwidth_hz"], summary["peak_rate_hz"]))
     else:
         if fmt == "csv":
-            sys.stdout.write(csv_text(columns, rows))
+            sys.stdout.write(csv_text(columns, data))
         else:
-            sys.stdout.write(json_text(columns, rows, summary=summary))
+            sys.stdout.write(json_text(columns, data, summary=summary))
     return 0
 
 
 def _handle_oracle_check(args: argparse.Namespace) -> int:
-    if args.grid_count < 2 or args.span_hz <= 0.0 or args.probe_rabi_hz <= 0.0:
-        raise ConfigError("need --grid-count >= 2, --span-hz > 0, --probe-rabi-hz > 0")
+    if args.grid_count < 2 or not (0.0 < args.span_hz < math.inf and 0.0 < args.probe_rabi_hz < math.inf):
+        raise ConfigError("need --grid-count >= 2 and finite --span-hz > 0, --probe-rabi-hz > 0")
     atom = paper_profile("control-sweep").atom.build()
     detunings = hz_to_angular(np.linspace(-args.span_hz, args.span_hz, args.grid_count))
     control_amplitudes = hz_to_angular(np.array([0.0, 6.1e6, 30.0e6]))

@@ -22,7 +22,6 @@ conversion happens at the program boundary, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -32,42 +31,38 @@ from .leastsq import FitResult, levenberg_marquardt, weighted_linear_fit
 from .model import transmission_flux_coefficient
 
 
-@dataclass(frozen=True)
-class SweepSample:
-    """One measured point: abscissa, value (real or complex), optional sigma."""
+class Samples(NamedTuple):
+    """Measured sweep as parallel arrays: abscissa, values (real or complex),
+    and optional per-point sigma."""
 
-    x: float
-    value: complex
-    sigma: float | None = None
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.x):
-            raise ValueError("sample abscissa must be finite")
-        if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
-            raise ValueError("sample value must be finite")
-        if self.sigma is not None and not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError("sample sigma must be positive and finite when present")
+    x: np.ndarray
+    values: np.ndarray
+    sigma: np.ndarray | None = None
 
 
-def samples_from_arrays(x, values, sigma=None) -> list[SweepSample]:
-    """Bundle parallel arrays into SweepSample records."""
+def samples_from_arrays(x, values, sigma=None) -> Samples:
+    """Bundle parallel arrays into validated Samples.
+
+    Every abscissa and value must be finite and every sigma, when given,
+    positive and finite; the first offending point names the failed check.
+    """
     x = np.asarray(x, dtype=float)
-    values = np.asarray(values)
-    if sigma is None:
-        return [SweepSample(float(a), complex(v)) for a, v in zip(x, values)]
-    sigma = np.asarray(sigma, dtype=float)
-    return [SweepSample(float(a), complex(v), float(s)) for a, v, s in zip(x, values, sigma)]
-
-
-def _unpack(samples: Sequence[SweepSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    x = np.array([s.x for s in samples], dtype=float)
-    values = np.array([s.value for s in samples], dtype=complex)
-    sigmas = [s.sigma for s in samples]
-    if all(s is None for s in sigmas):
-        return x, values, None
-    if any(s is None for s in sigmas):
-        raise ValueError("either all samples carry sigma or none do")
-    return x, values, np.array(sigmas, dtype=float)
+    values = np.asarray(values, dtype=complex)
+    checks = [
+        (~np.isfinite(x), "sample abscissa must be finite"),
+        (~np.isfinite(values), "sample value must be finite"),
+    ]
+    if sigma is not None:
+        sigma = np.asarray(sigma, dtype=float)
+        checks.append((~((sigma > 0.0) & np.isfinite(sigma)),
+                       "sample sigma must be positive and finite when present"))
+    if any(bad.shape != x.shape for bad, _ in checks) or x.ndim != 1:
+        raise ValueError("samples must be 1-d arrays of equal length")
+    failed = np.logical_or.reduce([bad for bad, _ in checks])
+    if failed.any():
+        first = int(np.argmax(failed))
+        raise ValueError(next(message for bad, message in checks if bad[first]))
+    return Samples(x, values, sigma)
 
 
 def _require_converged(result: FitResult, what: str) -> FitResult:
@@ -84,16 +79,16 @@ def _require_converged(result: FitResult, what: str) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def fit_dip_lorentzian(samples: Sequence[SweepSample]) -> FitResult:
+def fit_dip_lorentzian(samples: Samples) -> FitResult:
     """Fit baseline - depth * hwhm^2 / ((x - center)^2 + hwhm^2).
 
     Weighted least squares when samples carry sigma. Constant data leaves the
     width and center unidentifiable: the baseline is then reported exactly
     and the result is flagged instead of iterated.
     """
-    if len(samples) < 5:
+    x, values, sigma = samples
+    if x.size < 5:
         raise ValueError("need at least 5 samples spanning the dip")
-    x, values, sigma = _unpack(samples)
     y = values.real
     if np.any(np.abs(values.imag) > 0.0):
         raise ValueError("dip samples must be real (|r|^2 values)")
@@ -281,18 +276,18 @@ def rabi_per_point(
 # ---------------------------------------------------------------------------
 
 
-def fit_two_level(samples: Sequence[SweepSample], *, Gamma10: float) -> FitResult:
+def fit_two_level(samples: Samples, *, Gamma10: float) -> FitResult:
     """Fit |r| = scale * (Gamma10/2) / sqrt(gamma10^2 + Delta_p^2).
 
     Gamma10 multiplies the same factor as scale, so it is supplied from an
     independent calibration and reported as a fixed parameter with zero
     uncertainty; gamma10 and scale are fitted.
     """
-    if len(samples) < 5:
+    x, values, sigma = samples
+    if x.size < 5:
         raise ValueError("need at least 5 samples")
     if Gamma10 <= 0.0:
         raise ValueError("Gamma10 must be positive")
-    x, values, sigma = _unpack(samples)
     y = values.real
     if np.any(np.abs(values.imag) > 0.0):
         raise ValueError("two-level samples must be real (|r| values)")
@@ -360,7 +355,7 @@ _TRANSMISSION_NAMES = ("gamma20", "delta", "Omega_c", "scale", "crosstalk_re", "
 
 
 def transmission_initial_guess(
-    samples: Sequence[SweepSample],
+    samples: Samples,
     *,
     gamma10: float,
     omega_c_hint: float | None = None,
@@ -372,7 +367,7 @@ def transmission_initial_guess(
     single minimum gives the offset alone and the Rabi guess falls back to
     the supplied hint or half the probe linewidth.
     """
-    x, values, _ = _unpack(samples)
+    x, values, _ = samples
     order = np.argsort(x)
     x = x[order]
     mag = np.abs(values)[order]
@@ -417,7 +412,7 @@ def transmission_initial_guess(
 
 
 def fit_transmission(
-    samples: Sequence[SweepSample],
+    samples: Samples,
     *,
     gamma10: float,
     Gamma10: float,
@@ -437,11 +432,11 @@ def fit_transmission(
     The six-parameter landscape has secondary minima at large background, so
     a data-driven initial guess is used unless init overrides it.
     """
-    if len(samples) < 8:
+    x, values, sigma = samples
+    if x.size < 8:
         raise ValueError("need at least 8 samples")
     if gamma10 <= 0.0 or Gamma10 <= 0.0:
         raise ValueError("probe rates must be positive")
-    x, values, sigma = _unpack(samples)
     complex_data = bool(np.any(np.abs(values.imag) > 0.0))
     w = np.ones(x.size) if sigma is None else 1.0 / sigma
 

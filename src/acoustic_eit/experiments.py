@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence, get_args, get_type_hints
+from typing import Any, Mapping, NamedTuple, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -40,7 +40,6 @@ SCHEMA_VERSION = 1
 SCHEMES = ("control-sweep", "power-sweep", "flux-sweep", "linewidth-pipeline")
 FORMATS = ("csv", "json")
 
-_SWEEP_VALUE_COLUMNS = ("re", "im", "abs", "phase", "annotation")
 PIPELINE_COLUMNS = (
     "power_dbm",
     "power_watts",
@@ -164,7 +163,7 @@ class CalibrationParams:
                 power_dbm=self.anchor_power_dbm,
                 omega_c=hz_to_angular(self.anchor_rabi_hz),
             )
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:  # an anchor power whose watts overflow or vanish
             raise ConfigError(f"invalid calibration: {exc}") from exc
 
 
@@ -461,23 +460,16 @@ def resolve_config(
 
 
 # ---------------------------------------------------------------------------
-# Records and results
+# Results
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One simulated point: axis coordinates, complex response, annotation."""
+class SweepPoint(NamedTuple):
+    """One sweep point as read through RunResult.records."""
 
     axes: tuple[float, ...]
     value: complex
-    annotation: str = ""
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(a) for a in self.axes):
-            raise ValueError("record axes must be finite")
-        if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
-            raise ValueError("record value must be finite")
+    annotation: str
 
     @property
     def magnitude(self) -> float:
@@ -488,40 +480,69 @@ class SweepRecord:
         return cmath.phase(self.value)
 
 
+def _cells(column: np.ndarray | list) -> list:
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
 @dataclass(frozen=True)
 class RunResult:
-    """Everything a scheme run produces: rows for export plus summary facts."""
+    """Everything a scheme run produces: export columns plus summary facts.
+
+    data maps each name in columns to one column: float64 arrays for numeric
+    columns, lists for the string columns (annotation, regime, status) and
+    for the pipeline's nullable columns, which hold None where a fit failed.
+    """
 
     config: ExperimentConfig
     columns: tuple[str, ...]
-    records: tuple[SweepRecord, ...]
-    table: tuple[dict[str, Any], ...]
+    data: dict[str, np.ndarray | list]
     summary: dict[str, Any]
 
+    @property
+    def records(self) -> tuple[SweepPoint, ...]:
+        """Per-point view of a sweep, built from data on each access; empty
+        for the pipeline."""
+        if "re" not in self.data:
+            return ()
+        axes = zip(*(self.data[name].tolist() for name in self.columns[:self.columns.index("re")]))
+        values = map(complex, self.data["re"].tolist(), self.data["im"].tolist())
+        return tuple(map(SweepPoint, axes, values, self.data["annotation"]))
 
-def _sweep_result(
+    @property
+    def table(self) -> tuple[dict[str, Any], ...]:
+        """Per-row dict view of data, built on each access."""
+        cells = [_cells(self.data[name]) for name in self.columns]
+        return tuple(dict(zip(self.columns, row)) for row in zip(*cells))
+
+
+def _require_finite(*columns: np.ndarray) -> None:
+    _require(all(np.isfinite(column).all() for column in columns),
+             "simulated values are not finite: a config value is out of range")
+
+
+def _sweep_columns(
     config: ExperimentConfig,
-    axis_names: tuple[str, ...],
-    records: Sequence[SweepRecord],
+    axes: dict[str, np.ndarray],
+    values: np.ndarray,
+    annotation: list[str],
     summary: dict[str, Any],
 ) -> RunResult:
-    columns = axis_names + _SWEEP_VALUE_COLUMNS
-    table = []
-    for rec in records:
-        row: dict[str, Any] = dict(zip(axis_names, rec.axes))
-        row["re"] = rec.value.real
-        row["im"] = rec.value.imag
-        row["abs"] = rec.magnitude
-        row["phase"] = rec.phase
-        row["annotation"] = rec.annotation
-        table.append(row)
-    return RunResult(
-        config=config,
-        columns=columns,
-        records=tuple(records),
-        table=tuple(table),
-        summary=summary,
-    )
+    """Add the configured noise to a sweep's complex values and derive the
+    export columns from them."""
+    values = synthesize_noise(values, config.noise.sigma_rel, config.noise.seed, config.noise.kind)
+    _require_finite(values, *axes.values())
+    re, im = values.real, values.imag
+    data = {
+        **axes,
+        "re": re,
+        "im": im,
+        # np.hypot and math.atan2 agree bit for bit with abs() and
+        # cmath.phase() of a Python complex; np.abs and np.angle do not
+        "abs": np.hypot(re, im),
+        "phase": np.fromiter(map(math.atan2, im.tolist(), re.tolist()), float, count=re.size),
+        "annotation": annotation,
+    }
+    return RunResult(config=config, columns=tuple(data), data=data, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -530,38 +551,32 @@ def _sweep_result(
 
 
 def synthesize_noise(
-    records: Sequence[SweepRecord],
+    values: np.ndarray,
     sigma_rel: float,
     seed: int | np.random.SeedSequence,
     kind: str = "complex",
-) -> list[SweepRecord]:
-    """Add seeded Gaussian measurement noise to a record list.
+) -> np.ndarray:
+    """Add seeded Gaussian measurement noise to an array of complex values.
 
     kind="complex": independent noise per quadrature with standard deviation
-    sigma_rel * max|value| (the physical digitizer model). kind="magnitude":
-    multiplies each value by (1 + n), n ~ N(0, sigma_rel), for sensitivity
-    studies. Deterministic given the seed; sigma_rel = 0 returns the records
-    unchanged.
+    sigma_rel * max|value| (the physical digitizer model), drawn as an (n, 2)
+    array in value order. kind="magnitude": multiplies each value by (1 + n),
+    n ~ N(0, sigma_rel), for sensitivity studies. Deterministic given the
+    seed; sigma_rel = 0 returns the values unchanged.
     """
     if sigma_rel < 0.0 or not math.isfinite(sigma_rel):
         raise ValueError("sigma_rel must be finite and >= 0")
     if kind not in ("complex", "magnitude"):
         raise ValueError("kind must be 'complex' or 'magnitude'")
-    if sigma_rel == 0.0 or not records:
-        return list(records)
+    values = np.asarray(values, dtype=complex)
+    if sigma_rel == 0.0 or values.size == 0:
+        return values
     rng = np.random.Generator(np.random.Philox(seed))
     if kind == "complex":
-        sigma = sigma_rel * max(rec.magnitude for rec in records)
-        draws = rng.normal(0.0, sigma, size=(len(records), 2))
-        return [
-            SweepRecord(rec.axes, rec.value + complex(dr, di), rec.annotation)
-            for rec, (dr, di) in zip(records, draws)
-        ]
-    factors = 1.0 + rng.normal(0.0, sigma_rel, size=len(records))
-    return [
-        SweepRecord(rec.axes, rec.value * factor, rec.annotation)
-        for rec, factor in zip(records, factors)
-    ]
+        sigma = sigma_rel * float(np.max(np.hypot(values.real, values.imag)))
+        draws = rng.normal(0.0, sigma, size=(values.size, 2))
+        return values + draws.view(complex)[:, 0]
+    return values * (1.0 + rng.normal(0.0, sigma_rel, size=values.size))
 
 
 # ---------------------------------------------------------------------------
@@ -609,18 +624,19 @@ def run_control_sweep(config: ExperimentConfig) -> RunResult:
     calibration = config.calibration.build()
     powers = config.power_grid.values()
     freqs = config.control_frequency_grid.values()
-    records: list[SweepRecord] = []
-    for power in powers:
-        omega_c = calibration.omega_c(float(power))
-        regime = _regime_value(atom, omega_c)
-        row = simulate_control_row(atom, omega_c, freqs, config.probe_detuning_hz)
-        for freq, value in zip(freqs, row):
-            records.append(SweepRecord((float(power), float(freq)), complex(value), regime))
-    if config.noise.sigma_rel > 0.0:
-        records = synthesize_noise(records, config.noise.sigma_rel, config.noise.seed, config.noise.kind)
+    rows, regimes = [], []
+    for power in powers.tolist():
+        omega_c = calibration.omega_c(power)
+        regimes.append(_regime_value(atom, omega_c))
+        rows.append(simulate_control_row(atom, omega_c, freqs, config.probe_detuning_hz))
+    annotation = [regime for regime in regimes for _ in range(freqs.size)]
     summary = _threshold_summary(atom, calibration)
     summary["transition_frequency_hz"] = angular_to_hz(atom.omega21)
-    return _sweep_result(config, ("control_power_dbm", "control_frequency_hz"), records, summary)
+    axes = {
+        "control_power_dbm": np.repeat(powers, freqs.size),
+        "control_frequency_hz": np.tile(freqs, powers.size),
+    }
+    return _sweep_columns(config, axes, np.concatenate(rows), annotation, summary)
 
 
 def run_power_sweep(config: ExperimentConfig) -> RunResult:
@@ -634,22 +650,23 @@ def run_power_sweep(config: ExperimentConfig) -> RunResult:
     else:
         delta_c = hz_to_angular(config.control_frequency_hz) - atom.omega21
     delta_p = hz_to_angular(config.probe_detuning_hz)
-    records: list[SweepRecord] = []
-    for power in powers:
-        omega_c = calibration.omega_c(float(power))
-        value = reflection_coefficient(
+    # one scalar kernel call per power: the scalar and array kernels differ
+    # in the last bits, and the export pins the scalar one
+    values, annotation = [], []
+    for power in powers.tolist():
+        omega_c = calibration.omega_c(power)
+        values.append(reflection_coefficient(
             Gamma10=atom.Gamma10,
             gamma10=atom.gamma10,
             gamma20=atom.gamma20,
             Omega_c=omega_c,
             Delta_p=delta_p,
             Delta_c=delta_c,
-        )
-        records.append(SweepRecord((float(power),), complex(value), _regime_value(atom, omega_c)))
-    if config.noise.sigma_rel > 0.0:
-        records = synthesize_noise(records, config.noise.sigma_rel, config.noise.seed, config.noise.kind)
+        ))
+        annotation.append(_regime_value(atom, omega_c))
     summary = _threshold_summary(atom, calibration)
-    return _sweep_result(config, ("control_power_dbm",), records, summary)
+    values = np.array(values, dtype=complex)
+    return _sweep_columns(config, {"control_power_dbm": powers}, values, annotation, summary)
 
 
 def run_flux_sweep(config: ExperimentConfig) -> RunResult:
@@ -664,10 +681,10 @@ def run_flux_sweep(config: ExperimentConfig) -> RunResult:
     detunings = config.probe_detuning_grid.values()
     delta = hz_to_angular(config.residual_detuning_hz)
     crosstalk = complex(config.crosstalk_re, config.crosstalk_im)
-    records: list[SweepRecord] = []
+    curves, regimes = [], []
     for rabi_hz in config.control_rabi_hz:
         omega_c = hz_to_angular(rabi_hz)
-        regime = _regime_value(atom, omega_c)
+        regimes.append(_regime_value(atom, omega_c))
         t = transmission_flux_coefficient(
             Gamma10=atom.Gamma10,
             gamma10=atom.gamma10,
@@ -676,14 +693,15 @@ def run_flux_sweep(config: ExperimentConfig) -> RunResult:
             Delta_p=hz_to_angular(detunings),
             delta=delta,
         )
-        values = config.scale * (t + crosstalk)
-        for det, value in zip(detunings, values):
-            records.append(SweepRecord((float(rabi_hz), float(det)), complex(value), regime))
-    if config.noise.sigma_rel > 0.0:
-        records = synthesize_noise(records, config.noise.sigma_rel, config.noise.seed, config.noise.kind)
+        curves.append(config.scale * (t + crosstalk))
+    annotation = [regime for regime in regimes for _ in range(detunings.size)]
     summary = _threshold_summary(atom, None)
     summary["residual_detuning_hz"] = config.residual_detuning_hz
-    return _sweep_result(config, ("control_rabi_hz", "probe_detuning_hz"), records, summary)
+    axes = {
+        "control_rabi_hz": np.repeat(np.array(config.control_rabi_hz, dtype=float), detunings.size),
+        "probe_detuning_hz": np.tile(detunings, len(config.control_rabi_hz)),
+    }
+    return _sweep_columns(config, axes, np.concatenate(curves), annotation, summary)
 
 
 def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
@@ -709,19 +727,15 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
 
     statuses: list[str] = []
     regimes: list[str] = []
-    omega_c_true: list[float] = []
     widths: list[float | None] = []
     width_sigmas: list[float | None] = []
     centers: list[float | None] = []
     for i, power in enumerate(powers):
         omega_c = calibration.omega_c(float(power))
-        omega_c_true.append(omega_c)
         regimes.append(_regime_value(atom, omega_c))
         base = simulate_control_row(atom, omega_c, freqs, probe_detuning_hz=0.0)
-        records = [SweepRecord((float(f),), complex(v)) for f, v in zip(freqs, base)]
-        if noisy:
-            records = synthesize_noise(records, config.noise.sigma_rel, children[i], config.noise.kind)
-        values = np.array([rec.value for rec in records])
+        values = synthesize_noise(base, config.noise.sigma_rel, children[i], config.noise.kind)
+        _require_finite(values)
         y = np.abs(values) ** 2
         if noisy:
             # known per-quadrature sigma propagated to |r|^2
@@ -752,7 +766,7 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
         raise ConvergenceError(
             f"only {len(good)} of {len(powers)} dip fits usable; need at least 3 for the line fit"
         )
-    powers_watts = np.array([dbm_to_watts(float(p)) for p in powers])
+    powers_watts = np.array([dbm_to_watts(p) for p in powers.tolist()])
     line = fit_linewidth_line(
         powers_watts[good],
         [widths[i] for i in good],
@@ -769,30 +783,23 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
     )
     rabi_by_row: dict[int, Any] = {row: point for row, point in zip(good, rabi)}
 
-    table: list[dict[str, Any]] = []
-    for i, power in enumerate(powers):
-        point = rabi_by_row.get(i)
-        row: dict[str, Any] = {
-            "power_dbm": float(power),
-            "power_watts": float(powers_watts[i]),
-            "gamma_eit_hz": None if widths[i] is None else angular_to_hz(widths[i]),
-            "gamma_eit_sigma_hz": None if width_sigmas[i] is None else angular_to_hz(width_sigmas[i]),
-            "omega_c_hz": None if point is None else angular_to_hz(point.omega_c),
-            "omega_c_sigma_hz": None if point is None else angular_to_hz(point.sigma),
-            "one_sided": None if point is None else point.one_sided,
-            "log10_power_watts": math.log10(float(powers_watts[i])),
-            "log10_omega_c_hz": (
-                None if point is None or point.omega_c <= 0.0
-                else math.log10(angular_to_hz(point.omega_c))
-            ),
-            "dip_center_hz": (
-                None if centers[i] is None
-                else angular_to_hz(atom.omega21 + centers[i])
-            ),
-            "regime": regimes[i],
-            "status": statuses[i],
-        }
-        table.append(row)
+    points = [rabi_by_row.get(i) for i in range(len(powers))]
+    data: dict[str, np.ndarray | list] = {
+        "power_dbm": powers,
+        "power_watts": powers_watts,
+        "gamma_eit_hz": [None if w is None else angular_to_hz(w) for w in widths],
+        "gamma_eit_sigma_hz": [None if w is None else angular_to_hz(w) for w in width_sigmas],
+        "omega_c_hz": [None if p is None else angular_to_hz(p.omega_c) for p in points],
+        "omega_c_sigma_hz": [None if p is None else angular_to_hz(p.sigma) for p in points],
+        "one_sided": [None if p is None else p.one_sided for p in points],
+        "log10_power_watts": np.array([math.log10(w) for w in powers_watts.tolist()]),
+        "log10_omega_c_hz": [
+            None if p is None or p.omega_c <= 0.0 else math.log10(angular_to_hz(p.omega_c)) for p in points
+        ],
+        "dip_center_hz": [None if c is None else angular_to_hz(atom.omega21 + c) for c in centers],
+        "regime": regimes,
+        "status": statuses,
+    }
 
     threshold_rabi = max(atom.gamma10 - gamma20_fit, 0.0)
     summary: dict[str, Any] = {
@@ -811,13 +818,7 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
         ),
         "gamma10_hz": angular_to_hz(atom.gamma10),
     }
-    return RunResult(
-        config=config,
-        columns=PIPELINE_COLUMNS,
-        records=(),
-        table=tuple(table),
-        summary=summary,
-    )
+    return RunResult(config=config, columns=PIPELINE_COLUMNS, data=data, summary=summary)
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
@@ -828,7 +829,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         "flux-sweep": run_flux_sweep,
         "linewidth-pipeline": run_linewidth_pipeline,
     }
-    return runners[config.scheme](config)
+    try:
+        return runners[config.scheme](config)
+    except OverflowError as exc:
+        raise ConfigError("a config value is out of range: float overflow") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -841,8 +845,6 @@ def _format_cell(value: Any) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return "%.17g" % float(value)
     return str(value)
@@ -861,16 +863,22 @@ def _parse_cell(text: str) -> Any:
         return text
 
 
-def csv_text(columns: Sequence[str], rows: Sequence[Mapping[str, Any]]) -> str:
-    """Header plus one line per row; floats at 17 significant digits."""
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(col)) for col in columns))
-    return "\n".join(lines) + "\n"
+def csv_text(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -> str:
+    """Header plus one line per row; floats at 17 significant digits.
+
+    Float array columns are formatted through one row-format string; list
+    columns (strings, nullable values) are formatted cell by cell first.
+    """
+    row_format = ",".join("%.17g" if isinstance(data[col], np.ndarray) else "%s" for col in columns)
+    cells = [
+        data[col].tolist() if isinstance(data[col], np.ndarray) else [_format_cell(v) for v in data[col]]
+        for col in columns
+    ]
+    return "\n".join([",".join(columns), *(row_format % row for row in zip(*cells))]) + "\n"
 
 
-def export_csv(columns: Sequence[str], rows: Sequence[Mapping[str, Any]], path: str | Path) -> None:
-    Path(path).write_text(csv_text(columns, rows), encoding="utf-8", newline="\n")
+def export_csv(columns: Sequence[str], data: Mapping[str, np.ndarray | list], path: str | Path) -> None:
+    Path(path).write_text(csv_text(columns, data), encoding="utf-8", newline="\n")
 
 
 def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
@@ -904,19 +912,26 @@ def _json_sanitize(value: Any) -> Any:
     return value
 
 
+def _json_column(column: np.ndarray | list) -> list:
+    if isinstance(column, np.ndarray) and np.isfinite(column).all():
+        return column.tolist()
+    return _json_sanitize(_cells(column))
+
+
 def json_text(
     columns: Sequence[str],
-    rows: Sequence[Mapping[str, Any]],
+    data: Mapping[str, np.ndarray | list],
     *,
     config_echo: Mapping[str, Any] | None = None,
     summary: Mapping[str, Any] | None = None,
 ) -> str:
     """Schema-versioned envelope carrying the config for provenance."""
+    cells = [_json_column(data[col]) for col in columns]
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "config_echo": _json_sanitize(dict(config_echo) if config_echo else None),
         "columns": list(columns),
-        "rows": _json_sanitize([dict(row) for row in rows]),
+        "rows": [dict(zip(columns, row)) for row in zip(*cells)],
         "summary": _json_sanitize(dict(summary) if summary else {}),
     }
     return json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -924,14 +939,14 @@ def json_text(
 
 def export_json(
     columns: Sequence[str],
-    rows: Sequence[Mapping[str, Any]],
+    data: Mapping[str, np.ndarray | list],
     path: str | Path,
     *,
     config_echo: Mapping[str, Any] | None = None,
     summary: Mapping[str, Any] | None = None,
 ) -> None:
     Path(path).write_text(
-        json_text(columns, rows, config_echo=config_echo, summary=summary),
+        json_text(columns, data, config_echo=config_echo, summary=summary),
         encoding="utf-8",
         newline="\n",
     )
@@ -949,11 +964,11 @@ def result_text(result: RunResult, fmt: str | None = None) -> str:
     """Serialize a run in the requested (or config-default) format."""
     fmt = fmt or result.config.output_format
     if fmt == "csv":
-        return csv_text(result.columns, result.table)
+        return csv_text(result.columns, result.data)
     if fmt == "json":
         return json_text(
             result.columns,
-            result.table,
+            result.data,
             config_echo=result.config.to_dict(),
             summary=result.summary,
         )

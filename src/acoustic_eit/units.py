@@ -70,8 +70,3 @@ class PowerCalibration:
         if omega_c <= 0.0:
             raise ValueError("Rabi amplitude must be positive")
         return watts_to_dbm(omega_c**2 / self.k)
-
-
-def control_rabi_from_power(calibration: PowerCalibration, power_dbm: float) -> float:
-    """Omega_c = sqrt(k * P) with P converted from dBm."""
-    return calibration.omega_c(power_dbm)

@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import brentq
 
 from acoustic_eit.cli import main
-from acoustic_eit.estimation import SweepSample, fit_transmission
+from acoustic_eit.estimation import fit_transmission, samples_from_arrays
 from acoustic_eit.experiments import NoiseParams, paper_profile, run_experiment
 from acoustic_eit.idt import IdtTransducer, coupling_rate, idt_bandwidth
 from acoustic_eit.lindblad import weak_probe_deviation
@@ -173,8 +173,7 @@ def test_criterion_07_transmission_fit(capsys):
         sigma = 0.01 * float(np.max(np.abs(clean)))
         noisy = clean + sigma * (rng.standard_normal(detunings.size)
                                  + 1j * rng.standard_normal(detunings.size))
-        samples = [SweepSample(x=float(x), value=complex(v), sigma=sigma)
-                   for x, v in zip(detunings, noisy)]
+        samples = samples_from_arrays(detunings, noisy, np.full(detunings.size, sigma))
         fit = fit_transmission(samples, gamma10=gamma10, Gamma10=Gamma10)
         assert fit.converged
         for name, truth in (("gamma20", gamma20_true), ("delta", delta_true),

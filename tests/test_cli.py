@@ -209,11 +209,43 @@ def test_oracle_check_flag_validation(capsys):
     {"atom": {"frequency_hz": math.inf}},
     {"atom": {"anharmonicity_hz": math.nan}},
     {"idt": {"inductance_h": math.nan}},
+    {"power_grid": {"start": -60, "stop": 1e5, "count": 3}},
+    {"calibration": {"anchor_power_dbm": 1e5}},
+    {"calibration": {"anchor_power_dbm": -1e5}},
+    {"calibration": {"anchor_rabi_hz": 1e300}},
+    {"atom": {"decay_hz": 1e300}},
+    {"probe_detuning_hz": 1e308},
+    {"control_frequency_hz": 1e308},
 ], ids=["atom-string", "atom-null", "atom-list", "grid-string", "noise-bool", "rabi-string",
-        "atom-frequency-inf", "atom-anharmonicity-nan", "idt-inductance-nan"])
+        "atom-frequency-inf", "atom-anharmonicity-nan", "idt-inductance-nan",
+        "power-overflow", "anchor-power-overflow", "anchor-power-underflow", "anchor-rabi-overflow",
+        "decay-overflow", "probe-detuning-overflow", "control-frequency-overflow"])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, overlay):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(overlay))
     code = main(["simulate", "power-sweep", "--profile", "paper", "--config", str(path)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_flux_sweep_rabi_overflow_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"control_rabi_hz": [1e300]}))
+    code = main(["simulate", "flux-sweep", "--profile", "paper", "--config", str(path)])
+    assert code == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "check", "--grid-count", "2", "--span-hz", "inf"],
+    ["oracle", "check", "--grid-count", "2", "--span-hz", "nan"],
+    ["oracle", "check", "--grid-count", "2", "--probe-rabi-hz", "nan"],
+    ["oracle", "check", "--grid-count", "2", "--probe-rabi-hz", "inf"],
+    ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--f-max", "inf"],
+    ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--f-min", "nan"],
+], ids=["span-inf", "span-nan", "probe-nan", "probe-inf", "f-max-inf", "f-min-nan"])
+def test_non_finite_flag_is_config_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err

@@ -8,7 +8,6 @@ import pytest
 from acoustic_eit import (
     ConvergenceError,
     RankError,
-    SweepSample,
     dbm_to_watts,
     dip_shape,
     eit_linewidth,
@@ -52,33 +51,42 @@ def _two_level_curve(n: int = 201, half_span: float = 80.0 * MHZ):
 
 
 def test_sweep_sample_validation():
-    SweepSample(x=1.0, value=0.5 + 0.1j, sigma=0.01)
+    samples_from_arrays([1.0], [0.5 + 0.1j], [0.01])
     with pytest.raises(ValueError):
-        SweepSample(x=float("nan"), value=0.5)
+        samples_from_arrays([float("nan")], [0.5])
     with pytest.raises(ValueError):
-        SweepSample(x=1.0, value=float("inf"))
+        samples_from_arrays([1.0], [float("inf")])
     with pytest.raises(ValueError):
-        SweepSample(x=1.0, value=0.5, sigma=0.0)
+        samples_from_arrays([1.0], [0.5], [0.0])
     with pytest.raises(ValueError):
-        SweepSample(x=1.0, value=0.5, sigma=float("nan"))
+        samples_from_arrays([1.0], [0.5], [float("nan")])
 
 
 def test_samples_from_arrays():
     samples = samples_from_arrays([1.0, 2.0], [0.1, 0.2], [0.01, 0.02])
-    assert len(samples) == 2
-    assert samples[1].x == 2.0
-    assert samples[1].value == 0.2
-    assert samples[1].sigma == 0.02
+    assert samples.x.size == 2
+    assert samples.x[1] == 2.0
+    assert samples.values[1] == 0.2
+    assert samples.sigma[1] == 0.02
     bare = samples_from_arrays([1.0], [0.1])
-    assert bare[0].sigma is None
+    assert bare.sigma is None
 
 
 def test_mixed_sigma_rejected():
-    samples = [SweepSample(0.0, 0.1, 0.01), SweepSample(1.0, 0.2, None),
-               SweepSample(2.0, 0.3, 0.01), SweepSample(3.0, 0.2, 0.01),
-               SweepSample(4.0, 0.1, 0.01)]
     with pytest.raises(ValueError):
-        fit_dip_lorentzian(samples)
+        fit_dip_lorentzian(samples_from_arrays([0.0, 1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.2, 0.1],
+                                               [0.01, None, 0.01, 0.01, 0.01]))
+
+
+def test_samples_report_the_first_bad_point():
+    with pytest.raises(ValueError, match="^sample sigma must be positive and finite when present$"):
+        samples_from_arrays([0.0, float("nan")], [0.1, 0.2], [0.0, 0.01])
+    with pytest.raises(ValueError, match="^sample abscissa must be finite$"):
+        samples_from_arrays([0.0, float("nan")], [0.1, float("nan")], [0.01, 0.0])
+    with pytest.raises(ValueError, match="^sample value must be finite$"):
+        samples_from_arrays([0.0, float("inf")], [complex(0.1, float("nan")), 0.2])
+    with pytest.raises(ValueError, match="^samples must be 1-d arrays of equal length$"):
+        samples_from_arrays([0.0, 1.0], [0.1, 0.2], [0.01])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from acoustic_eit.experiments import (
     GridSpec,
     IdtParams,
     NoiseParams,
-    SweepRecord,
+    SweepPoint,
     csv_text,
     export_result,
     import_csv,
@@ -160,53 +160,56 @@ def test_resolve_config_profile_and_overrides(tmp_path):
 
 
 def test_sweep_record_validation():
-    rec = SweepRecord((1.0, 2.0), 0.6 - 0.8j, "eit")
+    rec = SweepPoint((1.0, 2.0), 0.6 - 0.8j, "eit")
     assert rec.magnitude == pytest.approx(1.0, rel=1e-12)
     assert rec.phase == pytest.approx(math.atan2(-0.8, 0.6), rel=1e-12)
-    with pytest.raises(ValueError):
-        SweepRecord((float("inf"),), 1.0 + 0.0j)
-    with pytest.raises(ValueError):
-        SweepRecord((1.0,), complex(float("nan"), 0.0))
+    flux = paper_profile("flux-sweep")
+    with np.errstate(all="ignore"), pytest.raises(ConfigError):
+        run_flux_sweep(ExperimentConfig.from_dict(
+            {**flux.to_dict(), "probe_detuning_grid": {"start": -1e308, "stop": 1e308, "count": 3}}))
+    with pytest.raises(ConfigError):
+        run_power_sweep(ExperimentConfig.from_dict({**paper_profile("power-sweep").to_dict(),
+                                                    "probe_detuning_hz": 1e308}))
 
 
 def test_noise_zero_sigma_is_identity():
-    records = [SweepRecord((float(i),), complex(i, -i)) for i in range(5)]
-    assert synthesize_noise(records, 0.0, seed=1) == records
+    values = np.array([complex(i, -i) for i in range(5)])
+    assert np.array_equal(synthesize_noise(values, 0.0, seed=1), values)
 
 
 def test_noise_is_deterministic_per_seed():
-    records = [SweepRecord((float(i),), 1.0 + 0.0j) for i in range(100)]
-    a = synthesize_noise(records, 0.02, seed=42)
-    b = synthesize_noise(records, 0.02, seed=42)
-    c = synthesize_noise(records, 0.02, seed=43)
-    assert a == b
-    assert a != c
+    values = np.full(100, 1.0 + 0.0j)
+    a = synthesize_noise(values, 0.02, seed=42)
+    b = synthesize_noise(values, 0.02, seed=42)
+    c = synthesize_noise(values, 0.02, seed=43)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_noise_sample_sigma_matches_nominal():
     n = 10_000
-    records = [SweepRecord((float(i),), 1.0 + 0.0j) for i in range(n)]
-    noisy = synthesize_noise(records, 0.02, seed=2026)
-    deviations = np.array([rec.value for rec in noisy]) - 1.0
+    values = np.full(n, 1.0 + 0.0j)
+    noisy = synthesize_noise(values, 0.02, seed=2026)
+    deviations = noisy - 1.0
     # nominal per-quadrature sigma is 0.02 * max|value| = 0.02
     assert np.std(deviations.real) == pytest.approx(0.02, rel=0.05)
     assert np.std(deviations.imag) == pytest.approx(0.02, rel=0.05)
 
 
 def test_noise_magnitude_kind_scales_values():
-    records = [SweepRecord((float(i),), 2.0 + 1.0j) for i in range(2000)]
-    noisy = synthesize_noise(records, 0.01, seed=5, kind="magnitude")
-    factors = np.array([rec.value for rec in noisy]) / (2.0 + 1.0j)
+    values = np.full(2000, 2.0 + 1.0j)
+    noisy = synthesize_noise(values, 0.01, seed=5, kind="magnitude")
+    factors = noisy / (2.0 + 1.0j)
     assert np.allclose(factors.imag, 0.0, atol=1e-12)
     assert np.std(factors.real) == pytest.approx(0.01, rel=0.1)
 
 
 def test_noise_validation():
-    records = [SweepRecord((0.0,), 1.0 + 0.0j)]
+    values = np.array([1.0 + 0.0j])
     with pytest.raises(ValueError):
-        synthesize_noise(records, -0.1, seed=0)
+        synthesize_noise(values, -0.1, seed=0)
     with pytest.raises(ValueError):
-        synthesize_noise(records, 0.1, seed=0, kind="bogus")
+        synthesize_noise(values, 0.1, seed=0, kind="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +231,13 @@ def test_control_sweep_dip_deepens_and_broadens():
     freqs = paper_profile("control-sweep").control_frequency_grid.values()
     powers = paper_profile("control-sweep").power_grid.values()
     rows = {}
-    for rec in result.records:
-        rows.setdefault(rec.axes[0], []).append(rec)
+    for power, mag in zip(result.data["control_power_dbm"], result.data["abs"]):
+        rows.setdefault(power, []).append(mag)
     assert len(rows) == len(powers)
     dip_mins = []
     widths = []
     for power in powers:
-        mags = np.array([rec.magnitude for rec in rows[power]])
+        mags = np.array(rows[power])
         i_min = int(np.argmin(mags))
         # the transparency window sits at the 1-2 transition frequency
         assert abs(freqs[i_min] - 2.15e9) < 3e6
@@ -257,11 +260,11 @@ def test_control_sweep_regime_annotations_match_classifier():
     atom = cfg.atom.build()
     calibration = cfg.calibration.build()
     result = run_control_sweep(cfg)
-    for rec in result.records:
-        omega_c = calibration.omega_c(rec.axes[0])
+    for power, annotation in zip(result.data["control_power_dbm"], result.data["annotation"]):
+        omega_c = calibration.omega_c(power)
         expected = classify_regime(atom.gamma10, atom.gamma20, omega_c).regime.value
-        assert rec.annotation == expected
-    seen = {rec.annotation for rec in result.records}
+        assert annotation == expected
+    seen = set(result.data["annotation"])
     assert "eit" in seen
     assert "autler-townes" in seen
 
@@ -269,9 +272,9 @@ def test_control_sweep_regime_annotations_match_classifier():
 def test_power_sweep_runs_and_annotates():
     result = run_power_sweep(paper_profile("power-sweep"))
     assert result.columns[0] == "control_power_dbm"
-    assert len(result.records) == 41
+    assert len(result.data["abs"]) == 41
     # on-resonance reflection shrinks monotonically with control power
-    mags = [rec.magnitude for rec in result.records]
+    mags = list(result.data["abs"])
     assert all(b < a for a, b in zip(mags, mags[1:]))
 
 
@@ -295,37 +298,37 @@ def _flux_config(rabi_hz, crosstalk_re=0.0, residual_hz=4.0e6):
 
 def test_flux_sweep_control_off_is_symmetric():
     result = run_flux_sweep(_flux_config([0.0], residual_hz=4.0e6))
-    mags = np.array([rec.magnitude for rec in result.records])
+    mags = result.data["abs"]
     assert int(np.argmin(mags)) == mags.size // 2
     assert np.allclose(mags, mags[::-1], rtol=1e-12)
-    assert result.records[0].annotation == "eit"
+    assert result.data["annotation"][0] == "eit"
 
 
 def test_flux_sweep_ats_has_two_minima():
     result = run_flux_sweep(_flux_config([30.0e6]))
-    mags = np.array([rec.magnitude for rec in result.records])
-    dets = np.array([rec.axes[1] for rec in result.records])
+    mags = result.data["abs"]
+    dets = result.data["probe_detuning_hz"]
     interior = (mags[1:-1] < mags[:-2]) & (mags[1:-1] <= mags[2:])
     minima = np.nonzero(interior)[0] + 1
     assert minima.size == 2
     separation = abs(dets[minima[1]] - dets[minima[0]])
     assert 20e6 < separation < 40e6
-    assert result.records[0].annotation == "autler-townes"
+    assert result.data["annotation"][0] == "autler-townes"
 
 
 def test_flux_sweep_asymmetry_with_offset():
     result = run_flux_sweep(_flux_config([6.0e6], crosstalk_re=0.05))
-    mags = np.array([rec.magnitude for rec in result.records])
+    mags = result.data["abs"]
     mirrored = mags[::-1]
     assert float(np.max(np.abs(mags - mirrored))) > 1e-3
-    assert result.records[0].annotation == "eit"
+    assert result.data["annotation"][0] == "eit"
 
 
 def test_flux_sweep_regimes_per_curve():
     result = run_flux_sweep(_flux_config([6.0e6, 30.0e6]))
     by_rabi = {}
-    for rec in result.records:
-        by_rabi.setdefault(rec.axes[0], set()).add(rec.annotation)
+    for rabi_hz, annotation in zip(result.data["control_rabi_hz"], result.data["annotation"]):
+        by_rabi.setdefault(rabi_hz, set()).add(annotation)
     assert by_rabi[6.0e6] == {"eit"}
     assert by_rabi[30.0e6] == {"autler-townes"}
 
@@ -339,8 +342,8 @@ def test_pipeline_noiseless_recovers_device_parameters():
     cfg = paper_profile("linewidth-pipeline")
     result = run_linewidth_pipeline(cfg)
     assert result.columns == PIPELINE_COLUMNS
-    assert len(result.table) == cfg.power_grid.count
-    assert all(row["status"] == "ok" for row in result.table)
+    assert len(result.data["status"]) == cfg.power_grid.count
+    assert all(status == "ok" for status in result.data["status"])
 
     line = result.summary["line_fit"]
     assert line["gamma20_hz"] == pytest.approx(4.94e6, rel=1e-6)
@@ -387,7 +390,7 @@ def test_run_experiment_dispatch():
 
 
 def test_empty_records_give_header_only_csv():
-    assert csv_text(("a", "b"), []) == "a,b\n"
+    assert csv_text(("a", "b"), {"a": np.empty(0), "b": []}) == "a,b\n"
 
 
 def test_csv_round_trip_bitwise(tmp_path):
@@ -438,7 +441,7 @@ def test_import_json_rejects_foreign_files(tmp_path):
 
 
 def test_json_replaces_non_finite_with_null():
-    text = json_text(("a",), [{"a": float("nan")}])
+    text = json_text(("a",), {"a": np.array([float("nan")])})
     assert "null" in text
     assert "NaN" not in text
     assert json.loads(text)["rows"][0]["a"] is None
@@ -461,3 +464,40 @@ def test_pipeline_export_includes_status_column(tmp_path):
     assert columns == PIPELINE_COLUMNS
     assert all(row["status"] == "ok" for row in rows)
     assert all(row["one_sided"] is False for row in rows)
+
+
+def test_records_and_table_views_follow_data():
+    """RunResult.records and .table are read-only views over data; the
+    benchmark's fit-batch reads rec.axes, rec.value and row["status"]."""
+    flux = run_flux_sweep(ExperimentConfig(
+        scheme="flux-sweep",
+        atom=paper_profile("flux-sweep").atom,
+        probe_detuning_grid=GridSpec(start=-20.0e6, stop=20.0e6, count=7),
+        control_rabi_hz=(6.0e6, 30.0e6),
+        noise=NoiseParams(sigma_rel=0.01, seed=3),
+    ))
+    data = flux.data
+    assert len(flux.records) == len(flux.table) == len(data["re"]) == 14
+    for i, rec in enumerate(flux.records):
+        assert rec.axes == (data["control_rabi_hz"][i], data["probe_detuning_hz"][i])
+        assert rec.value == complex(data["re"][i], data["im"][i])
+        assert rec.annotation == data["annotation"][i]
+        assert rec.magnitude == data["abs"][i]
+        assert rec.phase == data["phase"][i]
+    for i, row in enumerate(flux.table):
+        assert list(row) == list(flux.columns)
+        assert all(row[col] == data[col][i] for col in flux.columns)
+
+    base = paper_profile("linewidth-pipeline")
+    pipeline = run_linewidth_pipeline(ExperimentConfig(
+        scheme="linewidth-pipeline",
+        atom=base.atom,
+        calibration=base.calibration,
+        power_grid=GridSpec(start=-60.0, stop=-45.0, count=4),
+        control_frequency_grid=GridSpec(start=2.125e9, stop=2.175e9, count=51),
+    ))
+    assert pipeline.records == ()
+    assert len(pipeline.table) == len(pipeline.data["status"]) == 4
+    for i, row in enumerate(pipeline.table):
+        assert row["status"] == pipeline.data["status"][i] == "ok"
+        assert row["power_dbm"] == pipeline.data["power_dbm"][i]

@@ -2,7 +2,9 @@
 
 The digests were captured from result_text(run_experiment(cfg), fmt) for the
 paper profile of each scheme, in CSV and JSON, with noise off and with
-sigma_rel = 0.01, seed = 5, under numpy 2.4.6 (Python 3.11.7). A refactor of
+sigma_rel = 0.01, seed = 5, under numpy 2.4.6 (Python 3.11.7). The
+magnitude-noise digests (kind="magnitude", same sigma and seed) and the
+``idt response`` stdout digests were captured the same way. A refactor of
 the config, runners, noise or export must reproduce them exactly; the JSON
 digests also pin ExperimentConfig.to_dict() through the config echo. Another
 numpy version may change the Philox normal draws or float formatting of the
@@ -16,6 +18,7 @@ from dataclasses import replace
 
 import pytest
 
+from acoustic_eit.cli import main
 from acoustic_eit.experiments import NoiseParams, paper_profile, result_text, run_experiment
 
 GOLDEN = {
@@ -48,3 +51,35 @@ def test_export_bytes_match_golden_digests(scheme, noisy):
     for fmt in ("csv", "json"):
         digest = hashlib.sha256(result_text(result, fmt).encode("utf-8")).hexdigest()
         assert digest == GOLDEN[(scheme, noisy, fmt)], f"{scheme} {fmt} export bytes changed"
+
+
+MAGNITUDE_GOLDEN = {
+    ("control-sweep", "csv"): "7acf291f89b95516333d14ee05dee955c37af7316e1d5ea0700005e38104cac3",
+    ("control-sweep", "json"): "d67792f2df300175c2f80dc56db8315ebfc0aceaba0089b070f5dc8f7c1455fd",
+    ("power-sweep", "csv"): "2da4a14a6bb186f3812368c4909c05fa535d6e18b3454eff81677f8e19877b32",
+    ("power-sweep", "json"): "4dff27729ceed9611284d9ecbc9515107d98edb15bfa3266d765f2538b0f26ce",
+    ("flux-sweep", "csv"): "871fc3ed1c56ced0527bf7a80ea0e8f4bb6aca7b652e0f8454fd07aefaf300a0",
+    ("flux-sweep", "json"): "b16e1dd5ca6d905e4854be8b750af1b7804af2b58c97d82cb3bf709bc3313135",
+}
+
+IDT_GOLDEN = {
+    "csv": "e6145fc8ffdaf96918cfef3b89f997dd1d0f0959c78ff8b31d95f910e80b7238",
+    "json": "4ba554027ea65b9d055dd258d4a21b4745e1eb5db3f2f9429de4002bd3752244",
+}
+
+
+@pytest.mark.parametrize("scheme", ["control-sweep", "power-sweep", "flux-sweep"])
+def test_magnitude_noise_export_bytes_match_golden_digests(scheme):
+    cfg = replace(paper_profile(scheme), noise=NoiseParams(sigma_rel=0.01, seed=5, kind="magnitude"))
+    result = run_experiment(cfg)
+    for fmt in ("csv", "json"):
+        digest = hashlib.sha256(result_text(result, fmt).encode("utf-8")).hexdigest()
+        assert digest == MAGNITUDE_GOLDEN[(scheme, fmt)], f"{scheme} magnitude-noise {fmt} export bytes changed"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_idt_response_bytes_match_golden_digests(capsys, fmt):
+    code = main(["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--format", fmt])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == IDT_GOLDEN[fmt], f"idt response {fmt} bytes changed"

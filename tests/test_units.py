@@ -8,7 +8,6 @@ import pytest
 from acoustic_eit import (
     PowerCalibration,
     angular_to_hz,
-    control_rabi_from_power,
     dbm_to_watts,
     hz_to_angular,
     watts_to_dbm,
@@ -71,8 +70,3 @@ def test_calibration_rejects_bad_inputs():
         PowerCalibration(k=-1.0)
     with pytest.raises(ValueError):
         PowerCalibration.from_threshold_anchor(-45.0, 0.0)
-
-
-def test_control_rabi_from_power_matches_calibration():
-    cal = PowerCalibration.from_threshold_anchor(-45.0, 16.06 * MHZ)
-    assert control_rabi_from_power(cal, -50.0) == cal.omega_c(-50.0)
