@@ -35,6 +35,9 @@ from .poles import classify_regime
 from .units import angular_to_hz, hz_to_angular
 
 _ORACLE_TOLERANCE = 1e-3
+# the oracle costs about 14 us per point and checks 3 * grid_count**2 points,
+# so the largest grid (about 0.75 M points) runs in about 10 s
+_ORACLE_MAX_GRID_COUNT = 501
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -124,8 +127,8 @@ def _handle_idt_response(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     f_min = args.f_min if args.f_min is not None else args.f_idt * (1.0 - 2.0 / args.pairs)
     f_max = args.f_max if args.f_max is not None else args.f_idt * (1.0 + 2.0 / args.pairs)
-    if not (0.0 < f_min < f_max < math.inf):
-        raise ConfigError("need 0 < --f-min < --f-max, both finite")
+    if not (0.0 < f_min < f_max and math.isfinite(hz_to_angular(f_max))):
+        raise ConfigError("need 0 < --f-min < --f-max, both finite in angular frequency")
     if args.count < 2:
         raise ConfigError("--count must be at least 2")
     freqs = np.linspace(f_min, f_max, args.count)
@@ -160,8 +163,10 @@ def _handle_idt_response(args: argparse.Namespace) -> int:
 
 
 def _handle_oracle_check(args: argparse.Namespace) -> int:
-    if args.grid_count < 2 or not (0.0 < args.span_hz < math.inf and 0.0 < args.probe_rabi_hz < math.inf):
-        raise ConfigError("need --grid-count >= 2 and finite --span-hz > 0, --probe-rabi-hz > 0")
+    if not (2 <= args.grid_count <= _ORACLE_MAX_GRID_COUNT
+            and 0.0 < args.span_hz < math.inf and 0.0 < args.probe_rabi_hz < math.inf):
+        raise ConfigError(f"need 2 <= --grid-count <= {_ORACLE_MAX_GRID_COUNT} "
+                          "and finite --span-hz > 0, --probe-rabi-hz > 0")
     atom = paper_profile("control-sweep").atom.build()
     detunings = hz_to_angular(np.linspace(-args.span_hz, args.span_hz, args.grid_count))
     control_amplitudes = hz_to_angular(np.array([0.0, 6.1e6, 30.0e6]))
@@ -233,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
     check = oracle_sub.add_parser("check", help="steady-state solver vs closed-form scattering")
     check.add_argument("--probe-rabi-hz", dest="probe_rabi_hz", type=float, default=1.0e4)
-    check.add_argument("--grid-count", dest="grid_count", type=int, default=21)
+    check.add_argument("--grid-count", dest="grid_count", type=int, default=21,
+                       help=f"detuning points per axis, 2 to {_ORACLE_MAX_GRID_COUNT} (default 21)")
     check.add_argument("--span-hz", dest="span_hz", type=float, default=50.0e6)
     check.set_defaults(handler=_handle_oracle_check)
 

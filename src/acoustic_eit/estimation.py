@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, RankError
 from .leastsq import FitResult, levenberg_marquardt, weighted_linear_fit
-from .model import transmission_flux_coefficient
+from .model import _kernel, transmission_flux_coefficient
 
 
 class Samples(NamedTuple):
@@ -454,31 +454,54 @@ def fit_transmission(
         names = _TRANSMISSION_NAMES[:4]
         fixed_c = complex(guess["crosstalk_re"], guess["crosstalk_im"])
 
-    def model(theta: np.ndarray) -> np.ndarray:
+    def background(theta: np.ndarray) -> complex:
+        return complex(theta[4], theta[5]) if fit_crosstalk else fixed_c
+
+    def residual(theta: np.ndarray) -> np.ndarray:
         gamma20, delta, omega_c, scale = theta[:4]
-        c = complex(theta[4], theta[5]) if fit_crosstalk else fixed_c
-        t = transmission_flux_coefficient(
+        t = scale * (transmission_flux_coefficient(
             Gamma10=Gamma10,
             gamma10=gamma10,
             gamma20=gamma20,
             Omega_c=omega_c,
             Delta_p=x,
             delta=delta,
-        )
-        return scale * (t + c)
-
-    def residual(theta: np.ndarray) -> np.ndarray:
-        t = model(theta)
+        ) + background(theta))
         if complex_data:
             res = t - values
             return np.concatenate([res.real * w, res.imag * w])
         return (np.abs(t) - values.real) * w
 
+    def jacobian(theta: np.ndarray) -> np.ndarray:
+        gamma20, delta, omega_c, scale = theta[:4]
+        c = background(theta)
+        r, two_photon, denominator, transparent = _kernel(
+            Gamma10, gamma10, gamma20, omega_c, x, 2.0 * x + delta)
+        # chain rule through D: dt/dD = scale*Gamma10/D**2 with
+        # dD/dgamma20 = -Omega_c**2/(2T**2), dD/ddelta = i*Omega_c**2/(2T**2)
+        # and dD/dOmega_c = Omega_c/T
+        dt_dD = scale * Gamma10 / denominator**2
+        d_gamma20 = -dt_dD * omega_c**2 / (2.0 * two_photon**2)
+        d_omega_c = dt_dD * omega_c / two_photon
+        if np.any(transparent):
+            # D diverges like 1/T at perfect transparency; D*T -> Omega_c**2/2
+            # leaves these finite limits
+            d_gamma20 = np.where(transparent, -2.0 * scale * Gamma10 / omega_c**2, d_gamma20)
+            d_omega_c = np.where(transparent, 0.0, d_omega_c)
+        columns = [d_gamma20, -1j * d_gamma20, d_omega_c, 1.0 + r + c]
+        if fit_crosstalk:
+            columns += [np.full(x.size, scale + 0j), np.full(x.size, 1j * scale)]
+        jac = np.column_stack(columns)
+        if complex_data:
+            return np.concatenate([jac.real * w[:, None], jac.imag * w[:, None]])
+        t = scale * (1.0 + r + c)
+        return (t.conj()[:, None] * jac).real / np.abs(t)[:, None] * w[:, None]
+
     x0 = np.array([guess[name] for name in names])
     lower = np.full(len(names), -np.inf)
     lower[0] = 0.0  # gamma20
     lower[2] = 0.0  # Omega_c
-    fit = levenberg_marquardt(residual, x0, names=names, lower=lower)
+    fit = levenberg_marquardt(residual, x0, jacobian, names=names, lower=lower)
     fit = _require_converged(fit, "transmission fit")
     if fit_crosstalk:
         return fit

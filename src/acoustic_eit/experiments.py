@@ -649,23 +649,17 @@ def run_power_sweep(config: ExperimentConfig) -> RunResult:
         delta_c = 0.0
     else:
         delta_c = hz_to_angular(config.control_frequency_hz) - atom.omega21
-    delta_p = hz_to_angular(config.probe_detuning_hz)
-    # one scalar kernel call per power: the scalar and array kernels differ
-    # in the last bits, and the export pins the scalar one
-    values, annotation = [], []
-    for power in powers.tolist():
-        omega_c = calibration.omega_c(power)
-        values.append(reflection_coefficient(
-            Gamma10=atom.Gamma10,
-            gamma10=atom.gamma10,
-            gamma20=atom.gamma20,
-            Omega_c=omega_c,
-            Delta_p=delta_p,
-            Delta_c=delta_c,
-        ))
-        annotation.append(_regime_value(atom, omega_c))
+    omega_c = np.array([calibration.omega_c(power) for power in powers.tolist()])
+    values = reflection_coefficient(
+        Gamma10=atom.Gamma10,
+        gamma10=atom.gamma10,
+        gamma20=atom.gamma20,
+        Omega_c=omega_c,
+        Delta_p=hz_to_angular(config.probe_detuning_hz),
+        Delta_c=delta_c,
+    )
+    annotation = [_regime_value(atom, w) for w in omega_c.tolist()]
     summary = _threshold_summary(atom, calibration)
-    values = np.array(values, dtype=complex)
     return _sweep_columns(config, {"control_power_dbm": powers}, values, annotation, summary)
 
 

@@ -1,10 +1,9 @@
 """Damped least-squares engine shared by all estimators.
 
 A small, deterministic Levenberg-Marquardt implementation. The estimators in
-``estimation`` supply (weighted) residual functions and, where a closed form
-exists, analytic Jacobians; otherwise a central finite-difference Jacobian is
-used. Lower bounds are enforced by projection (clamping), with per-parameter
-at-bound flags reported on the result.
+``estimation`` supply (weighted) residual functions and their analytic
+Jacobians. Lower bounds are enforced by projection (clamping), with
+per-parameter at-bound flags reported on the result.
 
 Schedule and stopping rule:
   - damping factor starts at 1e-3, multiplied by 10 on a rejected step and
@@ -86,27 +85,6 @@ class FitResult:
         )
 
 
-def finite_difference_jacobian(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    rel_step: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference Jacobian of the residual vector."""
-    x = np.asarray(x, dtype=float)
-    r0 = np.asarray(residual_fn(x), dtype=float)
-    jac = np.empty((r0.size, x.size), dtype=float)
-    for j in range(x.size):
-        step = rel_step * max(abs(x[j]), 1.0)
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += step
-        xm[j] -= step
-        jac[:, j] = (np.asarray(residual_fn(xp), dtype=float) - np.asarray(residual_fn(xm), dtype=float)) / (
-            2.0 * step
-        )
-    return jac
-
-
 def _covariance(jac: np.ndarray, rss: float) -> tuple[np.ndarray | None, np.ndarray]:
     """cov = inv(J^T J) * rss / dof, or (None, NaN vector) when undefined."""
     n, p = jac.shape
@@ -139,7 +117,7 @@ def _projected_gradient(grad: np.ndarray, x: np.ndarray, lower: np.ndarray | Non
 def levenberg_marquardt(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
-    jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    jacobian_fn: Callable[[np.ndarray], np.ndarray],
     *,
     names: Sequence[str] | None = None,
     lower: Sequence[float] | None = None,
@@ -148,6 +126,8 @@ def levenberg_marquardt(
 ) -> FitResult:
     """Minimize |residual_fn(x)|^2 with the Levenberg-Marquardt schedule.
 
+    jacobian_fn(x) returns the derivative of the residual vector, one column
+    per parameter.
     lower, when given, holds per-parameter lower bounds (use -inf for free
     parameters); iterates are projected onto the feasible set. The result's
     at_bound tuple marks parameters that finished clamped at their bound.
@@ -164,15 +144,11 @@ def levenberg_marquardt(
             raise ValueError("lower bounds must match parameter count")
         x = np.maximum(x, bound)
 
-    jac_of = jacobian_fn if jacobian_fn is not None else (
-        lambda xv: finite_difference_jacobian(residual_fn, xv)
-    )
-
     r = np.asarray(residual_fn(x), dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("residuals are not finite at the initial guess")
     rss = float(r @ r)
-    jac = np.asarray(jac_of(x), dtype=float)
+    jac = np.asarray(jacobian_fn(x), dtype=float)
     grad = jac.T @ r
     gnorm = float(np.linalg.norm(_projected_gradient(grad, x, bound)))
 
@@ -210,7 +186,7 @@ def levenberg_marquardt(
                     x = x_trial
                     r = r_trial
                     rss = rss_trial
-                    jac = np.asarray(jac_of(x), dtype=float)
+                    jac = np.asarray(jacobian_fn(x), dtype=float)
                     grad = jac.T @ r
                     gnorm = float(np.linalg.norm(_projected_gradient(grad, x, bound)))
                     damping = max(damping / _DAMPING_SHRINK, 1e-15)

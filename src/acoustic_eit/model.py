@@ -15,7 +15,7 @@ frequencies (rad/s); converting from Hz happens at the package boundary
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -118,90 +118,68 @@ class DriveCondition:
                 raise ValueError(f"{name} must be finite")
 
 
-def _reflection_grid(Gamma10: float, gamma10: float, gamma20: float, Omega_c: float,
-                     two_photon_imag, Delta_p):
-    """Vectorized reflection with the given two-photon imaginary part.
+# overflowing inputs come back as non-finite values for the callers to reject
+@np.errstate(over="ignore", invalid="ignore")
+def _kernel(Gamma10: float, gamma10: float, gamma20, Omega_c, Delta_p, two_photon_detuning):
+    """The closed form on broadcast arrays: (r, two_photon, denominator, transparent).
 
-    Perfect-transparency points (two-photon denominator exactly zero with the
-    control on) return exactly 0; any other vanishing denominator raises.
+    two_photon = gamma20 - i*two_photon_detuning and denominator =
+    2*(gamma10 - i*Delta_p) + Omega_c**2 / (2*two_photon), so r = -Gamma10 /
+    denominator. transparent marks perfect transparency (two-photon factor
+    exactly zero with the control on): r is exactly 0 there, and the returned
+    two_photon and denominator hold 1 so that derivatives built from them stay
+    finite. A zero two-photon factor with the control off also reads 1, which
+    makes its control terms vanish. Any other vanishing denominator raises
+    SingularModelError.
     """
-    dp, tp_im = np.broadcast_arrays(np.asarray(Delta_p, dtype=float),
-                                    np.asarray(two_photon_imag, dtype=float))
-    if Omega_c == 0.0:
-        control_term = np.zeros(dp.shape, dtype=complex)
-        transparent = np.zeros(dp.shape, dtype=bool)
-    else:
-        two_photon = gamma20 - 1j * tp_im
-        transparent = two_photon == 0.0
-        safe = np.where(transparent, 1.0, two_photon)
-        control_term = Omega_c**2 / (2.0 * safe)
-    denominator = 2.0 * (gamma10 - 1j * dp) + control_term
-    singular = (denominator == 0.0) & ~transparent
-    if np.any(singular):
+    Omega_c = np.asarray(Omega_c, dtype=float)
+    two_photon = gamma20 - 1j * np.asarray(two_photon_detuning, dtype=float)
+    zero = two_photon == 0.0
+    transparent = zero & (Omega_c != 0.0)
+    two_photon = np.where(zero, 1.0, two_photon)
+    control_term = np.where(Omega_c == 0.0, 0.0, Omega_c**2 / (2.0 * two_photon))
+    denominator = 2.0 * (gamma10 - 1j * np.asarray(Delta_p, dtype=float)) + control_term
+    if np.any((denominator == 0.0) & ~transparent):
         raise SingularModelError(
             "reflection denominator vanished; need gamma10 > 0 or Delta_p != 0")
-    safe_denom = np.where(transparent, 1.0, denominator)
-    r = -Gamma10 / safe_denom
-    return np.where(transparent, 0.0 + 0.0j, r)
+    denominator = np.where(transparent, 1.0, denominator)
+    r = np.where(transparent, 0.0 + 0.0j, -Gamma10 / denominator)
+    return r, two_photon, denominator, transparent
 
 
-def _scalar_terms(gamma10: float, gamma20: float, Omega_c: float,
-                  Delta_p: float, two_photon_detuning: float):
-    """Scalar two-photon factor and scattering denominator.
-
-    Returns (two_photon, denominator) with two_photon = gamma20 - i*two_photon_detuning
-    and denominator = 2*(gamma10 - i*Delta_p) + Omega_c**2 / (2*two_photon).
-    The denominator is None at perfect transparency (two-photon factor exactly
-    zero with the control on, where r = 0); any other vanishing denominator
-    raises SingularModelError.
-    """
-    two_photon = complex(gamma20, -two_photon_detuning)
-    if Omega_c == 0.0:
-        control_term = 0.0 + 0.0j
-    elif two_photon == 0.0:
-        return two_photon, None
-    else:
-        control_term = Omega_c**2 / (2.0 * two_photon)
-    denominator = 2.0 * complex(gamma10, -Delta_p) + control_term
-    if denominator == 0.0:
-        raise SingularModelError(
-            "reflection denominator vanished; need gamma10 > 0 or Delta_p != 0")
-    return two_photon, denominator
+def _scalar_or_array(value):
+    """A 0-d kernel result as a Python complex, anything else unchanged."""
+    return complex(value) if np.ndim(value) == 0 else value
 
 
 def reflection_coefficient(Gamma10: float, gamma10: float, gamma20: float,
-                           Omega_c: float, Delta_p, Delta_c):
+                           Omega_c, Delta_p, Delta_c):
     """Weak-probe reflection from bare rates.
 
-    Delta_p and Delta_c may be scalars or broadcastable arrays. Returns
-    exactly 0 in the perfect-transparency limit (gamma20 = 0 on two-photon
-    resonance with the control on); raises SingularModelError if the
-    denominator vanishes (e.g. all rates and detunings zero).
+    Omega_c, Delta_p and Delta_c may be scalars or broadcastable arrays;
+    scalars alone give a Python complex. Returns exactly 0 in the
+    perfect-transparency limit (gamma20 = 0 on two-photon resonance with the
+    control on); raises SingularModelError if the denominator vanishes (e.g.
+    all rates and detunings zero).
     """
-    if np.ndim(Delta_p) == 0 and np.ndim(Delta_c) == 0:
-        dp = float(Delta_p)
-        _, denominator = _scalar_terms(gamma10, gamma20, Omega_c, dp, dp + float(Delta_c))
-        return 0.0 + 0.0j if denominator is None else -Gamma10 / denominator
     dp = np.asarray(Delta_p, dtype=float)
-    dc = np.asarray(Delta_c, dtype=float)
-    return _reflection_grid(Gamma10, gamma10, gamma20, Omega_c, dp + dc, dp)
+    r = _kernel(Gamma10, gamma10, gamma20, Omega_c, dp, dp + np.asarray(Delta_c, dtype=float))[0]
+    return _scalar_or_array(r)
 
 
 def transmission_flux_coefficient(Gamma10: float, gamma10: float, gamma20: float,
-                                  Omega_c: float, Delta_p, delta: float):
+                                  Omega_c, Delta_p, delta: float):
     """Transmission when probe and control detunings are swept together.
 
     Tuning the atom with both tone frequencies fixed moves Delta_p and Delta_c
     in lockstep: Delta_c = Delta_p + delta, with delta the fixed control offset
     from the two-photon point. The two-photon denominator then carries
-    gamma20 - i*(2*Delta_p + delta). Delta_p may be a scalar or an array.
+    gamma20 - i*(2*Delta_p + delta). Omega_c and Delta_p may be scalars or
+    broadcastable arrays; scalars alone give a Python complex.
     """
-    if np.ndim(Delta_p) == 0:
-        dp = float(Delta_p)
-        _, denominator = _scalar_terms(gamma10, gamma20, Omega_c, dp, 2.0 * dp + delta)
-        return 1.0 + 0.0j if denominator is None else 1.0 - Gamma10 / denominator
     dp = np.asarray(Delta_p, dtype=float)
-    return 1.0 + _reflection_grid(Gamma10, gamma10, gamma20, Omega_c, 2.0 * dp + delta, dp)
+    r = _kernel(Gamma10, gamma10, gamma20, Omega_c, dp, 2.0 * dp + delta)[0]
+    return _scalar_or_array(1.0 + r)
 
 
 def reflection(atom: ThreeLevelAtom, drive: DriveCondition) -> complex:
@@ -259,37 +237,24 @@ def dip_shape(Gamma10: float, gamma10: float, gamma20: float, Omega_c: float) ->
                     amplitude=amplitude, window=window)
 
 
-def group_delay(atom: ThreeLevelAtom, drive: DriveCondition, h: float | None = None) -> float:
+def group_delay(atom: ThreeLevelAtom, drive: DriveCondition) -> float:
     """Group delay tau_g = d arg(t) / d Delta_p in seconds.
 
-    With h omitted the analytic derivative of the transmission phase is used.
-    With h given (rad/s), a central difference of the phase with unwrapping is
-    computed instead; it exists as a cross-check of the analytic path.
-
-    Raises UndefinedPhaseError when t = 0 at the evaluation point (perfect
-    extinction), where the phase carries no information.
+    Uses the analytic derivative dr/dDelta_p = Gamma10 * dD/dDelta_p / D**2
+    of the kernel's denominator D. Raises UndefinedPhaseError when t = 0 at
+    the evaluation point (perfect extinction), where the phase carries no
+    information.
     """
-    t0 = transmission(atom, drive)
+    Omega_c = drive.Omega_c
+    r, two_photon, denominator, transparent = _kernel(
+        atom.Gamma10, atom.gamma10, atom.gamma20, Omega_c,
+        drive.Delta_p, drive.Delta_p + drive.Delta_c)
+    t0 = 1.0 + r
     if t0 == 0.0:
         raise UndefinedPhaseError("transmission is zero; phase undefined")
-
-    if h is not None:
-        if not h > 0.0:
-            raise ValueError("finite-difference step h must be positive")
-        t_plus = transmission(atom, replace(drive, Delta_p=drive.Delta_p + h))
-        t_minus = transmission(atom, replace(drive, Delta_p=drive.Delta_p - h))
-        if t_plus == 0.0 or t_minus == 0.0:
-            raise UndefinedPhaseError("transmission is zero at a stencil point")
-        # phase of the ratio unwraps the difference as long as |dphi| < pi
-        return math.atan2((t_plus / t_minus).imag, (t_plus / t_minus).real) / (2.0 * h)
-
-    Omega_c = drive.Omega_c
-    two_photon, denominator = _scalar_terms(atom.gamma10, atom.gamma20, Omega_c,
-                                            drive.Delta_p, drive.Delta_p + drive.Delta_c)
-    if denominator is None:
+    if transparent:
         # ideal transparency point: t = 1 there and the exact limit of the
         # phase slope is 2*Gamma10/Omega_c**2
         return 2.0 * atom.Gamma10 / Omega_c**2
-    control_slope = 0.0 + 0.0j if Omega_c == 0.0 else 1j * Omega_c**2 / (2.0 * two_photon**2)
-    d_reflection = atom.Gamma10 * (-2j + control_slope) / denominator**2
-    return (d_reflection / t0).imag
+    d_denominator = -2j + 1j * Omega_c**2 / (2.0 * two_photon**2)
+    return float((atom.Gamma10 * d_denominator / denominator**2 / t0).imag)

@@ -197,6 +197,11 @@ def test_oracle_check_prints_worst_point(capsys):
 def test_oracle_check_flag_validation(capsys):
     assert main(["oracle", "check", "--grid-count", "1"]) == 2
     capsys.readouterr()
+    # the cap bounds the run time: 3 * 501**2 points take about 10 s
+    assert main(["oracle", "check", "--grid-count", "502"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--grid-count <= 501" in captured.err
 
 
 @pytest.mark.parametrize("overlay", [
@@ -243,7 +248,8 @@ def test_flux_sweep_rabi_overflow_is_config_error(tmp_path, capsys):
     ["oracle", "check", "--grid-count", "2", "--probe-rabi-hz", "inf"],
     ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--f-max", "inf"],
     ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--f-min", "nan"],
-], ids=["span-inf", "span-nan", "probe-nan", "probe-inf", "f-max-inf", "f-min-nan"])
+    ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--f-max", "1e308", "--count", "3"],
+], ids=["span-inf", "span-nan", "probe-nan", "probe-inf", "f-max-inf", "f-min-nan", "f-max-angular-overflow"])
 def test_non_finite_flag_is_config_error(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()

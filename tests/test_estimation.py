@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from acoustic_eit import estimation
 from acoustic_eit import (
     ConvergenceError,
     RankError,
@@ -21,6 +22,7 @@ from acoustic_eit import (
     transmission_flux_coefficient,
     transmission_initial_guess,
 )
+from numdiff import central_difference
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -420,3 +422,73 @@ def test_transmission_noisy_within_three_sigma():
     for name, truth in (("gamma20", T_G20), ("delta", T_DELTA),
                         ("Omega_c", T_OMEGA_C)):
         assert abs(res.value(name) - truth) <= 3.0 * res.error(name)
+
+
+# ---------------------------------------------------------------------------
+# Analytic Jacobians against central differences
+# ---------------------------------------------------------------------------
+
+RATE_STEP = 1e-5 * G10  # step for parameters in rad/s
+UNIT_STEP = 1e-6        # step for dimensionless parameters
+
+
+@pytest.fixture()
+def problems(monkeypatch):
+    """(residual, jacobian, start, optimum) of every engine call the estimators make."""
+    captured = []
+    engine = estimation.levenberg_marquardt
+
+    def spy(residual, x0, jacobian, **kwargs):
+        fit = engine(residual, x0, jacobian, **kwargs)
+        captured.append((residual, jacobian, np.array(x0, dtype=float), fit.values))
+        return fit
+
+    monkeypatch.setattr(estimation, "levenberg_marquardt", spy)
+    return captured
+
+
+def _assert_jacobian_matches(residual, jacobian, theta, step):
+    numeric = central_difference(residual, theta, step)
+    analytic = jacobian(np.asarray(theta, dtype=float))
+    # each column to 1e-6 of its largest entry
+    error = np.max(np.abs(analytic - numeric), axis=0) / np.max(np.abs(numeric), axis=0)
+    assert np.all(error <= 1e-6), error
+
+
+def _assert_problems_match(problems, step):
+    assert problems
+    for residual, jacobian, start, optimum in problems:
+        for theta in (start, optimum):
+            _assert_jacobian_matches(residual, jacobian, theta, step)
+
+
+def test_dip_jacobian_matches_central_difference(problems):
+    x, y = _dip_curve()
+    rng = np.random.Generator(np.random.Philox(21))
+    fit_dip_lorentzian(samples_from_arrays(x, y + 0.002 * rng.standard_normal(y.size),
+                                           np.full(y.size, 0.002)))
+    _assert_problems_match(problems, [RATE_STEP, RATE_STEP, UNIT_STEP, UNIT_STEP])
+
+
+def test_two_level_jacobian_matches_central_difference(problems):
+    x, y = _two_level_curve()
+    fit_two_level(samples_from_arrays(x, y), Gamma10=GAMMA10_EMIT)
+    _assert_problems_match(problems, [RATE_STEP, UNIT_STEP])
+
+
+@pytest.mark.parametrize("magnitude", [False, True], ids=["complex", "magnitude"])
+@pytest.mark.parametrize("fit_crosstalk", [True, False], ids=["crosstalk", "pinned"])
+def test_transmission_jacobian_matches_central_difference(problems, magnitude, fit_crosstalk):
+    x, t = _transmission_curve(crosstalk=0.03 + 0.02j)
+    rng = np.random.Generator(np.random.Philox(22))
+    t = t + 0.01 * (rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size))
+    fit_transmission(samples_from_arrays(x, np.abs(t) if magnitude else t, np.full(t.size, 0.01)),
+                     gamma10=G10, Gamma10=GAMMA10_EMIT, fit_crosstalk=fit_crosstalk)
+    step = [RATE_STEP] * 3 + [UNIT_STEP] * (3 if fit_crosstalk else 1)
+    _assert_problems_match(problems, step)
+    # gamma20 at its bound 0 and delta = 0 make the sample at Delta_p = 0
+    # perfectly transparent, where the Jacobian takes its finite limit
+    assert x[t.size // 2] == 0.0
+    residual, jacobian, _, _ = problems[0]
+    transparent = np.array([0.0, 0.0, T_OMEGA_C, 1.0, 0.03, 0.02][:len(step)])
+    _assert_jacobian_matches(residual, jacobian, transparent, step)

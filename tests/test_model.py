@@ -21,6 +21,8 @@ from acoustic_eit import (
     transmission_flux_coefficient,
     transmission_flux_sweep,
 )
+from acoustic_eit.experiments import paper_profile, run_experiment
+from numdiff import numeric_group_delay
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -319,7 +321,7 @@ def test_group_delay_finite_difference_matches_analytic(reflection_atom):
             Omega_c=float(rng.uniform(1.0, 30.0)) * MHZ,
         )
         analytic = group_delay(reflection_atom, drive)
-        numeric = group_delay(reflection_atom, drive, h=h)
+        numeric = numeric_group_delay(reflection_atom, drive, h)
         assert numeric == pytest.approx(analytic, rel=1e-6)
 
 
@@ -334,6 +336,56 @@ def test_group_delay_ideal_transparency_limit(reflection_atom):
     assert group_delay(atom, drive) > 0.0
 
 
-def test_group_delay_fd_step_validation(reflection_atom):
-    with pytest.raises(ValueError):
-        group_delay(reflection_atom, DriveCondition(Omega_c=6.1 * MHZ), h=0.0)
+# ---------------------------------------------------------------------------
+# One kernel for scalars and arrays
+# ---------------------------------------------------------------------------
+
+
+def _former_scalar_reflection(Gamma10, gamma10, gamma20, Omega_c, Delta_p, two_photon_detuning):
+    """The scalar kernel the array kernel replaced, in CPython complex arithmetic."""
+    two_photon = complex(gamma20, -two_photon_detuning)
+    control_term = 0.0 + 0.0j if Omega_c == 0.0 else Omega_c**2 / (2.0 * two_photon)
+    return -Gamma10 / (2.0 * complex(gamma10, -Delta_p) + control_term)
+
+
+def test_kernel_matches_former_scalar_formula():
+    # the 41 power-sweep profile points, then seeded random atoms, each on
+    # resonance (a real denominator, where the two divisions differ most
+    # often in the last bit) and at random detunings
+    cfg = paper_profile("power-sweep")
+    atom = cfg.atom.build()
+    calibration = cfg.calibration.build()
+    delta_c = hz_to_angular(cfg.control_frequency_hz) - atom.omega21
+    omega_c = [calibration.omega_c(power) for power in cfg.power_grid.values().tolist()]
+    cases = [(atom, w, 0.0, delta_c) for w in omega_c]
+    rng = np.random.Generator(np.random.Philox(13))
+    for _ in range(500):
+        rates = rng.uniform(0.0, 40.0, 4) * MHZ
+        drawn = ThreeLevelAtom(omega10=2.0e9, anharmonicity=1e8, Gamma10=rates[0] + 1.0 * MHZ,
+                               Gamma21=rates[1], gphi1=rates[2], gphi2=rates[3])
+        drive = rng.uniform(-50.0, 50.0, 3) * MHZ
+        cases += [(drawn, abs(drive[0]), 0.0, 0.0), (drawn, abs(drive[0]), drive[1], drive[2])]
+    for a, w, dp, dc in cases:
+        args = (a.Gamma10, a.gamma10, a.gamma20, w, dp)
+        r = reflection_coefficient(*args, dc)
+        t = transmission_flux_coefficient(*args, dc)
+        assert type(r) is complex and type(t) is complex
+        r_old = _former_scalar_reflection(*args, dp + dc)
+        t_old = 1.0 + _former_scalar_reflection(*args, 2.0 * dp + dc)
+        assert abs(r - r_old) <= 1e-15 * abs(r_old)
+        assert abs(t - t_old) <= 1e-15 * abs(t_old)
+    # the run makes one array kernel call over all powers
+    data = run_experiment(cfg).data
+    r_old = np.array([_former_scalar_reflection(atom.Gamma10, atom.gamma10, atom.gamma20, w, 0.0, delta_c)
+                      for w in omega_c])
+    assert np.all(np.abs(data["re"] + 1j * data["im"] - r_old) <= 1e-15 * np.abs(r_old))
+
+
+def test_kernel_broadcasts_control_amplitude(reflection_atom):
+    omega_c = np.array([[0.0], [6.1 * MHZ], [30.0 * MHZ]])
+    dp = np.linspace(-20.0, 20.0, 5) * MHZ
+    rates = (reflection_atom.Gamma10, reflection_atom.gamma10, reflection_atom.gamma20)
+    grid = reflection_coefficient(*rates, omega_c, dp, 0.0)
+    assert grid.shape == (3, 5)
+    for i, w in enumerate(omega_c[:, 0]):
+        assert np.array_equal(grid[i], reflection_coefficient(*rates, float(w), dp, 0.0))
