@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -19,8 +20,6 @@ from .errors import ConfigError, ConvergenceError, RankError
 from .experiments import (
     FORMATS,
     PROFILE_NAMES,
-    export_csv,
-    export_json,
     csv_text,
     json_text,
     export_result,
@@ -48,7 +47,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=FORMATS, help="output format (default: config value)")
 
 
-def _handle_sweep(args: argparse.Namespace) -> int:
+def _handle_run(args: argparse.Namespace) -> int:
     config = resolve_config(
         args.scheme,
         profile=args.profile,
@@ -58,46 +57,20 @@ def _handle_sweep(args: argparse.Namespace) -> int:
         output_format=args.format,
     )
     result = run_experiment(config)
-    if config.output_path:
-        export_result(result, config.output_path)
-        print(f"wrote {len(result.data[result.columns[0]])} rows to {config.output_path}")
-    else:
+    if not config.output_path:
         sys.stdout.write(result_text(result))
-    return 0
-
-
-def _handle_pipeline(args: argparse.Namespace) -> int:
-    config = resolve_config(
-        "linewidth-pipeline",
-        profile=args.profile,
-        config_path=args.config,
-        seed=args.seed,
-        output_path=args.out,
-        output_format=args.format,
-    )
-    result = run_experiment(config)
-    if config.output_path:
-        export_result(result, config.output_path)
-        print(f"wrote {len(result.data[result.columns[0]])} rows to {config.output_path}")
-        line = result.summary["line_fit"]
-        print(
-            "gamma20_hz=%.17g gamma20_sigma_hz=%.17g"
-            % (line["gamma20_hz"], line["gamma20_sigma_hz"])
-        )
-        print(
-            "k_hz2_per_watt=%.17g k_sigma_hz2_per_watt=%.17g"
-            % (line["k_hz2_per_watt"], line["k_sigma_hz2_per_watt"])
-        )
+        return 0
+    export_result(result, config.output_path)
+    print(f"wrote {len(result.data[result.columns[0]])} rows to {config.output_path}")
+    line = result.summary.get("line_fit")
+    if line is not None:
+        print("gamma20_hz=%.17g gamma20_sigma_hz=%.17g" % (line["gamma20_hz"], line["gamma20_sigma_hz"]))
+        print("k_hz2_per_watt=%.17g k_sigma_hz2_per_watt=%.17g"
+              % (line["k_hz2_per_watt"], line["k_sigma_hz2_per_watt"]))
         threshold_power = result.summary["threshold_power_dbm"]
-        print(
-            "threshold_rabi_hz=%.17g threshold_power_dbm=%s"
-            % (
-                result.summary["threshold_rabi_hz"],
-                "none" if threshold_power is None else "%.17g" % threshold_power,
-            )
-        )
-    else:
-        sys.stdout.write(result_text(result))
+        threshold_power_text = "none" if threshold_power is None else "%.17g" % threshold_power
+        print("threshold_rabi_hz=%.17g threshold_power_dbm=%s"
+              % (result.summary["threshold_rabi_hz"], threshold_power_text))
     return 0
 
 
@@ -146,19 +119,16 @@ def _handle_idt_response(args: argparse.Namespace) -> int:
         "bandwidth_hz": angular_to_hz(idt_bandwidth(idt)),
         "peak_rate_hz": angular_to_hz(idt.decay_peak),
     }
-    fmt = args.format or "csv"
-    if args.out:
-        if fmt == "csv":
-            export_csv(columns, data, args.out)
-        else:
-            export_json(columns, data, args.out, summary=summary)
-        print(f"wrote {freqs.size} rows to {args.out}")
-        print("bandwidth_hz=%.17g peak_rate_hz=%.17g" % (summary["bandwidth_hz"], summary["peak_rate_hz"]))
+    if (args.format or "csv") == "csv":
+        text = csv_text(columns, data)
     else:
-        if fmt == "csv":
-            sys.stdout.write(csv_text(columns, data))
-        else:
-            sys.stdout.write(json_text(columns, data, summary=summary))
+        text = json_text(columns, data, summary=summary)
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+    print(f"wrote {freqs.size} rows to {args.out}")
+    print("bandwidth_hz=%.17g peak_rate_hz=%.17g" % (summary["bandwidth_hz"], summary["peak_rate_hz"]))
     return 0
 
 
@@ -201,13 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
     for scheme in ("control-sweep", "flux-sweep", "power-sweep"):
         sweep = sim_sub.add_parser(scheme, help=f"{scheme} simulation")
         _add_run_flags(sweep)
-        sweep.set_defaults(handler=_handle_sweep, scheme=scheme)
+        sweep.set_defaults(handler=_handle_run, scheme=scheme)
 
     pipeline = subparsers.add_parser("pipeline", help="run an estimation pipeline")
     pipe_sub = pipeline.add_subparsers(dest="pipeline_name", required=True)
     linewidth = pipe_sub.add_parser("linewidth", help="dip fits, linewidth line, per-point drive strength")
     _add_run_flags(linewidth)
-    linewidth.set_defaults(handler=_handle_pipeline)
+    linewidth.set_defaults(handler=_handle_run, scheme="linewidth-pipeline")
 
     classify = subparsers.add_parser("classify", help="transparency regime for given rates")
     classify.add_argument("--gamma10", type=float, required=True, metavar="HZ",

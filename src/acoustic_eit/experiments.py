@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .estimation import fit_dip_lorentzian, fit_linewidth_line, rabi_per_point, samples_from_arrays
-from .idt import IdtTransducer
 from .model import ThreeLevelAtom, reflection_coefficient, transmission_flux_coefficient
 from .poles import classify_regime
 from .units import (
@@ -115,29 +114,6 @@ class AtomParams:
 
 
 @dataclass(frozen=True)
-class IdtParams:
-    """Transducer geometry in external units."""
-
-    pairs: int
-    frequency_hz: float
-    k2: float
-    capacitance_f: float
-    inductance_h: float | None = None
-
-    def build(self) -> IdtTransducer:
-        try:
-            return IdtTransducer(
-                pairs=self.pairs,
-                omega_center=hz_to_angular(self.frequency_hz),
-                k2=self.k2,
-                capacitance=self.capacitance_f,
-                inductance=self.inductance_h,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid idt parameters: {exc}") from exc
-
-
-@dataclass(frozen=True)
 class CalibrationParams:
     """Control-line power calibration: either k directly or a power anchor.
 
@@ -188,7 +164,6 @@ class ExperimentConfig:
 
     scheme: str
     atom: AtomParams
-    idt: IdtParams | None = None
     calibration: CalibrationParams | None = None
     probe_detuning_hz: float = 0.0
     power_grid: GridSpec | None = None
@@ -215,8 +190,6 @@ class ExperimentConfig:
         _require(_finite(self.crosstalk_re) and _finite(self.crosstalk_im), "crosstalk must be finite")
         _require(_finite(self.scale) and self.scale > 0.0, "scale must be positive")
         self.atom.build()
-        if self.idt is not None:
-            self.idt.build()
         if self.scheme in ("control-sweep", "power-sweep", "linewidth-pipeline"):
             _require(self.calibration is not None, f"{self.scheme} needs a calibration section")
             self.calibration.build()
@@ -357,8 +330,6 @@ _TRANSMISSION_ATOM = AtomParams(
     dephasing2_hz=3.955e6,
 )
 
-_PROFILE_IDT = IdtParams(pairs=25, frequency_hz=2.26e9, k2=7.11e-4, capacitance_f=1.5e-13)
-
 # Anchor: the EIT/ATS threshold Rabi frequency 16.06 MHz is reached at
 # -45 dBm of room-temperature control power.
 _PROFILE_CALIBRATION = CalibrationParams(anchor_power_dbm=-45.0, anchor_rabi_hz=16.06e6)
@@ -373,7 +344,6 @@ def paper_profile(scheme: str) -> ExperimentConfig:
         return ExperimentConfig(
             scheme=scheme,
             atom=_REFLECTION_ATOM,
-            idt=_PROFILE_IDT,
             calibration=_PROFILE_CALIBRATION,
             power_grid=GridSpec(start=-60.0, stop=-40.0, count=21),
             control_frequency_grid=GridSpec(start=2.10e9, stop=2.20e9, count=201),
@@ -382,7 +352,6 @@ def paper_profile(scheme: str) -> ExperimentConfig:
         return ExperimentConfig(
             scheme=scheme,
             atom=_REFLECTION_ATOM,
-            idt=_PROFILE_IDT,
             calibration=_PROFILE_CALIBRATION,
             power_grid=GridSpec(start=-60.0, stop=-40.0, count=41),
             control_frequency_hz=2.15e9,
@@ -391,7 +360,6 @@ def paper_profile(scheme: str) -> ExperimentConfig:
         return ExperimentConfig(
             scheme=scheme,
             atom=_REFLECTION_ATOM,
-            idt=_PROFILE_IDT,
             calibration=_PROFILE_CALIBRATION,
             power_grid=GridSpec(start=-60.0, stop=-45.0, count=10),
             control_frequency_grid=GridSpec(start=2.125e9, stop=2.175e9, count=201),
@@ -400,7 +368,6 @@ def paper_profile(scheme: str) -> ExperimentConfig:
         return ExperimentConfig(
             scheme=scheme,
             atom=_TRANSMISSION_ATOM,
-            idt=_PROFILE_IDT,
             calibration=_PROFILE_CALIBRATION,
             probe_detuning_grid=GridSpec(start=-50.0e6, stop=50.0e6, count=401),
             control_rabi_hz=(6.0e6, 16.0e6, 30.0e6),
@@ -584,27 +551,13 @@ def synthesize_noise(
 # ---------------------------------------------------------------------------
 
 
-def simulate_control_row(
-    atom: ThreeLevelAtom,
-    omega_c: float,
-    control_frequencies_hz: Sequence[float],
-    probe_detuning_hz: float = 0.0,
-) -> np.ndarray:
-    """Weak-probe reflection across control frequencies at one control amplitude."""
-    delta_p = hz_to_angular(probe_detuning_hz)
-    delta_c = hz_to_angular(np.asarray(control_frequencies_hz, dtype=float)) - atom.omega21
-    return reflection_coefficient(
-        Gamma10=atom.Gamma10,
-        gamma10=atom.gamma10,
-        gamma20=atom.gamma20,
-        Omega_c=omega_c,
-        Delta_p=delta_p,
-        Delta_c=delta_c,
-    )
+def _regimes(atom: ThreeLevelAtom, omega_c: np.ndarray) -> list[str]:
+    """Transparency regime of each control amplitude, one decision per row."""
+    return [classify_regime(atom.gamma10, atom.gamma20, w).regime.value for w in omega_c.tolist()]
 
 
-def _regime_value(atom: ThreeLevelAtom, omega_c: float) -> str:
-    return classify_regime(atom.gamma10, atom.gamma20, omega_c).regime.value
+def _control_amplitudes(calibration: PowerCalibration, powers: np.ndarray) -> np.ndarray:
+    return np.array([calibration.omega_c(power) for power in powers.tolist()])
 
 
 def _threshold_summary(atom: ThreeLevelAtom, calibration: PowerCalibration | None) -> dict[str, Any]:
@@ -624,19 +577,23 @@ def run_control_sweep(config: ExperimentConfig) -> RunResult:
     calibration = config.calibration.build()
     powers = config.power_grid.values()
     freqs = config.control_frequency_grid.values()
-    rows, regimes = [], []
-    for power in powers.tolist():
-        omega_c = calibration.omega_c(power)
-        regimes.append(_regime_value(atom, omega_c))
-        rows.append(simulate_control_row(atom, omega_c, freqs, config.probe_detuning_hz))
-    annotation = [regime for regime in regimes for _ in range(freqs.size)]
+    omega_c = _control_amplitudes(calibration, powers)
+    annotation = [regime for regime in _regimes(atom, omega_c) for _ in range(freqs.size)]
+    values = reflection_coefficient(
+        Gamma10=atom.Gamma10,
+        gamma10=atom.gamma10,
+        gamma20=atom.gamma20,
+        Omega_c=omega_c[:, None],
+        Delta_p=hz_to_angular(config.probe_detuning_hz),
+        Delta_c=hz_to_angular(freqs) - atom.omega21,
+    )
     summary = _threshold_summary(atom, calibration)
     summary["transition_frequency_hz"] = angular_to_hz(atom.omega21)
     axes = {
         "control_power_dbm": np.repeat(powers, freqs.size),
         "control_frequency_hz": np.tile(freqs, powers.size),
     }
-    return _sweep_columns(config, axes, np.concatenate(rows), annotation, summary)
+    return _sweep_columns(config, axes, values.ravel(), annotation, summary)
 
 
 def run_power_sweep(config: ExperimentConfig) -> RunResult:
@@ -649,7 +606,7 @@ def run_power_sweep(config: ExperimentConfig) -> RunResult:
         delta_c = 0.0
     else:
         delta_c = hz_to_angular(config.control_frequency_hz) - atom.omega21
-    omega_c = np.array([calibration.omega_c(power) for power in powers.tolist()])
+    omega_c = _control_amplitudes(calibration, powers)
     values = reflection_coefficient(
         Gamma10=atom.Gamma10,
         gamma10=atom.gamma10,
@@ -658,7 +615,7 @@ def run_power_sweep(config: ExperimentConfig) -> RunResult:
         Delta_p=hz_to_angular(config.probe_detuning_hz),
         Delta_c=delta_c,
     )
-    annotation = [_regime_value(atom, w) for w in omega_c.tolist()]
+    annotation = _regimes(atom, omega_c)
     summary = _threshold_summary(atom, calibration)
     return _sweep_columns(config, {"control_power_dbm": powers}, values, annotation, summary)
 
@@ -675,27 +632,25 @@ def run_flux_sweep(config: ExperimentConfig) -> RunResult:
     detunings = config.probe_detuning_grid.values()
     delta = hz_to_angular(config.residual_detuning_hz)
     crosstalk = complex(config.crosstalk_re, config.crosstalk_im)
-    curves, regimes = [], []
-    for rabi_hz in config.control_rabi_hz:
-        omega_c = hz_to_angular(rabi_hz)
-        regimes.append(_regime_value(atom, omega_c))
-        t = transmission_flux_coefficient(
-            Gamma10=atom.Gamma10,
-            gamma10=atom.gamma10,
-            gamma20=atom.gamma20,
-            Omega_c=omega_c,
-            Delta_p=hz_to_angular(detunings),
-            delta=delta,
-        )
-        curves.append(config.scale * (t + crosstalk))
-    annotation = [regime for regime in regimes for _ in range(detunings.size)]
+    rabi_hz = np.array(config.control_rabi_hz, dtype=float)
+    omega_c = hz_to_angular(rabi_hz)
+    annotation = [regime for regime in _regimes(atom, omega_c) for _ in range(detunings.size)]
+    t = transmission_flux_coefficient(
+        Gamma10=atom.Gamma10,
+        gamma10=atom.gamma10,
+        gamma20=atom.gamma20,
+        Omega_c=omega_c[:, None],
+        Delta_p=hz_to_angular(detunings),
+        delta=delta,
+    )
+    values = config.scale * (t.ravel() + crosstalk)
     summary = _threshold_summary(atom, None)
     summary["residual_detuning_hz"] = config.residual_detuning_hz
     axes = {
-        "control_rabi_hz": np.repeat(np.array(config.control_rabi_hz, dtype=float), detunings.size),
-        "probe_detuning_hz": np.tile(detunings, len(config.control_rabi_hz)),
+        "control_rabi_hz": np.repeat(rabi_hz, detunings.size),
+        "probe_detuning_hz": np.tile(detunings, rabi_hz.size),
     }
-    return _sweep_columns(config, axes, np.concatenate(curves), annotation, summary)
+    return _sweep_columns(config, axes, values, annotation, summary)
 
 
 def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
@@ -718,17 +673,23 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
     delta_c = hz_to_angular(freqs) - atom.omega21
     noisy = config.noise.sigma_rel > 0.0
     children = np.random.SeedSequence(config.noise.seed).spawn(len(powers))
+    omega_c = _control_amplitudes(calibration, powers)
+    regimes = _regimes(atom, omega_c)
+    grid = reflection_coefficient(
+        Gamma10=atom.Gamma10,
+        gamma10=atom.gamma10,
+        gamma20=atom.gamma20,
+        Omega_c=omega_c[:, None],
+        Delta_p=0.0,
+        Delta_c=delta_c,
+    )
 
     statuses: list[str] = []
-    regimes: list[str] = []
     widths: list[float | None] = []
     width_sigmas: list[float | None] = []
     centers: list[float | None] = []
-    for i, power in enumerate(powers):
-        omega_c = calibration.omega_c(float(power))
-        regimes.append(_regime_value(atom, omega_c))
-        base = simulate_control_row(atom, omega_c, freqs, probe_detuning_hz=0.0)
-        values = synthesize_noise(base, config.noise.sigma_rel, children[i], config.noise.kind)
+    for base, child in zip(grid, children):
+        values = synthesize_noise(base, config.noise.sigma_rel, child, config.noise.kind)
         _require_finite(values)
         y = np.abs(values) ** 2
         if noisy:
@@ -871,10 +832,6 @@ def csv_text(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -> s
     return "\n".join([",".join(columns), *(row_format % row for row in zip(*cells))]) + "\n"
 
 
-def export_csv(columns: Sequence[str], data: Mapping[str, np.ndarray | list], path: str | Path) -> None:
-    Path(path).write_text(csv_text(columns, data), encoding="utf-8", newline="\n")
-
-
 def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
     text = Path(path).read_text(encoding="utf-8")
     lines = [line for line in text.split("\n") if line != ""]
@@ -929,21 +886,6 @@ def json_text(
         "summary": _json_sanitize(dict(summary) if summary else {}),
     }
     return json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def export_json(
-    columns: Sequence[str],
-    data: Mapping[str, np.ndarray | list],
-    path: str | Path,
-    *,
-    config_echo: Mapping[str, Any] | None = None,
-    summary: Mapping[str, Any] | None = None,
-) -> None:
-    Path(path).write_text(
-        json_text(columns, data, config_echo=config_echo, summary=summary),
-        encoding="utf-8",
-        newline="\n",
-    )
 
 
 def import_json(path: str | Path) -> dict[str, Any]:

@@ -31,14 +31,12 @@ class IdtTransducer:
     omega_center   synchronous angular frequency (rad/s)
     k2             electromechanical coupling coefficient K^2 (dimensionless)
     capacitance    total electrode capacitance (F)
-    inductance     optional shunt (SQUID) inductance (H), carried as metadata
     """
 
     pairs: int
     omega_center: float
     k2: float
     capacitance: float
-    inductance: float | None = None
 
     def __post_init__(self) -> None:
         if not (isinstance(self.pairs, int) and self.pairs >= 1):
@@ -49,8 +47,6 @@ class IdtTransducer:
             raise ValueError("k2 must lie in (0, 1)")
         if not (self.capacitance > 0.0 and math.isfinite(self.capacitance)):
             raise ValueError("capacitance must be positive and finite")
-        if self.inductance is not None and not (self.inductance > 0.0 and math.isfinite(self.inductance)):
-            raise ValueError("inductance, if given, must be positive and finite")
 
     @property
     def conductance_peak(self) -> float:
@@ -64,20 +60,15 @@ class IdtTransducer:
 
 
 def _sinc(x):
-    """sin(x)/x with a Taylor branch near zero. Array-safe."""
-    if np.isscalar(x) or isinstance(x, float):
-        ax = abs(x)
-        if ax < _SINC_TAYLOR_CUTOFF:
-            x2 = x * x
-            return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-        return math.sin(x) / x
+    """sin(x)/x with a Taylor branch near zero; a scalar gives a float."""
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SINC_TAYLOR_CUTOFF
     x2 = x * x
     taylor = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
     # avoid 0/0 warnings on the branch not taken
     safe = np.where(small, 1.0, x)
-    return np.where(small, taylor, np.sin(safe) / safe)
+    out = np.where(small, taylor, np.sin(safe) / safe)
+    return float(out) if out.ndim == 0 else out
 
 
 def detuning_parameter(idt: IdtTransducer, omega):

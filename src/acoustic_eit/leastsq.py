@@ -17,7 +17,7 @@ the optimum, scaled by the residual variance: cov = inv(J^T J) * rss / (n - p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,18 +71,7 @@ class FitResult:
         return {name: float(v) for name, v in zip(self.names, self.values)}
 
     def with_notes(self, *extra: str) -> "FitResult":
-        return FitResult(
-            names=self.names,
-            values=self.values,
-            stderr=self.stderr,
-            covariance=self.covariance,
-            rss=self.rss,
-            iterations=self.iterations,
-            converged=self.converged,
-            at_bound=self.at_bound,
-            gradient_norm=self.gradient_norm,
-            notes=self.notes + tuple(extra),
-        )
+        return replace(self, notes=self.notes + extra)
 
 
 def _covariance(jac: np.ndarray, rss: float) -> tuple[np.ndarray | None, np.ndarray]:

@@ -214,6 +214,7 @@ def test_oracle_check_flag_validation(capsys):
     {"atom": {"frequency_hz": math.inf}},
     {"atom": {"anharmonicity_hz": math.nan}},
     {"idt": {"inductance_h": math.nan}},
+    {"idt": {"pairs": 25, "frequency_hz": 2.26e9, "k2": 7.11e-4, "capacitance_f": 1.5e-13}},
     {"power_grid": {"start": -60, "stop": 1e5, "count": 3}},
     {"calibration": {"anchor_power_dbm": 1e5}},
     {"calibration": {"anchor_power_dbm": -1e5}},
@@ -222,7 +223,7 @@ def test_oracle_check_flag_validation(capsys):
     {"probe_detuning_hz": 1e308},
     {"control_frequency_hz": 1e308},
 ], ids=["atom-string", "atom-null", "atom-list", "grid-string", "noise-bool", "rabi-string",
-        "atom-frequency-inf", "atom-anharmonicity-nan", "idt-inductance-nan",
+        "atom-frequency-inf", "atom-anharmonicity-nan", "idt-inductance-nan", "idt-section",
         "power-overflow", "anchor-power-overflow", "anchor-power-underflow", "anchor-rabi-overflow",
         "decay-overflow", "probe-detuning-overflow", "control-frequency-overflow"])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, overlay):

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from acoustic_eit import experiments, model
 from acoustic_eit import (
     ConfigError,
     ConvergenceError,
@@ -14,6 +16,7 @@ from acoustic_eit import (
     dbm_to_watts,
     eit_linewidth,
     hz_to_angular,
+    reflection_coefficient,
 )
 from acoustic_eit.experiments import (
     PIPELINE_COLUMNS,
@@ -21,7 +24,6 @@ from acoustic_eit.experiments import (
     CalibrationParams,
     ExperimentConfig,
     GridSpec,
-    IdtParams,
     NoiseParams,
     SweepPoint,
     csv_text,
@@ -38,7 +40,6 @@ from acoustic_eit.experiments import (
     run_flux_sweep,
     run_linewidth_pipeline,
     run_power_sweep,
-    simulate_control_row,
     synthesize_noise,
 )
 
@@ -81,9 +82,6 @@ def test_param_builders_wrap_domain_errors():
     with pytest.raises(ConfigError):
         AtomParams(frequency_hz=2.2684e9, anharmonicity_hz=118.4e6,
                    decay_hz=-1.0).build()
-    with pytest.raises(ConfigError):
-        IdtParams(pairs=25, frequency_hz=2.26e9, k2=2.0,
-                  capacitance_f=1.5e-13).build()
     with pytest.raises(ConfigError):
         CalibrationParams(k_hz2_per_watt=1.0, anchor_power_dbm=-45.0,
                           anchor_rabi_hz=16.06e6).build()
@@ -219,11 +217,33 @@ def test_noise_validation():
 
 def test_zero_control_row_is_flat():
     atom = paper_profile("control-sweep").atom.build()
-    freqs = np.linspace(2.10e9, 2.20e9, 11)
-    row = simulate_control_row(atom, 0.0, freqs)
+    delta_c = hz_to_angular(np.linspace(2.10e9, 2.20e9, 11)) - atom.omega21
+    row = reflection_coefficient(atom.Gamma10, atom.gamma10, atom.gamma20,
+                                 Omega_c=0.0, Delta_p=0.0, Delta_c=delta_c)
     expected = atom.Gamma10 / (2.0 * atom.gamma10)
     assert np.allclose(np.abs(row), expected, rtol=1e-12)
     assert float(np.ptp(np.abs(row))) < 1e-12
+
+
+def _count_calls(monkeypatch, module, name: str, counts: Counter) -> None:
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("scheme", ["control-sweep", "power-sweep", "flux-sweep", "linewidth-pipeline"])
+def test_each_run_makes_one_kernel_call(monkeypatch, scheme):
+    counts: Counter = Counter()
+    for name in ("reflection_coefficient", "transmission_flux_coefficient"):
+        _count_calls(monkeypatch, experiments, name, counts)
+    _count_calls(monkeypatch, model, "_kernel", counts)
+    run_experiment(paper_profile(scheme))
+    entry = "transmission_flux_coefficient" if scheme == "flux-sweep" else "reflection_coefficient"
+    assert counts == Counter({entry: 1, "_kernel": 1})
 
 
 def test_control_sweep_dip_deepens_and_broadens():

@@ -11,7 +11,9 @@ numpy version may change the Philox normal draws or float formatting of the
 seeded rows, so recapture only after checking the difference is numpy's.
 The six power-sweep digests were recaptured when its per-power scalar kernel
 calls became one array kernel call; ``test_model`` bounds that change against
-the former scalar formula at rel 1e-15.
+the former scalar formula at rel 1e-15. The eleven JSON digests were
+recaptured when the unread ``idt`` config section was deleted: each export
+equals the former one with its 7-line ``config_echo.idt`` block removed.
 """
 
 from __future__ import annotations
@@ -26,21 +28,21 @@ from acoustic_eit.experiments import NoiseParams, paper_profile, result_text, ru
 
 GOLDEN = {
     ("control-sweep", False, "csv"): "218e34901b436b424afbd6e06e2d028db95abdbe13bbe507d4c63a87f6da7549",
-    ("control-sweep", False, "json"): "0f045f7f67607d3f8a4502a50b96d2af065130d8aefe28896bd97743a08d12b8",
+    ("control-sweep", False, "json"): "8fcc2553eb74d51d1177da8ddb12cb66eb1d8b0edc97636ea79662406ce32701",
     ("control-sweep", True, "csv"): "fb2ed3ac34e3df219ffe147782d6e979249b0b7662a17cde903f90e4a02a9bcf",
-    ("control-sweep", True, "json"): "f960b30802e93a0cacdbc33785f365821af36d96c06f38b6e3a32a81d54464bb",
+    ("control-sweep", True, "json"): "ad48678c2b2d07ea9b1c949ce5502c9e277c830044d7e31eced8cb41a26d1c6d",
     ("power-sweep", False, "csv"): "10df966d563cf51b5d3ade7b52f75363a4c10cc8e87d87fc7a168111b32b4f28",
-    ("power-sweep", False, "json"): "5b68f827a2f63080784a3d3605dcfd09fd19ad98b65cc5a403f5b18b35a82fcf",
+    ("power-sweep", False, "json"): "1e64e9eccc3cc80ffdc8c9c56c7ce409d76041eeb2f20eb92a5fe26d387382e7",
     ("power-sweep", True, "csv"): "65126ba459340836f883f4158723b7c8bd18d624b98b28a9384de11f6b3c85c9",
-    ("power-sweep", True, "json"): "a8df963078f936e2801eb2f2e2a2fa3886efd82e660ed1b0eb04cb98b95d4aeb",
+    ("power-sweep", True, "json"): "9b90f69284f8d90d51a9c09af186968f3fea035748c57508f4014623ad00d080",
     ("flux-sweep", False, "csv"): "f052826c46e176dde581de0f925206774707a3ebf80396562c79df0dd83a8485",
-    ("flux-sweep", False, "json"): "2c8d936c4aa813c55188108b2c96e927acf838febe09bbb6dd8d81fd117c4788",
+    ("flux-sweep", False, "json"): "f0c2a457c228f95f871779364a152c0f15b62149153445dbac1d3cbfda95d236",
     ("flux-sweep", True, "csv"): "2bf1ff1f4f47a38c71c56b38170ffb544462de87bae4c204147f40374aea8670",
-    ("flux-sweep", True, "json"): "54e0d60013ff447e588ef6a3da163c733aa36fc9397417d9a23282963ae509b4",
+    ("flux-sweep", True, "json"): "d006429d06659162ac8586dd4d690de075356004e059e2caf2a74be2be7b6586",
     ("linewidth-pipeline", False, "csv"): "5aa78f2a59150d537efc031b11d3286f27f9bd3ac7659afe16d70464c21ed665",
-    ("linewidth-pipeline", False, "json"): "98f1ba908f753c5072aaa2e7e2719300a0f2b38d1ec05ec351aafe2a10702a16",
+    ("linewidth-pipeline", False, "json"): "97249b7a5533b06f49e00220ce8ff33d2a069fa3a5c52eef98c73ff594658219",
     ("linewidth-pipeline", True, "csv"): "d03817d3fef5f9862a1c72eebca4e2f99e548f2e16be13e37e55a204adab5d3d",
-    ("linewidth-pipeline", True, "json"): "a99c66a5e8bd9fc07e7b58c9824b722b9c6b9d3f4ee8ad15abec8b2b144200f2",
+    ("linewidth-pipeline", True, "json"): "2a5de33ac8dbfb89dea86714eaa8ecbffab05ccf543a62209b2b569929c2334a",
 }
 
 
@@ -58,11 +60,11 @@ def test_export_bytes_match_golden_digests(scheme, noisy):
 
 MAGNITUDE_GOLDEN = {
     ("control-sweep", "csv"): "7acf291f89b95516333d14ee05dee955c37af7316e1d5ea0700005e38104cac3",
-    ("control-sweep", "json"): "d67792f2df300175c2f80dc56db8315ebfc0aceaba0089b070f5dc8f7c1455fd",
+    ("control-sweep", "json"): "84b9e745df240a8c9d981b374c86677354afdced5db02f6313d38d7956d93f21",
     ("power-sweep", "csv"): "e9f4c17ab5370507e89930dc289179686c515a9c6f642c1bf996965d0dd63038",
-    ("power-sweep", "json"): "5f4b3966c267eaa5d06600d742be3c33e740e44f8a323ab30f0a9b1cf8859eba",
+    ("power-sweep", "json"): "4fdab3070ef9f4116654788cd414e837202741474305c283c1b16326481839f8",
     ("flux-sweep", "csv"): "871fc3ed1c56ced0527bf7a80ea0e8f4bb6aca7b652e0f8454fd07aefaf300a0",
-    ("flux-sweep", "json"): "b16e1dd5ca6d905e4854be8b750af1b7804af2b58c97d82cb3bf709bc3313135",
+    ("flux-sweep", "json"): "f0386c8f28569393ec6d408a617e0a8014c83095070dc6f3e20498487506e392",
 }
 
 IDT_GOLDEN = {

@@ -15,6 +15,7 @@ from acoustic_eit import (
     hz_to_angular,
     idt_bandwidth,
 )
+from acoustic_eit.idt import _SINC_TAYLOR_CUTOFF, _sinc
 
 
 @pytest.fixture
@@ -39,9 +40,6 @@ def test_constructor_validation():
         IdtTransducer(**{**good, "k2": 1.0})
     with pytest.raises(ValueError):
         IdtTransducer(**{**good, "capacitance": -1e-13})
-    with pytest.raises(ValueError):
-        IdtTransducer(**{**good, "inductance": 0.0})
-    assert IdtTransducer(**good, inductance=1e-9).inductance == 1e-9
 
 
 def test_peak_decay_rate(device_idt):
@@ -137,6 +135,20 @@ def test_taylor_branch_continuity(device_idt):
         expected = device_idt.decay_peak * (math.sin(x_target) / x_target) ** 2
         got = coupling_rate(device_idt, omega)
         assert got == pytest.approx(expected, rel=1e-10)
+
+
+def test_sinc_scalar_matches_array_path():
+    # points at 0, on both sides of the Taylor cutoff and well past it, signed
+    cutoff = _SINC_TAYLOR_CUTOFF
+    magnitudes = [0.0, 1e-12, 0.5 * cutoff, cutoff * (1.0 - 1e-10), cutoff,
+                  cutoff * (1.0 + 1e-10), 2.0 * cutoff, 0.3, 1.0, math.pi, 7.5, 1e3]
+    xs = np.array(magnitudes + [-m for m in magnitudes[1:]])
+    array = _sinc(xs)
+    for x, expected in zip(xs.tolist(), array.tolist()):
+        got = _sinc(x)
+        assert type(got) is float
+        assert got == expected
+    assert _sinc(0.0) == 1.0
 
 
 def test_rejects_nonpositive_frequency(device_idt):
