@@ -14,6 +14,7 @@ parallel evaluation cannot change the draws. Exports carry no timestamps.
 from __future__ import annotations
 
 import cmath
+import csv
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -730,6 +731,8 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
     )
     gamma20_fit = line.value("gamma20")
     k_fit = line.value("k")
+    if not gamma20_fit >= 0.0:
+        raise ConvergenceError(f"line fit gives a negative intercept gamma20 = {angular_to_hz(gamma20_fit):.4g} Hz")
     rabi = rabi_per_point(
         line,
         [widths[i] for i in good],
@@ -802,7 +805,10 @@ def _format_cell(value: Any) -> str:
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return "%.17g" % float(value)
-    return str(value)
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text:  # RFC 4180 quoting
+        return '"%s"' % text.replace('"', '""')
+    return text
 
 
 def _parse_cell(text: str) -> Any:
@@ -822,7 +828,8 @@ def csv_text(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -> s
     """Header plus one line per row; floats at 17 significant digits.
 
     Float array columns are formatted through one row-format string; list
-    columns (strings, nullable values) are formatted cell by cell first.
+    columns (strings, nullable values) are formatted cell by cell first, and
+    a string cell holding a comma, quote or newline is quoted (RFC 4180).
     """
     row_format = ",".join("%.17g" if isinstance(data[col], np.ndarray) else "%s" for col in columns)
     cells = [
@@ -834,13 +841,15 @@ def csv_text(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -> s
 
 def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
     text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.split("\n") if line != ""]
-    if not lines:
+    if '"' in text:  # quoted cells (RFC 4180) may hold commas, quotes and newlines
+        table = (cells for cells in csv.reader(text.splitlines(keepends=True)) if cells)
+    else:
+        table = (line.split(",") for line in text.split("\n") if line != "")
+    columns = tuple(next(table, ()))
+    if not columns:
         raise ValueError(f"{path} is empty")
-    columns = tuple(lines[0].split(","))
     rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
+    for cells in table:
         if len(cells) != len(columns):
             raise ValueError(f"{path}: row has {len(cells)} cells, expected {len(columns)}")
         rows.append({col: _parse_cell(cell) for col, cell in zip(columns, cells)})

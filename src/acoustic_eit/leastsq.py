@@ -9,7 +9,7 @@ Schedule and stopping rule:
   - damping factor starts at 1e-3, multiplied by 10 on a rejected step and
     divided by 10 on an accepted one;
   - convergence when the (projected) gradient norm |J^T r| drops below
-    gtol * (1 + rss).
+    1e-10 * (1 + rss), within at most 200 iterations.
 
 Standard errors come from the curvature of the weighted sum of squares at
 the optimum, scaled by the residual variance: cov = inv(J^T J) * rss / (n - p).
@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-DEFAULT_GTOL = 1e-10
-DEFAULT_MAX_ITER = 200
+_GTOL = 1e-10
+_MAX_ITER = 200
 _DAMPING_INIT = 1e-3
 _DAMPING_GROW = 10.0
 _DAMPING_SHRINK = 10.0
@@ -110,8 +110,6 @@ def levenberg_marquardt(
     *,
     names: Sequence[str] | None = None,
     lower: Sequence[float] | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    gtol: float = DEFAULT_GTOL,
 ) -> FitResult:
     """Minimize |residual_fn(x)|^2 with the Levenberg-Marquardt schedule.
 
@@ -143,9 +141,9 @@ def levenberg_marquardt(
 
     damping = _DAMPING_INIT
     iterations = 0
-    converged = gnorm < gtol * (1.0 + rss)
+    converged = gnorm < _GTOL * (1.0 + rss)
 
-    while not converged and iterations < max_iter:
+    while not converged and iterations < _MAX_ITER:
         iterations += 1
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
@@ -184,7 +182,7 @@ def levenberg_marquardt(
             damping *= _DAMPING_GROW
             if damping > _DAMPING_MAX:
                 break
-        converged = gnorm < gtol * (1.0 + rss)
+        converged = gnorm < _GTOL * (1.0 + rss)
 
     covariance, stderr = _covariance(jac, rss)
     at_bound = tuple(bool(bound is not None and x[i] <= bound[i]) for i in range(p))

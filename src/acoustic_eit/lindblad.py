@@ -30,7 +30,6 @@ vec(A rho B) = (B^T kron A) vec(rho).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -47,10 +46,14 @@ _RESIDUAL_RTOL = 1e-10
 # grid points per batched solve in weak_probe_deviation; a chunk's (n, 9, 9)
 # stack and its temporaries stay at a few MB whatever the grid size
 _CHUNK = 1024
+# degree-13 Pade coefficients b_k = (26 - k)! / (k! (13 - k)!), all exact in float64, and the
+# 1-norm up to which r_13 meets unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005)
+_PADE_13 = [float(math.factorial(26 - k) // (math.factorial(k) * math.factorial(13 - k))) for k in range(14)]
+_THETA_13 = 5.371920351148152
 
 
-def _hamiltonians(Delta_p, Delta_c, Omega_p, Omega_c) -> np.ndarray:
-    """Rotating-frame Hamiltonians for broadcast drive parameters, (..., 3, 3)."""
+def hamiltonian(Delta_p, Delta_c, Omega_p, Omega_c) -> np.ndarray:
+    """Rotating-frame Hamiltonian (rad/s), 3x3 or a stack (..., 3, 3) over broadcast drive arguments."""
     dp, dc, op, oc = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                            for x in (Delta_p, Delta_c, Omega_p, Omega_c)))
     h = np.zeros(dp.shape + (_DIM, _DIM), dtype=complex)
@@ -61,33 +64,19 @@ def _hamiltonians(Delta_p, Delta_c, Omega_p, Omega_c) -> np.ndarray:
     return h
 
 
-def hamiltonian(atom: ThreeLevelAtom, drive: DriveCondition) -> np.ndarray:
-    """Rotating-frame Hamiltonian in angular-frequency units (3x3 complex)."""
-    return _hamiltonians(drive.Delta_p, drive.Delta_c, drive.Omega_p, drive.Omega_c)
-
-
 def jump_operators(atom: ThreeLevelAtom) -> list[np.ndarray]:
     """Collapse operators for energy relaxation and pure dephasing.
 
     Zero-rate channels are omitted so the Liouvillian stays minimal.
     """
+    channels = ((0, 1, atom.Gamma10), (1, 2, atom.Gamma21),
+                (1, 1, 2.0 * atom.gphi1), (2, 2, 2.0 * atom.gphi2))
     ops: list[np.ndarray] = []
-    if atom.Gamma10 > 0.0:
-        op = np.zeros((_DIM, _DIM), dtype=complex)
-        op[0, 1] = np.sqrt(atom.Gamma10)
-        ops.append(op)
-    if atom.Gamma21 > 0.0:
-        op = np.zeros((_DIM, _DIM), dtype=complex)
-        op[1, 2] = np.sqrt(atom.Gamma21)
-        ops.append(op)
-    if atom.gphi1 > 0.0:
-        op = np.zeros((_DIM, _DIM), dtype=complex)
-        op[1, 1] = np.sqrt(2.0 * atom.gphi1)
-        ops.append(op)
-    if atom.gphi2 > 0.0:
-        op = np.zeros((_DIM, _DIM), dtype=complex)
-        op[2, 2] = np.sqrt(2.0 * atom.gphi2)
-        ops.append(op)
+    for row, col, rate in channels:
+        if rate > 0.0:
+            op = np.zeros((_DIM, _DIM), dtype=complex)
+            op[row, col] = np.sqrt(rate)
+            ops.append(op)
     return ops
 
 
@@ -122,28 +111,8 @@ def build_liouvillian(h: np.ndarray, jumps: Sequence[np.ndarray]) -> np.ndarray:
     return -1j * (_kron(eye, h) - _kron(np.swapaxes(h, -1, -2), eye)) + dissipator
 
 
-@dataclass(frozen=True)
-class LiouvillianSpec:
-    """Hamiltonian plus jump operators, bundled for reuse."""
-
-    hamiltonian: np.ndarray
-    jumps: tuple[np.ndarray, ...] = field(default_factory=tuple)
-
-    @classmethod
-    def from_atom_drive(cls, atom: ThreeLevelAtom, drive: DriveCondition) -> "LiouvillianSpec":
-        return cls(hamiltonian=hamiltonian(atom, drive), jumps=tuple(jump_operators(atom)))
-
-    def matrix(self) -> np.ndarray:
-        return build_liouvillian(self.hamiltonian, self.jumps)
-
-
-def _vec(rho: np.ndarray) -> np.ndarray:
-    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
-
-
 def _unvec(v: np.ndarray) -> np.ndarray:
     """Column-stacked vectors (..., 9) back to density matrices (..., 3, 3)."""
-    v = np.asarray(v, dtype=complex)
     return np.swapaxes(v.reshape(v.shape[:-1] + (_DIM, _DIM)), -1, -2)
 
 
@@ -159,7 +128,7 @@ def _first_failure(failed: np.ndarray) -> tuple[tuple, str]:
     return index, f" at stack index {position[0] if len(position) == 1 else position}"
 
 
-def steady_state(liouvillian: np.ndarray, rtol: float = _RESIDUAL_RTOL) -> np.ndarray:
+def steady_state(liouvillian: np.ndarray) -> np.ndarray:
     """Unique steady-state density matrix of a 9x9 Liouvillian, or of each in a stack.
 
     The singular system L v = 0 is closed by replacing the first row with
@@ -190,11 +159,11 @@ def steady_state(liouvillian: np.ndarray, rtol: float = _RESIDUAL_RTOL) -> np.nd
             f"steady state is not unique: trace-closed system is singular{where}") from exc
     scale = np.linalg.norm(lv, axis=(-2, -1))
     residual = np.linalg.norm(lv @ v, axis=(-2, -1))
-    failed = ~np.isfinite(residual) | (residual > rtol * np.maximum(scale, 1.0))
+    failed = ~np.isfinite(residual) | (residual > _RESIDUAL_RTOL * np.maximum(scale, 1.0))
     if np.any(failed):
         index, where = _first_failure(failed)
         raise SteadyStateError(
-            f"steady-state residual {residual[index]:.3e} exceeds {rtol:.1e} * liouvillian norm{where}"
+            f"steady-state residual {residual[index]:.3e} exceeds {_RESIDUAL_RTOL:.1e} * liouvillian norm{where}"
         )
     rho = _unvec(v[..., 0])
     # enforce exact hermiticity; the solve leaves rounding-level asymmetry
@@ -203,7 +172,8 @@ def steady_state(liouvillian: np.ndarray, rtol: float = _RESIDUAL_RTOL) -> np.nd
 
 def steady_state_density_matrix(atom: ThreeLevelAtom, drive: DriveCondition) -> np.ndarray:
     """Steady state straight from physical parameters."""
-    return steady_state(LiouvillianSpec.from_atom_drive(atom, drive).matrix())
+    h = hamiltonian(drive.Delta_p, drive.Delta_c, drive.Omega_p, drive.Omega_c)
+    return steady_state(build_liouvillian(h, jump_operators(atom)))
 
 
 def validate_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> None:
@@ -294,7 +264,7 @@ def weak_probe_deviation(
         flat = np.arange(start, min(start + _CHUNK, points))
         i_o, i_c, i_p = np.unravel_index(flat, shape)
         dp, dc = delta_p[i_p], delta_c[i_c]
-        rho = steady_state(build_liouvillian(_hamiltonians(dp, dc, Omega_p, omega_c[i_o]), jumps))
+        rho = steady_state(build_liouvillian(hamiltonian(dp, dc, Omega_p, omega_c[i_o]), jumps))
         r_me = reflection_from_state(rho, atom.Gamma10, Omega_p)
         r_wp = reflection_coefficient(atom.Gamma10, atom.gamma10, atom.gamma20, omega_c[i_o], dp, dc)
         dev = np.abs(r_me - r_wp)
@@ -310,6 +280,27 @@ def weak_probe_deviation(
                            worst_Omega_c=float(omega_c[i_o]))
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a): scale to 1-norm <= theta_13, take r_13 = (V - U)^-1 (V + U), square back.
+
+    No eigendecomposition, so the defective generator at the EIT / Autler-Townes threshold is no special case.
+    """
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    a = a / 2.0**squarings
+    b = _PADE_13
+    eye = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
 def propagate(
     liouvillian: np.ndarray,
     rho0: np.ndarray,
@@ -320,13 +311,11 @@ def propagate(
     Uses the dense matrix exponential per requested time, which is exact for
     this 9-dimensional generator and fast enough for diagnostics and tests.
     """
-    from scipy.linalg import expm  # deferred: importing scipy.linalg costs ~0.2 s
-
     lv = np.asarray(liouvillian, dtype=complex)
-    v0 = _vec(rho0)
+    v0 = np.asarray(rho0, dtype=complex).reshape(-1, order="F")
     out = np.empty((len(times), _DIM, _DIM), dtype=complex)
     for i, t in enumerate(times):
-        if t < 0.0:
-            raise ValueError("times must be nonnegative")
-        out[i] = _unvec(expm(lv * float(t)) @ v0)
+        if not 0.0 <= t < math.inf:
+            raise ValueError("times must be nonnegative and finite")
+        out[i] = _unvec(_expm(lv * float(t)) @ v0)
     return out

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -137,6 +138,34 @@ def test_pipeline_single_power_exits_three(tmp_path, capsys):
                  "--config", str(overlay)])
     assert code == 3
     assert "distinct powers" in capsys.readouterr().err
+
+
+def test_failed_dip_row_round_trips_through_csv(tmp_path, capsys):
+    # at this seed one dip fit fails and its status message holds a comma
+    overlay = tmp_path / "noise.json"
+    overlay.write_text(json.dumps({"noise": {"sigma_rel": 0.0095, "seed": 225}}))
+    out_path = tmp_path / "pipeline.csv"
+    code = main(["pipeline", "linewidth", "--profile", "paper", "--config", str(overlay),
+                 "--out", str(out_path)])
+    assert code == 0
+    capsys.readouterr()
+    columns, rows = import_csv(out_path)
+    failed = [row["status"] for row in rows if row["status"] != "ok"]
+    assert len(rows) == 10 and len(failed) == 1
+    assert failed[0].startswith("dip-fit-failed: ") and "," in failed[0]
+    with open(out_path, newline="") as handle:
+        assert {len(cells) for cells in csv.reader(handle)} == {len(columns)}
+
+
+def test_pipeline_negative_intercept_exits_three(tmp_path, capsys):
+    # at this seed the weighted line fit puts gamma20 below zero
+    overlay = tmp_path / "noise.json"
+    overlay.write_text(json.dumps({"noise": {"sigma_rel": 0.05, "seed": 27}}))
+    code = main(["pipeline", "linewidth", "--profile", "paper", "--config", str(overlay),
+                 "--out", str(tmp_path / "pipeline.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error: line fit gives a negative intercept")
 
 
 def test_idt_response_table(capsys):

@@ -437,6 +437,19 @@ def test_csv_round_trip_bitwise(tmp_path):
                 assert got[col] == want[col]
 
 
+def test_csv_quotes_cells_with_separators(tmp_path):
+    status = ["ok", "failed: a, b", 'said "no"', "two\nlines", None]
+    text = csv_text(("x", "status"), {"x": np.arange(5.0), "status": status})
+    assert text.splitlines()[2] == '1,"failed: a, b"'
+    assert text.splitlines()[3] == '2,"said ""no"""'
+    path = tmp_path / "quoted.csv"
+    path.write_text(text, encoding="utf-8", newline="\n")
+    columns, rows = import_csv(path)
+    assert columns == ("x", "status")
+    assert [row["status"] for row in rows] == status
+    assert [row["x"] for row in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
 def test_json_round_trip_with_config_echo(tmp_path):
     cfg = paper_profile("power-sweep")
     result = run_power_sweep(cfg)
