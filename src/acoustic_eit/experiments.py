@@ -18,8 +18,10 @@ import csv
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple, Sequence, get_args, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -39,6 +41,9 @@ from .units import (
 SCHEMA_VERSION = 1
 SCHEMES = ("control-sweep", "power-sweep", "flux-sweep", "linewidth-pipeline")
 FORMATS = ("csv", "json")
+# rows per export chunk: export_result holds one chunk of formatted rows in
+# memory at a time instead of the whole text
+_CHUNK_ROWS = 4096
 
 PIPELINE_COLUMNS = (
     "power_dbm",
@@ -824,19 +829,39 @@ def _parse_cell(text: str) -> Any:
         return text
 
 
-def csv_text(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -> str:
-    """Header plus one line per row; floats at 17 significant digits.
+def _row_chunks(template: str, renders: Sequence[Callable[[slice], list]], n: int, sep: str) -> Iterator[str]:
+    """Rows 0..n through one %-template, sep between rows, _CHUNK_ROWS rows
+    per chunk; each render gives the template arguments of one column for a
+    slice of rows."""
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        cells = zip(*(render(rows) for render in renders))
+        yield (sep if start else "") + sep.join(map(template.__mod__, cells))
+
+
+def _table_rows(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -> int:
+    return min((len(data[col]) for col in columns), default=0)
+
+
+def _csv_chunks(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -> Iterable[str]:
+    """Header, then the rows in chunks; floats at 17 significant digits.
 
     Float array columns are formatted through one row-format string; list
     columns (strings, nullable values) are formatted cell by cell first, and
     a string cell holding a comma, quote or newline is quoted (RFC 4180).
     """
-    row_format = ",".join("%.17g" if isinstance(data[col], np.ndarray) else "%s" for col in columns)
-    cells = [
-        data[col].tolist() if isinstance(data[col], np.ndarray) else [_format_cell(v) for v in data[col]]
+    row_format = ",".join("%.17g" if isinstance(data[col], np.ndarray) else "%s" for col in columns) + "\n"
+    renders = [
+        (lambda rows, column=data[col]: column[rows].tolist()) if isinstance(data[col], np.ndarray)
+        else (lambda rows, column=data[col]: [_format_cell(v) for v in column[rows]])
         for col in columns
     ]
-    return "\n".join([",".join(columns), *(row_format % row for row in zip(*cells))]) + "\n"
+    return chain([",".join(columns) + "\n"], _row_chunks(row_format, renders, _table_rows(columns, data), ""))
+
+
+def csv_text(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -> str:
+    """Header plus one line per row, the bytes export_result writes."""
+    return "".join(_csv_chunks(columns, data))
 
 
 def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
@@ -872,10 +897,42 @@ def _json_sanitize(value: Any) -> Any:
     return value
 
 
-def _json_column(column: np.ndarray | list) -> list:
-    if isinstance(column, np.ndarray) and np.isfinite(column).all():
-        return column.tolist()
-    return _json_sanitize(_cells(column))
+def _json_render(column: np.ndarray | list) -> tuple[str, Callable[[slice], list]]:
+    """Template field and row-slice renderer of one JSON column: an
+    all-finite float64 array goes through %r, the float repr json writes;
+    any other column is rendered cell by cell, non-finite floats as null."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64 and np.isfinite(column).all():
+        return "%r", lambda rows: column[rows].tolist()
+    return "%s", lambda rows: [json.dumps(_json_sanitize(v)) for v in _cells(column[rows])]
+
+
+def _json_chunks(
+    columns: Sequence[str],
+    data: Mapping[str, np.ndarray | list],
+    config_echo: Mapping[str, Any] | None,
+    summary: Mapping[str, Any] | None,
+) -> Iterable[str]:
+    """The text of json.dumps(envelope, sort_keys=True, indent=2) in chunks,
+    with the rows rendered through one template instead of one dict each."""
+    envelope = {
+        "schema_version": SCHEMA_VERSION,
+        "config_echo": _json_sanitize(dict(config_echo) if config_echo else None),
+        "columns": list(columns),
+        "rows": [],
+        "summary": _json_sanitize(dict(summary) if summary else {}),
+    }
+    text = json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    n = _table_rows(columns, data)
+    if n == 0:
+        return [text]
+    head, _, tail = text.partition('\n  "rows": []')
+    keys = sorted(set(columns))
+    fields, renders = zip(*(_json_render(data[key]) for key in keys))
+    template = "    {\n%s\n    }" % ",\n".join(
+        "      %s: %s" % (encode_basestring_ascii(key).replace("%", "%%"), field)
+        for key, field in zip(keys, fields)
+    )
+    return chain([head, '\n  "rows": [\n'], _row_chunks(template, renders, n, ",\n"), ["\n  ]", tail])
 
 
 def json_text(
@@ -885,16 +942,9 @@ def json_text(
     config_echo: Mapping[str, Any] | None = None,
     summary: Mapping[str, Any] | None = None,
 ) -> str:
-    """Schema-versioned envelope carrying the config for provenance."""
-    cells = [_json_column(data[col]) for col in columns]
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "config_echo": _json_sanitize(dict(config_echo) if config_echo else None),
-        "columns": list(columns),
-        "rows": [dict(zip(columns, row)) for row in zip(*cells)],
-        "summary": _json_sanitize(dict(summary) if summary else {}),
-    }
-    return json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Schema-versioned envelope carrying the config for provenance, the
+    bytes export_result writes."""
+    return "".join(_json_chunks(columns, data, config_echo, summary))
 
 
 def import_json(path: str | Path) -> dict[str, Any]:
@@ -905,21 +955,32 @@ def import_json(path: str | Path) -> dict[str, Any]:
     return envelope
 
 
-def result_text(result: RunResult, fmt: str | None = None) -> str:
-    """Serialize a run in the requested (or config-default) format."""
+def _result_chunks(result: RunResult, fmt: str | None) -> Iterable[str]:
+    """A run's export in the requested (or config-default) format as text
+    chunks; an unknown format raises before any chunk is made."""
     fmt = fmt or result.config.output_format
     if fmt == "csv":
-        return csv_text(result.columns, result.data)
+        return _csv_chunks(result.columns, result.data)
     if fmt == "json":
-        return json_text(
-            result.columns,
-            result.data,
-            config_echo=result.config.to_dict(),
-            summary=result.summary,
-        )
+        return _json_chunks(result.columns, result.data, result.config.to_dict(), result.summary)
     raise ConfigError(f"unknown export format {fmt!r}; choose from {FORMATS}")
 
 
+def result_text(result: RunResult, fmt: str | None = None) -> str:
+    """Serialize a run in the requested (or config-default) format: the bytes
+    export_result writes."""
+    return "".join(_result_chunks(result, fmt))
+
+
 def export_result(result: RunResult, path: str | Path, fmt: str | None = None) -> None:
-    """Write a run to disk in the requested (or config-default) format."""
-    Path(path).write_text(result_text(result, fmt), encoding="utf-8", newline="\n")
+    """Write a run to disk in the requested (or config-default) format, a
+    chunk of rows at a time."""
+    chunks = _result_chunks(result, fmt)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        try:
+            handle.writelines(chunks)
+        except BaseException:
+            # a failure part way through leaves no partial export behind
+            handle.close()
+            Path(path).unlink()
+            raise

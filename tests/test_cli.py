@@ -285,3 +285,17 @@ def test_non_finite_flag_is_config_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "control-sweep", "--profile", "paper", "--format", "csv"],
+    ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--format", "csv"],
+    ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--format", "json"],
+], ids=["control-sweep-csv", "idt-csv", "idt-json"])
+def test_out_file_matches_stdout_bytes(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out_path = tmp_path / "out"
+    assert main([*argv, "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    assert out_path.read_bytes() == stdout.encode("utf-8")

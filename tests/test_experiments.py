@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from acoustic_eit.experiments import (
     ExperimentConfig,
     GridSpec,
     NoiseParams,
+    RunResult,
     SweepPoint,
     csv_text,
     export_result,
@@ -487,6 +489,132 @@ def test_result_text_format_selection():
     assert result_text(result, fmt="json").startswith("{")
     with pytest.raises(ConfigError):
         result_text(result, fmt="yaml")
+
+
+def _reference_json_text(columns, data, config_echo=None, summary=None):
+    """The export as one json.dumps over per-row dicts."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [plain(v) for v in value]
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        return value
+
+    cells = [data[col].tolist() if isinstance(data[col], np.ndarray) else list(data[col]) for col in columns]
+    envelope = {
+        "schema_version": 1,
+        "config_echo": plain(config_echo) if config_echo else None,
+        "columns": list(columns),
+        "rows": [dict(zip(columns, plain(list(row)))) for row in zip(*cells)],
+        "summary": plain(summary) if summary else {},
+    }
+    return json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _hand_table(n):
+    """n rows holding every cell kind the JSON writer renders differently,
+    with the columns out of sorted order."""
+    strings = ["plain", "caf\u00e9 \u03b3", 'q"uote', "back\\slash", "ctl\x01\t\n", "%s %r %%"]
+    mixed = [None, True, False, 1.5, -0.0, float("nan"), float("inf"), 2.5e-300]
+    rng = np.random.default_rng(n)
+    data = {
+        "z_finite": rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n),
+        "a_nonfinite": np.where(np.arange(n) % 3 == 1, np.nan, np.arange(n, dtype=float)),
+        "m_mixed": [mixed[i % len(mixed)] for i in range(n)],
+        "b\u00e9 \"%key\\": [strings[i % len(strings)] for i in range(n)],
+        "c_inf": np.where(np.arange(n) % 2 == 0, np.inf, -np.inf),
+        "ints": np.arange(n),
+    }
+    return tuple(data), data
+
+
+_CHUNK = experiments._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+def test_json_text_matches_per_row_dict_reference(n):
+    columns, data = _hand_table(n)
+    echo = {"b": [1.0, float("nan")], "a": {"y": "\u00e9", "x": None}, "rows": []}
+    summary = {"line_fit": {"rss": float("inf"), "converged": True}, "note": 'a "b"'}
+    assert json_text(columns, data) == _reference_json_text(columns, data)
+    text = json_text(columns, data, config_echo=echo, summary=summary)
+    assert text == _reference_json_text(columns, data, echo, summary)
+    if n == 0:
+        assert '\n  "rows": [],\n' in text
+    assert "NaN" not in text and "Infinity" not in text
+
+
+def _reference_csv_text(columns, data):
+    """The export as one string with every row formatted up front."""
+    def cell(value):
+        if isinstance(value, float):
+            return "%.17g" % value
+        return experiments._format_cell(value)
+
+    cells = [data[col].tolist() if isinstance(data[col], np.ndarray) else list(data[col]) for col in columns]
+    return "\n".join([",".join(columns), *(",".join(map(cell, row)) for row in zip(*cells))]) + "\n"
+
+
+def _exported_bytes(result, path, fmt):
+    export_result(result, path, fmt)
+    return path.read_bytes()
+
+
+_NOISE = {
+    "clean": NoiseParams(),
+    "seeded": NoiseParams(sigma_rel=0.01, seed=5),
+    "magnitude": NoiseParams(sigma_rel=0.01, seed=5, kind="magnitude"),
+    "failed-row": NoiseParams(sigma_rel=0.0095, seed=225),
+}
+_EXPORT_CASES = [
+    *((scheme, noise) for scheme in experiments.SCHEMES for noise in ("clean", "seeded")),
+    *((scheme, "magnitude") for scheme in ("control-sweep", "power-sweep", "flux-sweep")),
+    ("linewidth-pipeline", "failed-row"),
+]
+
+
+@pytest.mark.parametrize("scheme,noise", _EXPORT_CASES)
+def test_export_file_matches_result_text(tmp_path, scheme, noise):
+    result = run_experiment(replace(paper_profile(scheme), noise=_NOISE[noise]))
+    if noise == "failed-row":
+        assert sum(status != "ok" for status in result.data["status"]) == 1
+    for fmt in ("csv", "json"):
+        text = result_text(result, fmt)
+        assert _exported_bytes(result, tmp_path / f"out.{fmt}", fmt) == text.encode("utf-8")
+    assert result_text(result, "csv") == _reference_csv_text(result.columns, result.data)
+    assert result_text(result, "json") == _reference_json_text(
+        result.columns, result.data, result.config.to_dict(), result.summary)
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK, _CHUNK + 1])
+def test_export_file_matches_result_text_at_chunk_edges(tmp_path, n):
+    columns, data = _hand_table(n)
+    data["b\u00e9 \"%key\\"] = [s.replace("\n", " ") for s in data["b\u00e9 \"%key\\"]]
+    result = RunResult(config=paper_profile("power-sweep"), columns=columns, data=data, summary={"n": n})
+    for fmt in ("csv", "json"):
+        text = result_text(result, fmt)
+        assert _exported_bytes(result, tmp_path / f"out.{fmt}", fmt) == text.encode("utf-8")
+    assert result_text(result, "csv") == _reference_csv_text(columns, data)
+    assert len(result_text(result, "csv").splitlines()) == n + 1
+
+
+def test_export_leaves_no_partial_file(tmp_path):
+    result = run_power_sweep(paper_profile("power-sweep"))
+    path = tmp_path / "out.yaml"
+    with pytest.raises(ConfigError):
+        export_result(result, path, "yaml")
+    assert not path.exists()
+    # a cell that fails to render past the first chunk: the rows already
+    # written are removed with the file
+    n = _CHUNK + 5
+    bad = RunResult(config=result.config, columns=("x", "obj"),
+                    data={"x": np.arange(float(n)), "obj": [None] * (n - 1) + [object()]}, summary={})
+    path = tmp_path / "out.json"
+    with pytest.raises(TypeError):
+        export_result(bad, path, "json")
+    assert not path.exists()
 
 
 def test_pipeline_export_includes_status_column(tmp_path):
