@@ -25,7 +25,7 @@ from .experiments import (
     export_result,
     paper_profile,
     resolve_config,
-    result_text,
+    result_chunks,
     run_experiment,
 )
 from .idt import IdtTransducer, acoustic_conductance, coupling_rate, detuning_parameter, idt_bandwidth
@@ -58,7 +58,8 @@ def _handle_run(args: argparse.Namespace) -> int:
     )
     result = run_experiment(config)
     if not config.output_path:
-        sys.stdout.write(result_text(result))
+        for chunk in result_chunks(result):
+            sys.stdout.write(chunk)
         return 0
     export_result(result, config.output_path)
     print(f"wrote {len(result.data[result.columns[0]])} rows to {config.output_path}")

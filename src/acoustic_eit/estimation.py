@@ -4,6 +4,7 @@ Five estimators mirror the measurement analysis chain:
 
 - ``fit_dip_lorentzian``: Lorentzian dip in |r|^2 versus control detuning;
   its half width at half maximum is the transparency-window linewidth.
+  ``fit_dip_stack`` fits many such dips in lockstep, one per control power.
 - ``fit_linewidth_line``: weighted straight line of linewidth versus control
   power, returning the intrinsic coherence rate (intercept) and the
   power-to-Rabi-squared calibration constant (slope times 4*gamma10).
@@ -27,8 +28,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, RankError
-from .leastsq import FitResult, levenberg_marquardt, weighted_linear_fit
-from .model import _kernel, transmission_flux_coefficient
+from .leastsq import FitResult, levenberg_marquardt_stack, weighted_linear_fit
+from .model import _kernel
 
 
 class Samples(NamedTuple):
@@ -65,13 +66,21 @@ def samples_from_arrays(x, values, sigma=None) -> Samples:
     return Samples(x, values, sigma)
 
 
-def _require_converged(result: FitResult, what: str) -> FitResult:
-    if not result.converged:
-        raise ConvergenceError(
-            f"{what} did not converge after {result.iterations} iterations "
-            f"(gradient norm {result.gradient_norm:.3e}, rss {result.rss:.3e})"
-        )
-    return result
+def _convergence_error(result: FitResult, what: str) -> ConvergenceError:
+    return ConvergenceError(
+        f"{what} did not converge after {result.iterations} iterations "
+        f"(gradient norm {result.gradient_norm:.3e}, rss {result.rss:.3e})"
+    )
+
+
+def _only(outcomes: list, what: str) -> FitResult:
+    """The result of a batch of one, raising its error or non-convergence."""
+    fit, = outcomes
+    if isinstance(fit, Exception):
+        raise fit
+    if not fit.converged:
+        raise _convergence_error(fit, what)
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -79,40 +88,13 @@ def _require_converged(result: FitResult, what: str) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def fit_dip_lorentzian(samples: Samples) -> FitResult:
-    """Fit baseline - depth * hwhm^2 / ((x - center)^2 + hwhm^2).
+_DIP_NAMES = ("center", "hwhm", "depth", "baseline")
 
-    Weighted least squares when samples carry sigma. Constant data leaves the
-    width and center unidentifiable: the baseline is then reported exactly
-    and the result is flagged instead of iterated.
-    """
-    x, values, sigma = samples
-    if x.size < 5:
-        raise ValueError("need at least 5 samples spanning the dip")
-    y = values.real
-    if np.any(np.abs(values.imag) > 0.0):
-        raise ValueError("dip samples must be real (|r|^2 values)")
-    w = np.ones_like(y) if sigma is None else 1.0 / sigma
 
-    span = float(np.ptp(y))
-    if span <= 1e-14 * max(float(np.max(np.abs(y))), 1.0):
-        baseline = float(np.mean(y))
-        resid = (y - baseline) * w
-        return FitResult(
-            names=("center", "hwhm", "depth", "baseline"),
-            values=np.array([float(np.mean(x)), np.nan, 0.0, baseline]),
-            stderr=np.array([np.nan, np.nan, np.nan, 0.0]),
-            covariance=None,
-            rss=float(resid @ resid),
-            iterations=0,
-            converged=True,
-            at_bound=(False, False, False, False),
-            gradient_norm=0.0,
-            notes=("degenerate:constant-data", "hwhm-unidentifiable"),
-        )
-
-    # initial guesses come from a lightly smoothed curve so shallow dips under
-    # noise do not seed a zero-width spike through a single outlier
+def _dip_start(x: np.ndarray, y: np.ndarray) -> list[float]:
+    """Initial (center, hwhm, depth, baseline) from a lightly smoothed curve,
+    so shallow dips under noise do not seed a zero-width spike through a
+    single outlier."""
     order = np.argsort(x)
     window = max(3, len(y) // 25)
     if window % 2 == 0:
@@ -130,47 +112,99 @@ def fit_dip_lorentzian(samples: Samples) -> FitResult:
     else:
         hwhm0 = 0.125 * float(np.ptp(x))
     hwhm0 = max(hwhm0, 1e-3 * float(np.ptp(x)))
+    return [center0, hwhm0, depth0, baseline0]
 
-    def model_and_parts(theta: np.ndarray):
-        center, hwhm, depth, baseline = theta
+
+def fit_dip_stack(curves: Sequence[Samples]) -> list[FitResult | Exception]:
+    """fit_dip_lorentzian on many curves of one length, fitted in lockstep.
+
+    Returns one entry per curve: its FitResult, or the error fitting that
+    curve alone raises (ValueError for unusable samples, ConvergenceError
+    for a fit that does not converge). Each entry equals the single fit's.
+    """
+    outcomes: list[FitResult | Exception | None] = [None] * len(curves)
+    stack, xs, ys, ws, starts = [], [], [], [], []
+    for i, (x, values, sigma) in enumerate(curves):
+        if x.size < 5:
+            outcomes[i] = ValueError("need at least 5 samples spanning the dip")
+            continue
+        if np.any(np.abs(values.imag) > 0.0):
+            outcomes[i] = ValueError("dip samples must be real (|r|^2 values)")
+            continue
+        y = values.real
+        w = np.ones_like(y) if sigma is None else 1.0 / sigma
+        span = float(np.ptp(y))
+        if span <= 1e-14 * max(float(np.max(np.abs(y))), 1.0):
+            # constant data leaves width and center unidentifiable: report the
+            # baseline exactly and flag the result instead of iterating
+            baseline = float(np.mean(y))
+            resid = (y - baseline) * w
+            outcomes[i] = FitResult(
+                names=_DIP_NAMES,
+                values=np.array([float(np.mean(x)), np.nan, 0.0, baseline]),
+                stderr=np.array([np.nan, np.nan, np.nan, 0.0]),
+                covariance=None,
+                rss=float(resid @ resid),
+                iterations=0,
+                converged=True,
+                at_bound=(False, False, False, False),
+                gradient_norm=0.0,
+                notes=("degenerate:constant-data", "hwhm-unidentifiable"),
+            )
+            continue
+        stack.append(i)
+        xs.append(x)
+        ys.append(y)
+        ws.append(w)
+        starts.append(_dip_start(x, y))
+    if not stack:
+        return outcomes
+    if len({x.size for x in xs}) > 1:
+        raise ValueError("dip curves fitted together must have the same length")
+    xs, ys, ws = np.stack(xs), np.stack(ys), np.stack(ws)
+
+    def evaluate(theta: np.ndarray, rows: np.ndarray):
+        center, hwhm, depth, baseline = theta.T[:, :, None]
+        x, w = xs[rows], ws[rows]
         dx = x - center
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             denom = dx * dx + hwhm * hwhm
             lor = np.where(denom > 0.0, hwhm * hwhm / denom, 1.0)
             f = baseline - depth * lor
-        return f, dx, denom, lor
-
-    def residual(theta: np.ndarray) -> np.ndarray:
-        f, _, _, _ = model_and_parts(theta)
-        return (f - y) * w
-
-    def jacobian(theta: np.ndarray) -> np.ndarray:
-        center, hwhm, depth, _ = theta
-        _, dx, denom, lor = model_and_parts(theta)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             denom2 = denom * denom
             d_center = -depth * 2.0 * hwhm * hwhm * dx / denom2
             d_hwhm = -depth * 2.0 * hwhm * dx * dx / denom2
         d_center = np.where(np.isfinite(d_center), d_center, 0.0)
         d_hwhm = np.where(np.isfinite(d_hwhm), d_hwhm, 0.0)
-        d_depth = -lor
-        d_baseline = np.ones_like(dx)
-        jac = np.column_stack([d_center, d_hwhm, d_depth, d_baseline])
-        return jac * w[:, None]
+        jac = np.stack([d_center, d_hwhm, -lor, np.ones_like(dx)], axis=-1)
+        return (f - ys[rows]) * w, jac * w[:, :, None]
 
-    result = levenberg_marquardt(
-        residual,
-        np.array([center0, hwhm0, depth0, baseline0]),
-        jacobian,
-        names=("center", "hwhm", "depth", "baseline"),
-        lower=np.array([-np.inf, 0.0, -np.inf, -np.inf]),
-    )
-    result = _require_converged(result, "dip fit")
-    # collapse onto the width bound means the optimum is a zero-width spike,
-    # not a resolved dip; mark the width unidentifiable for downstream filters
-    if result.value("hwhm") <= 0.0:
-        result = result.with_notes("hwhm-unidentifiable")
-    return result
+    fits = levenberg_marquardt_stack(
+        evaluate, np.array(starts), names=_DIP_NAMES, lower=np.array([-np.inf, 0.0, -np.inf, -np.inf]))
+    for i, fit in zip(stack, fits):
+        if isinstance(fit, Exception):
+            outcomes[i] = fit
+        elif not fit.converged:
+            outcomes[i] = _convergence_error(fit, "dip fit")
+        elif fit.value("hwhm") <= 0.0:
+            # collapse onto the width bound means the optimum is a zero-width
+            # spike, not a resolved dip; mark the width unidentifiable for
+            # downstream filters
+            outcomes[i] = fit.with_notes("hwhm-unidentifiable")
+        else:
+            outcomes[i] = fit
+    return outcomes
+
+
+def fit_dip_lorentzian(samples: Samples) -> FitResult:
+    """Fit baseline - depth * hwhm^2 / ((x - center)^2 + hwhm^2).
+
+    Weighted least squares when samples carry sigma. Constant data leaves the
+    width and center unidentifiable: the baseline is then reported exactly
+    and the result is flagged instead of iterated. This is fit_dip_stack on
+    a batch of one.
+    """
+    return _only(fit_dip_stack([samples]), "dip fit")
 
 
 # ---------------------------------------------------------------------------
@@ -305,26 +339,20 @@ def fit_two_level(samples: Samples, *, Gamma10: float) -> FitResult:
     gamma0 = max(gamma0, 1e-3 * float(np.ptp(x)))
     scale0 = amp0 * 2.0 * gamma0 / Gamma10
 
-    def residual(theta: np.ndarray) -> np.ndarray:
-        gamma, scale = theta
-        f = scale * (0.5 * Gamma10) / np.sqrt(gamma * gamma + x * x)
-        return (f - y) * w
-
-    def jacobian(theta: np.ndarray) -> np.ndarray:
-        gamma, scale = theta
+    def evaluate(theta: np.ndarray, rows: np.ndarray):
+        gamma, scale = theta[0]
         root = np.sqrt(gamma * gamma + x * x)
+        f = scale * (0.5 * Gamma10) / root
         d_gamma = -scale * (0.5 * Gamma10) * gamma / root**3
         d_scale = (0.5 * Gamma10) / root
-        return np.column_stack([d_gamma, d_scale]) * w[:, None]
+        return ((f - y) * w)[None], (np.column_stack([d_gamma, d_scale]) * w[:, None])[None]
 
-    fit = levenberg_marquardt(
-        residual,
-        np.array([gamma0, scale0]),
-        jacobian,
+    fit = _only(levenberg_marquardt_stack(
+        evaluate,
+        np.array([[gamma0, scale0]]),
         names=("gamma10", "scale"),
         lower=np.array([0.0, -np.inf]),
-    )
-    fit = _require_converged(fit, "two-level fit")
+    ), "two-level fit")
 
     # widen to the documented three-parameter report with Gamma10 fixed
     covariance = None
@@ -454,29 +482,12 @@ def fit_transmission(
         names = _TRANSMISSION_NAMES[:4]
         fixed_c = complex(guess["crosstalk_re"], guess["crosstalk_im"])
 
-    def background(theta: np.ndarray) -> complex:
-        return complex(theta[4], theta[5]) if fit_crosstalk else fixed_c
-
-    def residual(theta: np.ndarray) -> np.ndarray:
-        gamma20, delta, omega_c, scale = theta[:4]
-        t = scale * (transmission_flux_coefficient(
-            Gamma10=Gamma10,
-            gamma10=gamma10,
-            gamma20=gamma20,
-            Omega_c=omega_c,
-            Delta_p=x,
-            delta=delta,
-        ) + background(theta))
-        if complex_data:
-            res = t - values
-            return np.concatenate([res.real * w, res.imag * w])
-        return (np.abs(t) - values.real) * w
-
-    def jacobian(theta: np.ndarray) -> np.ndarray:
-        gamma20, delta, omega_c, scale = theta[:4]
-        c = background(theta)
+    def evaluate(theta: np.ndarray, rows: np.ndarray):
+        gamma20, delta, omega_c, scale = theta[0, :4]
+        c = complex(theta[0, 4], theta[0, 5]) if fit_crosstalk else fixed_c
         r, two_photon, denominator, transparent = _kernel(
             Gamma10, gamma10, gamma20, omega_c, x, 2.0 * x + delta)
+        t = scale * (1.0 + r + c)
         # chain rule through D: dt/dD = scale*Gamma10/D**2 with
         # dD/dgamma20 = -Omega_c**2/(2T**2), dD/ddelta = i*Omega_c**2/(2T**2)
         # and dD/dOmega_c = Omega_c/T
@@ -493,16 +504,18 @@ def fit_transmission(
             columns += [np.full(x.size, scale + 0j), np.full(x.size, 1j * scale)]
         jac = np.column_stack(columns)
         if complex_data:
-            return np.concatenate([jac.real * w[:, None], jac.imag * w[:, None]])
-        t = scale * (1.0 + r + c)
-        return (t.conj()[:, None] * jac).real / np.abs(t)[:, None] * w[:, None]
+            res = t - values
+            return (np.concatenate([res.real * w, res.imag * w])[None],
+                    np.concatenate([jac.real * w[:, None], jac.imag * w[:, None]])[None])
+        magnitude = np.abs(t)
+        return (((magnitude - values.real) * w)[None],
+                ((t.conj()[:, None] * jac).real / magnitude[:, None] * w[:, None])[None])
 
     x0 = np.array([guess[name] for name in names])
     lower = np.full(len(names), -np.inf)
     lower[0] = 0.0  # gamma20
     lower[2] = 0.0  # Omega_c
-    fit = levenberg_marquardt(residual, x0, jacobian, names=names, lower=lower)
-    fit = _require_converged(fit, "transmission fit")
+    fit = _only(levenberg_marquardt_stack(evaluate, x0[None], names=names, lower=lower), "transmission fit")
     if fit_crosstalk:
         return fit
 

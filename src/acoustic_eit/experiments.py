@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Seque
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .estimation import fit_dip_lorentzian, fit_linewidth_line, rabi_per_point, samples_from_arrays
+from .estimation import fit_dip_stack, fit_linewidth_line, rabi_per_point, samples_from_arrays
 from .model import ThreeLevelAtom, reflection_coefficient, transmission_flux_coefficient
 from .poles import classify_regime
 from .units import (
@@ -665,7 +665,8 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
     For each power: simulate the control-frequency dip at probe resonance,
     optionally add seeded noise (one spawned child seed per power, so the
     draws are independent of row evaluation order), fit the squared-magnitude
-    Lorentzian, and keep the half width as the transparency linewidth. The
+    Lorentzian (all powers in one lockstep stack), and keep the half width as
+    the transparency linewidth. The
     surviving rows feed the weighted line fit for the intrinsic rate and the
     power calibration constant, which in turn give a control Rabi frequency
     with error bars per point. Rows whose dip fit fails are kept with a
@@ -690,10 +691,7 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
         Delta_c=delta_c,
     )
 
-    statuses: list[str] = []
-    widths: list[float | None] = []
-    width_sigmas: list[float | None] = []
-    centers: list[float | None] = []
+    curves = []
     for base, child in zip(grid, children):
         values = synthesize_noise(base, config.noise.sigma_rel, child, config.noise.kind)
         _require_finite(values)
@@ -702,25 +700,27 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
             # known per-quadrature sigma propagated to |r|^2
             sigma_q = config.noise.sigma_rel * float(np.max(np.abs(base)))
             sigma_y = 2.0 * np.abs(values) * sigma_q
-            samples = samples_from_arrays(delta_c, y, sigma_y)
+            curves.append(samples_from_arrays(delta_c, y, sigma_y))
         else:
-            samples = samples_from_arrays(delta_c, y)
-        try:
-            fit = fit_dip_lorentzian(samples)
-            if "hwhm-unidentifiable" in fit.notes:
-                raise ConvergenceError("dip is degenerate: width unidentifiable")
-            width_sigma = fit.error("hwhm")
-            if noisy and not (math.isfinite(width_sigma) and width_sigma > 0.0):
-                raise ConvergenceError("dip width error is not a positive finite number")
-            widths.append(fit.value("hwhm"))
-            width_sigmas.append(width_sigma)
-            centers.append(fit.value("center"))
-            statuses.append("ok")
-        except (ConvergenceError, ValueError) as exc:
-            widths.append(None)
-            width_sigmas.append(None)
-            centers.append(None)
-            statuses.append(f"dip-fit-failed: {exc}")
+            curves.append(samples_from_arrays(delta_c, y))
+
+    statuses: list[str] = []
+    widths: list[float | None] = []
+    width_sigmas: list[float | None] = []
+    centers: list[float | None] = []
+    for fit in fit_dip_stack(curves):
+        if isinstance(fit, Exception):
+            failure = str(fit)
+        elif "hwhm-unidentifiable" in fit.notes:
+            failure = "dip is degenerate: width unidentifiable"
+        elif noisy and not 0.0 < fit.error("hwhm") < math.inf:
+            failure = "dip width error is not a positive finite number"
+        else:
+            failure = None
+        statuses.append("ok" if failure is None else f"dip-fit-failed: {failure}")
+        widths.append(None if failure else fit.value("hwhm"))
+        width_sigmas.append(None if failure else fit.error("hwhm"))
+        centers.append(None if failure else fit.value("center"))
 
     good = [i for i, s in enumerate(statuses) if s == "ok"]
     if len(good) < 3:
@@ -955,9 +955,10 @@ def import_json(path: str | Path) -> dict[str, Any]:
     return envelope
 
 
-def _result_chunks(result: RunResult, fmt: str | None) -> Iterable[str]:
+def result_chunks(result: RunResult, fmt: str | None = None) -> Iterable[str]:
     """A run's export in the requested (or config-default) format as text
-    chunks; an unknown format raises before any chunk is made."""
+    chunks of _CHUNK_ROWS rows; an unknown format raises before any chunk is
+    made."""
     fmt = fmt or result.config.output_format
     if fmt == "csv":
         return _csv_chunks(result.columns, result.data)
@@ -969,13 +970,13 @@ def _result_chunks(result: RunResult, fmt: str | None) -> Iterable[str]:
 def result_text(result: RunResult, fmt: str | None = None) -> str:
     """Serialize a run in the requested (or config-default) format: the bytes
     export_result writes."""
-    return "".join(_result_chunks(result, fmt))
+    return "".join(result_chunks(result, fmt))
 
 
 def export_result(result: RunResult, path: str | Path, fmt: str | None = None) -> None:
     """Write a run to disk in the requested (or config-default) format, a
     chunk of rows at a time."""
-    chunks = _result_chunks(result, fmt)
+    chunks = result_chunks(result, fmt)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         try:
             handle.writelines(chunks)

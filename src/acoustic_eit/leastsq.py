@@ -1,8 +1,10 @@
 """Damped least-squares engine shared by all estimators.
 
-A small, deterministic Levenberg-Marquardt implementation. The estimators in
-``estimation`` supply (weighted) residual functions and their analytic
-Jacobians. Lower bounds are enforced by projection (clamping), with
+A small, deterministic Levenberg-Marquardt implementation that runs a stack
+of independent fits in lockstep: one model evaluation per trial step gives
+the (weighted) residuals and analytic Jacobians of every fit still
+iterating, and one stacked solve gives their steps. A single fit is a batch
+of one. Lower bounds are enforced by projection (clamping), with
 per-parameter at-bound flags reported on the result.
 
 Schedule and stopping rule:
@@ -93,14 +95,145 @@ def _covariance(jac: np.ndarray, rss: float) -> tuple[np.ndarray | None, np.ndar
     return cov, stderr
 
 
-def _projected_gradient(grad: np.ndarray, x: np.ndarray, lower: np.ndarray | None) -> np.ndarray:
-    """Zero the gradient components that push a bound-clamped parameter outward."""
-    if lower is None:
-        return grad
-    out = grad.copy()
-    blocked = (x <= lower) & (grad > 0.0)
-    out[blocked] = 0.0
-    return out
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, n) stacks, bit-equal to a[i] @ b[i]."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _gradients(jac: np.ndarray, r: np.ndarray, x: np.ndarray, lower: np.ndarray | None):
+    """J^T r per fit, and the norm of its projection: the components that push
+    a bound-clamped parameter outward are left out."""
+    grad = (r[:, None, :] @ jac)[:, 0, :]
+    projected = grad if lower is None else np.where((x <= lower) & (grad > 0.0), 0.0, grad)
+    return grad, np.sqrt(_dots(projected, projected))
+
+
+def _steps(jac: np.ndarray, grad: np.ndarray, damping: np.ndarray) -> np.ndarray:
+    """Damped Gauss-Newton steps of a stack of fits; a fit whose system is
+    singular or whose step is not finite gets a zero step."""
+    system = jac.transpose(0, 2, 1) @ jac
+    p = system.shape[1]
+    diagonal = system.reshape(len(system), p * p)[:, ::p + 1]
+    # keep the damping matrix nonsingular for parameters with no local effect
+    diagonal += damping[:, None] * np.where(diagonal <= 0.0, 1.0, diagonal)
+    rhs = -grad[:, :, None]
+    try:
+        steps = np.linalg.solve(system, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        # a singular system rejects only its own fit's step
+        steps = np.full(grad.shape, np.nan)
+        for i in range(len(system)):
+            try:
+                steps[i] = np.linalg.solve(system[i:i + 1], rhs[i:i + 1])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+    return np.where(np.isfinite(steps).all(axis=1, keepdims=True), steps, 0.0)
+
+
+def levenberg_marquardt_stack(
+    evaluate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    x0: np.ndarray,
+    *,
+    names: Sequence[str] | None = None,
+    lower: Sequence[float] | None = None,
+) -> list[FitResult | ValueError]:
+    """Minimize |r_i(x_i)|^2 for a stack of k independent fits in lockstep.
+
+    x0 holds one starting point per row, shape (k, p). evaluate(theta, rows)
+    returns the residuals (m, n) and Jacobians (m, n, p) of the fits whose
+    stack indices are in rows, at the m points in theta; it is called once
+    per trial step and must give each fit the same values whichever other
+    fits share the call. Every fit keeps its own damping, acceptance, bound
+    projection, gradient test and damping-overflow stop, and freezes once it
+    finishes, so each result is bit-equal to the fit run as a batch of one.
+    lower, shared by all fits, holds per-parameter lower bounds (-inf for
+    free parameters); iterates are projected onto them and at_bound marks
+    parameters that finished clamped. A fit whose residuals are not finite
+    at its start gets a ValueError in place of its result.
+    """
+    x = np.array(x0, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("x0 must hold one starting point per fit, shape (k, p)")
+    k, p = x.shape
+    param_names = tuple(names) if names is not None else tuple(f"p{i}" for i in range(p))
+    if len(param_names) != p:
+        raise ValueError("names length must match parameter count")
+    bound = None
+    if lower is not None:
+        bound = np.asarray(lower, dtype=float)
+        if bound.shape != (p,):
+            raise ValueError("lower bounds must match parameter count")
+        x = np.maximum(x, bound)
+
+    r, jac = (np.array(a, dtype=float) for a in evaluate(x, np.arange(k)))
+    started = np.isfinite(r).all(axis=1)
+    r[~started] = 0.0  # such a fit never iterates; its result is a ValueError
+    rss = _dots(r, r)
+    grad, gnorm = _gradients(jac, r, x, bound)
+    converged = gnorm < _GTOL * (1.0 + rss)
+    iterations = np.zeros(k, dtype=int)
+
+    # the state of the fits still iterating, compacted: a fit leaves it once
+    # it finishes
+    live = np.flatnonzero(started & ~converged)
+    x_live, r_live, rss_live, jac_live, grad_live, gnorm_live = (a[live] for a in (x, r, rss, jac, grad, gnorm))
+    damping = np.full(live.size, _DAMPING_INIT)
+    for iteration in range(1, _MAX_ITER + 1):
+        if live.size == 0:
+            break
+        step = _steps(jac_live, grad_live, damping)
+        x_trial = x_live + step
+        if bound is not None:
+            x_trial = np.maximum(x_trial, bound)
+        r_trial, jac_trial = (np.asarray(a, dtype=float) for a in evaluate(x_trial, live))
+        rss_trial = _dots(r_trial, r_trial)
+        better = rss_trial < rss_live
+        if not better.all():
+            # near the optimum the exact cost decrease of a polish step falls
+            # below the rounding granularity of rss itself; such a step still
+            # moves the gradient to its floating-point floor, so accept it
+            # when it is negligibly small and within a few ulps of the cost
+            tiny_step = ((np.abs(step) <= 1e-8 * np.maximum(np.abs(x_live), 1e-300)).all(axis=1)
+                         & (x_trial != x_live).any(axis=1))
+            better |= tiny_step & (rss_trial <= rss_live * (1.0 + 64.0 * np.finfo(float).eps))
+        # a zero step (singular system) moves nowhere, so it is never accepted
+        take = better & np.isfinite(r_trial).all(axis=1)
+        x_live = np.where(take[:, None], x_trial, x_live)
+        r_live = np.where(take[:, None], r_trial, r_live)
+        rss_live = np.where(take, rss_trial, rss_live)
+        jac_live = np.where(take[:, None, None], jac_trial, jac_live)
+        grad_live, gnorm_live = _gradients(jac_live, r_live, x_live, bound)
+        damping = np.where(take, np.maximum(damping / _DAMPING_SHRINK, 1e-15), damping * _DAMPING_GROW)
+        converged_live = gnorm_live < _GTOL * (1.0 + rss_live)
+        done = converged_live | (damping > _DAMPING_MAX) | (iteration == _MAX_ITER)
+        if done.any():
+            rows = live[done]
+            x[rows], rss[rows], jac[rows], gnorm[rows] = x_live[done], rss_live[done], jac_live[done], gnorm_live[done]
+            converged[rows] = converged_live[done]
+            iterations[rows] = iteration
+            live, x_live, r_live, rss_live, jac_live, grad_live, gnorm_live, damping = (
+                a[~done] for a in (live, x_live, r_live, rss_live, jac_live, grad_live, gnorm_live, damping))
+
+    results: list[FitResult | ValueError] = []
+    for i in range(k):
+        if not started[i]:
+            results.append(ValueError("residuals are not finite at the initial guess"))
+            continue
+        covariance, stderr = _covariance(jac[i], float(rss[i]))
+        at_bound = tuple(bool(bound is not None and x[i, j] <= bound[j]) for j in range(p))
+        results.append(FitResult(
+            names=param_names,
+            values=x[i].copy(),
+            stderr=stderr,
+            covariance=covariance,
+            rss=float(rss[i]),
+            iterations=int(iterations[i]),
+            converged=bool(converged[i]),
+            at_bound=at_bound,
+            gradient_norm=float(gnorm[i]),
+            notes=tuple(f"at-bound:{param_names[j]}" for j in range(p) if at_bound[j]),
+        ))
+    return results
 
 
 def levenberg_marquardt(
@@ -114,91 +247,17 @@ def levenberg_marquardt(
     """Minimize |residual_fn(x)|^2 with the Levenberg-Marquardt schedule.
 
     jacobian_fn(x) returns the derivative of the residual vector, one column
-    per parameter.
-    lower, when given, holds per-parameter lower bounds (use -inf for free
-    parameters); iterates are projected onto the feasible set. The result's
-    at_bound tuple marks parameters that finished clamped at their bound.
+    per parameter; both are evaluated at every trial point. lower, when
+    given, holds per-parameter lower bounds (use -inf for free parameters).
+    This is levenberg_marquardt_stack on a batch of one.
     """
-    x = np.array(x0, dtype=float)
-    p = x.size
-    param_names = tuple(names) if names is not None else tuple(f"p{i}" for i in range(p))
-    if len(param_names) != p:
-        raise ValueError("names length must match parameter count")
-    bound = None
-    if lower is not None:
-        bound = np.asarray(lower, dtype=float)
-        if bound.shape != x.shape:
-            raise ValueError("lower bounds must match parameter count")
-        x = np.maximum(x, bound)
+    def evaluate(theta: np.ndarray, rows: np.ndarray):
+        return np.asarray(residual_fn(theta[0]))[None], np.asarray(jacobian_fn(theta[0]))[None]
 
-    r = np.asarray(residual_fn(x), dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise ValueError("residuals are not finite at the initial guess")
-    rss = float(r @ r)
-    jac = np.asarray(jacobian_fn(x), dtype=float)
-    grad = jac.T @ r
-    gnorm = float(np.linalg.norm(_projected_gradient(grad, x, bound)))
-
-    damping = _DAMPING_INIT
-    iterations = 0
-    converged = gnorm < _GTOL * (1.0 + rss)
-
-    while not converged and iterations < _MAX_ITER:
-        iterations += 1
-        jtj = jac.T @ jac
-        diag = np.diag(jtj).copy()
-        # keep the damping matrix nonsingular for parameters with no local effect
-        diag[diag <= 0.0] = 1.0
-        try:
-            step = np.linalg.solve(jtj + damping * np.diag(diag), -grad)
-        except np.linalg.LinAlgError:
-            step = None
-        accepted = False
-        if step is not None and np.all(np.isfinite(step)):
-            x_trial = x + step
-            if bound is not None:
-                x_trial = np.maximum(x_trial, bound)
-            r_trial = np.asarray(residual_fn(x_trial), dtype=float)
-            if np.all(np.isfinite(r_trial)):
-                rss_trial = float(r_trial @ r_trial)
-                # near the optimum the exact cost decrease of a polish step falls
-                # below the rounding granularity of rss itself; such a step still
-                # moves the gradient to its floating-point floor, so accept it
-                # when it is negligibly small and within a few ulps of the cost
-                tiny_step = bool(
-                    np.all(np.abs(step) <= 1e-8 * np.maximum(np.abs(x), 1e-300))
-                ) and not np.array_equal(x_trial, x)
-                slack_ok = rss_trial <= rss * (1.0 + 64.0 * np.finfo(float).eps)
-                if rss_trial < rss or (tiny_step and slack_ok):
-                    x = x_trial
-                    r = r_trial
-                    rss = rss_trial
-                    jac = np.asarray(jacobian_fn(x), dtype=float)
-                    grad = jac.T @ r
-                    gnorm = float(np.linalg.norm(_projected_gradient(grad, x, bound)))
-                    damping = max(damping / _DAMPING_SHRINK, 1e-15)
-                    accepted = True
-        if not accepted:
-            damping *= _DAMPING_GROW
-            if damping > _DAMPING_MAX:
-                break
-        converged = gnorm < _GTOL * (1.0 + rss)
-
-    covariance, stderr = _covariance(jac, rss)
-    at_bound = tuple(bool(bound is not None and x[i] <= bound[i]) for i in range(p))
-    notes = tuple(f"at-bound:{param_names[i]}" for i in range(p) if at_bound[i])
-    return FitResult(
-        names=param_names,
-        values=x,
-        stderr=stderr,
-        covariance=covariance,
-        rss=rss,
-        iterations=iterations,
-        converged=bool(converged),
-        at_bound=at_bound,
-        gradient_norm=gnorm,
-        notes=notes,
-    )
+    fit, = levenberg_marquardt_stack(evaluate, np.array(x0, dtype=float)[None], names=names, lower=lower)
+    if isinstance(fit, ValueError):
+        raise fit
+    return fit
 
 
 def weighted_linear_fit(

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from acoustic_eit.cli import build_parser, main
-from acoustic_eit.experiments import import_csv, import_json
+from acoustic_eit.experiments import _CHUNK_ROWS, import_csv, import_json, resolve_config, result_text, run_experiment
 
 
 def test_no_arguments_exits_with_usage_error(capsys):
@@ -299,3 +299,31 @@ def test_out_file_matches_stdout_bytes(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(out_path)]) == 0
     capsys.readouterr()
     assert out_path.read_bytes() == stdout.encode("utf-8")
+
+
+class _Writes:
+    """A stdout that keeps every write separately."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_is_written_a_chunk_at_a_time(tmp_path, monkeypatch, fmt):
+    overlay = tmp_path / "grid.json"
+    overlay.write_text(json.dumps({"control_frequency_grid": {"count": 1001}}))
+    argv = ["simulate", "control-sweep", "--profile", "paper", "--config", str(overlay), "--format", fmt]
+    stdout = _Writes()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    rows = 21 * 1001
+    assert len(stdout.writes) >= rows // _CHUNK_ROWS
+    text = "".join(stdout.writes)
+    assert max(map(len, stdout.writes)) < len(text) / 4
+    config = resolve_config("control-sweep", profile="paper", config_path=str(overlay), output_format=fmt)
+    assert text == result_text(run_experiment(config))

@@ -434,16 +434,21 @@ UNIT_STEP = 1e-6        # step for dimensionless parameters
 
 @pytest.fixture()
 def problems(monkeypatch):
-    """(residual, jacobian, start, optimum) of every engine call the estimators make."""
+    """(residual, jacobian, start, optimum) of every fit the estimators hand the
+    engine, split out of the one shared evaluation the engine calls."""
     captured = []
-    engine = estimation.levenberg_marquardt
+    engine = estimation.levenberg_marquardt_stack
 
-    def spy(residual, x0, jacobian, **kwargs):
-        fit = engine(residual, x0, jacobian, **kwargs)
-        captured.append((residual, jacobian, np.array(x0, dtype=float), fit.values))
-        return fit
+    def spy(evaluate, x0, **kwargs):
+        fits = engine(evaluate, x0, **kwargs)
+        for i, (start, fit) in enumerate(zip(np.array(x0, dtype=float), fits)):
+            rows = np.array([i])
+            captured.append((lambda theta, rows=rows: evaluate(np.asarray(theta)[None], rows)[0][0],
+                             lambda theta, rows=rows: evaluate(np.asarray(theta)[None], rows)[1][0],
+                             start, fit.values))
+        return fits
 
-    monkeypatch.setattr(estimation, "levenberg_marquardt", spy)
+    monkeypatch.setattr(estimation, "levenberg_marquardt_stack", spy)
     return captured
 
 
