@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -20,13 +19,12 @@ from .errors import ConfigError, ConvergenceError, RankError
 from .experiments import (
     FORMATS,
     PROFILE_NAMES,
-    csv_text,
-    json_text,
     export_result,
     paper_profile,
     resolve_config,
-    result_chunks,
     run_experiment,
+    table_chunks,
+    write_table,
 )
 from .idt import IdtTransducer, acoustic_conductance, coupling_rate, detuning_parameter, idt_bandwidth
 from .lindblad import weak_probe_deviation
@@ -44,25 +42,18 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", choices=PROFILE_NAMES, help="built-in device profile")
     parser.add_argument("--seed", type=int, metavar="U64", help="override the config noise seed")
     parser.add_argument("--out", metavar="PATH", help="output file (default: print to stdout)")
-    parser.add_argument("--format", choices=FORMATS, help="output format (default: config value)")
+    parser.add_argument("--format", choices=FORMATS, default="csv", help="output format (default: csv)")
 
 
 def _handle_run(args: argparse.Namespace) -> int:
-    config = resolve_config(
-        args.scheme,
-        profile=args.profile,
-        config_path=args.config,
-        seed=args.seed,
-        output_path=args.out,
-        output_format=args.format,
-    )
+    config = resolve_config(args.scheme, profile=args.profile, config_path=args.config, seed=args.seed)
     result = run_experiment(config)
-    if not config.output_path:
-        for chunk in result_chunks(result):
+    if not args.out:
+        for chunk in table_chunks(result.columns, result.data, args.format, config.to_dict(), result.summary):
             sys.stdout.write(chunk)
         return 0
-    export_result(result, config.output_path)
-    print(f"wrote {len(result.data[result.columns[0]])} rows to {config.output_path}")
+    export_result(result, args.out, args.format)
+    print(f"wrote {len(result.data[result.columns[0]])} rows to {args.out}")
     line = result.summary.get("line_fit")
     if line is not None:
         print("gamma20_hz=%.17g gamma20_sigma_hz=%.17g" % (line["gamma20_hz"], line["gamma20_sigma_hz"]))
@@ -115,19 +106,16 @@ def _handle_idt_response(args: argparse.Namespace) -> int:
         "coupling_rate_hz": angular_to_hz(rates),
         "conductance_s": acoustic_conductance(idt, omegas),
     }
-    columns = tuple(data)
     summary = {
         "bandwidth_hz": angular_to_hz(idt_bandwidth(idt)),
         "peak_rate_hz": angular_to_hz(idt.decay_peak),
     }
-    if (args.format or "csv") == "csv":
-        text = csv_text(columns, data)
-    else:
-        text = json_text(columns, data, summary=summary)
+    chunks = table_chunks(tuple(data), data, args.format, summary=summary)
     if not args.out:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return 0
-    Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+    write_table(args.out, chunks)
     print(f"wrote {freqs.size} rows to {args.out}")
     print("bandwidth_hz=%.17g peak_rate_hz=%.17g" % (summary["bandwidth_hz"], summary["peak_rate_hz"]))
     return 0
@@ -202,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     response.add_argument("--f-max", dest="f_max", type=float, metavar="HZ")
     response.add_argument("--count", type=int, default=201)
     response.add_argument("--out", metavar="PATH")
-    response.add_argument("--format", choices=FORMATS)
+    response.add_argument("--format", choices=FORMATS, default="csv")
     response.set_defaults(handler=_handle_idt_response)
 
     oracle = subparsers.add_parser("oracle", help="internal consistency checks")

@@ -41,7 +41,7 @@ from .units import (
 SCHEMA_VERSION = 1
 SCHEMES = ("control-sweep", "power-sweep", "flux-sweep", "linewidth-pipeline")
 FORMATS = ("csv", "json")
-# rows per export chunk: export_result holds one chunk of formatted rows in
+# rows per export chunk: an export holds one chunk of formatted rows in
 # memory at a time instead of the whole text
 _CHUNK_ROWS = 4096
 
@@ -182,15 +182,12 @@ class ExperimentConfig:
     crosstalk_im: float = 0.0
     scale: float = 1.0
     noise: NoiseParams = field(default_factory=NoiseParams)
-    output_path: str | None = None
-    output_format: str = "csv"
 
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
         _require(self.scheme in SCHEMES, f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        _require(self.output_format in FORMATS, f"output_format must be one of {FORMATS}")
         _require(_finite(self.probe_detuning_hz), "probe_detuning_hz must be finite")
         _require(_finite(self.residual_detuning_hz), "residual_detuning_hz must be finite")
         _require(_finite(self.crosstalk_re) and _finite(self.crosstalk_im), "crosstalk must be finite")
@@ -389,8 +386,6 @@ def resolve_config(
     config_path: str | Path | None = None,
     *,
     seed: int | None = None,
-    output_path: str | None = None,
-    output_format: str | None = None,
 ) -> ExperimentConfig:
     """Combine profile, config file, and command-line overrides into a config.
 
@@ -420,15 +415,8 @@ def resolve_config(
         cfg = ExperimentConfig.from_dict(base)
     else:
         raise ConfigError("need --config, --profile, or both")
-    updates: dict[str, Any] = {}
     if seed is not None:
-        updates["noise"] = replace(cfg.noise, seed=seed)
-    if output_path is not None:
-        updates["output_path"] = output_path
-    if output_format is not None:
-        updates["output_format"] = output_format
-    if updates:
-        cfg = replace(cfg, **updates)
+        cfg = replace(cfg, noise=replace(cfg.noise, seed=seed))
     return cfg
 
 
@@ -859,11 +847,6 @@ def _csv_chunks(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -
     return chain([",".join(columns) + "\n"], _row_chunks(row_format, renders, _table_rows(columns, data), ""))
 
 
-def csv_text(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -> str:
-    """Header plus one line per row, the bytes export_result writes."""
-    return "".join(_csv_chunks(columns, data))
-
-
 def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
     text = Path(path).read_text(encoding="utf-8")
     if '"' in text:  # quoted cells (RFC 4180) may hold commas, quotes and newlines
@@ -935,18 +918,6 @@ def _json_chunks(
     return chain([head, '\n  "rows": [\n'], _row_chunks(template, renders, n, ",\n"), ["\n  ]", tail])
 
 
-def json_text(
-    columns: Sequence[str],
-    data: Mapping[str, np.ndarray | list],
-    *,
-    config_echo: Mapping[str, Any] | None = None,
-    summary: Mapping[str, Any] | None = None,
-) -> str:
-    """Schema-versioned envelope carrying the config for provenance, the
-    bytes export_result writes."""
-    return "".join(_json_chunks(columns, data, config_echo, summary))
-
-
 def import_json(path: str | Path) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as handle:
         envelope = json.load(handle)
@@ -955,33 +926,46 @@ def import_json(path: str | Path) -> dict[str, Any]:
     return envelope
 
 
-def result_chunks(result: RunResult, fmt: str | None = None) -> Iterable[str]:
-    """A run's export in the requested (or config-default) format as text
-    chunks of _CHUNK_ROWS rows; an unknown format raises before any chunk is
+def table_chunks(
+    columns: Sequence[str],
+    data: Mapping[str, np.ndarray | list],
+    fmt: str,
+    config_echo: Mapping[str, Any] | None = None,
+    summary: Mapping[str, Any] | None = None,
+) -> Iterable[str]:
+    """A table as text chunks of _CHUNK_ROWS rows: CSV (header and rows), or
+    the schema-versioned JSON envelope that also carries the config echo for
+    provenance and the summary. An unknown format raises before any chunk is
     made."""
-    fmt = fmt or result.config.output_format
     if fmt == "csv":
-        return _csv_chunks(result.columns, result.data)
+        return _csv_chunks(columns, data)
     if fmt == "json":
-        return _json_chunks(result.columns, result.data, result.config.to_dict(), result.summary)
+        return _json_chunks(columns, data, config_echo, summary)
     raise ConfigError(f"unknown export format {fmt!r}; choose from {FORMATS}")
 
 
-def result_text(result: RunResult, fmt: str | None = None) -> str:
-    """Serialize a run in the requested (or config-default) format: the bytes
-    export_result writes."""
-    return "".join(result_chunks(result, fmt))
-
-
-def export_result(result: RunResult, path: str | Path, fmt: str | None = None) -> None:
-    """Write a run to disk in the requested (or config-default) format, a
-    chunk of rows at a time."""
-    chunks = result_chunks(result, fmt)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+def write_table(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write text chunks to a file, one chunk in memory at a time. A path
+    that cannot be opened is a ConfigError, and a failure part way through
+    leaves no partial file behind."""
+    try:
+        handle = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    with handle:
         try:
             handle.writelines(chunks)
         except BaseException:
-            # a failure part way through leaves no partial export behind
             handle.close()
             Path(path).unlink()
             raise
+
+
+def result_text(result: RunResult, fmt: str) -> str:
+    """A run's export in the given format: the bytes export_result writes."""
+    return "".join(table_chunks(result.columns, result.data, fmt, result.config.to_dict(), result.summary))
+
+
+def export_result(result: RunResult, path: str | Path, fmt: str) -> None:
+    """Write a run to disk in the given format, a chunk of rows at a time."""
+    write_table(path, table_chunks(result.columns, result.data, fmt, result.config.to_dict(), result.summary))

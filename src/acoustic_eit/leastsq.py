@@ -236,30 +236,6 @@ def levenberg_marquardt_stack(
     return results
 
 
-def levenberg_marquardt(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    x0: Sequence[float],
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
-    *,
-    names: Sequence[str] | None = None,
-    lower: Sequence[float] | None = None,
-) -> FitResult:
-    """Minimize |residual_fn(x)|^2 with the Levenberg-Marquardt schedule.
-
-    jacobian_fn(x) returns the derivative of the residual vector, one column
-    per parameter; both are evaluated at every trial point. lower, when
-    given, holds per-parameter lower bounds (use -inf for free parameters).
-    This is levenberg_marquardt_stack on a batch of one.
-    """
-    def evaluate(theta: np.ndarray, rows: np.ndarray):
-        return np.asarray(residual_fn(theta[0]))[None], np.asarray(jacobian_fn(theta[0]))[None]
-
-    fit, = levenberg_marquardt_stack(evaluate, np.array(x0, dtype=float)[None], names=names, lower=lower)
-    if isinstance(fit, ValueError):
-        raise fit
-    return fit
-
-
 def weighted_linear_fit(
     x: Sequence[float],
     y: Sequence[float],

@@ -289,16 +289,47 @@ def test_non_finite_flag_is_config_error(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "control-sweep", "--profile", "paper", "--format", "csv"],
+    ["simulate", "control-sweep", "--profile", "paper", "--format", "json"],
     ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--format", "csv"],
     ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--format", "json"],
-], ids=["control-sweep-csv", "idt-csv", "idt-json"])
+], ids=["control-sweep-csv", "control-sweep-json", "idt-csv", "idt-json"])
 def test_out_file_matches_stdout_bytes(tmp_path, capsys, argv):
     assert main(argv) == 0
     stdout = capsys.readouterr().out
-    out_path = tmp_path / "out"
-    assert main([*argv, "--out", str(out_path)]) == 0
-    capsys.readouterr()
-    assert out_path.read_bytes() == stdout.encode("utf-8")
+    # the bytes do not depend on where they are written
+    for directory in ("a", "b/c"):
+        out_path = tmp_path / directory / "out"
+        out_path.parent.mkdir(parents=True)
+        assert main([*argv, "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        assert out_path.read_bytes() == stdout.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "power-sweep", "--profile", "paper"],
+    ["pipeline", "linewidth", "--profile", "paper"],
+    ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4"],
+], ids=["simulate", "pipeline", "idt"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, argv, target):
+    out_path = tmp_path / "no" / "such" / "x.csv" if target == "missing-dir" else tmp_path
+    assert main([*argv, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out_path}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.parametrize("key,value", [("output_path", "x.csv"), ("output_format", "json")])
+def test_config_file_output_keys_are_unknown(tmp_path, capsys, key, value):
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps({key: value}))
+    code = main(["simulate", "control-sweep", "--profile", "paper", "--config", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config has unknown keys: ['{key}']\n"
 
 
 class _Writes:
@@ -325,5 +356,5 @@ def test_stdout_is_written_a_chunk_at_a_time(tmp_path, monkeypatch, fmt):
     assert len(stdout.writes) >= rows // _CHUNK_ROWS
     text = "".join(stdout.writes)
     assert max(map(len, stdout.writes)) < len(text) / 4
-    config = resolve_config("control-sweep", profile="paper", config_path=str(overlay), output_format=fmt)
-    assert text == result_text(run_experiment(config))
+    config = resolve_config("control-sweep", profile="paper", config_path=str(overlay))
+    assert text == result_text(run_experiment(config), fmt)

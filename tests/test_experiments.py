@@ -28,11 +28,9 @@ from acoustic_eit.experiments import (
     NoiseParams,
     RunResult,
     SweepPoint,
-    csv_text,
     export_result,
     import_csv,
     import_json,
-    json_text,
     merge_config_dicts,
     paper_profile,
     resolve_config,
@@ -43,6 +41,7 @@ from acoustic_eit.experiments import (
     run_linewidth_pipeline,
     run_power_sweep,
     synthesize_noise,
+    table_chunks,
 )
 
 
@@ -133,9 +132,10 @@ def test_merge_config_dicts_is_recursive():
 
 
 def test_resolve_config_profile_and_overrides(tmp_path):
-    cfg = resolve_config("power-sweep", profile="paper", seed=7, output_format="json")
+    cfg = resolve_config("power-sweep", profile="paper", seed=7)
     assert cfg.noise.seed == 7
-    assert cfg.output_format == "json"
+    profile = paper_profile("power-sweep")
+    assert cfg == replace(profile, noise=replace(profile.noise, seed=7))
 
     overlay_path = tmp_path / "overlay.json"
     overlay_path.write_text(json.dumps({"noise": {"sigma_rel": 0.01, "seed": 3}}))
@@ -411,8 +411,12 @@ def test_run_experiment_dispatch():
 # ---------------------------------------------------------------------------
 
 
+def _table_text(columns, data, fmt, config_echo=None, summary=None):
+    return "".join(table_chunks(columns, data, fmt, config_echo, summary))
+
+
 def test_empty_records_give_header_only_csv():
-    assert csv_text(("a", "b"), {"a": np.empty(0), "b": []}) == "a,b\n"
+    assert _table_text(("a", "b"), {"a": np.empty(0), "b": []}, "csv") == "a,b\n"
 
 
 def test_csv_round_trip_bitwise(tmp_path):
@@ -441,7 +445,7 @@ def test_csv_round_trip_bitwise(tmp_path):
 
 def test_csv_quotes_cells_with_separators(tmp_path):
     status = ["ok", "failed: a, b", 'said "no"', "two\nlines", None]
-    text = csv_text(("x", "status"), {"x": np.arange(5.0), "status": status})
+    text = _table_text(("x", "status"), {"x": np.arange(5.0), "status": status}, "csv")
     assert text.splitlines()[2] == '1,"failed: a, b"'
     assert text.splitlines()[3] == '2,"said ""no"""'
     path = tmp_path / "quoted.csv"
@@ -476,7 +480,7 @@ def test_import_json_rejects_foreign_files(tmp_path):
 
 
 def test_json_replaces_non_finite_with_null():
-    text = json_text(("a",), {"a": np.array([float("nan")])})
+    text = _table_text(("a",), {"a": np.array([float("nan")])}, "json")
     assert "null" in text
     assert "NaN" not in text
     assert json.loads(text)["rows"][0]["a"] is None
@@ -485,8 +489,8 @@ def test_json_replaces_non_finite_with_null():
 def test_result_text_format_selection():
     cfg = paper_profile("power-sweep")
     result = run_power_sweep(cfg)
-    assert result_text(result).startswith("control_power_dbm,")
-    assert result_text(result, fmt="json").startswith("{")
+    assert result_text(result, "csv").startswith("control_power_dbm,")
+    assert result_text(result, "json").startswith("{")
     with pytest.raises(ConfigError):
         result_text(result, fmt="yaml")
 
@@ -538,8 +542,8 @@ def test_json_text_matches_per_row_dict_reference(n):
     columns, data = _hand_table(n)
     echo = {"b": [1.0, float("nan")], "a": {"y": "\u00e9", "x": None}, "rows": []}
     summary = {"line_fit": {"rss": float("inf"), "converged": True}, "note": 'a "b"'}
-    assert json_text(columns, data) == _reference_json_text(columns, data)
-    text = json_text(columns, data, config_echo=echo, summary=summary)
+    assert _table_text(columns, data, "json") == _reference_json_text(columns, data)
+    text = _table_text(columns, data, "json", echo, summary)
     assert text == _reference_json_text(columns, data, echo, summary)
     if n == 0:
         assert '\n  "rows": [],\n' in text

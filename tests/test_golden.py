@@ -14,6 +14,10 @@ calls became one array kernel call; ``test_model`` bounds that change against
 the former scalar formula at rel 1e-15. The eleven JSON digests were
 recaptured when the unread ``idt`` config section was deleted: each export
 equals the former one with its 7-line ``config_echo.idt`` block removed.
+They were recaptured again when ``output_path`` and ``output_format`` left
+the config (where a run is written is not part of what it is): each export
+equals the former one with its two ``config_echo`` lines
+``"output_format": "csv",`` and ``"output_path": null,`` removed.
 """
 
 from __future__ import annotations
@@ -28,21 +32,21 @@ from acoustic_eit.experiments import NoiseParams, paper_profile, result_text, ru
 
 GOLDEN = {
     ("control-sweep", False, "csv"): "218e34901b436b424afbd6e06e2d028db95abdbe13bbe507d4c63a87f6da7549",
-    ("control-sweep", False, "json"): "8fcc2553eb74d51d1177da8ddb12cb66eb1d8b0edc97636ea79662406ce32701",
+    ("control-sweep", False, "json"): "c556ab86150f4c5c364a65b98e0233cfbe085c3b4d42ba678a8b82629bde0ef8",
     ("control-sweep", True, "csv"): "fb2ed3ac34e3df219ffe147782d6e979249b0b7662a17cde903f90e4a02a9bcf",
-    ("control-sweep", True, "json"): "ad48678c2b2d07ea9b1c949ce5502c9e277c830044d7e31eced8cb41a26d1c6d",
+    ("control-sweep", True, "json"): "f1691a1a4d4ebedd616c7649f3878baf62eaa6dd559032aa025b009ff657dce1",
     ("power-sweep", False, "csv"): "10df966d563cf51b5d3ade7b52f75363a4c10cc8e87d87fc7a168111b32b4f28",
-    ("power-sweep", False, "json"): "1e64e9eccc3cc80ffdc8c9c56c7ce409d76041eeb2f20eb92a5fe26d387382e7",
+    ("power-sweep", False, "json"): "ace08cf7442087e923cf52362827573a7beb03fafcd60afb6c120954893abe76",
     ("power-sweep", True, "csv"): "65126ba459340836f883f4158723b7c8bd18d624b98b28a9384de11f6b3c85c9",
-    ("power-sweep", True, "json"): "9b90f69284f8d90d51a9c09af186968f3fea035748c57508f4014623ad00d080",
+    ("power-sweep", True, "json"): "0f5a275c5f469c5042b95e296bb58b89ed98ecfb3932bfd438a714a5031b4989",
     ("flux-sweep", False, "csv"): "f052826c46e176dde581de0f925206774707a3ebf80396562c79df0dd83a8485",
-    ("flux-sweep", False, "json"): "f0c2a457c228f95f871779364a152c0f15b62149153445dbac1d3cbfda95d236",
+    ("flux-sweep", False, "json"): "efd3f145a8fd8b15db4cf7356aa19c8e0d8099756eaf56b39ab7419b8b4d0d65",
     ("flux-sweep", True, "csv"): "2bf1ff1f4f47a38c71c56b38170ffb544462de87bae4c204147f40374aea8670",
-    ("flux-sweep", True, "json"): "d006429d06659162ac8586dd4d690de075356004e059e2caf2a74be2be7b6586",
+    ("flux-sweep", True, "json"): "a98f8ed57c1f326522152a74bfc4d632eca82931ae0d6a7d871f71ade35836a1",
     ("linewidth-pipeline", False, "csv"): "5aa78f2a59150d537efc031b11d3286f27f9bd3ac7659afe16d70464c21ed665",
-    ("linewidth-pipeline", False, "json"): "97249b7a5533b06f49e00220ce8ff33d2a069fa3a5c52eef98c73ff594658219",
+    ("linewidth-pipeline", False, "json"): "d1cdc70733259632a75db0b5f80e668eafbaa397a10f0674de379db1ba89f7cf",
     ("linewidth-pipeline", True, "csv"): "d03817d3fef5f9862a1c72eebca4e2f99e548f2e16be13e37e55a204adab5d3d",
-    ("linewidth-pipeline", True, "json"): "2a5de33ac8dbfb89dea86714eaa8ecbffab05ccf543a62209b2b569929c2334a",
+    ("linewidth-pipeline", True, "json"): "da1306adecab7eb55eded4d14bc8c9f29bf340b8f3d6c0124d39f12b23bb015e",
 }
 
 
@@ -60,11 +64,11 @@ def test_export_bytes_match_golden_digests(scheme, noisy):
 
 MAGNITUDE_GOLDEN = {
     ("control-sweep", "csv"): "7acf291f89b95516333d14ee05dee955c37af7316e1d5ea0700005e38104cac3",
-    ("control-sweep", "json"): "84b9e745df240a8c9d981b374c86677354afdced5db02f6313d38d7956d93f21",
+    ("control-sweep", "json"): "4b0640c4b0d0559166f44cdfa83bda7c0bed77035c7306502ec8e76c2e737d41",
     ("power-sweep", "csv"): "e9f4c17ab5370507e89930dc289179686c515a9c6f642c1bf996965d0dd63038",
-    ("power-sweep", "json"): "4fdab3070ef9f4116654788cd414e837202741474305c283c1b16326481839f8",
+    ("power-sweep", "json"): "b99e5a61e8d646b894d00ec40fc9d963e484f2c80262d8fad04a88ec89cdad03",
     ("flux-sweep", "csv"): "871fc3ed1c56ced0527bf7a80ea0e8f4bb6aca7b652e0f8454fd07aefaf300a0",
-    ("flux-sweep", "json"): "f0386c8f28569393ec6d408a617e0a8014c83095070dc6f3e20498487506e392",
+    ("flux-sweep", "json"): "e899615e35fa64a0275c360d9af7e185356b8ad4365434e0a18df193489e7c53",
 }
 
 IDT_GOLDEN = {

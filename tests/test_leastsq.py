@@ -5,7 +5,6 @@ import pytest
 
 from acoustic_eit.leastsq import (
     FitResult,
-    levenberg_marquardt,
     weighted_linear_fit,
 )
 from numdiff import central_difference
@@ -78,7 +77,7 @@ def test_finite_difference_matches_analytic():
 # ---------------------------------------------------------------------------
 
 
-def test_linear_problem_solves_in_a_few_steps():
+def test_linear_problem_solves_in_a_few_steps(fit_one):
     t = np.linspace(0.0, 1.0, 11)
     y = 3.0 + 2.0 * t
 
@@ -88,7 +87,7 @@ def test_linear_problem_solves_in_a_few_steps():
     def jacobian(x):
         return np.column_stack([np.ones_like(t), t])
 
-    res = levenberg_marquardt(residual, [0.0, 0.0], jacobian, names=("intercept", "slope"))
+    res = fit_one(residual, [0.0, 0.0], jacobian, names=("intercept", "slope"))
     assert res.converged
     assert res.value("intercept") == pytest.approx(3.0, rel=1e-9)
     assert res.value("slope") == pytest.approx(2.0, rel=1e-9)
@@ -96,7 +95,7 @@ def test_linear_problem_solves_in_a_few_steps():
     assert res.iterations <= 8
 
 
-def test_exponential_round_trip_with_analytic_jacobian():
+def test_exponential_round_trip_with_analytic_jacobian(fit_one):
     t = np.linspace(0.0, 5.0, 40)
     truth = np.array([2.5, 0.8])
     y = truth[0] * np.exp(-truth[1] * t)
@@ -107,13 +106,13 @@ def test_exponential_round_trip_with_analytic_jacobian():
     def jacobian(x):
         return np.column_stack([np.exp(-x[1] * t), -x[0] * t * np.exp(-x[1] * t)])
 
-    res = levenberg_marquardt(residual, [1.0, 0.3], jacobian, names=("amp", "rate"))
+    res = fit_one(residual, [1.0, 0.3], jacobian, names=("amp", "rate"))
     assert res.converged
     assert res.value("amp") == pytest.approx(2.5, rel=1e-8)
     assert res.value("rate") == pytest.approx(0.8, rel=1e-8)
 
 
-def test_lower_bound_clamps_and_flags():
+def test_lower_bound_clamps_and_flags(fit_one):
     t = np.linspace(0.0, 1.0, 9)
     y = -1.0 + 0.0 * t
 
@@ -123,7 +122,7 @@ def test_lower_bound_clamps_and_flags():
     def jacobian(x):
         return np.ones((t.size, 1))
 
-    res = levenberg_marquardt(residual, [1.0], jacobian, names=("level",), lower=[0.0])
+    res = fit_one(residual, [1.0], jacobian, names=("level",), lower=[0.0])
     assert res.value("level") == 0.0
     assert res.at_bound == (True,)
     assert "at-bound:level" in res.notes
@@ -131,22 +130,22 @@ def test_lower_bound_clamps_and_flags():
     assert res.converged
 
 
-def test_names_length_validation():
+def test_names_length_validation(fit_one):
     with pytest.raises(ValueError):
-        levenberg_marquardt(lambda x: x, [1.0, 2.0], lambda x: np.eye(2), names=("only-one",))
+        fit_one(lambda x: x, [1.0, 2.0], lambda x: np.eye(2), names=("only-one",))
     with pytest.raises(ValueError):
-        levenberg_marquardt(lambda x: x, [1.0, 2.0], lambda x: np.eye(2), lower=[0.0])
+        fit_one(lambda x: x, [1.0, 2.0], lambda x: np.eye(2), lower=[0.0])
 
 
-def test_non_finite_initial_residual_raises():
+def test_non_finite_initial_residual_raises(fit_one):
     def residual(x):
         return np.array([np.nan])
 
     with pytest.raises(ValueError):
-        levenberg_marquardt(residual, [1.0], lambda x: np.ones((1, 1)))
+        fit_one(residual, [1.0], lambda x: np.ones((1, 1)))
 
 
-def test_covariance_matches_direct_formula():
+def test_covariance_matches_direct_formula(fit_one):
     rng = np.random.Generator(np.random.Philox(5))
     t = np.linspace(0.0, 1.0, 30)
     y = 1.0 + 2.0 * t + 0.05 * rng.standard_normal(t.size)
@@ -157,7 +156,7 @@ def test_covariance_matches_direct_formula():
     def jacobian(x):
         return np.column_stack([np.ones_like(t), t])
 
-    res = levenberg_marquardt(residual, [0.0, 0.0], jacobian)
+    res = fit_one(residual, [0.0, 0.0], jacobian)
     jac = jacobian(res.values)
     direct = np.linalg.inv(jac.T @ jac) * res.rss / (t.size - 2)
     assert res.covariance is not None
@@ -165,11 +164,11 @@ def test_covariance_matches_direct_formula():
     assert res.stderr == pytest.approx(np.sqrt(np.diag(direct)), rel=1e-8)
 
 
-def test_zero_degrees_of_freedom_gives_nan_stderr():
+def test_zero_degrees_of_freedom_gives_nan_stderr(fit_one):
     def residual(x):
         return np.array([x[0] - 1.0, x[1] - 2.0])
 
-    res = levenberg_marquardt(residual, [0.0, 0.0], lambda x: np.eye(2))
+    res = fit_one(residual, [0.0, 0.0], lambda x: np.eye(2))
     assert res.converged
     assert res.covariance is None
     assert np.all(np.isnan(res.stderr))

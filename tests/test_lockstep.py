@@ -25,7 +25,6 @@ import pytest
 from acoustic_eit import estimation, experiments, leastsq
 from acoustic_eit.errors import ConvergenceError
 from acoustic_eit.estimation import fit_dip_lorentzian, fit_transmission, samples_from_arrays
-from acoustic_eit.leastsq import levenberg_marquardt
 from acoustic_eit.experiments import NoiseParams, paper_profile, result_text, run_experiment
 
 PIPELINE_SIGMA = 0.0095
@@ -213,13 +212,13 @@ def _stacked(problems, names, lower):
 
 
 @pytest.mark.parametrize("lower", [None, [-np.inf, 0.0]], ids=["free", "bounded"])
-def test_mixed_stack_matches_fits_alone(lower):
+def test_mixed_stack_matches_fits_alone(lower, fit_one):
     problems = _edge_problems()
     names = list(problems)
     alone = {}
     for name in names:
         start, (residual, jacobian) = problems[name]
-        alone[name] = _fit_record(_attempt(levenberg_marquardt, residual, start, jacobian, lower=lower))
+        alone[name] = _fit_record(_attempt(fit_one, residual, start, jacobian, lower=lower))
         assert _fit_record(_stacked(problems, [name], lower)[0]) == alone[name]
     for order in (names, names[::-1], names[1::2] + names[::2]):
         fits = _stacked(problems, order, lower)
