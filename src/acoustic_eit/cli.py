@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,12 +46,26 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=FORMATS, default="csv", help="output format (default: csv)")
 
 
+def _write_stdout(chunks: Iterable[str]) -> None:
+    """Write a table to stdout a chunk at a time. A closed or full stdout is
+    a ConfigError; stdout is then pointed at os.devnull, so the rows still
+    buffered are not written again, and fail again, at interpreter exit."""
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ConfigError(f"cannot write to stdout: {exc.strerror or exc}") from exc
+
+
 def _handle_run(args: argparse.Namespace) -> int:
     config = resolve_config(args.scheme, profile=args.profile, config_path=args.config, seed=args.seed)
     result = run_experiment(config)
     if not args.out:
-        for chunk in table_chunks(result.columns, result.data, args.format, config.to_dict(), result.summary):
-            sys.stdout.write(chunk)
+        _write_stdout(table_chunks(result.columns, result.data, args.format, config.to_dict(), result.summary))
         return 0
     export_result(result, args.out, args.format)
     print(f"wrote {len(result.data[result.columns[0]])} rows to {args.out}")
@@ -112,8 +127,7 @@ def _handle_idt_response(args: argparse.Namespace) -> int:
     }
     chunks = table_chunks(tuple(data), data, args.format, summary=summary)
     if not args.out:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        _write_stdout(chunks)
         return 0
     write_table(args.out, chunks)
     print(f"wrote {freqs.size} rows to {args.out}")

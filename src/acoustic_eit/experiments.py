@@ -17,8 +17,10 @@ import cmath
 import csv
 import json
 import math
+import os
+import stat
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from itertools import chain
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, get_args, get_type_hints
@@ -827,6 +829,37 @@ def _row_chunks(template: str, renders: Sequence[Callable[[slice], list]], n: in
         yield (sep if start else "") + sep.join(map(template.__mod__, cells))
 
 
+class _StringMemo(dict):
+    """Text of a list column's cells: a str cell rendered once per distinct
+    value and kept, any other cell rendered every time, because keyed by
+    value True would answer for 1.0 and -0.0 for 0.0."""
+
+    def __init__(self, render: Callable[[Any], str]) -> None:
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, value: Any) -> str:
+        text = self.render(value)
+        if type(value) is str:
+            self[value] = text
+        return text
+
+
+def _once_per_string(column: np.ndarray | list, render: Callable[[Any], str]) -> Callable[[slice], list]:
+    """Row-slice renderer of a column through _StringMemo; an unhashable
+    cell sends its slice back to one render call per cell."""
+    memo = _StringMemo(render)
+
+    def rendered(rows: slice) -> list:
+        cells = column[rows]
+        try:
+            return list(map(memo.__getitem__, cells))
+        except TypeError:
+            return list(map(render, cells))
+
+    return rendered
+
+
 def _table_rows(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -> int:
     return min((len(data[col]) for col in columns), default=0)
 
@@ -835,32 +868,63 @@ def _csv_chunks(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -
     """Header, then the rows in chunks; floats at 17 significant digits.
 
     Float array columns are formatted through one row-format string; list
-    columns (strings, nullable values) are formatted cell by cell first, and
-    a string cell holding a comma, quote or newline is quoted (RFC 4180).
+    columns (strings, nullable values) are formatted cell by cell first (a
+    string once per distinct value), and a string cell holding a comma, quote
+    or newline is quoted (RFC 4180).
     """
     row_format = ",".join("%.17g" if isinstance(data[col], np.ndarray) else "%s" for col in columns) + "\n"
     renders = [
         (lambda rows, column=data[col]: column[rows].tolist()) if isinstance(data[col], np.ndarray)
-        else (lambda rows, column=data[col]: [_format_cell(v) for v in column[rows]])
+        else _once_per_string(data[col], _format_cell)
         for col in columns
     ]
     return chain([",".join(columns) + "\n"], _row_chunks(row_format, renders, _table_rows(columns, data), ""))
 
 
+def _parse_column(cells: Sequence[str]) -> list:
+    """_parse_cell of every cell: one float pass, or, when a cell is not a
+    float ("", true, false or text all fail float), once per distinct cell."""
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        parsed = {cell: _parse_cell(cell) for cell in set(cells)}
+        return list(map(parsed.__getitem__, cells))
+
+
 def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
+    """Read a CSV export back: the header's column names and one dict per row.
+
+    A cell parses as None when empty, as True/False for true/false, as a
+    float when float() accepts it, and stays text otherwise; quoted cells
+    (RFC 4180) may hold commas, quotes and newlines. Empty lines are skipped.
+    An empty file, or a row whose cell count differs from the header's,
+    raises ValueError. Rows are parsed column by column, _CHUNK_ROWS at a
+    time.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    if '"' in text:  # quoted cells (RFC 4180) may hold commas, quotes and newlines
+    quoted = '"' in text
+    if quoted:  # rows of cells
         table = (cells for cells in csv.reader(text.splitlines(keepends=True)) if cells)
-    else:
-        table = (line.split(",") for line in text.split("\n") if line != "")
-    columns = tuple(next(table, ()))
-    if not columns:
+    else:  # lines
+        table = filter(None, text.split("\n"))
+    header = next(table, None)
+    if header is None:
         raise ValueError(f"{path} is empty")
-    rows = []
-    for cells in table:
-        if len(cells) != len(columns):
-            raise ValueError(f"{path}: row has {len(cells)} cells, expected {len(columns)}")
-        rows.append({col: _parse_cell(cell) for col, cell in zip(columns, cells)})
+    columns = tuple(header if quoted else header.split(","))
+    width = len(columns)
+    rows: list[dict[str, Any]] = []
+    while block := list(islice(table, _CHUNK_ROWS)):
+        if quoted:
+            counts, cells = map(len, block), zip(*block)
+        else:  # the block's lines split at once, each column a stride of the cells
+            counts = (commas + 1 for commas in map(str.count, block, repeat(",")))
+            flat = ",".join(block).split(",")
+            cells = (flat[j::width] for j in range(width))
+        for count in counts:
+            if count != width:
+                raise ValueError(f"{path}: row has {count} cells, expected {width}")
+        parsed = map(_parse_column, cells)
+        rows.extend(map(dict, map(zip, repeat(columns), zip(*parsed))))
     return columns, rows
 
 
@@ -883,10 +947,11 @@ def _json_sanitize(value: Any) -> Any:
 def _json_render(column: np.ndarray | list) -> tuple[str, Callable[[slice], list]]:
     """Template field and row-slice renderer of one JSON column: an
     all-finite float64 array goes through %r, the float repr json writes;
-    any other column is rendered cell by cell, non-finite floats as null."""
+    any other column is rendered cell by cell (a string once per distinct
+    value), non-finite floats as null."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64 and np.isfinite(column).all():
         return "%r", lambda rows: column[rows].tolist()
-    return "%s", lambda rows: [json.dumps(_json_sanitize(v)) for v in _cells(column[rows])]
+    return "%s", _once_per_string(column, lambda v: json.dumps(_json_sanitize(v)))
 
 
 def _json_chunks(
@@ -946,19 +1011,24 @@ def table_chunks(
 
 def write_table(path: str | Path, chunks: Iterable[str]) -> None:
     """Write text chunks to a file, one chunk in memory at a time. A path
-    that cannot be opened is a ConfigError, and a failure part way through
-    leaves no partial file behind."""
+    that cannot be opened or written (a full disk included, which may show
+    only when the file is closed) is a ConfigError. A failure part way
+    through removes the file if it is a regular file, and leaves any other
+    path (a device such as /dev/stdout) alone."""
     try:
         handle = open(path, "w", encoding="utf-8", newline="\n")
+        regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    with handle:
-        try:
+    try:
+        with handle:
             handle.writelines(chunks)
-        except BaseException:
-            handle.close()
-            Path(path).unlink()
-            raise
+    except BaseException as exc:
+        if regular:
+            Path(path).unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 def result_text(result: RunResult, fmt: str) -> str:

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from acoustic_eit import experiments
 from acoustic_eit.cli import build_parser, main
 from acoustic_eit.experiments import _CHUNK_ROWS, import_csv, import_json, resolve_config, result_text, run_experiment
 
@@ -342,6 +348,9 @@ class _Writes:
         self.writes.append(text)
         return len(text)
 
+    def flush(self) -> None:
+        pass
+
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_stdout_is_written_a_chunk_at_a_time(tmp_path, monkeypatch, fmt):
@@ -358,3 +367,51 @@ def test_stdout_is_written_a_chunk_at_a_time(tmp_path, monkeypatch, fmt):
     assert max(map(len, stdout.writes)) < len(text) / 4
     config = resolve_config("control-sweep", profile="paper", config_path=str(overlay))
     assert text == result_text(run_experiment(config), fmt)
+
+
+def test_out_write_that_fails_at_close_exits_two_and_removes_the_file(tmp_path, capsys, monkeypatch):
+    class FullDisk:
+        """A file whose buffered rows cannot be flushed when it is closed."""
+
+        def __init__(self, handle) -> None:
+            self.handle = handle
+
+        def fileno(self) -> int:
+            return self.handle.fileno()
+
+        def writelines(self, chunks) -> None:
+            self.handle.writelines(chunks)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info) -> None:
+            self.handle.close()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    real_open = open
+    monkeypatch.setattr(experiments, "open", lambda *a, **k: FullDisk(real_open(*a, **k)), raising=False)
+    out_path = tmp_path / "map.csv"
+    assert main(["simulate", "control-sweep", "--profile", "paper", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out_path}: No space left on device\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_stdout_exits_two_without_traceback(fmt):
+    src = Path(experiments.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "acoustic_eit.cli", "simulate", "control-sweep", "--profile", "paper", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # the export is far larger than a pipe's buffer, so the child is still
+    # writing when the reader goes away
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "error: cannot write to stdout: Broken pipe\n"

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import csv
+import errno
 import json
 import math
+import os
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acoustic_eit import experiments, model
 from acoustic_eit import (
@@ -561,6 +567,24 @@ def _reference_csv_text(columns, data):
     return "\n".join([",".join(columns), *(",".join(map(cell, row)) for row in zip(*cells))]) + "\n"
 
 
+def _reference_import_csv(path):
+    """import_csv as one _parse_cell call and one dict insert per cell."""
+    text = Path(path).read_text(encoding="utf-8")
+    if '"' in text:
+        table = (cells for cells in csv.reader(text.splitlines(keepends=True)) if cells)
+    else:
+        table = (line.split(",") for line in text.split("\n") if line != "")
+    columns = tuple(next(table, ()))
+    if not columns:
+        raise ValueError(f"{path} is empty")
+    rows = []
+    for cells in table:
+        if len(cells) != len(columns):
+            raise ValueError(f"{path}: row has {len(cells)} cells, expected {len(columns)}")
+        rows.append({col: experiments._parse_cell(cell) for col, cell in zip(columns, cells)})
+    return columns, rows
+
+
 def _exported_bytes(result, path, fmt):
     export_result(result, path, fmt)
     return path.read_bytes()
@@ -629,6 +653,202 @@ def test_pipeline_export_includes_status_column(tmp_path):
     assert columns == PIPELINE_COLUMNS
     assert all(row["status"] == "ok" for row in rows)
     assert all(row["one_sided"] is False for row in rows)
+
+
+def _import_outcome(read, path):
+    """What a CSV reader makes of a file: the columns and every row's keys,
+    cell types and values (repr tells -0.0 from 0.0, True from 1.0 and
+    matches nan with nan), or the message of the ValueError it raised."""
+    try:
+        columns, rows = read(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    return columns, [repr(list(row.items())) for row in rows]
+
+
+def _assert_imports_like_reference(path):
+    got = _import_outcome(import_csv, path)
+    assert got == _import_outcome(_reference_import_csv, path)
+    return got
+
+
+@pytest.mark.parametrize("scheme,noise", [
+    *((scheme, "clean") for scheme in experiments.SCHEMES),
+    ("linewidth-pipeline", "failed-row"),
+])
+def test_import_csv_matches_per_cell_reference_on_exports(tmp_path, scheme, noise):
+    result = run_experiment(replace(paper_profile(scheme), noise=_NOISE[noise]))
+    path = tmp_path / "out.csv"
+    export_result(result, path, "csv")
+    columns, rows = _assert_imports_like_reference(path)
+    assert columns == result.columns
+    assert len(rows) == len(result.data[columns[0]])
+    if noise == "failed-row":
+        text = "".join(rows)
+        assert "None" in text and "False" in text
+
+
+def test_import_csv_mixed_column_matches_reference(tmp_path):
+    cells = ["1.5", "", "true", "false", "text", "nan", "-0.0", "inf", " 2 ", "1_0", "True", "-", "1e400"]
+    n = 3 * _CHUNK + 7
+    lines = ["x,mixed,num"] + [f"{i},{cells[i % len(cells)]},{i * 0.5}" for i in range(n)]
+    path = tmp_path / "mixed.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns, rows = _assert_imports_like_reference(path)
+    assert columns == ("x", "mixed", "num") and len(rows) == n
+    _, parsed = import_csv(path)
+    assert [row["mixed"] for row in parsed[:5]] == [1.5, None, True, False, "text"]
+    assert [type(row["mixed"]) for row in parsed[5:13]] == [float, float, float, float, float, str, str, float]
+
+
+def test_import_csv_quoted_cells_across_a_chunk_edge(tmp_path):
+    n = _CHUNK + 6
+    status = ["ok"] * n
+    for i in (_CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 1):
+        status[i] = f'row {i}: "a, b"\nsecond line'
+    status[_CHUNK + 3] = None
+    text = _table_text(("x", "status"), {"x": np.arange(float(n)), "status": status}, "csv")
+    path = tmp_path / "quoted.csv"
+    path.write_text(text, encoding="utf-8", newline="\n")
+    _assert_imports_like_reference(path)
+    _, rows = import_csv(path)
+    assert [row["status"] for row in rows] == status
+    assert [row["x"] for row in rows] == list(map(float, range(n)))
+
+
+@pytest.mark.parametrize("text", ["a,b\n", "a,b", '"a,b",c\n\n'])
+def test_import_csv_header_only(tmp_path, text):
+    path = tmp_path / "header.csv"
+    path.write_text(text, encoding="utf-8", newline="\n")
+    columns, rows = _assert_imports_like_reference(path)
+    assert rows == [] and len(columns) == 2
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_import_csv_empty_file_raises_like_reference(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text, encoding="utf-8")
+    assert _assert_imports_like_reference(path) == ("error", f"{path} is empty")
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("bad", ["long", "short", "long-then-short"])
+def test_import_csv_bad_row_past_first_chunk_raises_like_reference(tmp_path, quoted, bad):
+    status = '"ok"' if quoted else "ok"
+    lines = ["x,y,status"] + [f"{i},{-i},{status}" for i in range(_CHUNK + 20)]
+    row = _CHUNK + 10
+    if bad in ("long", "long-then-short"):
+        lines[row + 1] += ",extra"
+    if bad in ("short", "long-then-short"):
+        lines[row + 3] = f"{row + 2},{-(row + 2)}"
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = 2 if bad == "short" else 4
+    assert _assert_imports_like_reference(path) == ("error", f"{path}: row has {expected} cells, expected 3")
+
+
+_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "true", "false", "nan", "1e5", " 3 ", "ok", "a,b", 'say "hi"', "two\nlines"]),
+    st.text(alphabet='0123456789.e-+,"\n\r ab', max_size=6),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(width=st.integers(min_value=1, max_value=4), n=st.integers(min_value=0, max_value=12),
+       cells=st.lists(_CELLS, min_size=48, max_size=48), float_columns=st.sets(st.integers(0, 3)))
+def test_import_csv_matches_reference_on_random_tables(tmp_path_factory, width, n, cells, float_columns):
+    columns = tuple(f"c{j}" for j in range(width))
+    data = {
+        col: (np.array([float(j * n + i) / 3.0 for i in range(n)]) if j in float_columns
+              else [cells[(j * n + i) % len(cells)] for i in range(n)])
+        for j, col in enumerate(columns)
+    }
+    path = tmp_path_factory.mktemp("random") / "table.csv"
+    path.write_text(_table_text(columns, data, "csv"), encoding="utf-8", newline="\n")
+    _assert_imports_like_reference(path)
+
+
+def test_list_column_strings_render_once_per_value_same_bytes():
+    column = [0.0, -0.0, True, 1.0, 1, False, 0, None, float("nan"), "a", "a", "a,b"]
+    n = _CHUNK + len(column)
+    cases = {
+        "signed-and-bool-cells": {"x": column},
+        "across-chunks": {"x": [column[i % len(column)] for i in range(n)]},
+        # an unhashable cell sends its chunk back to one render per cell
+        "unhashable-cell": {"x": ["a", [1.0, -0.0], "a", True, 1.0]},
+    }
+    for name, data in cases.items():
+        columns = ("x",)
+        assert _table_text(columns, data, "csv") == _reference_csv_text(columns, data)
+        text = _table_text(columns, data, "json")
+        if name != "unhashable-cell":  # the reference indents a nested list, the writer does not
+            assert text == _reference_json_text(columns, data)
+        rendered = [line[len('      "x": '):] for line in text.splitlines() if line.startswith('      "x": ')]
+        assert rendered == [json.dumps(experiments._json_sanitize(v)) for v in data["x"]]
+    csv_cells = _table_text(("x",), cases["signed-and-bool-cells"], "csv").splitlines()[1:]
+    assert csv_cells == ["0", "-0", "true", "1", "1", "false", "0", "", "nan", "a", "a", '"a,b"']
+
+
+class _FailingFile:
+    """A file object over a real handle whose writes or close fail like a
+    full disk; fileno may name another descriptor to stand for a device."""
+
+    def __init__(self, handle, fail, fileno=None):
+        self.handle, self.fail, self._fileno = handle, fail, fileno
+
+    def fileno(self):
+        return self.handle.fileno() if self._fileno is None else self._fileno
+
+    def writelines(self, chunks):
+        for i, chunk in enumerate(chunks):
+            if self.fail == "write" and i == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.handle.write(chunk)
+
+    def close(self):
+        self.handle.close()
+        if self.fail == "close":
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+def _failing_open(monkeypatch, fail, fileno=None):
+    real_open = open
+    monkeypatch.setattr(experiments, "open",
+                        lambda *args, **kwargs: _FailingFile(real_open(*args, **kwargs), fail, fileno),
+                        raising=False)
+
+
+@pytest.mark.parametrize("fail", ["write", "close"])
+def test_write_table_failure_is_config_error_and_removes_the_file(tmp_path, monkeypatch, fail):
+    result = run_control_sweep(paper_profile("control-sweep"))
+    path = tmp_path / "out.csv"
+    _failing_open(monkeypatch, fail)
+    with pytest.raises(ConfigError, match=f"^cannot write {path}: No space left on device$"):
+        export_result(result, path, "csv")
+    assert not path.exists()
+
+
+def test_write_table_leaves_a_path_that_is_not_a_regular_file(tmp_path, monkeypatch):
+    # a pipe's descriptor stands for a device: a failed write must not unlink it
+    read_end, write_end = os.pipe()
+    try:
+        path = tmp_path / "device"
+        _failing_open(monkeypatch, "close", fileno=read_end)
+        with pytest.raises(ConfigError, match="No space left on device"):
+            export_result(run_power_sweep(paper_profile("power-sweep")), path, "csv")
+        assert path.exists()
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 def test_records_and_table_views_follow_data():
