@@ -23,6 +23,7 @@ conversion happens at the program boundary, not here.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -73,6 +74,23 @@ def _convergence_error(result: FitResult, what: str) -> ConvergenceError:
     )
 
 
+def _with_fixed(fit: FitResult, names: tuple[str, ...], fixed: dict[str, float], note: str) -> FitResult:
+    """A fit of some of names reported over all of them: each fixed parameter
+    holds its given value with stderr 0, zero covariance rows and columns
+    and at_bound False, and note is added."""
+    free = [names.index(name) for name in fit.names]
+    values = np.array([fixed.get(name, 0.0) for name in names])
+    stderr = np.zeros(len(names))
+    values[free], stderr[free] = fit.values, fit.stderr
+    covariance = None
+    if fit.covariance is not None:
+        covariance = np.zeros((len(names), len(names)))
+        covariance[np.ix_(free, free)] = fit.covariance
+    at_bound = tuple(name not in fixed and fit.at_bound[fit.names.index(name)] for name in names)
+    return replace(fit, names=names, values=values, stderr=stderr, covariance=covariance,
+                   at_bound=at_bound, notes=fit.notes + (note,))
+
+
 def _only(outcomes: list, what: str) -> FitResult:
     """The result of a batch of one, raising its error or non-convergence."""
     fit, = outcomes
@@ -91,81 +109,81 @@ def _only(outcomes: list, what: str) -> FitResult:
 _DIP_NAMES = ("center", "hwhm", "depth", "baseline")
 
 
-def _dip_start(x: np.ndarray, y: np.ndarray) -> list[float]:
-    """Initial (center, hwhm, depth, baseline) from a lightly smoothed curve,
-    so shallow dips under noise do not seed a zero-width spike through a
-    single outlier."""
+def _dip_start(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Initial (center, hwhm, depth, baseline) per row of ys from lightly
+    smoothed curves, so shallow dips under noise do not seed a zero-width
+    spike through a single outlier."""
     order = np.argsort(x)
-    window = max(3, len(y) // 25)
+    window = max(3, x.size // 25)
     if window % 2 == 0:
         window += 1
     kernel = np.ones(window) / window
-    y_smooth = np.empty_like(y)
-    y_smooth[order] = np.convolve(np.pad(y[order], window // 2, mode="edge"), kernel, mode="valid")
-    baseline0 = float(np.max(y_smooth))
-    i_min = int(np.argmin(y_smooth))
-    center0 = float(x[i_min])
-    depth0 = baseline0 - float(y_smooth[i_min])
-    below = y_smooth < baseline0 - 0.5 * depth0
-    if np.count_nonzero(below) >= 2:
-        hwhm0 = 0.5 * float(np.ptp(x[below]))
-    else:
-        hwhm0 = 0.125 * float(np.ptp(x))
-    hwhm0 = max(hwhm0, 1e-3 * float(np.ptp(x)))
-    return [center0, hwhm0, depth0, baseline0]
+    padded = np.pad(ys[:, order], ((0, 0), (window // 2, window // 2)), mode="edge")
+    smooth = np.empty_like(ys)
+    smooth[:, order] = [np.convolve(row, kernel, mode="valid") for row in padded]
+    baseline = np.max(smooth, axis=1)
+    i_min = np.argmin(smooth, axis=1)
+    depth = baseline - smooth[np.arange(len(smooth)), i_min]
+    below = smooth < (baseline - 0.5 * depth)[:, None]
+    spread = np.max(np.where(below, x, -np.inf), axis=1) - np.min(np.where(below, x, np.inf), axis=1)
+    hwhm = np.where(np.count_nonzero(below, axis=1) >= 2, 0.5 * spread, 0.125 * np.ptp(x))
+    return np.column_stack([x[i_min], np.maximum(hwhm, 1e-3 * np.ptp(x)), depth, baseline])
 
 
-def fit_dip_stack(curves: Sequence[Samples]) -> list[FitResult | Exception]:
-    """fit_dip_lorentzian on many curves of one length, fitted in lockstep.
+def fit_dip_stack(x, y, sigma=None) -> list[FitResult | Exception]:
+    """fit_dip_lorentzian on the real curves y (k, n) over one abscissa x (n,),
+    fitted in lockstep; sigma, when given, is (k, n).
 
-    Returns one entry per curve: its FitResult, or the error fitting that
-    curve alone raises (ValueError for unusable samples, ConvergenceError
-    for a fit that does not converge). Each entry equals the single fit's.
+    Returns one entry per row: its FitResult, or the error fitting that row
+    alone raises (ValueError for a sigma that is not positive and finite,
+    ConvergenceError for a fit that does not converge). Each entry equals the
+    single fit's. Fewer than 5 samples, or shapes that do not match, raise
+    ValueError for the whole stack.
     """
-    outcomes: list[FitResult | Exception | None] = [None] * len(curves)
-    stack, xs, ys, ws, starts = [], [], [], [], []
-    for i, (x, values, sigma) in enumerate(curves):
-        if x.size < 5:
-            outcomes[i] = ValueError("need at least 5 samples spanning the dip")
-            continue
-        if np.any(np.abs(values.imag) > 0.0):
-            outcomes[i] = ValueError("dip samples must be real (|r|^2 values)")
-            continue
-        y = values.real
-        w = np.ones_like(y) if sigma is None else 1.0 / sigma
-        span = float(np.ptp(y))
-        if span <= 1e-14 * max(float(np.max(np.abs(y))), 1.0):
-            # constant data leaves width and center unidentifiable: report the
-            # baseline exactly and flag the result instead of iterating
-            baseline = float(np.mean(y))
-            resid = (y - baseline) * w
-            outcomes[i] = FitResult(
-                names=_DIP_NAMES,
-                values=np.array([float(np.mean(x)), np.nan, 0.0, baseline]),
-                stderr=np.array([np.nan, np.nan, np.nan, 0.0]),
-                covariance=None,
-                rss=float(resid @ resid),
-                iterations=0,
-                converged=True,
-                at_bound=(False, False, False, False),
-                gradient_norm=0.0,
-                notes=("degenerate:constant-data", "hwhm-unidentifiable"),
-            )
-            continue
-        stack.append(i)
-        xs.append(x)
-        ys.append(y)
-        ws.append(w)
-        starts.append(_dip_start(x, y))
-    if not stack:
-        return outcomes
-    if len({x.size for x in xs}) > 1:
-        raise ValueError("dip curves fitted together must have the same length")
-    xs, ys, ws = np.stack(xs), np.stack(ys), np.stack(ws)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or y.shape[1:] != x.shape or (sigma is not None and np.shape(sigma) != y.shape):
+        raise ValueError("dip curves must be (k, n) over the n abscissae, and sigma the same shape")
+    if x.size < 5:
+        raise ValueError("need at least 5 samples spanning the dip")
+    outcomes: list[FitResult | Exception | None] = [None] * len(y)
+    if sigma is None:
+        rows = np.arange(len(y))
+        ws = np.ones_like(y)
+    else:
+        sigma = np.asarray(sigma, dtype=float)
+        valid = ((sigma > 0.0) & np.isfinite(sigma)).all(axis=1)
+        for i in np.flatnonzero(~valid):
+            outcomes[i] = ValueError("sample sigma must be positive and finite when present")
+        rows = np.flatnonzero(valid)
+        ws = 1.0 / sigma[rows]
+    ys = y[rows]
 
-    def evaluate(theta: np.ndarray, rows: np.ndarray):
+    # constant data leaves width and center unidentifiable: report the
+    # baseline exactly and flag the result instead of iterating
+    constant = np.ptp(ys, axis=1) <= 1e-14 * np.maximum(np.max(np.abs(ys), axis=1), 1.0)
+    for i, yi, wi in zip(rows[constant], ys[constant], ws[constant]):
+        baseline = float(np.mean(yi))
+        resid = (yi - baseline) * wi
+        outcomes[i] = FitResult(
+            names=_DIP_NAMES,
+            values=np.array([float(np.mean(x)), np.nan, 0.0, baseline]),
+            stderr=np.array([np.nan, np.nan, np.nan, 0.0]),
+            covariance=None,
+            rss=float(resid @ resid),
+            iterations=0,
+            converged=True,
+            at_bound=(False, False, False, False),
+            gradient_norm=0.0,
+            notes=("degenerate:constant-data", "hwhm-unidentifiable"),
+        )
+    rows, ys, ws = rows[~constant], ys[~constant], ws[~constant]
+    if not rows.size:
+        return outcomes
+
+    def evaluate(theta: np.ndarray, active: np.ndarray):
         center, hwhm, depth, baseline = theta.T[:, :, None]
-        x, w = xs[rows], ws[rows]
+        w = ws[active]
         dx = x - center
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             denom = dx * dx + hwhm * hwhm
@@ -177,11 +195,11 @@ def fit_dip_stack(curves: Sequence[Samples]) -> list[FitResult | Exception]:
         d_center = np.where(np.isfinite(d_center), d_center, 0.0)
         d_hwhm = np.where(np.isfinite(d_hwhm), d_hwhm, 0.0)
         jac = np.stack([d_center, d_hwhm, -lor, np.ones_like(dx)], axis=-1)
-        return (f - ys[rows]) * w, jac * w[:, :, None]
+        return (f - ys[active]) * w, jac * w[:, :, None]
 
     fits = levenberg_marquardt_stack(
-        evaluate, np.array(starts), names=_DIP_NAMES, lower=np.array([-np.inf, 0.0, -np.inf, -np.inf]))
-    for i, fit in zip(stack, fits):
+        evaluate, _dip_start(x, ys), names=_DIP_NAMES, lower=np.array([-np.inf, 0.0, -np.inf, -np.inf]))
+    for i, fit in zip(rows, fits):
         if isinstance(fit, Exception):
             outcomes[i] = fit
         elif not fit.converged:
@@ -204,7 +222,11 @@ def fit_dip_lorentzian(samples: Samples) -> FitResult:
     and the result is flagged instead of iterated. This is fit_dip_stack on
     a batch of one.
     """
-    return _only(fit_dip_stack([samples]), "dip fit")
+    x, values, sigma = samples
+    # fit_dip_stack raises the sample-count error, which comes first
+    if x.size >= 5 and np.any(np.abs(values.imag) > 0.0):
+        raise ValueError("dip samples must be real (|r|^2 values)")
+    return _only(fit_dip_stack(x, values.real[None], None if sigma is None else sigma[None]), "dip fit")
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +257,13 @@ def fit_linewidth_line(
         raise RankError("need at least 2 distinct powers to fit a line")
     if gamma10 <= 0.0:
         raise ValueError("gamma10 must be positive")
-    line = weighted_linear_fit(powers, widths, sigma, names=("gamma20", "slope"))
-    scale = 4.0 * gamma10
-    values = np.array([line.values[0], scale * line.values[1]])
-    stderr = np.array([line.stderr[0], scale * line.stderr[1]])
-    covariance = None
-    if line.covariance is not None:
-        transform = np.diag([1.0, scale])
-        covariance = transform @ line.covariance @ transform.T
-    return FitResult(
-        names=("gamma20", "k"),
-        values=values,
-        stderr=stderr,
-        covariance=covariance,
-        rss=line.rss,
-        iterations=line.iterations,
-        converged=line.converged,
-        at_bound=(False, False),
-        gradient_norm=line.gradient_norm,
+    line = weighted_linear_fit(powers, widths, sigma, names=("gamma20", "k"))
+    scale = np.array([1.0, 4.0 * gamma10])
+    return replace(
+        line,
+        values=line.values * scale,
+        stderr=line.stderr * scale,
+        covariance=None if line.covariance is None else line.covariance * scale[:, None] * scale,
     )
 
 
@@ -353,26 +364,7 @@ def fit_two_level(samples: Samples, *, Gamma10: float) -> FitResult:
         names=("gamma10", "scale"),
         lower=np.array([0.0, -np.inf]),
     ), "two-level fit")
-
-    # widen to the documented three-parameter report with Gamma10 fixed
-    covariance = None
-    if fit.covariance is not None:
-        covariance = np.zeros((3, 3))
-        covariance[0, 0] = fit.covariance[0, 0]
-        covariance[0, 2] = covariance[2, 0] = fit.covariance[0, 1]
-        covariance[2, 2] = fit.covariance[1, 1]
-    return FitResult(
-        names=("gamma10", "Gamma10", "scale"),
-        values=np.array([fit.values[0], Gamma10, fit.values[1]]),
-        stderr=np.array([fit.stderr[0], 0.0, fit.stderr[1]]),
-        covariance=covariance,
-        rss=fit.rss,
-        iterations=fit.iterations,
-        converged=fit.converged,
-        at_bound=(fit.at_bound[0], False, fit.at_bound[1]),
-        gradient_norm=fit.gradient_norm,
-        notes=fit.notes + ("fixed:Gamma10",),
-    )
+    return _with_fixed(fit, ("gamma10", "Gamma10", "scale"), {"Gamma10": Gamma10}, "fixed:Gamma10")
 
 
 # ---------------------------------------------------------------------------
@@ -518,21 +510,5 @@ def fit_transmission(
     fit = _only(levenberg_marquardt_stack(evaluate, x0[None], names=names, lower=lower), "transmission fit")
     if fit_crosstalk:
         return fit
-
-    # widen to the documented six-parameter report with the background pinned
-    covariance = None
-    if fit.covariance is not None:
-        covariance = np.zeros((6, 6))
-        covariance[:4, :4] = fit.covariance
-    return FitResult(
-        names=_TRANSMISSION_NAMES,
-        values=np.concatenate([fit.values, [fixed_c.real, fixed_c.imag]]),
-        stderr=np.concatenate([fit.stderr, [0.0, 0.0]]),
-        covariance=covariance,
-        rss=fit.rss,
-        iterations=fit.iterations,
-        converged=fit.converged,
-        at_bound=fit.at_bound + (False, False),
-        gradient_norm=fit.gradient_norm,
-        notes=fit.notes + ("fixed:crosstalk",),
-    )
+    fixed = {"crosstalk_re": fixed_c.real, "crosstalk_im": fixed_c.imag}
+    return _with_fixed(fit, _TRANSMISSION_NAMES, fixed, "fixed:crosstalk")

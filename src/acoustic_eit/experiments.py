@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Seque
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .estimation import fit_dip_stack, fit_linewidth_line, rabi_per_point, samples_from_arrays
+from .estimation import fit_dip_stack, fit_linewidth_line, rabi_per_point
 from .model import ThreeLevelAtom, reflection_coefficient, transmission_flux_coefficient
 from .poles import classify_regime
 from .units import (
@@ -681,24 +681,19 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
         Delta_c=delta_c,
     )
 
-    curves = []
-    for base, child in zip(grid, children):
-        values = synthesize_noise(base, config.noise.sigma_rel, child, config.noise.kind)
-        _require_finite(values)
-        y = np.abs(values) ** 2
-        if noisy:
-            # known per-quadrature sigma propagated to |r|^2
-            sigma_q = config.noise.sigma_rel * float(np.max(np.abs(base)))
-            sigma_y = 2.0 * np.abs(values) * sigma_q
-            curves.append(samples_from_arrays(delta_c, y, sigma_y))
-        else:
-            curves.append(samples_from_arrays(delta_c, y))
+    values = np.stack([synthesize_noise(base, config.noise.sigma_rel, child, config.noise.kind)
+                       for base, child in zip(grid, children)])
+    _require_finite(values)
+    y = np.abs(values) ** 2
+    sigma_y = None
+    if noisy:
+        # known per-quadrature sigma propagated to |r|^2
+        sigma_q = config.noise.sigma_rel * np.max(np.abs(grid), axis=1, keepdims=True)
+        sigma_y = 2.0 * np.abs(values) * sigma_q
 
     statuses: list[str] = []
-    widths: list[float | None] = []
-    width_sigmas: list[float | None] = []
-    centers: list[float | None] = []
-    for fit in fit_dip_stack(curves):
+    fits: list[Any] = []  # a row's FitResult, or None where its dip fit failed
+    for fit in fit_dip_stack(delta_c, y, sigma_y):
         if isinstance(fit, Exception):
             failure = str(fit)
         elif "hwhm-unidentifiable" in fit.notes:
@@ -708,40 +703,28 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
         else:
             failure = None
         statuses.append("ok" if failure is None else f"dip-fit-failed: {failure}")
-        widths.append(None if failure else fit.value("hwhm"))
-        width_sigmas.append(None if failure else fit.error("hwhm"))
-        centers.append(None if failure else fit.value("center"))
+        fits.append(None if failure else fit)
 
-    good = [i for i, s in enumerate(statuses) if s == "ok"]
+    good = [i for i, fit in enumerate(fits) if fit is not None]
     if len(good) < 3:
         raise ConvergenceError(
             f"only {len(good)} of {len(powers)} dip fits usable; need at least 3 for the line fit"
         )
     powers_watts = np.array([dbm_to_watts(p) for p in powers.tolist()])
-    line = fit_linewidth_line(
-        powers_watts[good],
-        [widths[i] for i in good],
-        None if not noisy else [width_sigmas[i] for i in good],
-        gamma10=atom.gamma10,
-    )
+    widths = np.array([fits[i].value("hwhm") for i in good])
+    width_sigmas = np.array([fits[i].error("hwhm") for i in good]) if noisy else None
+    line = fit_linewidth_line(powers_watts[good], widths, width_sigmas, gamma10=atom.gamma10)
     gamma20_fit = line.value("gamma20")
     k_fit = line.value("k")
     if not gamma20_fit >= 0.0:
         raise ConvergenceError(f"line fit gives a negative intercept gamma20 = {angular_to_hz(gamma20_fit):.4g} Hz")
-    rabi = rabi_per_point(
-        line,
-        [widths[i] for i in good],
-        None if not noisy else [width_sigmas[i] for i in good],
-        gamma10=atom.gamma10,
-    )
-    rabi_by_row: dict[int, Any] = {row: point for row, point in zip(good, rabi)}
-
-    points = [rabi_by_row.get(i) for i in range(len(powers))]
+    rabi = iter(rabi_per_point(line, widths, width_sigmas, gamma10=atom.gamma10))
+    points = [None if fit is None else next(rabi) for fit in fits]
     data: dict[str, np.ndarray | list] = {
         "power_dbm": powers,
         "power_watts": powers_watts,
-        "gamma_eit_hz": [None if w is None else angular_to_hz(w) for w in widths],
-        "gamma_eit_sigma_hz": [None if w is None else angular_to_hz(w) for w in width_sigmas],
+        "gamma_eit_hz": [None if fit is None else angular_to_hz(fit.value("hwhm")) for fit in fits],
+        "gamma_eit_sigma_hz": [None if fit is None else angular_to_hz(fit.error("hwhm")) for fit in fits],
         "omega_c_hz": [None if p is None else angular_to_hz(p.omega_c) for p in points],
         "omega_c_sigma_hz": [None if p is None else angular_to_hz(p.sigma) for p in points],
         "one_sided": [None if p is None else p.one_sided for p in points],
@@ -749,7 +732,9 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
         "log10_omega_c_hz": [
             None if p is None or p.omega_c <= 0.0 else math.log10(angular_to_hz(p.omega_c)) for p in points
         ],
-        "dip_center_hz": [None if c is None else angular_to_hz(atom.omega21 + c) for c in centers],
+        "dip_center_hz": [
+            None if fit is None else angular_to_hz(atom.omega21 + fit.value("center")) for fit in fits
+        ],
         "regime": regimes,
         "status": statuses,
     }
@@ -847,17 +832,10 @@ class _StringMemo(dict):
 
 def _once_per_string(column: np.ndarray | list, render: Callable[[Any], str]) -> Callable[[slice], list]:
     """Row-slice renderer of a column through _StringMemo; an unhashable
-    cell sends its slice back to one render call per cell."""
+    cell (a list or dict) raises TypeError like any cell that cannot be
+    rendered."""
     memo = _StringMemo(render)
-
-    def rendered(rows: slice) -> list:
-        cells = column[rows]
-        try:
-            return list(map(memo.__getitem__, cells))
-        except TypeError:
-            return list(map(render, cells))
-
-    return rendered
+    return lambda rows: list(map(memo.__getitem__, column[rows]))
 
 
 def _table_rows(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -> int:

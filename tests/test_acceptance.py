@@ -295,3 +295,25 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
             f"seeded reruns byte-identical: csv={identical[0]}, "
             f"json={identical[1]}")
     assert all(identical)
+
+
+def test_criterion_11_profile_rates_from_transducer(capsys):
+    # the transducer's sinc^2 envelope sets both decay rates of the reflection
+    # profile; the upper transition's matrix element is twice the lower one's
+    # (a transmon's |<2|n|1>|^2 = 2 |<1|n|0>|^2), so it decays at 2 Gamma_a
+    device = IdtTransducer(pairs=25, omega_center=hz_to_angular(2.26e9),
+                           k2=7.11e-4, capacitance=85e-15)
+    profile = paper_profile("linewidth-pipeline").atom
+    atom = profile.build()
+    lower = coupling_rate(device, atom.omega10) / TWO_PI
+    upper = 2.0 * coupling_rate(device, atom.omega21) / TWO_PI
+    lower_dev = lower / profile.decay_hz - 1.0
+    upper_dev = upper / profile.upper_decay_hz - 1.0
+    ok = abs(lower_dev) <= 0.05 and abs(upper_dev) <= 0.05
+    _report(capsys, 11, ok,
+            f"transducer rates {lower / 1e6:.2f} MHz at omega10 ({lower_dev:+.1%} of Gamma10 = "
+            f"{profile.decay_hz / 1e6:.2f}) and 2 Gamma_a = {upper / 1e6:.4f} MHz at omega21 ({upper_dev:+.1e} of "
+            f"Gamma21 = {profile.upper_decay_hz / 1e6:.2f}) (bound 5%)")
+    assert lower == pytest.approx(19.52e6, abs=0.005e6)
+    assert abs(upper_dev) <= 4e-5
+    assert abs(lower_dev) <= 0.05 and abs(upper_dev) <= 0.05

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,24 @@ def test_pipeline_negative_intercept_exits_three(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.startswith("error: line fit gives a negative intercept")
+
+
+def test_pipeline_zero_sigma_rows_exit_three(tmp_path, capsys):
+    # the grid holds the exact two-photon point of a lossless upper level,
+    # where r = 0; magnitude noise keeps it 0, so every row has a zero sigma
+    overlay = tmp_path / "zero.json"
+    overlay.write_text(json.dumps({
+        "atom": {"upper_decay_hz": 0.0, "dephasing2_hz": 0.0},
+        "control_frequency_grid": {"start": 2.149e9, "stop": 2.151e9, "count": 201},
+        "noise": {"sigma_rel": 0.01, "seed": 3, "kind": "magnitude"},
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["pipeline", "linewidth", "--profile", "paper", "--config", str(overlay)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: only 0 of 10 dip fits usable; need at least 3 for the line fit\n"
 
 
 def test_idt_response_table(capsys):
@@ -415,3 +434,24 @@ def test_closed_stdout_exits_two_without_traceback(fmt):
     assert proc.wait(timeout=120) == 2
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err == "error: cannot write to stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "power-sweep", "--profile", "paper", "--out", "power.csv"],
+    ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--out", "idt.csv"],
+    ["classify", "--gamma10", "21e6", "--gamma20", "4.94e6", "--omega-c", "30e6"],
+    ["oracle", "check"],
+], ids=["run-out", "idt-out", "classify", "oracle"])
+def test_closed_stdout_after_short_output_exits_two(tmp_path, argv):
+    src = Path(experiments.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    # a pipe whose reader is gone before the child starts: its first write fails
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "acoustic_eit.cli", *argv], stdout=write_fd,
+                              stderr=subprocess.PIPE, env=env, cwd=tmp_path, timeout=120)
+    finally:
+        os.close(write_fd)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: cannot write to stdout: Broken pipe\n"

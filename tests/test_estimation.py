@@ -98,8 +98,10 @@ def test_samples_report_the_first_bad_point():
 
 def test_dip_needs_five_samples():
     x, y = _dip_curve(n=4)
-    with pytest.raises(ValueError):
-        fit_dip_lorentzian(samples_from_arrays(x, y))
+    # the sample count is checked before the values, complex ones included
+    for values in (y, y + 0.01j):
+        with pytest.raises(ValueError, match="need at least 5 samples"):
+            fit_dip_lorentzian(samples_from_arrays(x, values))
 
 
 def test_dip_rejects_complex_values():

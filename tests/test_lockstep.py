@@ -70,29 +70,34 @@ def _attempt(fn, *args, **kwargs):
         return exc
 
 
-def pipeline_rows(monkeypatch, config) -> tuple[list, object]:
-    """The dip samples of each pipeline row, and the pipeline's result or error."""
-    rows = []
-    build = experiments.samples_from_arrays
+def pipeline_rows(monkeypatch, config) -> tuple[tuple, object]:
+    """The (x, y, sigma) stack a pipeline fits, and its result or error."""
+    calls = []
+    fit = experiments.fit_dip_stack
 
     def capture(*args):
-        rows.append(build(*args))
-        return rows[-1]
+        calls.append(args)
+        return fit(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "samples_from_arrays", capture)
+        patch.setattr(experiments, "fit_dip_stack", capture)
         result = _attempt(run_experiment, config)
-    return rows, result
+    stack, = calls
+    return stack, result
+
+
+def _row_samples(x, y, sigma, i):
+    return samples_from_arrays(x, y[i], None if sigma is None else sigma[i])
 
 
 def test_fit_batch_fits_are_pinned(monkeypatch):
     digest = hashlib.sha256()
     failed_rows = 0
     for config in _pipeline_configs():
-        rows, result = pipeline_rows(monkeypatch, config)
-        assert len(rows) == config.power_grid.count
-        for samples in rows:
-            fit = _attempt(fit_dip_lorentzian, samples)
+        (x, y, sigma), result = pipeline_rows(monkeypatch, config)
+        assert y.shape == sigma.shape == (config.power_grid.count, x.size)
+        for i in range(len(y)):
+            fit = _attempt(fit_dip_lorentzian, _row_samples(x, y, sigma, i))
             failed_rows += isinstance(fit, Exception)
             digest.update(_fit_record(fit).encode())
         if isinstance(result, Exception):
@@ -132,22 +137,24 @@ def engine_results(monkeypatch):
 
 
 def test_stacked_dip_fits_equal_single_fits(monkeypatch, engine_results):
-    curves = [samples for config in _pipeline_configs() for samples in pipeline_rows(monkeypatch, config)[0]]
+    stacks = [pipeline_rows(monkeypatch, config)[0] for config in _pipeline_configs()]
     engine_results.clear()
-    x = curves[0].x
-    curves.insert(3, samples_from_arrays(x, np.full(x.size, 0.7)))  # constant data: never iterated
-    curves.insert(7, samples_from_arrays(x[:4], np.ones(4)))  # too few samples
-    curves.insert(9, samples_from_arrays(x, np.full(x.size, 0.5 + 0.1j)))  # complex values
-    stacked = estimation.fit_dip_stack(curves)
+    x = stacks[0][0]
+    assert all(np.array_equal(stack_x, x) for stack_x, _, _ in stacks)
+    y = np.concatenate([stack_y for _, stack_y, _ in stacks])
+    sigma = np.concatenate([stack_sigma for _, _, stack_sigma in stacks])
+    y[3], sigma[3] = 0.7, 0.01  # constant data: never iterated
+    sigma[7, 100] = 0.0  # a zero sigma: that row alone fails
+    stacked = estimation.fit_dip_stack(x, y, sigma)
     stacked_engine = list(engine_results)
     engine_results.clear()
-    single = [estimation.fit_dip_stack([samples])[0] for samples in curves]
+    single = [estimation.fit_dip_stack(x, y[i:i + 1], sigma[i:i + 1])[0] for i in range(len(y))]
     assert [_fit_record(fit) for fit in engine_results] == [_fit_record(fit) for fit in stacked_engine]
     assert [_fit_record(fit) for fit in stacked] == [_fit_record(fit) for fit in single]
-    assert [_fit_record(_attempt(fit_dip_lorentzian, samples)) for samples in curves] == \
-        [_fit_record(fit) for fit in stacked]
+    assert [_fit_record(_attempt(lambda i: fit_dip_lorentzian(_row_samples(x, y, sigma, i)), i))
+            for i in range(len(y))] == [_fit_record(fit) for fit in stacked]
     assert "degenerate:constant-data" in stacked[3].notes
-    assert isinstance(stacked[7], ValueError) and isinstance(stacked[9], ValueError)
+    assert isinstance(stacked[7], ValueError) and "sigma must be positive" in str(stacked[7])
     # the seed-225 -50 dBm row runs into the iteration cap inside the stack
     assert sum(fit.iterations == 200 and not fit.converged for fit in stacked_engine) == 1
     assert sum(isinstance(fit, ConvergenceError) for fit in stacked) == 1
@@ -156,8 +163,9 @@ def test_stacked_dip_fits_equal_single_fits(monkeypatch, engine_results):
 def test_dip_stack_needs_one_length():
     x = np.linspace(-1.0, 1.0, 21)
     y = 1.0 - 0.5 / (1.0 + (x / 0.2) ** 2)
-    with pytest.raises(ValueError, match="same length"):
-        estimation.fit_dip_stack([samples_from_arrays(x, y), samples_from_arrays(x[:-1], y[:-1])])
+    for args in ((x, np.stack([y[:-1], y[:-1]])), (x, y), (x, np.stack([y, y]), np.full((2, x.size - 1), 0.01))):
+        with pytest.raises(ValueError, match="over the n abscissae"):
+            estimation.fit_dip_stack(*args)
 
 
 # ---------------------------------------------------------------------------
