@@ -20,6 +20,7 @@ from .errors import ConfigError, ConvergenceError, RankError
 from .experiments import (
     FORMATS,
     PROFILE_NAMES,
+    _MAX_POINTS,
     export_result,
     paper_profile,
     resolve_config,
@@ -93,10 +94,10 @@ def _handle_run(args: argparse.Namespace) -> int:
             "threshold_rabi_hz=%.17g threshold_power_dbm=%s"
             % (result.summary["threshold_rabi_hz"], threshold_power_text),
         ]
-    chunks = table_chunks(result.columns, result.data, args.format, config.to_dict(), result.summary)
+    chunks = table_chunks(result.data, args.format, config.to_dict(), result.summary)
     # export_result writes these same chunks; a run's file export stays one
     # call of it, which the benchmark's tracer times
-    return _emit_table(args.out, chunks, len(result.data[result.columns[0]]), summary_lines,
+    return _emit_table(args.out, chunks, len(next(iter(result.data.values()))), summary_lines,
                        lambda path, _: export_result(result, path, args.format))
 
 
@@ -128,8 +129,8 @@ def _handle_idt_response(args: argparse.Namespace) -> int:
     f_max = args.f_max if args.f_max is not None else args.f_idt * (1.0 + 2.0 / args.pairs)
     if not (0.0 < f_min < f_max and math.isfinite(hz_to_angular(f_max))):
         raise ConfigError("need 0 < --f-min < --f-max, both finite in angular frequency")
-    if args.count < 2:
-        raise ConfigError("--count must be at least 2")
+    if not 2 <= args.count <= _MAX_POINTS:
+        raise ConfigError(f"--count must be from 2 to {_MAX_POINTS}")
     freqs = np.linspace(f_min, f_max, args.count)
     omegas = hz_to_angular(freqs)
     rates = coupling_rate(idt, omegas)
@@ -144,7 +145,7 @@ def _handle_idt_response(args: argparse.Namespace) -> int:
         "bandwidth_hz": angular_to_hz(idt_bandwidth(idt)),
         "peak_rate_hz": angular_to_hz(idt.decay_peak),
     }
-    chunks = table_chunks(tuple(data), data, args.format, summary=summary)
+    chunks = table_chunks(data, args.format, summary=summary)
     return _emit_table(args.out, chunks, freqs.size, [
         "bandwidth_hz=%.17g peak_rate_hz=%.17g" % (summary["bandwidth_hz"], summary["peak_rate_hz"])])
 

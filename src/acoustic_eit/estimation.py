@@ -8,14 +8,14 @@ Five estimators mirror the measurement analysis chain:
 - ``fit_linewidth_line``: weighted straight line of linewidth versus control
   power, returning the intrinsic coherence rate (intercept) and the
   power-to-Rabi-squared calibration constant (slope times 4*gamma10).
-- ``rabi_per_point``: per-power control Rabi frequency with propagated error
-  bars, inverting the linewidth relation.
+- ``rabi_per_point``: per-power control Rabi frequency columns with
+  propagated error bars, inverting the linewidth relation.
 - ``fit_two_level``: probe-only lineshape giving the probe-transition
   coherence rate.
 - ``fit_transmission``: full transmission model fit (complex or magnitude)
   with a constant electrical-crosstalk background.
 
-All estimators run on the in-package damped least-squares engine and return
+The fits run on the in-package damped least-squares engine and return
 its FitResult. Inputs are angular frequencies (rad/s) and watts; unit
 conversion happens at the program boundary, not here.
 """
@@ -267,33 +267,22 @@ def fit_linewidth_line(
     )
 
 
-class RabiPoint(NamedTuple):
-    """Control Rabi frequency at one power with its propagated error bar.
-
-    one_sided marks points whose linewidth does not exceed the intrinsic
-    rate: there the inversion floors at zero and sigma is the one-standard-
-    deviation upper bound sqrt(4 * gamma10 * sigma_gamma) instead of the
-    (divergent) first-order propagation.
-    """
-
-    omega_c: float
-    sigma: float
-    one_sided: bool
-
-
 def rabi_per_point(
-    fit: FitResult | float,
+    gamma20: float,
     gamma_eit: Sequence[float],
     sigma_gamma: Sequence[float] | None = None,
     *,
     gamma10: float,
-) -> list[RabiPoint]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Invert the linewidth relation per point: Omega_c = sqrt(4*gamma10*(gamma_eit - gamma20)).
 
-    fit is either the line-fit result carrying gamma20 or a bare gamma20
-    value. Error bars use first-order propagation sigma = 2*gamma10*sigma_gamma/Omega_c.
+    Returns the columns (omega_c, sigma, one_sided). Error bars use
+    first-order propagation sigma = 2*gamma10*sigma_gamma/Omega_c. one_sided
+    marks points whose linewidth does not exceed the intrinsic rate: there
+    the inversion floors at zero and sigma is the one-standard-deviation
+    upper bound sqrt(4 * gamma10 * sigma_gamma) instead of the (divergent)
+    first-order propagation.
     """
-    gamma20 = fit.value("gamma20") if isinstance(fit, FitResult) else float(fit)
     if gamma10 <= 0.0:
         raise ValueError("gamma10 must be positive")
     if gamma20 < 0.0:
@@ -305,15 +294,13 @@ def rabi_per_point(
         sigmas = np.asarray(sigma_gamma, dtype=float)
         if sigmas.shape != widths.shape:
             raise ValueError("sigma_gamma must match gamma_eit in length")
-    out: list[RabiPoint] = []
-    for width, sig in zip(widths, sigmas):
-        excess = width - gamma20
-        if excess <= 0.0:
-            out.append(RabiPoint(0.0, math.sqrt(4.0 * gamma10 * sig), True))
-            continue
-        omega_c = math.sqrt(4.0 * gamma10 * excess)
-        out.append(RabiPoint(omega_c, 2.0 * gamma10 * sig / omega_c, False))
-    return out
+    excess = widths - gamma20
+    one_sided = excess <= 0.0
+    omega_c = np.sqrt(4.0 * gamma10 * np.where(one_sided, 0.0, excess))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the one-sided rows' 0/0, discarded
+        propagated = 2.0 * gamma10 * sigmas / omega_c
+    sigma = np.where(one_sided, np.sqrt(4.0 * gamma10 * sigmas), propagated)
+    return omega_c, sigma, one_sided
 
 
 # ---------------------------------------------------------------------------

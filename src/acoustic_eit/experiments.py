@@ -46,21 +46,10 @@ FORMATS = ("csv", "json")
 # rows per export chunk: an export holds one chunk of formatted rows in
 # memory at a time instead of the whole text
 _CHUNK_ROWS = 4096
-
-PIPELINE_COLUMNS = (
-    "power_dbm",
-    "power_watts",
-    "gamma_eit_hz",
-    "gamma_eit_sigma_hz",
-    "omega_c_hz",
-    "omega_c_sigma_hz",
-    "one_sided",
-    "log10_power_watts",
-    "log10_omega_c_hz",
-    "dip_center_hz",
-    "regime",
-    "status",
-)
+# points in one run's grid (and in an idt response table): measured peak
+# memory is about 170 B per point for a sweep and 370 B per point for the
+# linewidth pipeline, so a run at the cap stays under about 2 GB
+_MAX_POINTS = 5_000_000
 
 
 def _require(condition: bool, message: str) -> None:
@@ -215,6 +204,12 @@ class ExperimentConfig:
             _require(len(self.control_rabi_hz) > 0, "flux-sweep needs at least one control_rabi_hz")
             _require(all(_finite(v) and v >= 0.0 for v in self.control_rabi_hz),
                      "control_rabi_hz values must be finite and nonnegative")
+            points = len(self.control_rabi_hz) * self.probe_detuning_grid.count
+        elif self.scheme == "power-sweep":
+            points = self.power_grid.count
+        else:
+            points = self.power_grid.count * self.control_frequency_grid.count
+        _require(points <= _MAX_POINTS, f"{self.scheme} grid has {points} points; the limit is {_MAX_POINTS}")
 
     def to_dict(self) -> dict[str, Any]:
         return {"schema_version": SCHEMA_VERSION, **_encode(self)}
@@ -451,13 +446,13 @@ def _cells(column: np.ndarray | list) -> list:
 class RunResult:
     """Everything a scheme run produces: export columns plus summary facts.
 
-    data maps each name in columns to one column: float64 arrays for numeric
-    columns, lists for the string columns (annotation, regime, status) and
-    for the pipeline's nullable columns, which hold None where a fit failed.
+    data maps each column name, in export order, to one column: float64
+    arrays for numeric columns, lists for the string columns (annotation,
+    regime, status) and for the pipeline's nullable columns, which hold None
+    where a fit failed.
     """
 
     config: ExperimentConfig
-    columns: tuple[str, ...]
     data: dict[str, np.ndarray | list]
     summary: dict[str, Any]
 
@@ -467,15 +462,16 @@ class RunResult:
         for the pipeline."""
         if "re" not in self.data:
             return ()
-        axes = zip(*(self.data[name].tolist() for name in self.columns[:self.columns.index("re")]))
+        names = list(self.data)
+        axes = zip(*(self.data[name].tolist() for name in names[:names.index("re")]))
         values = map(complex, self.data["re"].tolist(), self.data["im"].tolist())
         return tuple(map(SweepPoint, axes, values, self.data["annotation"]))
 
     @property
     def table(self) -> tuple[dict[str, Any], ...]:
         """Per-row dict view of data, built on each access."""
-        cells = [_cells(self.data[name]) for name in self.columns]
-        return tuple(dict(zip(self.columns, row)) for row in zip(*cells))
+        cells = [_cells(column) for column in self.data.values()]
+        return tuple(dict(zip(self.data, row)) for row in zip(*cells))
 
 
 def _require_finite(*columns: np.ndarray) -> None:
@@ -505,7 +501,7 @@ def _sweep_columns(
         "phase": np.fromiter(map(math.atan2, im.tolist(), re.tolist()), float, count=re.size),
         "annotation": annotation,
     }
-    return RunResult(config=config, columns=tuple(data), data=data, summary=summary)
+    return RunResult(config=config, data=data, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +645,20 @@ def run_flux_sweep(config: ExperimentConfig) -> RunResult:
     return _sweep_columns(config, axes, values, annotation, summary)
 
 
+def _dip_status(fit: Any, noisy: bool) -> str:
+    """A pipeline row's status from its dip stack outcome (a FitResult or
+    the error fitting it): "ok" when the fit is usable for the line fit."""
+    if isinstance(fit, Exception):
+        failure = str(fit)
+    elif "hwhm-unidentifiable" in fit.notes:
+        failure = "dip is degenerate: width unidentifiable"
+    elif noisy and not 0.0 < fit.error("hwhm") < math.inf:
+        failure = "dip width error is not a positive finite number"
+    else:
+        return "ok"
+    return f"dip-fit-failed: {failure}"
+
+
 def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
     """Per-power dip fits, then the linewidth-versus-power line fit.
 
@@ -691,50 +701,44 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
         sigma_q = config.noise.sigma_rel * np.max(np.abs(grid), axis=1, keepdims=True)
         sigma_y = 2.0 * np.abs(values) * sigma_q
 
-    statuses: list[str] = []
-    fits: list[Any] = []  # a row's FitResult, or None where its dip fit failed
-    for fit in fit_dip_stack(delta_c, y, sigma_y):
-        if isinstance(fit, Exception):
-            failure = str(fit)
-        elif "hwhm-unidentifiable" in fit.notes:
-            failure = "dip is degenerate: width unidentifiable"
-        elif noisy and not 0.0 < fit.error("hwhm") < math.inf:
-            failure = "dip width error is not a positive finite number"
-        else:
-            failure = None
-        statuses.append("ok" if failure is None else f"dip-fit-failed: {failure}")
-        fits.append(None if failure else fit)
-
-    good = [i for i, fit in enumerate(fits) if fit is not None]
+    fits = fit_dip_stack(delta_c, y, sigma_y)
+    statuses = [_dip_status(fit, noisy) for fit in fits]
+    good = [i for i, status in enumerate(statuses) if status == "ok"]
     if len(good) < 3:
         raise ConvergenceError(
             f"only {len(good)} of {len(powers)} dip fits usable; need at least 3 for the line fit"
         )
     powers_watts = np.array([dbm_to_watts(p) for p in powers.tolist()])
     widths = np.array([fits[i].value("hwhm") for i in good])
-    width_sigmas = np.array([fits[i].error("hwhm") for i in good]) if noisy else None
+    width_errors = np.array([fits[i].error("hwhm") for i in good])
+    width_sigmas = width_errors if noisy else None
+    centers = np.array([fits[i].value("center") for i in good])
     line = fit_linewidth_line(powers_watts[good], widths, width_sigmas, gamma10=atom.gamma10)
     gamma20_fit = line.value("gamma20")
     k_fit = line.value("k")
     if not gamma20_fit >= 0.0:
         raise ConvergenceError(f"line fit gives a negative intercept gamma20 = {angular_to_hz(gamma20_fit):.4g} Hz")
-    rabi = iter(rabi_per_point(line, widths, width_sigmas, gamma10=atom.gamma10))
-    points = [None if fit is None else next(rabi) for fit in fits]
+    omega_c_fit, omega_c_sigma, one_sided = rabi_per_point(gamma20_fit, widths, width_sigmas, gamma10=atom.gamma10)
+    omega_c_hz = angular_to_hz(omega_c_fit).tolist()
+
+    def nullable(values: np.ndarray | list) -> list:
+        """A column with values in the usable rows and None in every other."""
+        column: list = [None] * powers.size
+        for row, value in zip(good, _cells(values)):
+            column[row] = value
+        return column
+
     data: dict[str, np.ndarray | list] = {
         "power_dbm": powers,
         "power_watts": powers_watts,
-        "gamma_eit_hz": [None if fit is None else angular_to_hz(fit.value("hwhm")) for fit in fits],
-        "gamma_eit_sigma_hz": [None if fit is None else angular_to_hz(fit.error("hwhm")) for fit in fits],
-        "omega_c_hz": [None if p is None else angular_to_hz(p.omega_c) for p in points],
-        "omega_c_sigma_hz": [None if p is None else angular_to_hz(p.sigma) for p in points],
-        "one_sided": [None if p is None else p.one_sided for p in points],
+        "gamma_eit_hz": nullable(angular_to_hz(widths)),
+        "gamma_eit_sigma_hz": nullable(angular_to_hz(width_errors)),
+        "omega_c_hz": nullable(omega_c_hz),
+        "omega_c_sigma_hz": nullable(angular_to_hz(omega_c_sigma)),
+        "one_sided": nullable(one_sided),
         "log10_power_watts": np.array([math.log10(w) for w in powers_watts.tolist()]),
-        "log10_omega_c_hz": [
-            None if p is None or p.omega_c <= 0.0 else math.log10(angular_to_hz(p.omega_c)) for p in points
-        ],
-        "dip_center_hz": [
-            None if fit is None else angular_to_hz(atom.omega21 + fit.value("center")) for fit in fits
-        ],
+        "log10_omega_c_hz": nullable([math.log10(w) if w > 0.0 else None for w in omega_c_hz]),
+        "dip_center_hz": nullable(angular_to_hz(atom.omega21 + centers)),
         "regime": regimes,
         "status": statuses,
     }
@@ -756,7 +760,7 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
         ),
         "gamma10_hz": angular_to_hz(atom.gamma10),
     }
-    return RunResult(config=config, columns=PIPELINE_COLUMNS, data=data, summary=summary)
+    return RunResult(config=config, data=data, summary=summary)
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
@@ -838,11 +842,16 @@ def _once_per_string(column: np.ndarray | list, render: Callable[[Any], str]) ->
     return lambda rows: list(map(memo.__getitem__, column[rows]))
 
 
-def _table_rows(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -> int:
-    return min((len(data[col]) for col in columns), default=0)
+def _row_count(data: Mapping[str, np.ndarray | list]) -> int:
+    """The number of rows of a table; columns of unequal length raise
+    ValueError."""
+    lengths = {name: len(column) for name, column in data.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"table columns differ in length: {lengths}")
+    return next(iter(lengths.values()), 0)
 
 
-def _csv_chunks(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -> Iterable[str]:
+def _csv_chunks(data: Mapping[str, np.ndarray | list]) -> Iterable[str]:
     """Header, then the rows in chunks; floats at 17 significant digits.
 
     Float array columns are formatted through one row-format string; list
@@ -850,13 +859,14 @@ def _csv_chunks(columns: Sequence[str], data: Mapping[str, np.ndarray | list]) -
     string once per distinct value), and a string cell holding a comma, quote
     or newline is quoted (RFC 4180).
     """
-    row_format = ",".join("%.17g" if isinstance(data[col], np.ndarray) else "%s" for col in columns) + "\n"
+    n = _row_count(data)
+    row_format = ",".join("%.17g" if isinstance(column, np.ndarray) else "%s" for column in data.values()) + "\n"
     renders = [
-        (lambda rows, column=data[col]: column[rows].tolist()) if isinstance(data[col], np.ndarray)
-        else _once_per_string(data[col], _format_cell)
-        for col in columns
+        (lambda rows, column=column: column[rows].tolist()) if isinstance(column, np.ndarray)
+        else _once_per_string(column, _format_cell)
+        for column in data.values()
     ]
-    return chain([",".join(columns) + "\n"], _row_chunks(row_format, renders, _table_rows(columns, data), ""))
+    return chain([",".join(data) + "\n"], _row_chunks(row_format, renders, n, ""))
 
 
 def _parse_column(cells: Sequence[str]) -> list:
@@ -933,7 +943,6 @@ def _json_render(column: np.ndarray | list) -> tuple[str, Callable[[slice], list
 
 
 def _json_chunks(
-    columns: Sequence[str],
     data: Mapping[str, np.ndarray | list],
     config_echo: Mapping[str, Any] | None,
     summary: Mapping[str, Any] | None,
@@ -943,16 +952,16 @@ def _json_chunks(
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "config_echo": _json_sanitize(dict(config_echo) if config_echo else None),
-        "columns": list(columns),
+        "columns": list(data),
         "rows": [],
         "summary": _json_sanitize(dict(summary) if summary else {}),
     }
     text = json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    n = _table_rows(columns, data)
+    n = _row_count(data)
     if n == 0:
         return [text]
     head, _, tail = text.partition('\n  "rows": []')
-    keys = sorted(set(columns))
+    keys = sorted(data)
     fields, renders = zip(*(_json_render(data[key]) for key in keys))
     template = "    {\n%s\n    }" % ",\n".join(
         "      %s: %s" % (encode_basestring_ascii(key).replace("%", "%%"), field)
@@ -970,7 +979,6 @@ def import_json(path: str | Path) -> dict[str, Any]:
 
 
 def table_chunks(
-    columns: Sequence[str],
     data: Mapping[str, np.ndarray | list],
     fmt: str,
     config_echo: Mapping[str, Any] | None = None,
@@ -978,12 +986,13 @@ def table_chunks(
 ) -> Iterable[str]:
     """A table as text chunks of _CHUNK_ROWS rows: CSV (header and rows), or
     the schema-versioned JSON envelope that also carries the config echo for
-    provenance and the summary. An unknown format raises before any chunk is
-    made."""
+    provenance and the summary. The columns are data's, in its key order. An
+    unknown format, or columns of unequal length (ValueError), raise before
+    any chunk is made."""
     if fmt == "csv":
-        return _csv_chunks(columns, data)
+        return _csv_chunks(data)
     if fmt == "json":
-        return _json_chunks(columns, data, config_echo, summary)
+        return _json_chunks(data, config_echo, summary)
     raise ConfigError(f"unknown export format {fmt!r}; choose from {FORMATS}")
 
 
@@ -1011,9 +1020,9 @@ def write_table(path: str | Path, chunks: Iterable[str]) -> None:
 
 def result_text(result: RunResult, fmt: str) -> str:
     """A run's export in the given format: the bytes export_result writes."""
-    return "".join(table_chunks(result.columns, result.data, fmt, result.config.to_dict(), result.summary))
+    return "".join(table_chunks(result.data, fmt, result.config.to_dict(), result.summary))
 
 
 def export_result(result: RunResult, path: str | Path, fmt: str) -> None:
     """Write a run to disk in the given format, a chunk of rows at a time."""
-    write_table(path, table_chunks(result.columns, result.data, fmt, result.config.to_dict(), result.summary))
+    write_table(path, table_chunks(result.data, fmt, result.config.to_dict(), result.summary))

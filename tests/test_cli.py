@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from acoustic_eit import experiments
@@ -226,6 +227,22 @@ def test_idt_response_validation(capsys):
     assert main(["idt", "response", "--np", "0", "--f-idt", "2.26e9",
                  "--k2", "7.11e-4"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "control-sweep", "--profile", "paper", "--config", "huge.json"],
+    ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--count", str(10**15)],
+], ids=["control-sweep", "idt-response"])
+def test_grid_too_large_for_memory_exits_two(tmp_path, monkeypatch, capsys, argv):
+    (tmp_path / "huge.json").write_text(json.dumps(
+        {"control_frequency_grid": {"start": 2.1e9, "stop": 2.2e9, "count": 10**15}}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail("a grid was built"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(experiments._MAX_POINTS) in captured.err
 
 
 def test_oracle_check_passes(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,41 +216,67 @@ def test_line_fit_power_rescaling_invariance():
 
 def test_rabi_inversion_recovers_operating_point():
     width = eit_linewidth(G10, G20, OMEGA_C)
-    points = rabi_per_point(G20, [width], [0.05 * MHZ], gamma10=G10)
-    assert len(points) == 1
-    assert points[0].omega_c == pytest.approx(OMEGA_C, rel=1e-12)
-    assert points[0].omega_c / MHZ == pytest.approx(6.1, rel=1e-12)
-    assert not points[0].one_sided
-    assert points[0].sigma == pytest.approx(2.0 * G10 * 0.05 * MHZ / OMEGA_C, rel=1e-12)
+    omega_c, sigma, one_sided = rabi_per_point(G20, [width], [0.05 * MHZ], gamma10=G10)
+    assert omega_c.shape == sigma.shape == one_sided.shape == (1,)
+    assert omega_c[0] == pytest.approx(OMEGA_C, rel=1e-12)
+    assert omega_c[0] / MHZ == pytest.approx(6.1, rel=1e-12)
+    assert not one_sided[0]
+    assert sigma[0] == pytest.approx(2.0 * G10 * 0.05 * MHZ / OMEGA_C, rel=1e-12)
 
 
 def test_rabi_accepts_fit_result():
     powers, widths = _line_dataset()
     line = fit_linewidth_line(powers, widths, gamma10=G10)
-    points = rabi_per_point(line, widths, gamma10=G10)
+    omega_c, _, _ = rabi_per_point(line.value("gamma20"), widths, gamma10=G10)
     expected = np.sqrt(4.0 * G10 * (widths - G20))
-    for point, target in zip(points, expected):
-        assert point.omega_c == pytest.approx(target, rel=1e-6)
+    for value, target in zip(omega_c, expected):
+        assert value == pytest.approx(target, rel=1e-6)
 
 
 def test_rabi_one_sided_at_intrinsic_floor():
     sig = 0.2 * MHZ
-    points = rabi_per_point(G20, [G20, 0.5 * G20], [sig, sig], gamma10=G10)
-    for point in points:
-        assert point.one_sided
-        assert point.omega_c == 0.0
-        assert point.sigma == pytest.approx(math.sqrt(4.0 * G10 * sig), rel=1e-12)
+    omega_c, sigma, one_sided = rabi_per_point(G20, [G20, 0.5 * G20], [sig, sig], gamma10=G10)
+    for i in range(2):
+        assert one_sided[i]
+        assert omega_c[i] == 0.0
+        assert sigma[i] == pytest.approx(math.sqrt(4.0 * G10 * sig), rel=1e-12)
 
 
 def test_rabi_error_bars_shrink_inversely():
     sig = 0.1 * MHZ
     widths = [G20 + delta for delta in np.array([0.2, 1.0, 5.0, 20.0]) * MHZ]
-    points = rabi_per_point(G20, widths, [sig] * 4, gamma10=G10)
-    products = [p.omega_c * p.sigma for p in points]
+    omega_c, sigma, _ = rabi_per_point(G20, widths, [sig] * 4, gamma10=G10)
+    products = list(omega_c * sigma)
     for product in products:
         assert product == pytest.approx(products[0], rel=1e-12)
-    sigmas = [p.sigma for p in points]
+    sigmas = list(sigma)
     assert sigmas == sorted(sigmas, reverse=True)
+
+
+def _reference_rabi(gamma20, widths, sigmas, gamma10):
+    """rabi_per_point as one math.sqrt and one division per point."""
+    out = []
+    for width, sig in zip(widths, sigmas):
+        excess = width - gamma20
+        if excess <= 0.0:
+            out.append((0.0, math.sqrt(4.0 * gamma10 * sig), True))
+        else:
+            omega_c = math.sqrt(4.0 * gamma10 * excess)
+            out.append((omega_c, 2.0 * gamma10 * sig / omega_c, False))
+    return out
+
+
+def test_rabi_columns_equal_the_per_point_loop():
+    rng = np.random.default_rng(14)
+    widths = G20 + rng.normal(0.0, 10.0 * MHZ, size=200)
+    widths[:3] = G20, np.nextafter(G20, np.inf), np.nextafter(G20, -np.inf)
+    sigmas = rng.uniform(0.0, 0.5 * MHZ, size=200)
+    sigmas[0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        columns = rabi_per_point(G20, widths, sigmas, gamma10=G10)
+    assert [column.dtype for column in columns] == [np.float64, np.float64, np.bool_]
+    assert list(zip(*(column.tolist() for column in columns))) == _reference_rabi(G20, widths, sigmas, G10)
 
 
 def test_rabi_validation():

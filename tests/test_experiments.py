@@ -26,7 +26,6 @@ from acoustic_eit import (
     reflection_coefficient,
 )
 from acoustic_eit.experiments import (
-    PIPELINE_COLUMNS,
     AtomParams,
     CalibrationParams,
     ExperimentConfig,
@@ -127,6 +126,35 @@ def test_config_scheme_requirements():
     with pytest.raises(ConfigError):
         ExperimentConfig(scheme="flux-sweep", atom=atom,
                          probe_detuning_grid=GridSpec(-1e6, 1e6, 11)).validate()
+
+
+_CAP = experiments._MAX_POINTS
+
+
+def _grid_config(scheme: str, rows: int, points_per_row: int) -> ExperimentConfig:
+    """The scheme's profile with a grid of rows x points_per_row points."""
+    cfg = paper_profile(scheme)
+    if scheme == "flux-sweep":
+        return replace(cfg, control_rabi_hz=(6.0e6,) * rows,
+                       probe_detuning_grid=replace(cfg.probe_detuning_grid, count=points_per_row))
+    if scheme == "power-sweep":
+        return replace(cfg, power_grid=replace(cfg.power_grid, count=rows * points_per_row))
+    return replace(cfg, power_grid=replace(cfg.power_grid, count=rows),
+                   control_frequency_grid=replace(cfg.control_frequency_grid, count=points_per_row))
+
+
+@pytest.mark.parametrize("scheme,at_cap,over_cap", [
+    ("control-sweep", (2, _CAP // 2), (1, _CAP + 1)),
+    ("power-sweep", (1, _CAP), (1, _CAP + 1)),
+    ("flux-sweep", (2, _CAP // 2), (3, (_CAP + 1) // 3)),
+    ("linewidth-pipeline", (5, _CAP // 5), (3, (_CAP + 1) // 3)),
+])
+def test_grid_point_cap(scheme, at_cap, over_cap):
+    # configs only: no grid of this size is ever built
+    assert _CAP % 10 == 0 and (_CAP + 1) % 3 == 0
+    assert _grid_config(scheme, *at_cap).scheme == scheme
+    with pytest.raises(ConfigError, match=rf"^{scheme} grid has {_CAP + 1} points; the limit is {_CAP}$"):
+        _grid_config(scheme, *over_cap)
 
 
 def test_merge_config_dicts_is_recursive():
@@ -297,9 +325,45 @@ def test_control_sweep_regime_annotations_match_classifier():
     assert "autler-townes" in seen
 
 
+_ANCHOR_K_HZ2_PER_WATT = (16.06e6) ** 2 / dbm_to_watts(-45.0)
+
+
+def _power_sweep_with_k(k_hz2_per_watt: float):
+    return run_power_sweep(replace(paper_profile("power-sweep"),
+                                   calibration=CalibrationParams(k_hz2_per_watt=k_hz2_per_watt)))
+
+
+def _same_sweep(got, want) -> bool:
+    return all(np.array_equal(got.data[name], want.data[name]) for name in ("re", "im")) \
+        and got.data["annotation"] == want.data["annotation"]
+
+
+def test_power_sweep_k_calibration_matches_the_anchor():
+    assert _same_sweep(_power_sweep_with_k(_ANCHOR_K_HZ2_PER_WATT), run_power_sweep(paper_profile("power-sweep")))
+
+
+def test_pipeline_k_fed_back_as_calibration_reproduces_the_sweep():
+    # the linewidth fit's power calibration closes the loop back to the
+    # forward model it was measured from
+    line = run_linewidth_pipeline(paper_profile("linewidth-pipeline")).summary["line_fit"]
+    result = _power_sweep_with_k(line["k_hz2_per_watt"])
+    anchor = run_power_sweep(paper_profile("power-sweep"))
+    values = result.data["re"] + 1j * result.data["im"]
+    expected = anchor.data["re"] + 1j * anchor.data["im"]
+    assert float(np.max(np.abs(values - expected) / np.abs(expected))) <= 1e-9
+
+
+def test_power_sweep_without_control_frequency_is_on_resonance():
+    profile = paper_profile("power-sweep")
+    unset = ExperimentConfig.from_dict({**profile.to_dict(), "control_frequency_hz": None})
+    assert unset.control_frequency_hz is None
+    resonant = replace(profile, control_frequency_hz=profile.atom.frequency_hz - profile.atom.anharmonicity_hz)
+    assert _same_sweep(run_power_sweep(unset), run_power_sweep(resonant))
+
+
 def test_power_sweep_runs_and_annotates():
     result = run_power_sweep(paper_profile("power-sweep"))
-    assert result.columns[0] == "control_power_dbm"
+    assert next(iter(result.data)) == "control_power_dbm"
     assert len(result.data["abs"]) == 41
     # on-resonance reflection shrinks monotonically with control power
     mags = list(result.data["abs"])
@@ -365,11 +429,26 @@ def test_flux_sweep_regimes_per_curve():
 # Linewidth pipeline
 # ---------------------------------------------------------------------------
 
+_PIPELINE_COLUMNS = (
+    "power_dbm",
+    "power_watts",
+    "gamma_eit_hz",
+    "gamma_eit_sigma_hz",
+    "omega_c_hz",
+    "omega_c_sigma_hz",
+    "one_sided",
+    "log10_power_watts",
+    "log10_omega_c_hz",
+    "dip_center_hz",
+    "regime",
+    "status",
+)
+
 
 def test_pipeline_noiseless_recovers_device_parameters():
     cfg = paper_profile("linewidth-pipeline")
     result = run_linewidth_pipeline(cfg)
-    assert result.columns == PIPELINE_COLUMNS
+    assert tuple(result.data) == _PIPELINE_COLUMNS
     assert len(result.data["status"]) == cfg.power_grid.count
     assert all(status == "ok" for status in result.data["status"])
 
@@ -392,6 +471,40 @@ def test_pipeline_noiseless_recovers_device_parameters():
         assert row["dip_center_hz"] == pytest.approx(2.15e9, rel=1e-6)
 
 
+def test_pipeline_row_with_nan_width_error_is_left_out(monkeypatch):
+    bad_row = 4
+    fit_dip_stack, fit_line = experiments.fit_dip_stack, experiments.fit_linewidth_line
+    line_powers = []
+
+    def nan_width_error(*args):
+        fits = fit_dip_stack(*args)
+        fit = fits[bad_row]
+        stderr = fit.stderr.copy()
+        stderr[fit.names.index("hwhm")] = np.nan
+        fits[bad_row] = replace(fit, stderr=stderr)
+        return fits
+
+    def capture_line(powers, *args, **kwargs):
+        line_powers.append(powers)
+        return fit_line(powers, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "fit_dip_stack", nan_width_error)
+    monkeypatch.setattr(experiments, "fit_linewidth_line", capture_line)
+    cfg = replace(paper_profile("linewidth-pipeline"), noise=NoiseParams(sigma_rel=0.0095, seed=1))
+    result = run_linewidth_pipeline(cfg)
+    data = result.data
+    assert data["status"][bad_row] == "dip-fit-failed: dip width error is not a positive finite number"
+    assert [i for i, status in enumerate(data["status"]) if status != "ok"] == [bad_row]
+    nullable = ("gamma_eit_hz", "gamma_eit_sigma_hz", "omega_c_hz", "omega_c_sigma_hz", "one_sided",
+                "log10_omega_c_hz", "dip_center_hz")
+    for name in nullable:
+        assert data[name][bad_row] is None
+        assert all(cell is not None for i, cell in enumerate(data[name]) if i != bad_row)
+    others = np.delete(data["power_watts"], bad_row)
+    assert len(line_powers) == 1 and np.array_equal(line_powers[0], others)
+    assert result.summary["line_fit"]["points_used"] == cfg.power_grid.count - 1
+
+
 def test_pipeline_single_power_rank_error():
     base = paper_profile("linewidth-pipeline")
     cfg = ExperimentConfig(
@@ -407,7 +520,7 @@ def test_pipeline_single_power_rank_error():
 
 def test_run_experiment_dispatch():
     result = run_experiment(paper_profile("power-sweep"))
-    assert result.columns == ("control_power_dbm", "re", "im", "abs", "phase", "annotation")
+    assert tuple(result.data) == ("control_power_dbm", "re", "im", "abs", "phase", "annotation")
     with pytest.raises(ConfigError):
         run_control_sweep(paper_profile("power-sweep"))
 
@@ -417,12 +530,12 @@ def test_run_experiment_dispatch():
 # ---------------------------------------------------------------------------
 
 
-def _table_text(columns, data, fmt, config_echo=None, summary=None):
-    return "".join(table_chunks(columns, data, fmt, config_echo, summary))
+def _table_text(data, fmt, config_echo=None, summary=None):
+    return "".join(table_chunks(data, fmt, config_echo, summary))
 
 
 def test_empty_records_give_header_only_csv():
-    assert _table_text(("a", "b"), {"a": np.empty(0), "b": []}, "csv") == "a,b\n"
+    assert _table_text({"a": np.empty(0), "b": []}, "csv") == "a,b\n"
 
 
 def test_csv_round_trip_bitwise(tmp_path):
@@ -439,7 +552,7 @@ def test_csv_round_trip_bitwise(tmp_path):
     path = tmp_path / "sweep.csv"
     export_result(result, path, fmt="csv")
     columns, rows = import_csv(path)
-    assert columns == result.columns
+    assert columns == tuple(result.data)
     assert len(rows) == len(result.table)
     for got, want in zip(rows, result.table):
         for col in columns:
@@ -451,7 +564,7 @@ def test_csv_round_trip_bitwise(tmp_path):
 
 def test_csv_quotes_cells_with_separators(tmp_path):
     status = ["ok", "failed: a, b", 'said "no"', "two\nlines", None]
-    text = _table_text(("x", "status"), {"x": np.arange(5.0), "status": status}, "csv")
+    text = _table_text({"x": np.arange(5.0), "status": status}, "csv")
     assert text.splitlines()[2] == '1,"failed: a, b"'
     assert text.splitlines()[3] == '2,"said ""no"""'
     path = tmp_path / "quoted.csv"
@@ -470,10 +583,10 @@ def test_json_round_trip_with_config_echo(tmp_path):
     envelope = import_json(path)
     assert envelope["schema_version"] == 1
     assert envelope["config_echo"] == cfg.to_dict()
-    assert envelope["columns"] == list(result.columns)
+    assert envelope["columns"] == list(result.data)
     assert len(envelope["rows"]) == len(result.table)
     for got, want in zip(envelope["rows"], result.table):
-        for col in result.columns:
+        for col in result.data:
             assert got[col] == want[col]
     assert envelope["summary"]["threshold_power_dbm"] == pytest.approx(-45.0, abs=1e-9)
 
@@ -486,7 +599,7 @@ def test_import_json_rejects_foreign_files(tmp_path):
 
 
 def test_json_replaces_non_finite_with_null():
-    text = _table_text(("a",), {"a": np.array([float("nan")])}, "json")
+    text = _table_text({"a": np.array([float("nan")])}, "json")
     assert "null" in text
     assert "NaN" not in text
     assert json.loads(text)["rows"][0]["a"] is None
@@ -501,7 +614,7 @@ def test_result_text_format_selection():
         result_text(result, fmt="yaml")
 
 
-def _reference_json_text(columns, data, config_echo=None, summary=None):
+def _reference_json_text(data, config_echo=None, summary=None):
     """The export as one json.dumps over per-row dicts."""
     def plain(value):
         if isinstance(value, dict):
@@ -512,6 +625,7 @@ def _reference_json_text(columns, data, config_echo=None, summary=None):
             return None
         return value
 
+    columns = tuple(data)
     cells = [data[col].tolist() if isinstance(data[col], np.ndarray) else list(data[col]) for col in columns]
     envelope = {
         "schema_version": 1,
@@ -537,7 +651,7 @@ def _hand_table(n):
         "c_inf": np.where(np.arange(n) % 2 == 0, np.inf, -np.inf),
         "ints": np.arange(n),
     }
-    return tuple(data), data
+    return data
 
 
 _CHUNK = experiments._CHUNK_ROWS
@@ -545,24 +659,25 @@ _CHUNK = experiments._CHUNK_ROWS
 
 @pytest.mark.parametrize("n", [0, 1, 2, 9, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
 def test_json_text_matches_per_row_dict_reference(n):
-    columns, data = _hand_table(n)
+    data = _hand_table(n)
     echo = {"b": [1.0, float("nan")], "a": {"y": "\u00e9", "x": None}, "rows": []}
     summary = {"line_fit": {"rss": float("inf"), "converged": True}, "note": 'a "b"'}
-    assert _table_text(columns, data, "json") == _reference_json_text(columns, data)
-    text = _table_text(columns, data, "json", echo, summary)
-    assert text == _reference_json_text(columns, data, echo, summary)
+    assert _table_text(data, "json") == _reference_json_text(data)
+    text = _table_text(data, "json", echo, summary)
+    assert text == _reference_json_text(data, echo, summary)
     if n == 0:
         assert '\n  "rows": [],\n' in text
     assert "NaN" not in text and "Infinity" not in text
 
 
-def _reference_csv_text(columns, data):
+def _reference_csv_text(data):
     """The export as one string with every row formatted up front."""
     def cell(value):
         if isinstance(value, float):
             return "%.17g" % value
         return experiments._format_cell(value)
 
+    columns = tuple(data)
     cells = [data[col].tolist() if isinstance(data[col], np.ndarray) else list(data[col]) for col in columns]
     return "\n".join([",".join(columns), *(",".join(map(cell, row)) for row in zip(*cells))]) + "\n"
 
@@ -611,20 +726,19 @@ def test_export_file_matches_result_text(tmp_path, scheme, noise):
     for fmt in ("csv", "json"):
         text = result_text(result, fmt)
         assert _exported_bytes(result, tmp_path / f"out.{fmt}", fmt) == text.encode("utf-8")
-    assert result_text(result, "csv") == _reference_csv_text(result.columns, result.data)
-    assert result_text(result, "json") == _reference_json_text(
-        result.columns, result.data, result.config.to_dict(), result.summary)
+    assert result_text(result, "csv") == _reference_csv_text(result.data)
+    assert result_text(result, "json") == _reference_json_text(result.data, result.config.to_dict(), result.summary)
 
 
 @pytest.mark.parametrize("n", [0, 1, _CHUNK, _CHUNK + 1])
 def test_export_file_matches_result_text_at_chunk_edges(tmp_path, n):
-    columns, data = _hand_table(n)
+    data = _hand_table(n)
     data["b\u00e9 \"%key\\"] = [s.replace("\n", " ") for s in data["b\u00e9 \"%key\\"]]
-    result = RunResult(config=paper_profile("power-sweep"), columns=columns, data=data, summary={"n": n})
+    result = RunResult(config=paper_profile("power-sweep"), data=data, summary={"n": n})
     for fmt in ("csv", "json"):
         text = result_text(result, fmt)
         assert _exported_bytes(result, tmp_path / f"out.{fmt}", fmt) == text.encode("utf-8")
-    assert result_text(result, "csv") == _reference_csv_text(columns, data)
+    assert result_text(result, "csv") == _reference_csv_text(data)
     assert len(result_text(result, "csv").splitlines()) == n + 1
 
 
@@ -637,11 +751,22 @@ def test_export_leaves_no_partial_file(tmp_path):
     # a cell that fails to render past the first chunk: the rows already
     # written are removed with the file
     n = _CHUNK + 5
-    bad = RunResult(config=result.config, columns=("x", "obj"),
+    bad = RunResult(config=result.config,
                     data={"x": np.arange(float(n)), "obj": [None] * (n - 1) + [object()]}, summary={})
     path = tmp_path / "out.json"
     with pytest.raises(TypeError):
         export_result(bad, path, "json")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_columns_of_unequal_length_raise_before_any_chunk(tmp_path, fmt):
+    data = {"a": np.arange(3.0), "b": ["x"]}
+    with pytest.raises(ValueError, match="differ in length"):
+        table_chunks(data, fmt)
+    path = tmp_path / f"out.{fmt}"
+    with pytest.raises(ValueError, match="differ in length"):
+        export_result(RunResult(config=paper_profile("power-sweep"), data=data, summary={}), path, fmt)
     assert not path.exists()
 
 
@@ -650,7 +775,7 @@ def test_pipeline_export_includes_status_column(tmp_path):
     path = tmp_path / "pipeline.csv"
     export_result(result, path, fmt="csv")
     columns, rows = import_csv(path)
-    assert columns == PIPELINE_COLUMNS
+    assert columns == _PIPELINE_COLUMNS
     assert all(row["status"] == "ok" for row in rows)
     assert all(row["one_sided"] is False for row in rows)
 
@@ -681,7 +806,7 @@ def test_import_csv_matches_per_cell_reference_on_exports(tmp_path, scheme, nois
     path = tmp_path / "out.csv"
     export_result(result, path, "csv")
     columns, rows = _assert_imports_like_reference(path)
-    assert columns == result.columns
+    assert columns == tuple(result.data)
     assert len(rows) == len(result.data[columns[0]])
     if noise == "failed-row":
         text = "".join(rows)
@@ -707,7 +832,7 @@ def test_import_csv_quoted_cells_across_a_chunk_edge(tmp_path):
     for i in (_CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 1):
         status[i] = f'row {i}: "a, b"\nsecond line'
     status[_CHUNK + 3] = None
-    text = _table_text(("x", "status"), {"x": np.arange(float(n)), "status": status}, "csv")
+    text = _table_text({"x": np.arange(float(n)), "status": status}, "csv")
     path = tmp_path / "quoted.csv"
     path.write_text(text, encoding="utf-8", newline="\n")
     _assert_imports_like_reference(path)
@@ -767,7 +892,7 @@ def test_import_csv_matches_reference_on_random_tables(tmp_path_factory, width, 
         for j, col in enumerate(columns)
     }
     path = tmp_path_factory.mktemp("random") / "table.csv"
-    path.write_text(_table_text(columns, data, "csv"), encoding="utf-8", newline="\n")
+    path.write_text(_table_text(data, "csv"), encoding="utf-8", newline="\n")
     _assert_imports_like_reference(path)
 
 
@@ -779,18 +904,17 @@ def test_list_column_strings_render_once_per_value_same_bytes():
         "across-chunks": {"x": [column[i % len(column)] for i in range(n)]},
     }
     for data in cases.values():
-        columns = ("x",)
-        assert _table_text(columns, data, "csv") == _reference_csv_text(columns, data)
-        text = _table_text(columns, data, "json")
-        assert text == _reference_json_text(columns, data)
+        assert _table_text(data, "csv") == _reference_csv_text(data)
+        text = _table_text(data, "json")
+        assert text == _reference_json_text(data)
         rendered = [line[len('      "x": '):] for line in text.splitlines() if line.startswith('      "x": ')]
         assert rendered == [json.dumps(experiments._json_sanitize(v)) for v in data["x"]]
-    csv_cells = _table_text(("x",), cases["signed-and-bool-cells"], "csv").splitlines()[1:]
+    csv_cells = _table_text(cases["signed-and-bool-cells"], "csv").splitlines()[1:]
     assert csv_cells == ["0", "-0", "true", "1", "1", "false", "0", "", "nan", "a", "a", '"a,b"']
     # an unhashable cell cannot be rendered, in either format
     for fmt in ("csv", "json"):
         with pytest.raises(TypeError):
-            _table_text(("x",), {"x": ["a", [1.0, -0.0], "a", True, 1.0]}, fmt)
+            _table_text({"x": ["a", [1.0, -0.0], "a", True, 1.0]}, fmt)
 
 
 class _FailingFile:
@@ -871,8 +995,8 @@ def test_records_and_table_views_follow_data():
         assert rec.magnitude == data["abs"][i]
         assert rec.phase == data["phase"][i]
     for i, row in enumerate(flux.table):
-        assert list(row) == list(flux.columns)
-        assert all(row[col] == data[col][i] for col in flux.columns)
+        assert list(row) == list(data)
+        assert all(row[col] == data[col][i] for col in data)
 
     base = paper_profile("linewidth-pipeline")
     pipeline = run_linewidth_pipeline(ExperimentConfig(
