@@ -67,6 +67,11 @@ def samples_from_arrays(x, values, sigma=None) -> Samples:
     return Samples(x, values, sigma)
 
 
+def _require_rate(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def _convergence_error(result: FitResult, what: str) -> ConvergenceError:
     return ConvergenceError(
         f"{what} did not converge after {result.iterations} iterations "
@@ -192,10 +197,15 @@ def fit_dip_stack(x, y, sigma=None) -> list[FitResult | Exception]:
             denom2 = denom * denom
             d_center = -depth * 2.0 * hwhm * hwhm * dx / denom2
             d_hwhm = -depth * 2.0 * hwhm * dx * dx / denom2
-        d_center = np.where(np.isfinite(d_center), d_center, 0.0)
-        d_hwhm = np.where(np.isfinite(d_hwhm), d_hwhm, 0.0)
-        jac = np.stack([d_center, d_hwhm, -lor, np.ones_like(dx)], axis=-1)
-        return (f - ys[active]) * w, jac * w[:, :, None]
+        jac = np.empty(dx.shape + (4,))
+        for j, column in enumerate((d_center, d_hwhm)):
+            finite = np.isfinite(column)
+            if not finite.all():
+                column = np.where(finite, column, 0.0)
+            np.multiply(column, w, out=jac[:, :, j])
+        np.multiply(-lor, w, out=jac[:, :, 2])
+        jac[:, :, 3] = w
+        return (f - ys[active]) * w, jac
 
     fits = levenberg_marquardt_stack(
         evaluate, _dip_start(x, ys), names=_DIP_NAMES, lower=np.array([-np.inf, 0.0, -np.inf, -np.inf]))
@@ -255,8 +265,7 @@ def fit_linewidth_line(
         raise ValueError("need at least 3 points")
     if np.unique(powers).size < 2:
         raise RankError("need at least 2 distinct powers to fit a line")
-    if gamma10 <= 0.0:
-        raise ValueError("gamma10 must be positive")
+    _require_rate("gamma10", gamma10)
     line = weighted_linear_fit(powers, widths, sigma, names=("gamma20", "k"))
     scale = np.array([1.0, 4.0 * gamma10])
     return replace(
@@ -283,8 +292,7 @@ def rabi_per_point(
     upper bound sqrt(4 * gamma10 * sigma_gamma) instead of the (divergent)
     first-order propagation.
     """
-    if gamma10 <= 0.0:
-        raise ValueError("gamma10 must be positive")
+    _require_rate("gamma10", gamma10)
     if gamma20 < 0.0:
         raise ValueError("gamma20 must be nonnegative")
     widths = np.asarray(gamma_eit, dtype=float)
@@ -318,8 +326,7 @@ def fit_two_level(samples: Samples, *, Gamma10: float) -> FitResult:
     x, values, sigma = samples
     if x.size < 5:
         raise ValueError("need at least 5 samples")
-    if Gamma10 <= 0.0:
-        raise ValueError("Gamma10 must be positive")
+    _require_rate("Gamma10", Gamma10)
     y = values.real
     if np.any(np.abs(values.imag) > 0.0):
         raise ValueError("two-level samples must be real (|r| values)")
@@ -442,8 +449,8 @@ def fit_transmission(
     x, values, sigma = samples
     if x.size < 8:
         raise ValueError("need at least 8 samples")
-    if gamma10 <= 0.0 or Gamma10 <= 0.0:
-        raise ValueError("probe rates must be positive")
+    _require_rate("gamma10", gamma10)
+    _require_rate("Gamma10", Gamma10)
     complex_data = bool(np.any(np.abs(values.imag) > 0.0))
     w = np.ones(x.size) if sigma is None else 1.0 / sigma
 
@@ -473,19 +480,31 @@ def fit_transmission(
         dt_dD = scale * Gamma10 / denominator**2
         d_gamma20 = -dt_dD * omega_c**2 / (2.0 * two_photon**2)
         d_omega_c = dt_dD * omega_c / two_photon
-        if np.any(transparent):
+        if transparent.any():
             # D diverges like 1/T at perfect transparency; D*T -> Omega_c**2/2
             # leaves these finite limits
             d_gamma20 = np.where(transparent, -2.0 * scale * Gamma10 / omega_c**2, d_gamma20)
             d_omega_c = np.where(transparent, 0.0, d_omega_c)
         columns = [d_gamma20, -1j * d_gamma20, d_omega_c, 1.0 + r + c]
+        if complex_data:
+            # the real parts, then the imaginary parts, weighted
+            n = x.size
+            res = t - values
+            resid = np.empty((1, 2 * n))
+            np.multiply(res.real, w, out=resid[0, :n])
+            np.multiply(res.imag, w, out=resid[0, n:])
+            jac = np.zeros((1, 2 * n, len(names)))
+            for j, column in enumerate(columns):
+                np.multiply(column.real, w, out=jac[0, :n, j])
+                np.multiply(column.imag, w, out=jac[0, n:, j])
+            if fit_crosstalk:
+                # dt/dc_re = scale and dt/dc_im = i*scale
+                np.multiply(scale, w, out=jac[0, :n, 4])
+                np.multiply(scale, w, out=jac[0, n:, 5])
+            return resid, jac
         if fit_crosstalk:
             columns += [np.full(x.size, scale + 0j), np.full(x.size, 1j * scale)]
         jac = np.column_stack(columns)
-        if complex_data:
-            res = t - values
-            return (np.concatenate([res.real * w, res.imag * w])[None],
-                    np.concatenate([jac.real * w[:, None], jac.imag * w[:, None]])[None])
         magnitude = np.abs(t)
         return (((magnitude - values.real) * w)[None],
                 ((t.conj()[:, None] * jac).real / magnitude[:, None] * w[:, None])[None])

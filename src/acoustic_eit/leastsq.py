@@ -76,23 +76,30 @@ class FitResult:
         return replace(self, notes=self.notes + extra)
 
 
-def _covariance(jac: np.ndarray, rss: float) -> tuple[np.ndarray | None, np.ndarray]:
-    """cov = inv(J^T J) * rss / dof, or (None, NaN vector) when undefined."""
-    n, p = jac.shape
+def _covariances(jac: np.ndarray, rss: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
+    """cov = inv(J^T J) * rss / dof and its stderr for each fit of a (k, n, p)
+    stack, or (None, NaN vector) where it is undefined."""
+    k, n, p = jac.shape
     dof = n - p
-    nan = np.full(p, np.nan)
     if dof <= 0:
-        return None, nan
-    jtj = jac.T @ jac
+        return [(None, np.full(p, np.nan)) for _ in range(k)]
+    system = jac.transpose(0, 2, 1) @ jac
+    defined = np.ones(k, dtype=bool)
     try:
-        inv = np.linalg.inv(jtj)
+        inverse = np.linalg.inv(system)
     except np.linalg.LinAlgError:
-        return None, nan
-    cov = inv * (rss / dof)
-    cov = 0.5 * (cov + cov.T)
-    diag = np.diag(cov).copy()
+        # a singular matrix leaves only its own fit without a covariance
+        inverse = np.zeros_like(system)
+        for i in range(k):
+            try:
+                inverse[i] = np.linalg.inv(system[i])
+            except np.linalg.LinAlgError:
+                defined[i] = False
+    cov = inverse * (rss / dof)[:, None, None]
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    diag = np.diagonal(cov, axis1=1, axis2=2)
     stderr = np.sqrt(np.where(diag >= 0.0, diag, np.nan))
-    return cov, stderr
+    return [(cov[i], stderr[i]) if defined[i] else (None, np.full(p, np.nan)) for i in range(k)]
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,13 +150,14 @@ def levenberg_marquardt_stack(
     returns the residuals (m, n) and Jacobians (m, n, p) of the fits whose
     stack indices are in rows, at the m points in theta; it is called once
     per trial step and must give each fit the same values whichever other
-    fits share the call. Every fit keeps its own damping, acceptance, bound
-    projection, gradient test and damping-overflow stop, and freezes once it
-    finishes, so each result is bit-equal to the fit run as a batch of one.
+    fits share the call, in new arrays each time (the engine keeps them).
+    Every fit keeps its own damping, acceptance, bound projection, gradient
+    test and damping-overflow stop, and freezes once it finishes, so each
+    result is bit-equal to the fit run as a batch of one.
     lower, shared by all fits, holds per-parameter lower bounds (-inf for
     free parameters); iterates are projected onto them and at_bound marks
-    parameters that finished clamped. A fit whose residuals are not finite
-    at its start gets a ValueError in place of its result.
+    parameters that finished clamped. A fit whose residuals or rss are not
+    finite at its start gets a ValueError in place of its result.
     """
     x = np.array(x0, dtype=float)
     if x.ndim != 2:
@@ -166,9 +174,11 @@ def levenberg_marquardt_stack(
         x = np.maximum(x, bound)
 
     r, jac = (np.array(a, dtype=float) for a in evaluate(x, np.arange(k)))
-    started = np.isfinite(r).all(axis=1)
-    r[~started] = 0.0  # such a fit never iterates; its result is a ValueError
-    rss = _dots(r, r)
+    with np.errstate(over="ignore"):  # an overflowing rss fails the start like a non-finite residual
+        rss = _dots(r, r)
+    started = np.isfinite(r).all(axis=1) & np.isfinite(rss)
+    # such a fit never iterates; its result is a ValueError
+    r[~started], rss[~started] = 0.0, 0.0
     grad, gnorm = _gradients(jac, r, x, bound)
     converged = gnorm < _GTOL * (1.0 + rss)
     iterations = np.zeros(k, dtype=int)
@@ -185,7 +195,7 @@ def levenberg_marquardt_stack(
         x_trial = x_live + step
         if bound is not None:
             x_trial = np.maximum(x_trial, bound)
-        r_trial, jac_trial = (np.asarray(a, dtype=float) for a in evaluate(x_trial, live))
+        r_trial, jac_trial = (np.ascontiguousarray(a, dtype=float) for a in evaluate(x_trial, live))
         rss_trial = _dots(r_trial, r_trial)
         better = rss_trial < rss_live
         if not better.all():
@@ -198,11 +208,16 @@ def levenberg_marquardt_stack(
             better |= tiny_step & (rss_trial <= rss_live * (1.0 + 64.0 * np.finfo(float).eps))
         # a zero step (singular system) moves nowhere, so it is never accepted
         take = better & np.isfinite(r_trial).all(axis=1)
-        x_live = np.where(take[:, None], x_trial, x_live)
-        r_live = np.where(take[:, None], r_trial, r_live)
-        rss_live = np.where(take, rss_trial, rss_live)
-        jac_live = np.where(take[:, None, None], jac_trial, jac_live)
-        grad_live, gnorm_live = _gradients(jac_live, r_live, x_live, bound)
+        # with no step taken the state and its gradients stay as they are
+        if take.any():
+            if take.all():
+                x_live, r_live, rss_live, jac_live = x_trial, r_trial, rss_trial, jac_trial
+            else:
+                x_live = np.where(take[:, None], x_trial, x_live)
+                r_live = np.where(take[:, None], r_trial, r_live)
+                rss_live = np.where(take, rss_trial, rss_live)
+                jac_live = np.where(take[:, None, None], jac_trial, jac_live)
+            grad_live, gnorm_live = _gradients(jac_live, r_live, x_live, bound)
         damping = np.where(take, np.maximum(damping / _DAMPING_SHRINK, 1e-15), damping * _DAMPING_GROW)
         converged_live = gnorm_live < _GTOL * (1.0 + rss_live)
         done = converged_live | (damping > _DAMPING_MAX) | (iteration == _MAX_ITER)
@@ -214,12 +229,13 @@ def levenberg_marquardt_stack(
             live, x_live, r_live, rss_live, jac_live, grad_live, gnorm_live, damping = (
                 a[~done] for a in (live, x_live, r_live, rss_live, jac_live, grad_live, gnorm_live, damping))
 
+    covariances = iter(_covariances(jac[started], rss[started]))
     results: list[FitResult | ValueError] = []
     for i in range(k):
         if not started[i]:
             results.append(ValueError("residuals are not finite at the initial guess"))
             continue
-        covariance, stderr = _covariance(jac[i], float(rss[i]))
+        covariance, stderr = next(covariances)
         at_bound = tuple(bool(bound is not None and x[i, j] <= bound[j]) for j in range(p))
         results.append(FitResult(
             names=param_names,
@@ -271,7 +287,7 @@ def weighted_linear_fit(
         raise np.linalg.LinAlgError("normal equations are singular: degenerate abscissae") from exc
     resid = jac @ beta - rhs
     rss = float(resid @ resid)
-    covariance, stderr = _covariance(jac, rss)
+    (covariance, stderr), = _covariances(jac[None], np.array([rss]))
     return FitResult(
         names=names,
         values=beta,

@@ -136,12 +136,20 @@ def _kernel(Gamma10: float, gamma10: float, gamma20, Omega_c, Delta_p, two_photo
     two_photon = gamma20 - 1j * np.asarray(two_photon_detuning, dtype=float)
     zero = two_photon == 0.0
     transparent = zero & (Omega_c != 0.0)
-    two_photon = np.where(zero, 1.0, two_photon)
-    control_term = np.where(Omega_c == 0.0, 0.0, Omega_c**2 / (2.0 * two_photon))
+    # each mask is applied only where it selects a point
+    if zero.any():
+        two_photon = np.where(zero, 1.0, two_photon)
+    control_term = Omega_c**2 / (2.0 * two_photon)
+    control_off = Omega_c == 0.0
+    if control_off.any():
+        control_term = np.where(control_off, 0.0, control_term)
     denominator = 2.0 * (gamma10 - 1j * np.asarray(Delta_p, dtype=float)) + control_term
-    if np.any((denominator == 0.0) & ~transparent):
+    singular = denominator == 0.0
+    if singular.any() and (singular & ~transparent).any():
         raise SingularModelError(
             "reflection denominator vanished; need gamma10 > 0 or Delta_p != 0")
+    if not transparent.any():
+        return -Gamma10 / denominator, two_photon, denominator, transparent
     denominator = np.where(transparent, 1.0, denominator)
     r = np.where(transparent, 0.0 + 0.0j, -Gamma10 / denominator)
     return r, two_photon, denominator, transparent

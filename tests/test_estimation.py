@@ -377,6 +377,37 @@ def test_transmission_validation():
                          Gamma10=GAMMA10_EMIT, init={"bogus": 1.0})
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("estimator", ["line:gamma10", "rabi:gamma10", "two-level:Gamma10",
+                                       "transmission:gamma10", "transmission:Gamma10"])
+def test_estimators_reject_rates_that_are_not_positive_and_finite(estimator, rate):
+    powers, widths = _line_dataset()
+    x2, y2 = _two_level_curve(n=21)
+    xt, t = _transmission_curve(n=21)
+    calls = {
+        "line:gamma10": lambda: fit_linewidth_line(powers, widths, gamma10=rate),
+        "rabi:gamma10": lambda: rabi_per_point(G20, widths, gamma10=rate),
+        "two-level:Gamma10": lambda: fit_two_level(samples_from_arrays(x2, y2), Gamma10=rate),
+        "transmission:gamma10": lambda: fit_transmission(samples_from_arrays(xt, t), gamma10=rate,
+                                                         Gamma10=GAMMA10_EMIT),
+        "transmission:Gamma10": lambda: fit_transmission(samples_from_arrays(xt, t), gamma10=G10,
+                                                         Gamma10=rate),
+    }
+    name = estimator.split(":")[1]
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+        calls[estimator]()
+
+
+@pytest.mark.filterwarnings("error")
+def test_transmission_fit_with_overflowing_rss_does_not_start():
+    # every residual is finite, but their sum of squares overflows
+    x = np.linspace(-50.0, 50.0, 41) * MHZ
+    with pytest.raises(ValueError, match="^residuals are not finite at the initial guess$"):
+        fit_transmission(samples_from_arrays(x, np.full(x.size, 1e300 + 1j)),
+                         gamma10=G10, Gamma10=GAMMA10_EMIT)
+
+
 def test_transmission_noiseless_complex_recovery():
     x, t = _transmission_curve()
     res = fit_transmission(samples_from_arrays(x, t), gamma10=G10,

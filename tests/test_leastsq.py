@@ -145,6 +145,13 @@ def test_non_finite_initial_residual_raises(fit_one):
         fit_one(residual, [1.0], lambda x: np.ones((1, 1)))
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_initial_rss_raises_without_warnings(fit_one):
+    # each residual is finite, but their sum of squares is not
+    with pytest.raises(ValueError, match="not finite at the initial guess"):
+        fit_one(lambda x: np.full(4, 1e200) * x[0], [1.0], lambda x: np.full((4, 1), 1e200))
+
+
 def test_covariance_matches_direct_formula(fit_one):
     rng = np.random.Generator(np.random.Philox(5))
     t = np.linspace(0.0, 1.0, 30)

@@ -8,9 +8,11 @@ child seed of SeedSequence(1) each, failed rows included) and of the
 seed-225 pipeline with its unconverged -50 dBm row, and the 60 seed-1 flux
 curves (sigma 0.01) fitted as complex data and as magnitudes. Each row
 contributes every field of its FitResult, or the error it raised, and each
-pipeline its CSV export (which carries the row statuses) and line fit. The
-other tests mix fits in one stack, edge cases included, and compare each
-with the same fit alone.
+pipeline its CSV export (which carries the row statuses) and line fit.
+test_other_fit_paths_are_pinned pins, the same way, the fit paths that
+workload does not reach; its digest was taken before the engine's trial
+step was trimmed to the array work it needs. The other tests mix fits in
+one stack, edge cases included, and compare each with the same fit alone.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import pytest
 
 from acoustic_eit import estimation, experiments, leastsq
 from acoustic_eit.errors import ConvergenceError
-from acoustic_eit.estimation import fit_dip_lorentzian, fit_transmission, samples_from_arrays
+from acoustic_eit.estimation import fit_dip_lorentzian, fit_transmission, fit_two_level, samples_from_arrays
 from acoustic_eit.experiments import NoiseParams, paper_profile, result_text, run_experiment
+from acoustic_eit.model import reflection_coefficient
 
 PIPELINE_SIGMA = 0.0095
 FLUX_SIGMA = 0.01
@@ -114,6 +117,53 @@ def test_fit_batch_fits_are_pinned(monkeypatch):
     # the seed-225 pipeline's -50 dBm row does not converge
     assert failed_rows == 1
     assert digest.hexdigest() == "68e8d98271a00914ef806a0ee11d86d7a2347e7c20a7499403328008a8359ac7"
+
+
+def _probe_only_curves():
+    """Seeded |r| curves of the flux-sweep atom with the control off, and the
+    sigma of their noise."""
+    atom = paper_profile("flux-sweep").atom.build()
+    x = 2.0 * math.pi * np.linspace(-80e6, 80e6, 161)
+    clean = np.abs(reflection_coefficient(atom.Gamma10, atom.gamma10, atom.gamma20, 0.0, x, 0.0))
+    sigma = 0.005 + 0.02 * clean
+    for seed in range(6):
+        rng = np.random.Generator(np.random.Philox(seed))
+        yield x, clean + sigma * rng.standard_normal(x.size), sigma
+
+
+def test_other_fit_paths_are_pinned(monkeypatch):
+    """The fit paths test_fit_batch_fits_are_pinned does not reach, pinned the
+    same way: probe-only two-level fits, transmission fits with the crosstalk
+    pinned and with sigma weights, one pipeline's dips fitted as one stack,
+    and engine stacks in which some fits accept a step while others reject
+    it, or in which no fit ever accepts."""
+    digest = hashlib.sha256()
+    flux = paper_profile("flux-sweep").atom.build()
+    for x, y, sigma in _probe_only_curves():
+        for weights in (None, sigma):
+            fit = _attempt(fit_two_level, samples_from_arrays(x, y, weights), Gamma10=flux.Gamma10)
+            digest.update(_fit_record(fit).encode())
+    for x, values in _flux_curves()[::4]:
+        sigma = FLUX_SIGMA * (0.5 + np.abs(values))
+        for data in (values, np.abs(values)):
+            for kwargs in ({"fit_crosstalk": False}, {}):
+                for weights in (None, sigma):
+                    fit = _attempt(fit_transmission, samples_from_arrays(x, data, weights),
+                                   gamma10=flux.gamma10, Gamma10=flux.Gamma10, **kwargs)
+                    digest.update(_fit_record(fit).encode())
+    (x, y, sigma), _ = pipeline_rows(monkeypatch, _pipeline_configs()[0])
+    for fit in estimation.fit_dip_stack(x, y, sigma):
+        digest.update(_fit_record(fit).encode())
+    problems = _edge_problems()
+    # "iteration-cap" accepts every step while "damping-overflow" rejects
+    # every step, so the last stack never accepts one
+    stacks = (list(problems), ["iteration-cap", "damping-overflow", "exponential"],
+              ["damping-overflow", "damping-overflow"])
+    for lower in (None, [-np.inf, 0.0]):
+        for names in stacks:
+            for fit in _stacked(problems, names, lower):
+                digest.update(_fit_record(fit).encode())
+    assert digest.hexdigest() == "b9a4d257618bb59f645c1599bcec1a8bf054f3c52a220c641e88101499c98ca5"
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from acoustic_eit import (
     transmission_flux_sweep,
 )
 from acoustic_eit.experiments import paper_profile, run_experiment
+from acoustic_eit.model import _kernel
 from numdiff import numeric_group_delay
 
 MHZ = 2.0 * math.pi * 1e6
@@ -389,3 +390,33 @@ def test_kernel_broadcasts_control_amplitude(reflection_atom):
     assert grid.shape == (3, 5)
     for i, w in enumerate(omega_c[:, 0]):
         assert np.array_equal(grid[i], reflection_coefficient(*rates, float(w), dp, 0.0))
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+def test_kernel_unmasked_path_matches_masked_path():
+    # a broadcast grid mixing perfectly transparent points (gamma20 = 0 on
+    # two-photon resonance, control on), zero-control points, zero two-photon
+    # points with the control off and ordinary points takes every mask; a
+    # per-point call on an ordinary point takes none
+    Gamma10, gamma10 = 20.1 * MHZ, 21.0 * MHZ
+    gamma20 = np.array([[0.0], [0.0], [4.94 * MHZ]])
+    omega_c = np.array([0.0, 6.1 * MHZ, 30.0 * MHZ])[:, None, None]
+    delta_p = np.array([-7.0, 0.0, 3.0]) * MHZ
+    two_photon = np.array([0.0, 0.0, 5.0]) * MHZ
+    grid = _kernel(Gamma10, gamma10, gamma20, omega_c, delta_p, two_photon)
+    transparent = grid[3]
+    assert transparent.shape == (3, 3, 3)
+    assert transparent.any() and not transparent.all()
+    for index in np.ndindex(transparent.shape):
+        i, j, k = index
+        one = _kernel(Gamma10, gamma10, float(gamma20[j, 0]), float(omega_c[i, 0, 0]),
+                      float(delta_p[k]), float(two_photon[k]))
+        for whole, single in zip(grid, one):
+            assert _bits(np.broadcast_to(whole, transparent.shape)[index]) == _bits(single), index
+    # a vanishing denominator still raises, on its own and among ordinary points
+    for delta in (0.0, np.array([1.0, 0.0]) * MHZ):
+        with pytest.raises(SingularModelError):
+            _kernel(1.0, 0.0, 1.0, 0.0, delta, delta)
