@@ -25,7 +25,6 @@ from .estimation import (
     fit_two_level,
     rabi_per_point,
     samples_from_arrays,
-    transmission_initial_guess,
 )
 from .experiments import (
     AtomParams,
@@ -36,7 +35,6 @@ from .experiments import (
     RunResult,
     export_result,
     import_csv,
-    import_json,
     paper_profile,
     resolve_config,
     run_control_sweep,
@@ -50,7 +48,6 @@ from .idt import (
     IdtTransducer,
     acoustic_conductance,
     coupling_rate,
-    decay_from_conductance,
     detuning_parameter,
     idt_bandwidth,
 )
@@ -61,11 +58,9 @@ from .lindblad import (
     hamiltonian,
     jump_operators,
     master_equation_reflection,
-    propagate,
     reflection_from_state,
     steady_state,
     steady_state_density_matrix,
-    validate_density_matrix,
     weak_probe_deviation,
 )
 from .model import (
@@ -80,7 +75,6 @@ from .model import (
     reflection_coefficient,
     transmission,
     transmission_flux_coefficient,
-    transmission_flux_sweep,
 )
 from .poles import (
     PoleDecomposition,
@@ -130,7 +124,6 @@ __all__ = [
     "coherence_rates",
     "coupling_rate",
     "dbm_to_watts",
-    "decay_from_conductance",
     "detuning_parameter",
     "dip_shape",
     "eit_linewidth",
@@ -144,12 +137,10 @@ __all__ = [
     "hz_to_angular",
     "idt_bandwidth",
     "import_csv",
-    "import_json",
     "jump_operators",
     "master_equation_reflection",
     "paper_profile",
     "poles_and_decomposition",
-    "propagate",
     "rabi_per_point",
     "reflection",
     "reflection_coefficient",
@@ -166,9 +157,6 @@ __all__ = [
     "synthesize_noise",
     "transmission",
     "transmission_flux_coefficient",
-    "transmission_flux_sweep",
-    "transmission_initial_guess",
-    "validate_density_matrix",
     "watts_to_dbm",
     "weak_probe_deviation",
     "weighted_linear_fit",

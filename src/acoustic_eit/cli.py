@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,19 +62,8 @@ def _write_stdout(chunks: Iterable[str]) -> None:
         raise ConfigError(f"cannot write to stdout: {exc.strerror or exc}") from exc
 
 
-def _emit_table(
-    out: str | None,
-    chunks: Iterable[str],
-    rows: int,
-    summary_lines: Sequence[str],
-    write: Callable[[str, Iterable[str]], None] = write_table,
-) -> int:
-    """The table to stdout; or, with --out, write(out, chunks) and then its
-    row count and summary lines to stdout."""
-    if not out:
-        _write_stdout(chunks)
-        return 0
-    write(out, chunks)
+def _report_written(out: str, rows: int, summary_lines: Sequence[str]) -> int:
+    """After a table was written to --out: its row count and summary lines to stdout."""
     _write_stdout(f"{line}\n" for line in [f"wrote {rows} rows to {out}", *summary_lines])
     return 0
 
@@ -94,11 +83,12 @@ def _handle_run(args: argparse.Namespace) -> int:
             "threshold_rabi_hz=%.17g threshold_power_dbm=%s"
             % (result.summary["threshold_rabi_hz"], threshold_power_text),
         ]
-    chunks = table_chunks(result.data, args.format, config.to_dict(), result.summary)
-    # export_result writes these same chunks; a run's file export stays one
-    # call of it, which the benchmark's tracer times
-    return _emit_table(args.out, chunks, len(next(iter(result.data.values()))), summary_lines,
-                       lambda path, _: export_result(result, path, args.format))
+    if not args.out:
+        _write_stdout(table_chunks(result.data, args.format, config.to_dict(), result.summary))
+        return 0
+    # a run's file export is one call of export_result, which the benchmark's tracer times
+    export_result(result, args.out, args.format)
+    return _report_written(args.out, len(next(iter(result.data.values()))), summary_lines)
 
 
 def _handle_classify(args: argparse.Namespace) -> int:
@@ -146,7 +136,11 @@ def _handle_idt_response(args: argparse.Namespace) -> int:
         "peak_rate_hz": angular_to_hz(idt.decay_peak),
     }
     chunks = table_chunks(data, args.format, summary=summary)
-    return _emit_table(args.out, chunks, freqs.size, [
+    if not args.out:
+        _write_stdout(chunks)
+        return 0
+    write_table(args.out, chunks)
+    return _report_written(args.out, freqs.size, [
         "bandwidth_hz=%.17g peak_rate_hz=%.17g" % (summary["bandwidth_hz"], summary["peak_rate_hz"])])
 
 

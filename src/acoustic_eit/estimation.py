@@ -9,7 +9,7 @@ Five estimators mirror the measurement analysis chain:
   power, returning the intrinsic coherence rate (intercept) and the
   power-to-Rabi-squared calibration constant (slope times 4*gamma10).
 - ``rabi_per_point``: per-power control Rabi frequency columns with
-  propagated error bars, inverting the linewidth relation.
+  first-order error bars, inverting the linewidth relation.
 - ``fit_two_level``: probe-only lineshape giving the probe-transition
   coherence rate.
 - ``fit_transmission``: full transmission model fit (complex or magnitude)
@@ -306,8 +306,8 @@ def rabi_per_point(
     one_sided = excess <= 0.0
     omega_c = np.sqrt(4.0 * gamma10 * np.where(one_sided, 0.0, excess))
     with np.errstate(divide="ignore", invalid="ignore"):  # the one-sided rows' 0/0, discarded
-        propagated = 2.0 * gamma10 * sigmas / omega_c
-    sigma = np.where(one_sided, np.sqrt(4.0 * gamma10 * sigmas), propagated)
+        first_order = 2.0 * gamma10 * sigmas / omega_c
+    sigma = np.where(one_sided, np.sqrt(4.0 * gamma10 * sigmas), first_order)
     return omega_c, sigma, one_sided
 
 
@@ -368,18 +368,13 @@ def fit_two_level(samples: Samples, *, Gamma10: float) -> FitResult:
 _TRANSMISSION_NAMES = ("gamma20", "delta", "Omega_c", "scale", "crosstalk_re", "crosstalk_im")
 
 
-def transmission_initial_guess(
-    samples: Samples,
-    *,
-    gamma10: float,
-    omega_c_hint: float | None = None,
-) -> dict[str, float]:
+def transmission_initial_guess(samples: Samples, *, gamma10: float) -> dict[str, float]:
     """Starting point for fit_transmission from a smoothed magnitude curve.
 
     Two resolved minima (split lineshape) give the control Rabi frequency
     from their separation and the two-photon offset from their midpoint; a
     single minimum gives the offset alone and the Rabi guess falls back to
-    the supplied hint or half the probe linewidth.
+    half the probe linewidth.
     """
     x, values, _ = samples
     order = np.argsort(x)
@@ -412,7 +407,7 @@ def transmission_initial_guess(
         delta0 = -(xa + xb)
     else:
         delta0 = -2.0 * float(x[picks[0]])
-        omega_c0 = omega_c_hint if omega_c_hint is not None else 0.5 * gamma10
+        omega_c0 = 0.5 * gamma10
     omega_c0 = max(float(omega_c0), 0.05 * gamma10)
 
     return {
@@ -430,9 +425,7 @@ def fit_transmission(
     *,
     gamma10: float,
     Gamma10: float,
-    init: dict[str, float] | None = None,
     fit_crosstalk: bool = True,
-    omega_c_hint: float | None = None,
 ) -> FitResult:
     """Fit t = scale * (t_model(Delta_p) + c) to complex or magnitude data.
 
@@ -441,10 +434,10 @@ def fit_transmission(
     frequency Omega_c; c = crosstalk_re + i*crosstalk_im is a constant
     electrical background and scale a real normalization. Complex samples are
     fitted in both quadratures; real samples are fitted in magnitude. With
-    fit_crosstalk=False the background stays pinned at its initial value.
+    fit_crosstalk=False the background stays pinned at zero.
 
     The six-parameter landscape has secondary minima at large background, so
-    a data-driven initial guess is used unless init overrides it.
+    the fit starts from the data-driven transmission_initial_guess.
     """
     x, values, sigma = samples
     if x.size < 8:
@@ -454,23 +447,12 @@ def fit_transmission(
     complex_data = bool(np.any(np.abs(values.imag) > 0.0))
     w = np.ones(x.size) if sigma is None else 1.0 / sigma
 
-    guess = transmission_initial_guess(samples, gamma10=gamma10, omega_c_hint=omega_c_hint)
-    if init:
-        unknown = set(init) - set(_TRANSMISSION_NAMES)
-        if unknown:
-            raise ValueError(f"unknown initial-guess parameters: {sorted(unknown)}")
-        guess.update({k: float(v) for k, v in init.items()})
-
-    if fit_crosstalk:
-        names = _TRANSMISSION_NAMES
-        fixed_c = None
-    else:
-        names = _TRANSMISSION_NAMES[:4]
-        fixed_c = complex(guess["crosstalk_re"], guess["crosstalk_im"])
+    guess = transmission_initial_guess(samples, gamma10=gamma10)
+    names = _TRANSMISSION_NAMES if fit_crosstalk else _TRANSMISSION_NAMES[:4]
 
     def evaluate(theta: np.ndarray, rows: np.ndarray):
         gamma20, delta, omega_c, scale = theta[0, :4]
-        c = complex(theta[0, 4], theta[0, 5]) if fit_crosstalk else fixed_c
+        c = complex(theta[0, 4], theta[0, 5]) if fit_crosstalk else 0j
         r, two_photon, denominator, transparent = _kernel(
             Gamma10, gamma10, gamma20, omega_c, x, 2.0 * x + delta)
         t = scale * (1.0 + r + c)
@@ -516,5 +498,4 @@ def fit_transmission(
     fit = _only(levenberg_marquardt_stack(evaluate, x0[None], names=names, lower=lower), "transmission fit")
     if fit_crosstalk:
         return fit
-    fixed = {"crosstalk_re": fixed_c.real, "crosstalk_im": fixed_c.imag}
-    return _with_fixed(fit, _TRANSMISSION_NAMES, fixed, "fixed:crosstalk")
+    return _with_fixed(fit, _TRANSMISSION_NAMES, {"crosstalk_re": 0.0, "crosstalk_im": 0.0}, "fixed:crosstalk")

@@ -697,7 +697,7 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
     y = np.abs(values) ** 2
     sigma_y = None
     if noisy:
-        # known per-quadrature sigma propagated to |r|^2
+        # known per-quadrature sigma carried to |r|^2 at first order
         sigma_q = config.noise.sigma_rel * np.max(np.abs(grid), axis=1, keepdims=True)
         sigma_y = 2.0 * np.abs(values) * sigma_q
 
@@ -968,14 +968,6 @@ def _json_chunks(
         for key, field in zip(keys, fields)
     )
     return chain([head, '\n  "rows": [\n'], _row_chunks(template, renders, n, ",\n"), ["\n  ]", tail])
-
-
-def import_json(path: str | Path) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as handle:
-        envelope = json.load(handle)
-    if not isinstance(envelope, dict) or envelope.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"{path} is not a schema-version-{SCHEMA_VERSION} export")
-    return envelope
 
 
 def table_chunks(

@@ -83,15 +83,6 @@ def acoustic_conductance(idt: IdtTransducer, omega):
     return idt.conductance_peak * _sinc(detuning_parameter(idt, omega)) ** 2
 
 
-def decay_from_conductance(conductance, capacitance: float):
-    """Gamma_a = G_a / (2 * C_t)."""
-    if capacitance <= 0.0:
-        raise ValueError("capacitance must be positive")
-    if np.any(np.asarray(conductance) < 0.0):
-        raise ValueError("conductance must be nonnegative")
-    return conductance / (2.0 * capacitance)
-
-
 def coupling_rate(idt: IdtTransducer, omega):
     """Acoustic energy decay rate Gamma_a(omega) = Gamma_a0 * sinc(X)**2 (rad/s)."""
     if np.any(np.asarray(omega) <= 0.0):

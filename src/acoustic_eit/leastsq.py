@@ -69,9 +69,6 @@ class FitResult:
     def error(self, name: str) -> float:
         return float(self.stderr[self._index(name)])
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: float(v) for name, v in zip(self.names, self.values)}
-
     def with_notes(self, *extra: str) -> "FitResult":
         return replace(self, notes=self.notes + extra)
 
@@ -107,11 +104,11 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _gradients(jac: np.ndarray, r: np.ndarray, x: np.ndarray, lower: np.ndarray | None):
+def _gradients(jac: np.ndarray, r: np.ndarray, x: np.ndarray, lower: np.ndarray):
     """J^T r per fit, and the norm of its projection: the components that push
     a bound-clamped parameter outward are left out."""
     grad = (r[:, None, :] @ jac)[:, 0, :]
-    projected = grad if lower is None else np.where((x <= lower) & (grad > 0.0), 0.0, grad)
+    projected = np.where((x <= lower) & (grad > 0.0), 0.0, grad)
     return grad, np.sqrt(_dots(projected, projected))
 
 
@@ -141,8 +138,8 @@ def levenberg_marquardt_stack(
     evaluate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
     *,
-    names: Sequence[str] | None = None,
-    lower: Sequence[float] | None = None,
+    names: Sequence[str],
+    lower: Sequence[float],
 ) -> list[FitResult | ValueError]:
     """Minimize |r_i(x_i)|^2 for a stack of k independent fits in lockstep.
 
@@ -154,24 +151,23 @@ def levenberg_marquardt_stack(
     Every fit keeps its own damping, acceptance, bound projection, gradient
     test and damping-overflow stop, and freezes once it finishes, so each
     result is bit-equal to the fit run as a batch of one.
-    lower, shared by all fits, holds per-parameter lower bounds (-inf for
-    free parameters); iterates are projected onto them and at_bound marks
-    parameters that finished clamped. A fit whose residuals or rss are not
-    finite at its start gets a ValueError in place of its result.
+    names and lower are shared by all fits: names labels the p parameters,
+    and lower holds their lower bounds (-inf for free parameters); iterates
+    are projected onto them and at_bound marks parameters that finished
+    clamped. A fit whose residuals or rss are not finite at its start gets a
+    ValueError in place of its result.
     """
     x = np.array(x0, dtype=float)
     if x.ndim != 2:
         raise ValueError("x0 must hold one starting point per fit, shape (k, p)")
     k, p = x.shape
-    param_names = tuple(names) if names is not None else tuple(f"p{i}" for i in range(p))
+    param_names = tuple(names)
     if len(param_names) != p:
         raise ValueError("names length must match parameter count")
-    bound = None
-    if lower is not None:
-        bound = np.asarray(lower, dtype=float)
-        if bound.shape != (p,):
-            raise ValueError("lower bounds must match parameter count")
-        x = np.maximum(x, bound)
+    bound = np.asarray(lower, dtype=float)
+    if bound.shape != (p,):
+        raise ValueError("lower bounds must match parameter count")
+    x = np.maximum(x, bound)
 
     r, jac = (np.array(a, dtype=float) for a in evaluate(x, np.arange(k)))
     with np.errstate(over="ignore"):  # an overflowing rss fails the start like a non-finite residual
@@ -192,9 +188,7 @@ def levenberg_marquardt_stack(
         if live.size == 0:
             break
         step = _steps(jac_live, grad_live, damping)
-        x_trial = x_live + step
-        if bound is not None:
-            x_trial = np.maximum(x_trial, bound)
+        x_trial = np.maximum(x_live + step, bound)
         r_trial, jac_trial = (np.ascontiguousarray(a, dtype=float) for a in evaluate(x_trial, live))
         rss_trial = _dots(r_trial, r_trial)
         better = rss_trial < rss_live
@@ -236,7 +230,7 @@ def levenberg_marquardt_stack(
             results.append(ValueError("residuals are not finite at the initial guess"))
             continue
         covariance, stderr = next(covariances)
-        at_bound = tuple(bool(bound is not None and x[i, j] <= bound[j]) for j in range(p))
+        at_bound = tuple(bool(x[i, j] <= bound[j]) for j in range(p))
         results.append(FitResult(
             names=param_names,
             values=x[i].copy(),

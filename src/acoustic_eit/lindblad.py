@@ -46,10 +46,6 @@ _RESIDUAL_RTOL = 1e-10
 # grid points per batched solve in weak_probe_deviation; a chunk's (n, 9, 9)
 # stack and its temporaries stay at a few MB whatever the grid size
 _CHUNK = 1024
-# degree-13 Pade coefficients b_k = (26 - k)! / (k! (13 - k)!), all exact in float64, and the
-# 1-norm up to which r_13 meets unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005)
-_PADE_13 = [float(math.factorial(26 - k) // (math.factorial(k) * math.factorial(13 - k))) for k in range(14)]
-_THETA_13 = 5.371920351148152
 
 
 def hamiltonian(Delta_p, Delta_c, Omega_p, Omega_c) -> np.ndarray:
@@ -176,19 +172,6 @@ def steady_state_density_matrix(atom: ThreeLevelAtom, drive: DriveCondition) -> 
     return steady_state(build_liouvillian(h, jump_operators(atom)))
 
 
-def validate_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> None:
-    """Raise ValueError unless rho is hermitian, unit-trace, and PSD."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (_DIM, _DIM):
-        raise ValueError("density matrix must be 3x3")
-    if np.linalg.norm(rho - rho.conj().T) > atol:
-        raise ValueError("density matrix is not hermitian")
-    if abs(np.trace(rho) - 1.0) > atol:
-        raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -atol:
-        raise ValueError("density matrix has a negative eigenvalue")
-
-
 def reflection_from_state(rho: np.ndarray, Gamma10: float, Omega_p: float):
     """Reflection coefficient read off the steady-state 1-0 coherence.
 
@@ -278,44 +261,3 @@ def weak_probe_deviation(
     return DeviationReport(max_abs=max_abs, max_rel=max_rel, points=points,
                            worst_Delta_p=float(delta_p[i_p]), worst_Delta_c=float(delta_c[i_c]),
                            worst_Omega_c=float(omega_c[i_o]))
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a): scale to 1-norm <= theta_13, take r_13 = (V - U)^-1 (V + U), square back.
-
-    No eigendecomposition, so the defective generator at the EIT / Autler-Townes threshold is no special case.
-    """
-    norm = float(np.abs(a).sum(axis=0).max())
-    squarings = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
-    a = a / 2.0**squarings
-    b = _PADE_13
-    eye = np.eye(a.shape[0])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
-    return r
-
-
-def propagate(
-    liouvillian: np.ndarray,
-    rho0: np.ndarray,
-    times: Sequence[float],
-) -> np.ndarray:
-    """Evolve rho0 under the master equation; returns (len(times), 3, 3).
-
-    Uses the dense matrix exponential per requested time, which is exact for
-    this 9-dimensional generator and fast enough for diagnostics and tests.
-    """
-    lv = np.asarray(liouvillian, dtype=complex)
-    v0 = np.asarray(rho0, dtype=complex).reshape(-1, order="F")
-    out = np.empty((len(times), _DIM, _DIM), dtype=complex)
-    for i, t in enumerate(times):
-        if not 0.0 <= t < math.inf:
-            raise ValueError("times must be nonnegative and finite")
-        out[i] = _unvec(_expm(lv * float(t)) @ v0)
-    return out

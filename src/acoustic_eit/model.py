@@ -82,19 +82,6 @@ class ThreeLevelAtom:
     def gamma21(self) -> float:
         return 0.5 * (self.Gamma10 + self.Gamma21) + self.gphi1 + self.gphi2
 
-    @classmethod
-    def from_coherence(cls, omega10: float, anharmonicity: float, Gamma10: float,
-                       gamma10: float, gamma20: float, Gamma21: float = 0.0) -> "ThreeLevelAtom":
-        """Construct from measured coherence rates, backing out the dephasing split."""
-        gphi1 = gamma10 - 0.5 * Gamma10
-        gphi2 = gamma20 - 0.5 * Gamma21
-        if gphi1 < 0.0:
-            raise ValueError("gamma10 < Gamma10/2: dephasing would be negative")
-        if gphi2 < 0.0:
-            raise ValueError("gamma20 < Gamma21/2: dephasing would be negative")
-        return cls(omega10=omega10, anharmonicity=anharmonicity, Gamma10=Gamma10,
-                   Gamma21=Gamma21, gphi1=gphi1, gphi2=gphi2)
-
 
 @dataclass(frozen=True)
 class DriveCondition:
@@ -201,19 +188,12 @@ def transmission(atom: ThreeLevelAtom, drive: DriveCondition) -> complex:
     return 1.0 + reflection(atom, drive)
 
 
-def transmission_flux_sweep(atom: ThreeLevelAtom, Delta_p: float, delta: float,
-                            Omega_c: float) -> complex:
-    """Transmission along a flux sweep of the atom at fixed tone frequencies."""
-    return transmission_flux_coefficient(atom.Gamma10, atom.gamma10, atom.gamma20,
-                                         Omega_c, Delta_p, delta)
-
-
 def eit_linewidth(gamma10: float, gamma20: float, Omega_c: float) -> float:
     """Half width of the transparency dip: gamma20 + Omega_c**2 / (4*gamma10)."""
-    if gamma10 <= 0.0:
-        raise ValueError("gamma10 must be positive")
-    if gamma20 < 0.0 or Omega_c < 0.0:
-        raise ValueError("gamma20 and Omega_c must be nonnegative")
+    if not (gamma10 > 0.0 and math.isfinite(gamma10)):
+        raise ValueError("gamma10 must be positive and finite")
+    if not (gamma20 >= 0.0 and Omega_c >= 0.0 and math.isfinite(gamma20) and math.isfinite(Omega_c)):
+        raise ValueError("gamma20 and Omega_c must be nonnegative and finite")
     return gamma20 + Omega_c**2 / (4.0 * gamma10)
 
 
@@ -234,8 +214,8 @@ class DipShape(NamedTuple):
 
 def dip_shape(Gamma10: float, gamma10: float, gamma20: float, Omega_c: float) -> DipShape:
     """Decompose the probe-resonant dip of |r|^2 versus control detuning."""
-    if gamma10 <= 0.0:
-        raise ValueError("gamma10 must be positive")
+    if not (Gamma10 >= 0.0 and math.isfinite(Gamma10)):
+        raise ValueError("Gamma10 must be nonnegative and finite")
     hwhm = eit_linewidth(gamma10, gamma20, Omega_c)
     amplitude = Gamma10 / (2.0 * gamma10)
     window = Gamma10 * Omega_c**2 / (8.0 * gamma10**2)

@@ -45,12 +45,18 @@ def transmission_atom() -> ThreeLevelAtom:
 def fit_one():
     """levenberg_marquardt_stack on a batch of one: fit_one(residual_fn, x0,
     jacobian_fn, names=..., lower=...) returns the FitResult, and raises the
-    ValueError the engine returns for a non-finite start."""
+    ValueError the engine returns for a non-finite start. names default to
+    p0, p1, ... and lower to no bounds."""
     def fit(residual_fn, x0, jacobian_fn, *, names=None, lower=None):
         def evaluate(theta, rows):
             return np.asarray(residual_fn(theta[0]))[None], np.asarray(jacobian_fn(theta[0]))[None]
 
-        result, = levenberg_marquardt_stack(evaluate, np.array(x0, dtype=float)[None], names=names, lower=lower)
+        x0 = np.array(x0, dtype=float)
+        if names is None:
+            names = tuple(f"p{i}" for i in range(x0.size))
+        if lower is None:
+            lower = np.full(x0.size, -np.inf)
+        result, = levenberg_marquardt_stack(evaluate, x0[None], names=names, lower=lower)
         if isinstance(result, ValueError):
             raise result
         return result

@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acoustic_eit import experiments
+from acoustic_eit import cli, experiments
 from acoustic_eit.cli import build_parser, main
-from acoustic_eit.experiments import _CHUNK_ROWS, import_csv, import_json, resolve_config, result_text, run_experiment
+from acoustic_eit.experiments import _CHUNK_ROWS, import_csv, resolve_config, result_text, run_experiment
 
 
 def test_no_arguments_exits_with_usage_error(capsys):
@@ -134,7 +134,7 @@ def test_pipeline_linewidth_reports_line_fit(tmp_path, capsys):
             reported[key] = value
     assert float(reported["gamma20_hz"]) == pytest.approx(4.94e6, rel=1e-6)
     assert float(reported["threshold_power_dbm"]) == pytest.approx(-45.0, abs=1e-5)
-    envelope = import_json(out_path)
+    envelope = json.loads(out_path.read_text())
     assert envelope["summary"]["line_fit"]["points_used"] == 10
 
 
@@ -215,7 +215,7 @@ def test_idt_response_json_carries_summary(tmp_path, capsys):
                  "--format", "json"])
     assert code == 0
     assert "bandwidth_hz=81360000" in capsys.readouterr().out
-    envelope = import_json(out_path)
+    envelope = json.loads(out_path.read_text())
     assert envelope["summary"]["bandwidth_hz"] == pytest.approx(81.36e6, rel=1e-12)
     assert envelope["summary"]["peak_rate_hz"] == pytest.approx(20.08575e6, rel=1e-9)
 
@@ -345,6 +345,25 @@ def test_out_file_matches_stdout_bytes(tmp_path, capsys, argv):
         assert main([*argv, "--out", str(out_path)]) == 0
         capsys.readouterr()
         assert out_path.read_bytes() == stdout.encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_run_renders_its_table_once(tmp_path, capsys, monkeypatch, fmt, out):
+    # with --out the file is export_result's one rendering of the table
+    calls = []
+    table_chunks = experiments.table_chunks
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return table_chunks(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "table_chunks", counted)
+    monkeypatch.setattr(cli, "table_chunks", counted)
+    argv = ["simulate", "power-sweep", "--profile", "paper", "--format", fmt]
+    assert main(argv + ["--out", str(tmp_path / "table")] if out else argv) == 0
+    capsys.readouterr()
+    assert calls == [fmt]
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,8 +21,8 @@ from acoustic_eit import (
     reflection_coefficient,
     samples_from_arrays,
     transmission_flux_coefficient,
-    transmission_initial_guess,
 )
+from acoustic_eit.estimation import transmission_initial_guess
 from numdiff import central_difference
 
 MHZ = 2.0 * math.pi * 1e6
@@ -372,9 +372,6 @@ def test_transmission_validation():
     x, t = _transmission_curve(n=21)
     with pytest.raises(ValueError):
         fit_transmission(samples_from_arrays(x, t), gamma10=0.0, Gamma10=GAMMA10_EMIT)
-    with pytest.raises(ValueError):
-        fit_transmission(samples_from_arrays(x, t), gamma10=G10,
-                         Gamma10=GAMMA10_EMIT, init={"bogus": 1.0})
 
 
 @pytest.mark.filterwarnings("error")
@@ -445,8 +442,7 @@ def test_transmission_crosstalk_float_vs_pin():
     assert floated.value("gamma20") == pytest.approx(T_G20, rel=1e-6)
     # pinning the background at zero biases the decoherence estimate
     pinned = fit_transmission(samples_from_arrays(x, t), gamma10=G10,
-                              Gamma10=GAMMA10_EMIT, fit_crosstalk=False,
-                              init={"crosstalk_re": 0.0, "crosstalk_im": 0.0})
+                              Gamma10=GAMMA10_EMIT, fit_crosstalk=False)
     bias = abs(pinned.value("gamma20") - T_G20) / T_G20
     assert bias > 0.05
 
@@ -458,17 +454,13 @@ def test_transmission_initial_guess_split_minima():
     assert guess["delta"] == pytest.approx(T_DELTA, abs=3.0 * MHZ)
 
 
-def test_transmission_initial_guess_single_minimum_uses_hint():
+def test_transmission_initial_guess_single_minimum_uses_half_gamma10():
     x = np.linspace(-50.0, 50.0, 201) * MHZ
     t = transmission_flux_coefficient(Gamma10=GAMMA10_EMIT, gamma10=G10,
                                       gamma20=T_G20, Omega_c=0.0,
                                       Delta_p=x, delta=0.0)
-    samples = samples_from_arrays(x, t)
-    with_hint = transmission_initial_guess(samples, gamma10=G10,
-                                           omega_c_hint=7.0 * MHZ)
-    assert with_hint["Omega_c"] == 7.0 * MHZ
-    without = transmission_initial_guess(samples, gamma10=G10)
-    assert without["Omega_c"] == 0.5 * G10
+    guess = transmission_initial_guess(samples_from_arrays(x, t), gamma10=G10)
+    assert guess["Omega_c"] == 0.5 * G10
 
 
 def test_transmission_noisy_within_three_sigma():

@@ -10,7 +10,6 @@ from acoustic_eit import (
     acoustic_conductance,
     angular_to_hz,
     coupling_rate,
-    decay_from_conductance,
     detuning_parameter,
     hz_to_angular,
     idt_bandwidth,
@@ -113,8 +112,8 @@ def test_bounded_by_peak(device_idt):
 
 def test_conductance_decay_consistency(device_idt):
     omegas = np.linspace(0.8, 1.2, 101) * device_idt.omega_center
-    via_conductance = decay_from_conductance(
-        acoustic_conductance(device_idt, omegas), device_idt.capacitance)
+    # Gamma_a = G_a / (2 * C_t)
+    via_conductance = acoustic_conductance(device_idt, omegas) / (2.0 * device_idt.capacitance)
     direct = coupling_rate(device_idt, omegas)
     assert np.allclose(via_conductance, direct, rtol=1e-12, atol=0.0)
 
@@ -156,12 +155,3 @@ def test_rejects_nonpositive_frequency(device_idt):
         coupling_rate(device_idt, 0.0)
     with pytest.raises(ValueError):
         acoustic_conductance(device_idt, -1.0)
-    with pytest.raises(ValueError):
-        decay_from_conductance(1e-6, 0.0)
-    with pytest.raises(ValueError):
-        decay_from_conductance(-1e-6, 1e-13)
-
-
-def test_decay_from_conductance_trivial():
-    assert decay_from_conductance(0.0, 1e-13) == 0.0
-    assert decay_from_conductance(2e-6, 1e-13) == 2e-6 / 2e-13

@@ -31,7 +31,6 @@ def test_fit_result_accessors():
     res = _simple_result()
     assert res.value("a") == 1.5
     assert res.error("b") == 0.2
-    assert res.as_dict() == {"a": 1.5, "b": -2.0}
     with pytest.raises(KeyError):
         res.value("missing")
 

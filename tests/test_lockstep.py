@@ -159,7 +159,7 @@ def test_other_fit_paths_are_pinned(monkeypatch):
     # every step, so the last stack never accepts one
     stacks = (list(problems), ["iteration-cap", "damping-overflow", "exponential"],
               ["damping-overflow", "damping-overflow"])
-    for lower in (None, [-np.inf, 0.0]):
+    for lower in (FREE, [-np.inf, 0.0]):
         for names in stacks:
             for fit in _stacked(problems, names, lower):
                 digest.update(_fit_record(fit).encode())
@@ -225,6 +225,7 @@ def test_dip_stack_needs_one_length():
 T = np.linspace(0.0, 2.0, 8)
 TINY = 2.2e-161  # TINY**2 is about 100 units of the smallest subnormal
 FIRST = (T == 0.0).astype(float)
+FREE = [-np.inf, -np.inf]
 
 
 def _edge_problems():
@@ -266,10 +267,10 @@ def _stacked(problems, names, lower):
         pairs = [(functions[i][0](point), functions[i][1](point)) for i, point in zip(rows, theta)]
         return np.array([r for r, _ in pairs]), np.array([j for _, j in pairs])
 
-    return leastsq.levenberg_marquardt_stack(evaluate, starts, lower=lower)
+    return leastsq.levenberg_marquardt_stack(evaluate, starts, names=("p0", "p1"), lower=lower)
 
 
-@pytest.mark.parametrize("lower", [None, [-np.inf, 0.0]], ids=["free", "bounded"])
+@pytest.mark.parametrize("lower", [FREE, [-np.inf, 0.0]], ids=["free", "bounded"])
 def test_mixed_stack_matches_fits_alone(lower, fit_one):
     problems = _edge_problems()
     names = list(problems)

@@ -19,7 +19,6 @@ from acoustic_eit import (
     reflection_coefficient,
     transmission,
     transmission_flux_coefficient,
-    transmission_flux_sweep,
 )
 from acoustic_eit.experiments import paper_profile, run_experiment
 from acoustic_eit.model import _kernel
@@ -63,24 +62,6 @@ def test_atom_properties(reflection_atom):
     assert reflection_atom.gamma10 == pytest.approx(21.0 * MHZ, rel=1e-15)
     assert reflection_atom.gamma20 == pytest.approx(4.94 * MHZ, rel=1e-15)
     assert reflection_atom.omega21 == pytest.approx(hz_to_angular(2.15e9), rel=1e-12)
-
-
-def test_atom_from_coherence_round_trip(reflection_atom):
-    rebuilt = ThreeLevelAtom.from_coherence(
-        omega10=reflection_atom.omega10,
-        anharmonicity=reflection_atom.anharmonicity,
-        Gamma10=reflection_atom.Gamma10,
-        gamma10=reflection_atom.gamma10,
-        gamma20=reflection_atom.gamma20,
-        Gamma21=reflection_atom.Gamma21,
-    )
-    assert rebuilt.gphi1 == pytest.approx(reflection_atom.gphi1, rel=1e-12)
-    assert rebuilt.gphi2 == pytest.approx(reflection_atom.gphi2, rel=1e-12)
-
-
-def test_atom_from_coherence_rejects_negative_dephasing():
-    with pytest.raises(ValueError):
-        ThreeLevelAtom.from_coherence(1e9, 1e8, Gamma10=10.0, gamma10=4.0, gamma20=0.0)
 
 
 def test_atom_validation():
@@ -197,8 +178,8 @@ def test_transmission_operating_point(reflection_atom):
 
 
 def test_flux_sweep_matches_transmission_at_zero_offset(reflection_atom):
-    t_flux = transmission_flux_sweep(reflection_atom, Delta_p=0.0, delta=0.0,
-                                     Omega_c=6.1 * MHZ)
+    t_flux = transmission_flux_coefficient(reflection_atom.Gamma10, reflection_atom.gamma10,
+                                           reflection_atom.gamma20, 6.1 * MHZ, Delta_p=0.0, delta=0.0)
     t_plain = transmission(reflection_atom, DriveCondition(Omega_c=6.1 * MHZ))
     assert t_flux == t_plain
 
@@ -262,6 +243,18 @@ def test_eit_linewidth_validation():
         eit_linewidth(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         eit_linewidth(1.0, -1.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call, argument", [("linewidth", i) for i in range(3)] + [("dip", i) for i in range(4)])
+def test_linewidth_and_dip_reject_rates_that_are_not_finite(call, argument, value):
+    # eit_linewidth(gamma10, gamma20, Omega_c) and dip_shape(Gamma10, gamma10, gamma20, Omega_c)
+    function, rates = {"linewidth": (eit_linewidth, [21.0, 5.0, 6.0]),
+                       "dip": (dip_shape, [20.0, 21.0, 5.0, 6.0])}[call]
+    rates[argument] = value
+    with pytest.raises(ValueError, match="finite"):
+        function(*rates)
 
 
 def test_dip_shape_reproduces_squared_reflection(reflection_atom):
