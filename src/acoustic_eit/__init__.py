@@ -19,7 +19,6 @@ from .errors import (
 )
 from .estimation import (
     Samples,
-    fit_dip_lorentzian,
     fit_linewidth_line,
     fit_transmission,
     fit_two_level,
@@ -67,7 +66,6 @@ from .model import (
     DipShape,
     DriveCondition,
     ThreeLevelAtom,
-    coherence_rates,
     dip_shape,
     eit_linewidth,
     group_delay,
@@ -121,14 +119,12 @@ __all__ = [
     "angular_to_hz",
     "build_liouvillian",
     "classify_regime",
-    "coherence_rates",
     "coupling_rate",
     "dbm_to_watts",
     "detuning_parameter",
     "dip_shape",
     "eit_linewidth",
     "export_result",
-    "fit_dip_lorentzian",
     "fit_linewidth_line",
     "fit_transmission",
     "fit_two_level",

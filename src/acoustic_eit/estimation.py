@@ -1,17 +1,17 @@
 """Parameter extraction from swept scattering data.
 
-Five estimators mirror the measurement analysis chain:
+Four estimators mirror the measurement analysis chain:
 
-- ``fit_dip_lorentzian``: Lorentzian dip in |r|^2 versus control detuning;
-  its half width at half maximum is the transparency-window linewidth.
-  ``fit_dip_stack`` fits many such dips in lockstep, one per control power.
+- ``fit_dip_stack``: Lorentzian dips in |r|^2 versus control detuning, one
+  per control power, fitted in lockstep; a dip's half width at half maximum
+  is the transparency-window linewidth.
 - ``fit_linewidth_line``: weighted straight line of linewidth versus control
   power, returning the intrinsic coherence rate (intercept) and the
   power-to-Rabi-squared calibration constant (slope times 4*gamma10).
 - ``rabi_per_point``: per-power control Rabi frequency columns with
   first-order error bars, inverting the linewidth relation.
 - ``fit_two_level``: probe-only lineshape giving the probe-transition
-  coherence rate.
+  coherence rate and an amplitude scale.
 - ``fit_transmission``: full transmission model fit (complex or magnitude)
   with a constant electrical-crosstalk background.
 
@@ -79,23 +79,6 @@ def _convergence_error(result: FitResult, what: str) -> ConvergenceError:
     )
 
 
-def _with_fixed(fit: FitResult, names: tuple[str, ...], fixed: dict[str, float], note: str) -> FitResult:
-    """A fit of some of names reported over all of them: each fixed parameter
-    holds its given value with stderr 0, zero covariance rows and columns
-    and at_bound False, and note is added."""
-    free = [names.index(name) for name in fit.names]
-    values = np.array([fixed.get(name, 0.0) for name in names])
-    stderr = np.zeros(len(names))
-    values[free], stderr[free] = fit.values, fit.stderr
-    covariance = None
-    if fit.covariance is not None:
-        covariance = np.zeros((len(names), len(names)))
-        covariance[np.ix_(free, free)] = fit.covariance
-    at_bound = tuple(name not in fixed and fit.at_bound[fit.names.index(name)] for name in names)
-    return replace(fit, names=names, values=values, stderr=stderr, covariance=covariance,
-                   at_bound=at_bound, notes=fit.notes + (note,))
-
-
 def _only(outcomes: list, what: str) -> FitResult:
     """The result of a batch of one, raising its error or non-convergence."""
     fit, = outcomes
@@ -136,21 +119,27 @@ def _dip_start(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def fit_dip_stack(x, y, sigma=None) -> list[FitResult | Exception]:
-    """fit_dip_lorentzian on the real curves y (k, n) over one abscissa x (n,),
-    fitted in lockstep; sigma, when given, is (k, n).
+    """Fit baseline - depth * hwhm^2 / ((x - center)^2 + hwhm^2) to each of
+    the real curves y (k, n) over one abscissa x (n,), in lockstep.
 
-    Returns one entry per row: its FitResult, or the error fitting that row
-    alone raises (ValueError for a sigma that is not positive and finite,
-    ConvergenceError for a fit that does not converge). Each entry equals the
-    single fit's. Fewer than 5 samples, or shapes that do not match, raise
-    ValueError for the whole stack.
+    Weighted least squares when sigma (k, n) is given. Returns one entry per
+    row: its FitResult, or the error fitting that row alone raises
+    (ValueError for a sigma that is not positive and finite, ConvergenceError
+    for a fit that does not converge). Each entry equals the fit of that row
+    as a batch of one. Constant data leaves the width and center
+    unidentifiable: the baseline is then reported exactly and the result is
+    flagged instead of iterated. Shapes that do not match, fewer than 5
+    samples, or complex curves raise ValueError for the whole stack.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y)
     if y.ndim != 2 or y.shape[1:] != x.shape or (sigma is not None and np.shape(sigma) != y.shape):
         raise ValueError("dip curves must be (k, n) over the n abscissae, and sigma the same shape")
     if x.size < 5:
         raise ValueError("need at least 5 samples spanning the dip")
+    if np.iscomplexobj(y):
+        raise ValueError("dip curves must be real (|r|^2 values)")
+    y = y.astype(float, copy=False)
     outcomes: list[FitResult | Exception | None] = [None] * len(y)
     if sigma is None:
         rows = np.arange(len(y))
@@ -222,21 +211,6 @@ def fit_dip_stack(x, y, sigma=None) -> list[FitResult | Exception]:
         else:
             outcomes[i] = fit
     return outcomes
-
-
-def fit_dip_lorentzian(samples: Samples) -> FitResult:
-    """Fit baseline - depth * hwhm^2 / ((x - center)^2 + hwhm^2).
-
-    Weighted least squares when samples carry sigma. Constant data leaves the
-    width and center unidentifiable: the baseline is then reported exactly
-    and the result is flagged instead of iterated. This is fit_dip_stack on
-    a batch of one.
-    """
-    x, values, sigma = samples
-    # fit_dip_stack raises the sample-count error, which comes first
-    if x.size >= 5 and np.any(np.abs(values.imag) > 0.0):
-        raise ValueError("dip samples must be real (|r|^2 values)")
-    return _only(fit_dip_stack(x, values.real[None], None if sigma is None else sigma[None]), "dip fit")
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +294,7 @@ def fit_two_level(samples: Samples, *, Gamma10: float) -> FitResult:
     """Fit |r| = scale * (Gamma10/2) / sqrt(gamma10^2 + Delta_p^2).
 
     Gamma10 multiplies the same factor as scale, so it is supplied from an
-    independent calibration and reported as a fixed parameter with zero
-    uncertainty; gamma10 and scale are fitted.
+    independent calibration; the result holds the fitted gamma10 and scale.
     """
     x, values, sigma = samples
     if x.size < 5:
@@ -352,13 +325,12 @@ def fit_two_level(samples: Samples, *, Gamma10: float) -> FitResult:
         d_scale = (0.5 * Gamma10) / root
         return ((f - y) * w)[None], (np.column_stack([d_gamma, d_scale]) * w[:, None])[None]
 
-    fit = _only(levenberg_marquardt_stack(
+    return _only(levenberg_marquardt_stack(
         evaluate,
         np.array([[gamma0, scale0]]),
         names=("gamma10", "scale"),
         lower=np.array([0.0, -np.inf]),
     ), "two-level fit")
-    return _with_fixed(fit, ("gamma10", "Gamma10", "scale"), {"Gamma10": Gamma10}, "fixed:Gamma10")
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +397,6 @@ def fit_transmission(
     *,
     gamma10: float,
     Gamma10: float,
-    fit_crosstalk: bool = True,
 ) -> FitResult:
     """Fit t = scale * (t_model(Delta_p) + c) to complex or magnitude data.
 
@@ -433,8 +404,7 @@ def fit_transmission(
     Gamma10) and free gamma20, two-photon offset delta, and control Rabi
     frequency Omega_c; c = crosstalk_re + i*crosstalk_im is a constant
     electrical background and scale a real normalization. Complex samples are
-    fitted in both quadratures; real samples are fitted in magnitude. With
-    fit_crosstalk=False the background stays pinned at zero.
+    fitted in both quadratures; real samples are fitted in magnitude.
 
     The six-parameter landscape has secondary minima at large background, so
     the fit starts from the data-driven transmission_initial_guess.
@@ -448,11 +418,10 @@ def fit_transmission(
     w = np.ones(x.size) if sigma is None else 1.0 / sigma
 
     guess = transmission_initial_guess(samples, gamma10=gamma10)
-    names = _TRANSMISSION_NAMES if fit_crosstalk else _TRANSMISSION_NAMES[:4]
 
     def evaluate(theta: np.ndarray, rows: np.ndarray):
-        gamma20, delta, omega_c, scale = theta[0, :4]
-        c = complex(theta[0, 4], theta[0, 5]) if fit_crosstalk else 0j
+        gamma20, delta, omega_c, scale, c_re, c_im = theta[0]
+        c = complex(c_re, c_im)
         r, two_photon, denominator, transparent = _kernel(
             Gamma10, gamma10, gamma20, omega_c, x, 2.0 * x + delta)
         t = scale * (1.0 + r + c)
@@ -475,27 +444,23 @@ def fit_transmission(
             resid = np.empty((1, 2 * n))
             np.multiply(res.real, w, out=resid[0, :n])
             np.multiply(res.imag, w, out=resid[0, n:])
-            jac = np.zeros((1, 2 * n, len(names)))
+            jac = np.zeros((1, 2 * n, 6))
             for j, column in enumerate(columns):
                 np.multiply(column.real, w, out=jac[0, :n, j])
                 np.multiply(column.imag, w, out=jac[0, n:, j])
-            if fit_crosstalk:
-                # dt/dc_re = scale and dt/dc_im = i*scale
-                np.multiply(scale, w, out=jac[0, :n, 4])
-                np.multiply(scale, w, out=jac[0, n:, 5])
+            # dt/dc_re = scale and dt/dc_im = i*scale
+            np.multiply(scale, w, out=jac[0, :n, 4])
+            np.multiply(scale, w, out=jac[0, n:, 5])
             return resid, jac
-        if fit_crosstalk:
-            columns += [np.full(x.size, scale + 0j), np.full(x.size, 1j * scale)]
+        columns += [np.full(x.size, scale + 0j), np.full(x.size, 1j * scale)]
         jac = np.column_stack(columns)
         magnitude = np.abs(t)
         return (((magnitude - values.real) * w)[None],
                 ((t.conj()[:, None] * jac).real / magnitude[:, None] * w[:, None])[None])
 
-    x0 = np.array([guess[name] for name in names])
-    lower = np.full(len(names), -np.inf)
+    x0 = np.array([guess[name] for name in _TRANSMISSION_NAMES])
+    lower = np.full(len(_TRANSMISSION_NAMES), -np.inf)
     lower[0] = 0.0  # gamma20
     lower[2] = 0.0  # Omega_c
-    fit = _only(levenberg_marquardt_stack(evaluate, x0[None], names=names, lower=lower), "transmission fit")
-    if fit_crosstalk:
-        return fit
-    return _with_fixed(fit, _TRANSMISSION_NAMES, {"crosstalk_re": 0.0, "crosstalk_im": 0.0}, "fixed:crosstalk")
+    return _only(levenberg_marquardt_stack(evaluate, x0[None], names=_TRANSMISSION_NAMES, lower=lower),
+                 "transmission fit")

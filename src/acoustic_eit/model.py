@@ -23,23 +23,6 @@ import numpy as np
 from .errors import SingularModelError, UndefinedPhaseError
 
 
-def coherence_rates(Gamma10: float, Gamma21: float, gphi1: float, gphi2: float):
-    """Coherence decay rates (gamma10, gamma20, gamma21) from energy decay and dephasing.
-
-    gamma10 = Gamma10/2 + gphi1
-    gamma20 = Gamma21/2 + gphi2          (|0> does not decay)
-    gamma21 = (Gamma10 + Gamma21)/2 + gphi1 + gphi2
-    """
-    for name, value in (("Gamma10", Gamma10), ("Gamma21", Gamma21),
-                        ("gphi1", gphi1), ("gphi2", gphi2)):
-        if value < 0.0 or not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite nonnegative rate, got {value!r}")
-    gamma10 = 0.5 * Gamma10 + gphi1
-    gamma20 = 0.5 * Gamma21 + gphi2
-    gamma21 = 0.5 * (Gamma10 + Gamma21) + gphi1 + gphi2
-    return gamma10, gamma20, gamma21
-
-
 @dataclass(frozen=True)
 class ThreeLevelAtom:
     """Ladder atom parameters, all in angular units (rad/s).
@@ -63,8 +46,10 @@ class ThreeLevelAtom:
             raise ValueError("omega10 must be positive and finite")
         if not (self.anharmonicity > 0.0 and math.isfinite(self.anharmonicity)):
             raise ValueError("anharmonicity must be positive and finite")
-        # also validates nonnegativity of the four rates
-        coherence_rates(self.Gamma10, self.Gamma21, self.gphi1, self.gphi2)
+        for name in ("Gamma10", "Gamma21", "gphi1", "gphi2"):
+            value = getattr(self, name)
+            if value < 0.0 or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite nonnegative rate, got {value!r}")
 
     @property
     def omega21(self) -> float:

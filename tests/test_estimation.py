@@ -13,7 +13,6 @@ from acoustic_eit import (
     dbm_to_watts,
     dip_shape,
     eit_linewidth,
-    fit_dip_lorentzian,
     fit_linewidth_line,
     fit_transmission,
     fit_two_level,
@@ -22,7 +21,7 @@ from acoustic_eit import (
     samples_from_arrays,
     transmission_flux_coefficient,
 )
-from acoustic_eit.estimation import transmission_initial_guess
+from acoustic_eit.estimation import fit_dip_stack, transmission_initial_guess
 from numdiff import central_difference
 
 MHZ = 2.0 * math.pi * 1e6
@@ -76,9 +75,9 @@ def test_samples_from_arrays():
 
 
 def test_mixed_sigma_rejected():
-    with pytest.raises(ValueError):
-        fit_dip_lorentzian(samples_from_arrays([0.0, 1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.2, 0.1],
-                                               [0.01, None, 0.01, 0.01, 0.01]))
+    fit, = fit_dip_stack([0.0, 1.0, 2.0, 3.0, 4.0], [[0.1, 0.2, 0.3, 0.2, 0.1]],
+                         [[0.01, None, 0.01, 0.01, 0.01]])
+    assert isinstance(fit, ValueError) and "sigma must be positive and finite" in str(fit)
 
 
 def test_samples_report_the_first_bad_point():
@@ -102,18 +101,21 @@ def test_dip_needs_five_samples():
     # the sample count is checked before the values, complex ones included
     for values in (y, y + 0.01j):
         with pytest.raises(ValueError, match="need at least 5 samples"):
-            fit_dip_lorentzian(samples_from_arrays(x, values))
+            fit_dip_stack(x, values[None])
 
 
-def test_dip_rejects_complex_values():
+@pytest.mark.parametrize("imag", [0.01j, 0.3j])
+def test_dip_rejects_complex_values(imag):
+    # the real part alone would fit and converge: the imaginary part must
+    # not be dropped silently
     x, y = _dip_curve(n=11)
-    with pytest.raises(ValueError):
-        fit_dip_lorentzian(samples_from_arrays(x, y + 0.01j))
+    with pytest.raises(ValueError, match=r"^dip curves must be real \(\|r\|\^2 values\)$"):
+        fit_dip_stack(x, (y + imag)[None])
 
 
 def test_dip_constant_data_flagged():
     x = np.linspace(-1.0, 1.0, 11)
-    res = fit_dip_lorentzian(samples_from_arrays(x, np.full(11, 0.3)))
+    res, = fit_dip_stack(x, np.full((1, 11), 0.3))
     assert res.converged
     assert res.value("baseline") == pytest.approx(0.3, rel=1e-15)
     assert res.value("depth") == 0.0
@@ -124,7 +126,7 @@ def test_dip_constant_data_flagged():
 
 def test_dip_noiseless_recovery():
     x, y = _dip_curve()
-    res = fit_dip_lorentzian(samples_from_arrays(x, y))
+    res, = fit_dip_stack(x, y[None])
     assert res.converged
     truth = dip_shape(GAMMA10_EMIT, G10, G20, OMEGA_C)
     width = eit_linewidth(G10, G20, OMEGA_C)
@@ -138,7 +140,7 @@ def test_dip_noiseless_recovery():
 def test_dip_weighted_fit_uses_sigma():
     x, y = _dip_curve(n=101)
     sigma = np.full_like(y, 0.01)
-    res = fit_dip_lorentzian(samples_from_arrays(x, y, sigma))
+    res, = fit_dip_stack(x, y[None], sigma[None])
     width = eit_linewidth(G10, G20, OMEGA_C)
     assert res.value("hwhm") == pytest.approx(width, rel=1e-8)
     # noiseless weighted data still reports (near) zero uncertainty
@@ -151,10 +153,9 @@ def test_dip_monte_carlo_coverage():
     sigma = 0.02 * y
     hits_3s = 0
     hits_1s = 0
-    for seed in range(100):
-        rng = np.random.Generator(np.random.Philox(seed))
-        noisy = y + sigma * rng.standard_normal(y.size)
-        res = fit_dip_lorentzian(samples_from_arrays(x, noisy, sigma))
+    noisy = [y + sigma * np.random.Generator(np.random.Philox(seed)).standard_normal(y.size)
+             for seed in range(100)]
+    for res in fit_dip_stack(x, np.array(noisy), np.tile(sigma, (100, 1))):
         err = res.error("hwhm")
         assert np.isfinite(err) and err > 0.0
         miss = abs(res.value("hwhm") - width)
@@ -300,9 +301,8 @@ def test_two_level_noiseless_recovery():
     assert res.value("gamma10") == pytest.approx(G10, rel=1e-8)
     assert res.value("gamma10") / MHZ == pytest.approx(21.0, rel=1e-8)
     assert res.value("scale") == pytest.approx(1.0, rel=1e-8)
-    assert res.value("Gamma10") == GAMMA10_EMIT
-    assert res.error("Gamma10") == 0.0
-    assert "fixed:Gamma10" in res.notes
+    # Gamma10 is an input, not a fitted parameter
+    assert res.names == ("gamma10", "scale")
 
 
 def test_two_level_radiatively_limited_peak():
@@ -313,7 +313,7 @@ def test_two_level_radiatively_limited_peak():
                                       gamma20=0.0, Omega_c=0.0, Delta_p=x,
                                       Delta_c=0.0))
     res = fit_two_level(samples_from_arrays(x, y), Gamma10=2.0 * gamma)
-    peak = res.value("scale") * (0.5 * res.value("Gamma10")) / res.value("gamma10")
+    peak = res.value("scale") * gamma / res.value("gamma10")
     assert peak == pytest.approx(1.0, rel=1e-8)
 
 
@@ -422,17 +422,17 @@ def test_transmission_noiseless_complex_recovery():
 def test_transmission_magnitude_mode():
     x, t = _transmission_curve()
     res = fit_transmission(samples_from_arrays(x, np.abs(t)), gamma10=G10,
-                           Gamma10=GAMMA10_EMIT, fit_crosstalk=False)
+                           Gamma10=GAMMA10_EMIT)
     assert res.converged
-    assert "fixed:crosstalk" in res.notes
     assert res.value("gamma20") == pytest.approx(T_G20, rel=1e-6)
     assert res.value("delta") == pytest.approx(T_DELTA, rel=1e-6)
     assert res.value("Omega_c") == pytest.approx(T_OMEGA_C, rel=1e-6)
-    assert res.value("crosstalk_re") == 0.0
-    assert res.error("crosstalk_re") == 0.0
+    # the background is fitted, and finds none
+    assert abs(res.value("crosstalk_re")) < 1e-6
+    assert abs(res.value("crosstalk_im")) < 1e-6
 
 
-def test_transmission_crosstalk_float_vs_pin():
+def test_transmission_crosstalk_floats():
     c = 0.05 * complex(math.cos(1.0), math.sin(1.0))
     x, t = _transmission_curve(crosstalk=c)
     floated = fit_transmission(samples_from_arrays(x, t), gamma10=G10,
@@ -440,11 +440,6 @@ def test_transmission_crosstalk_float_vs_pin():
     assert floated.value("crosstalk_re") == pytest.approx(c.real, rel=1e-6)
     assert floated.value("crosstalk_im") == pytest.approx(c.imag, rel=1e-6)
     assert floated.value("gamma20") == pytest.approx(T_G20, rel=1e-6)
-    # pinning the background at zero biases the decoherence estimate
-    pinned = fit_transmission(samples_from_arrays(x, t), gamma10=G10,
-                              Gamma10=GAMMA10_EMIT, fit_crosstalk=False)
-    bias = abs(pinned.value("gamma20") - T_G20) / T_G20
-    assert bias > 0.05
 
 
 def test_transmission_initial_guess_split_minima():
@@ -522,8 +517,7 @@ def _assert_problems_match(problems, step):
 def test_dip_jacobian_matches_central_difference(problems):
     x, y = _dip_curve()
     rng = np.random.Generator(np.random.Philox(21))
-    fit_dip_lorentzian(samples_from_arrays(x, y + 0.002 * rng.standard_normal(y.size),
-                                           np.full(y.size, 0.002)))
+    fit_dip_stack(x, (y + 0.002 * rng.standard_normal(y.size))[None], np.full((1, y.size), 0.002))
     _assert_problems_match(problems, [RATE_STEP, RATE_STEP, UNIT_STEP, UNIT_STEP])
 
 
@@ -534,18 +528,17 @@ def test_two_level_jacobian_matches_central_difference(problems):
 
 
 @pytest.mark.parametrize("magnitude", [False, True], ids=["complex", "magnitude"])
-@pytest.mark.parametrize("fit_crosstalk", [True, False], ids=["crosstalk", "pinned"])
-def test_transmission_jacobian_matches_central_difference(problems, magnitude, fit_crosstalk):
+def test_transmission_jacobian_matches_central_difference(problems, magnitude):
     x, t = _transmission_curve(crosstalk=0.03 + 0.02j)
     rng = np.random.Generator(np.random.Philox(22))
     t = t + 0.01 * (rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size))
     fit_transmission(samples_from_arrays(x, np.abs(t) if magnitude else t, np.full(t.size, 0.01)),
-                     gamma10=G10, Gamma10=GAMMA10_EMIT, fit_crosstalk=fit_crosstalk)
-    step = [RATE_STEP] * 3 + [UNIT_STEP] * (3 if fit_crosstalk else 1)
+                     gamma10=G10, Gamma10=GAMMA10_EMIT)
+    step = [RATE_STEP] * 3 + [UNIT_STEP] * 3
     _assert_problems_match(problems, step)
     # gamma20 at its bound 0 and delta = 0 make the sample at Delta_p = 0
     # perfectly transparent, where the Jacobian takes its finite limit
     assert x[t.size // 2] == 0.0
     residual, jacobian, _, _ = problems[0]
-    transparent = np.array([0.0, 0.0, T_OMEGA_C, 1.0, 0.03, 0.02][:len(step)])
+    transparent = np.array([0.0, 0.0, T_OMEGA_C, 1.0, 0.03, 0.02])
     _assert_jacobian_matches(residual, jacobian, transparent, step)

@@ -10,7 +10,6 @@ from acoustic_eit import (
     SingularModelError,
     ThreeLevelAtom,
     UndefinedPhaseError,
-    coherence_rates,
     dip_shape,
     eit_linewidth,
     group_delay,
@@ -32,30 +31,36 @@ MHZ = 2.0 * math.pi * 1e6
 # ---------------------------------------------------------------------------
 
 
-def test_coherence_rates_all_zero():
-    assert coherence_rates(0.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
+def _rates(Gamma10, Gamma21, gphi1, gphi2):
+    atom = ThreeLevelAtom(omega10=1.0, anharmonicity=1.0, Gamma10=Gamma10, Gamma21=Gamma21,
+                          gphi1=gphi1, gphi2=gphi2)
+    return atom.gamma10, atom.gamma20, atom.gamma21
 
 
-def test_coherence_rates_radiatively_limited():
+def test_atom_coherence_rates_all_zero():
+    assert _rates(0.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
+
+
+def test_atom_coherence_rates_radiatively_limited():
     gamma = 7.0
-    g10, g20, g21 = coherence_rates(2.0 * gamma, 0.0, 0.0, 0.0)
+    g10, g20, g21 = _rates(2.0 * gamma, 0.0, 0.0, 0.0)
     assert g10 == gamma
     assert g20 == 0.0
     assert g21 == gamma
 
 
-def test_coherence_rates_device_values():
-    g10, g20, g21 = coherence_rates(20.1 * MHZ, 0.0, 10.95 * MHZ, 4.94 * MHZ)
+def test_atom_coherence_rates_device_values():
+    g10, g20, g21 = _rates(20.1 * MHZ, 0.0, 10.95 * MHZ, 4.94 * MHZ)
     assert g10 == pytest.approx(21.0 * MHZ, rel=1e-15)
     assert g20 == pytest.approx(4.94 * MHZ, rel=1e-15)
     assert g21 == pytest.approx((10.05 + 10.95 + 4.94) * MHZ, rel=1e-15)
 
 
-def test_coherence_rates_reject_negative():
-    with pytest.raises(ValueError):
-        coherence_rates(-1.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        coherence_rates(1.0, 0.0, float("nan"), 0.0)
+def test_atom_rejects_negative_or_nan_rates():
+    with pytest.raises(ValueError, match="^Gamma10 must be a finite nonnegative rate, got -1.0$"):
+        _rates(-1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="^gphi1 must be a finite nonnegative rate, got nan$"):
+        _rates(1.0, 0.0, float("nan"), 0.0)
 
 
 def test_atom_properties(reflection_atom):

@@ -4,18 +4,24 @@ names and keywords cut because nothing in the reproduction used them stay out.""
 from __future__ import annotations
 
 import inspect
+import math
+
+import numpy as np
 
 import acoustic_eit
 from acoustic_eit import estimation, experiments, idt, leastsq, lindblad, model
+from acoustic_eit.model import reflection_coefficient, transmission_flux_coefficient
 
 DELETED = {
     lindblad: ("propagate", "_expm", "_PADE_13", "_THETA_13", "validate_density_matrix"),
-    model: ("transmission_flux_sweep",),
+    model: ("transmission_flux_sweep", "coherence_rates"),
     idt: ("decay_from_conductance",),
     experiments: ("import_json",),
+    estimation: ("fit_dip_lorentzian", "_with_fixed"),
 }
 # still in its module, where fit_transmission calls it, but not exported
 UNEXPORTED = ("transmission_initial_guess",)
+MHZ = 2.0 * math.pi * 1e6
 
 
 def test_every_exported_name_resolves():
@@ -42,7 +48,41 @@ def test_deleted_keywords_are_gone():
     for fn in (estimation.fit_transmission, estimation.transmission_initial_guess):
         parameters = inspect.signature(fn).parameters
         assert "omega_c_hint" not in parameters and "init" not in parameters, fn.__name__
+    # the transmission fit always fits its background
+    assert "fit_crosstalk" not in inspect.signature(estimation.fit_transmission).parameters
     # every estimator names its parameters and bounds them
     parameters = inspect.signature(leastsq.levenberg_marquardt_stack).parameters
     assert parameters["names"].default is inspect.Parameter.empty
     assert parameters["lower"].default is inspect.Parameter.empty
+
+
+def _estimator_results() -> dict[str, leastsq.FitResult]:
+    """One clean fit from every estimator that returns a FitResult."""
+    Gamma10, gamma10 = 20.1 * MHZ, 21.0 * MHZ
+    probe = np.linspace(-80.0, 80.0, 81) * MHZ
+    control = np.linspace(-25.0, 25.0, 81) * MHZ
+    two_level = np.abs(reflection_coefficient(Gamma10, gamma10, 4.94 * MHZ, 0.0, probe, 0.0))
+    dip = np.abs(reflection_coefficient(Gamma10, gamma10, 4.94 * MHZ, 6.1 * MHZ, 0.0, control)) ** 2
+    t = transmission_flux_coefficient(Gamma10, gamma10, 4.5 * MHZ, 16.0 * MHZ, probe, 4.0 * MHZ) + 0.03
+    powers = np.array([1e-9, 2e-9, 3e-9, 4e-9])
+    return {
+        "dip": estimation.fit_dip_stack(control, dip[None])[0],
+        "line": estimation.fit_linewidth_line(powers, 5.0 * MHZ + 1e15 * powers, gamma10=gamma10),
+        "two-level": estimation.fit_two_level(estimation.samples_from_arrays(probe, two_level),
+                                              Gamma10=Gamma10),
+        "transmission": estimation.fit_transmission(estimation.samples_from_arrays(probe, t),
+                                                    gamma10=gamma10, Gamma10=Gamma10),
+        "transmission-magnitude": estimation.fit_transmission(estimation.samples_from_arrays(probe, np.abs(t)),
+                                                              gamma10=gamma10, Gamma10=Gamma10),
+    }
+
+
+def test_estimators_report_only_what_they_fitted():
+    results = _estimator_results()
+    assert results["two-level"].names == ("gamma10", "scale")
+    assert results["transmission"].names == results["transmission-magnitude"].names == (
+        "gamma20", "delta", "Omega_c", "scale", "crosstalk_re", "crosstalk_im")
+    for name, fit in results.items():
+        assert fit.converged, name
+        assert not any(note.startswith("fixed:") for note in fit.notes), (name, fit.notes)
+        assert fit.values.shape == fit.stderr.shape == (len(fit.names),), name
