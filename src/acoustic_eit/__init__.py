@@ -50,7 +50,7 @@ from .idt import (
     detuning_parameter,
     idt_bandwidth,
 )
-from .leastsq import FitResult, weighted_linear_fit
+from .leastsq import FitResult
 from .lindblad import (
     DeviationReport,
     build_liouvillian,
@@ -155,5 +155,4 @@ __all__ = [
     "transmission_flux_coefficient",
     "watts_to_dbm",
     "weak_probe_deviation",
-    "weighted_linear_fit",
 ]

@@ -1,6 +1,6 @@
 """Parameter extraction from swept scattering data.
 
-Four estimators mirror the measurement analysis chain:
+Five estimators mirror the measurement analysis chain:
 
 - ``fit_dip_stack``: Lorentzian dips in |r|^2 versus control detuning, one
   per control power, fitted in lockstep; a dip's half width at half maximum
@@ -12,8 +12,8 @@ Four estimators mirror the measurement analysis chain:
   first-order error bars, inverting the linewidth relation.
 - ``fit_two_level``: probe-only lineshape giving the probe-transition
   coherence rate and an amplitude scale.
-- ``fit_transmission``: full transmission model fit (complex or magnitude)
-  with a constant electrical-crosstalk background.
+- ``fit_transmission``: full transmission model fit to complex data (both
+  quadratures) with a constant electrical-crosstalk background.
 
 The fits run on the in-package damped least-squares engine and return
 its FitResult. Inputs are angular frequencies (rad/s) and watts; unit
@@ -23,13 +23,12 @@ conversion happens at the program boundary, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, RankError
-from .leastsq import FitResult, levenberg_marquardt_stack, weighted_linear_fit
+from .leastsq import FitResult, _covariances, levenberg_marquardt_stack
 from .model import _kernel
 
 
@@ -228,8 +227,11 @@ def fit_linewidth_line(
     """Weighted fit of gamma_eit = gamma20 + (k / (4 * gamma10)) * P.
 
     Returns gamma20 (intercept, rad/s) and the calibration constant k
-    ((rad/s)^2 per watt) with standard errors. gamma10 comes from an
-    independent probe-only measurement and is treated as exact.
+    ((rad/s)^2 per watt) with standard errors. Weights are 1/sigma^2 when
+    sigma is given, else uniform; the errors carry the residual-variance
+    scaling of the nonlinear fits, so noiseless data report zero
+    uncertainty. gamma10 comes from an independent probe-only measurement
+    and is treated as exact.
     """
     powers = np.asarray(powers_watts, dtype=float)
     widths = np.asarray(gamma_eit, dtype=float)
@@ -240,13 +242,33 @@ def fit_linewidth_line(
     if np.unique(powers).size < 2:
         raise RankError("need at least 2 distinct powers to fit a line")
     _require_rate("gamma10", gamma10)
-    line = weighted_linear_fit(powers, widths, sigma, names=("gamma20", "k"))
+    if sigma is None:
+        w = np.ones_like(powers)
+    else:
+        sigma = np.asarray(sigma, dtype=float)
+        if sigma.shape != powers.shape:
+            raise ValueError("sigma must match the linewidths in length")
+        if np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
+            raise ValueError("sigma values must be positive and finite")
+        w = 1.0 / sigma
+    # the normal equations of intercept and slope in watts, then k = 4*gamma10*slope
+    jac = np.column_stack([np.ones_like(powers), powers]) * w[:, None]
+    rhs = widths * w
+    beta = np.linalg.solve(jac.T @ jac, jac.T @ rhs)
+    resid = jac @ beta - rhs
+    rss = float(resid @ resid)
+    (covariance, stderr), = _covariances(jac[None], np.array([rss]))
     scale = np.array([1.0, 4.0 * gamma10])
-    return replace(
-        line,
-        values=line.values * scale,
-        stderr=line.stderr * scale,
-        covariance=None if line.covariance is None else line.covariance * scale[:, None] * scale,
+    return FitResult(
+        names=("gamma20", "k"),
+        values=beta * scale,
+        stderr=stderr * scale,
+        covariance=None if covariance is None else covariance * scale[:, None] * scale,
+        rss=rss,
+        iterations=1,
+        converged=True,
+        at_bound=(False, False),
+        gradient_norm=float(np.linalg.norm(jac.T @ resid)),
     )
 
 
@@ -398,13 +420,14 @@ def fit_transmission(
     gamma10: float,
     Gamma10: float,
 ) -> FitResult:
-    """Fit t = scale * (t_model(Delta_p) + c) to complex or magnitude data.
+    """Fit t = scale * (t_model(Delta_p) + c) to complex data.
 
     t_model is the flux-sweep transmission with fixed probe rates (gamma10,
     Gamma10) and free gamma20, two-photon offset delta, and control Rabi
     frequency Omega_c; c = crosstalk_re + i*crosstalk_im is a constant
-    electrical background and scale a real normalization. Complex samples are
-    fitted in both quadratures; real samples are fitted in magnitude.
+    electrical background and scale a real normalization. The samples are
+    fitted in both quadratures; values with no imaginary part raise
+    ValueError.
 
     The six-parameter landscape has secondary minima at large background, so
     the fit starts from the data-driven transmission_initial_guess.
@@ -414,7 +437,8 @@ def fit_transmission(
         raise ValueError("need at least 8 samples")
     _require_rate("gamma10", gamma10)
     _require_rate("Gamma10", Gamma10)
-    complex_data = bool(np.any(np.abs(values.imag) > 0.0))
+    if not np.any(values.imag != 0.0):
+        raise ValueError("transmission values must be complex (both quadratures)")
     w = np.ones(x.size) if sigma is None else 1.0 / sigma
 
     guess = transmission_initial_guess(samples, gamma10=gamma10)
@@ -436,27 +460,20 @@ def fit_transmission(
             # leaves these finite limits
             d_gamma20 = np.where(transparent, -2.0 * scale * Gamma10 / omega_c**2, d_gamma20)
             d_omega_c = np.where(transparent, 0.0, d_omega_c)
-        columns = [d_gamma20, -1j * d_gamma20, d_omega_c, 1.0 + r + c]
-        if complex_data:
-            # the real parts, then the imaginary parts, weighted
-            n = x.size
-            res = t - values
-            resid = np.empty((1, 2 * n))
-            np.multiply(res.real, w, out=resid[0, :n])
-            np.multiply(res.imag, w, out=resid[0, n:])
-            jac = np.zeros((1, 2 * n, 6))
-            for j, column in enumerate(columns):
-                np.multiply(column.real, w, out=jac[0, :n, j])
-                np.multiply(column.imag, w, out=jac[0, n:, j])
-            # dt/dc_re = scale and dt/dc_im = i*scale
-            np.multiply(scale, w, out=jac[0, :n, 4])
-            np.multiply(scale, w, out=jac[0, n:, 5])
-            return resid, jac
-        columns += [np.full(x.size, scale + 0j), np.full(x.size, 1j * scale)]
-        jac = np.column_stack(columns)
-        magnitude = np.abs(t)
-        return (((magnitude - values.real) * w)[None],
-                ((t.conj()[:, None] * jac).real / magnitude[:, None] * w[:, None])[None])
+        # the real parts, then the imaginary parts, weighted
+        n = x.size
+        res = t - values
+        resid = np.empty((1, 2 * n))
+        np.multiply(res.real, w, out=resid[0, :n])
+        np.multiply(res.imag, w, out=resid[0, n:])
+        jac = np.zeros((1, 2 * n, 6))
+        for j, column in enumerate((d_gamma20, -1j * d_gamma20, d_omega_c, 1.0 + r + c)):
+            np.multiply(column.real, w, out=jac[0, :n, j])
+            np.multiply(column.imag, w, out=jac[0, n:, j])
+        # dt/dc_re = scale and dt/dc_im = i*scale
+        np.multiply(scale, w, out=jac[0, :n, 4])
+        np.multiply(scale, w, out=jac[0, n:, 5])
+        return resid, jac
 
     x0 = np.array([guess[name] for name in _TRANSMISSION_NAMES])
     lower = np.full(len(_TRANSMISSION_NAMES), -np.inf)

@@ -13,7 +13,6 @@ parallel evaluation cannot change the draws. Exports carry no timestamps.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import json
 import math
@@ -27,7 +26,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Seque
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, SingularModelError
 from .estimation import fit_dip_stack, fit_linewidth_line, rabi_per_point
 from .model import ThreeLevelAtom, reflection_coefficient, transmission_flux_coefficient
 from .poles import classify_regime
@@ -429,14 +428,6 @@ class SweepPoint(NamedTuple):
     value: complex
     annotation: str
 
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
-
-    @property
-    def phase(self) -> float:
-        return cmath.phase(self.value)
-
 
 def _cells(column: np.ndarray | list) -> list:
     return column.tolist() if isinstance(column, np.ndarray) else list(column)
@@ -775,6 +766,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         return runners[config.scheme](config)
     except OverflowError as exc:
         raise ConfigError("a config value is out of range: float overflow") from exc
+    except SingularModelError as exc:
+        raise ConfigError(f"the config puts the model at a singular point: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,9 @@ class FitResult:
 
     values/stderr/covariance are ordered like names. stderr entries are NaN
     when the covariance is unavailable (rank-deficient curvature or zero
-    degrees of freedom). notes carries qualitative flags such as
-    "at-bound:<name>" or degeneracy markers added by the estimators.
+    degrees of freedom). at_bound marks the parameters that finished on
+    their lower bound; notes carries the flags the estimators add, such as
+    degeneracy markers.
     """
 
     names: tuple[str, ...]
@@ -241,55 +242,6 @@ def levenberg_marquardt_stack(
             converged=bool(converged[i]),
             at_bound=at_bound,
             gradient_norm=float(gnorm[i]),
-            notes=tuple(f"at-bound:{param_names[j]}" for j in range(p) if at_bound[j]),
         ))
     return results
 
-
-def weighted_linear_fit(
-    x: Sequence[float],
-    y: Sequence[float],
-    sigma: Sequence[float] | None = None,
-    *,
-    names: tuple[str, str] = ("intercept", "slope"),
-) -> FitResult:
-    """Weighted straight-line fit y = intercept + slope * x via normal equations.
-
-    Weights are 1/sigma^2 when sigma is given, else uniform. Standard errors
-    follow the same residual-variance scaling as the nonlinear engine, which
-    makes noiseless data report zero uncertainty.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d arrays of equal length")
-    if sigma is not None:
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != x.shape:
-            raise ValueError("sigma must match x in length")
-        if np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
-            raise ValueError("sigma values must be positive and finite")
-        w = 1.0 / sigma
-    else:
-        w = np.ones_like(x)
-    design = np.column_stack([np.ones_like(x), x])
-    jac = design * w[:, None]
-    rhs = y * w
-    try:
-        beta = np.linalg.solve(jac.T @ jac, jac.T @ rhs)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("normal equations are singular: degenerate abscissae") from exc
-    resid = jac @ beta - rhs
-    rss = float(resid @ resid)
-    (covariance, stderr), = _covariances(jac[None], np.array([rss]))
-    return FitResult(
-        names=names,
-        values=beta,
-        stderr=stderr,
-        covariance=covariance,
-        rss=rss,
-        iterations=1,
-        converged=True,
-        at_bound=(False, False),
-        gradient_norm=float(np.linalg.norm(jac.T @ resid)),
-    )

@@ -313,6 +313,61 @@ def test_flux_sweep_rabi_overflow_is_config_error(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_singular_model_point_is_config_error(tmp_path, capsys):
+    # no decay and no dephasing: with the control off, r's denominator
+    # vanishes at zero probe detuning
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({"atom": {"decay_hz": 0.0, "dephasing1_hz": 0.0}, "control_rabi_hz": [0.0]}))
+    code = main(["simulate", "flux-sweep", "--profile", "paper", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "singular" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "control-sweep"],
+    ["simulate", "power-sweep"],
+    ["simulate", "flux-sweep"],
+    ["pipeline", "linewidth"],
+], ids=["control-sweep", "power-sweep", "flux-sweep", "linewidth-pipeline"])
+def test_complete_config_file_needs_no_profile(tmp_path, capsys, argv):
+    scheme = "linewidth-pipeline" if argv[0] == "pipeline" else argv[1]
+    path = tmp_path / "paper.json"
+    path.write_text(json.dumps(experiments.paper_profile(scheme).to_dict()))
+    assert main([*argv, "--profile", "paper"]) == 0
+    profile_bytes = capsys.readouterr().out
+    assert main([*argv, "--config", str(path)]) == 0
+    assert capsys.readouterr().out == profile_bytes
+
+
+def test_config_file_that_is_not_json_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"noise": {"seed": 3,}}')
+    assert main(["simulate", "power-sweep", "--profile", "paper", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not valid JSON" in captured.err
+
+
+def test_integer_too_large_for_a_float_is_config_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"probe_detuning_hz": 1%s}' % ("0" * 400))
+    assert main(["simulate", "power-sweep", "--profile", "paper", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "probe_detuning_hz is too large for a float" in captured.err
+
+
+def test_oracle_check_fails_beyond_weak_probe(capsys):
+    # a probe as strong as the decay rates saturates the transition, so the
+    # master equation leaves the weak-probe closed form behind
+    assert main(["oracle", "check", "--probe-rabi-hz", "1e8"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "oracle check FAILED: max relative deviation > 0.001"
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "check", "--grid-count", "2", "--span-hz", "inf"],
     ["oracle", "check", "--grid-count", "2", "--span-hz", "nan"],

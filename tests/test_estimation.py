@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from acoustic_eit import estimation
+from acoustic_eit import estimation, leastsq
 from acoustic_eit import (
     ConvergenceError,
     RankError,
@@ -177,12 +177,44 @@ def _line_dataset():
     return powers, widths
 
 
-def test_line_fit_noiseless_exact():
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+def test_line_fit_noiseless_exact(weighted):
     powers, widths = _line_dataset()
-    res = fit_linewidth_line(powers, widths, gamma10=G10)
+    sigma = np.linspace(0.01, 0.1, powers.size) * MHZ if weighted else None
+    res = fit_linewidth_line(powers, widths, sigma, gamma10=G10)
     assert res.value("gamma20") == pytest.approx(G20, rel=1e-10)
     assert res.value("k") == pytest.approx(K_CAL, rel=1e-10)
     assert res.value("gamma20") / MHZ == pytest.approx(4.94, rel=1e-10)
+    # residual-variance scaling makes noiseless data report zero uncertainty
+    assert res.error("gamma20") <= 1e-10 * G20
+    assert res.error("k") <= 1e-10 * K_CAL
+
+
+def test_line_fit_weights_pull_toward_trusted_points():
+    powers, widths = _line_dataset()
+    widths = widths.copy()
+    widths[-1] += 0.5 * MHZ
+    sigma = np.full(powers.size, 0.1 * MHZ)
+    sigma[-1] = 1e-4 * MHZ
+    uniform = fit_linewidth_line(powers, widths, gamma10=G10)
+    tight_last = fit_linewidth_line(powers, widths, sigma, gamma10=G10)
+
+    def miss(fit):
+        return abs(fit.value("gamma20") + fit.value("k") / (4.0 * G10) * powers[-1] - widths[-1])
+
+    assert miss(tight_last) < 0.01 * miss(uniform)
+
+
+def test_line_fit_sigma_scale_invariance():
+    powers, widths = _line_dataset()
+    rng = np.random.Generator(np.random.Philox(4))
+    noisy = widths + 0.05 * MHZ * rng.standard_normal(widths.size)
+    sigma = np.linspace(0.02, 0.08, powers.size) * MHZ
+    a = fit_linewidth_line(powers, noisy, 0.1 * sigma, gamma10=G10)
+    b = fit_linewidth_line(powers, noisy, 10.0 * sigma, gamma10=G10)
+    assert a.values == pytest.approx(b.values, rel=1e-12)
+    # residual-variance scaling also makes the reported errors scale-free
+    assert a.stderr == pytest.approx(b.stderr, rel=1e-10)
 
 
 def test_line_fit_validation():
@@ -193,6 +225,13 @@ def test_line_fit_validation():
         fit_linewidth_line(powers, widths[:-1], gamma10=G10)
     with pytest.raises(ValueError):
         fit_linewidth_line(powers, widths, gamma10=0.0)
+    sigma = np.full(powers.size, 0.1 * MHZ)
+    with pytest.raises(ValueError, match="sigma must match"):
+        fit_linewidth_line(powers, widths, sigma[:-1], gamma10=G10)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        sigma[3] = bad
+        with pytest.raises(ValueError, match="sigma values must be positive and finite"):
+            fit_linewidth_line(powers, widths, sigma, gamma10=G10)
 
 
 def test_line_fit_single_power_is_rank_error():
@@ -303,6 +342,21 @@ def test_two_level_noiseless_recovery():
     assert res.value("scale") == pytest.approx(1.0, rel=1e-8)
     # Gamma10 is an input, not a fitted parameter
     assert res.names == ("gamma10", "scale")
+
+
+@pytest.mark.parametrize("estimator", ["two-level", "transmission"])
+def test_single_fit_that_stops_unconverged_raises(monkeypatch, estimator):
+    # one iteration cannot reach the optimum from the data-driven start
+    monkeypatch.setattr(leastsq, "_MAX_ITER", 1)
+    x2, y2 = _two_level_curve()
+    xt, t = _transmission_curve()
+    calls = {
+        "two-level": lambda: fit_two_level(samples_from_arrays(x2, y2), Gamma10=GAMMA10_EMIT),
+        "transmission": lambda: fit_transmission(samples_from_arrays(xt, t), gamma10=G10,
+                                                 Gamma10=GAMMA10_EMIT),
+    }
+    with pytest.raises(ConvergenceError, match=f"^{estimator} fit did not converge after 1 iterations "):
+        calls[estimator]()
 
 
 def test_two_level_radiatively_limited_peak():
@@ -419,17 +473,13 @@ def test_transmission_noiseless_complex_recovery():
     assert abs(res.value("crosstalk_im")) < 1e-6
 
 
-def test_transmission_magnitude_mode():
+@pytest.mark.parametrize("part", [np.abs, np.real], ids=["magnitude", "real-part"])
+def test_transmission_rejects_real_values(monkeypatch, part):
     x, t = _transmission_curve()
-    res = fit_transmission(samples_from_arrays(x, np.abs(t)), gamma10=G10,
-                           Gamma10=GAMMA10_EMIT)
-    assert res.converged
-    assert res.value("gamma20") == pytest.approx(T_G20, rel=1e-6)
-    assert res.value("delta") == pytest.approx(T_DELTA, rel=1e-6)
-    assert res.value("Omega_c") == pytest.approx(T_OMEGA_C, rel=1e-6)
-    # the background is fitted, and finds none
-    assert abs(res.value("crosstalk_re")) < 1e-6
-    assert abs(res.value("crosstalk_im")) < 1e-6
+    monkeypatch.setattr(estimation, "levenberg_marquardt_stack",
+                        lambda *args, **kwargs: pytest.fail("a real-valued curve was iterated"))
+    with pytest.raises(ValueError, match=r"^transmission values must be complex \(both quadratures\)$"):
+        fit_transmission(samples_from_arrays(x, part(t)), gamma10=G10, Gamma10=GAMMA10_EMIT)
 
 
 def test_transmission_crosstalk_floats():
@@ -527,12 +577,11 @@ def test_two_level_jacobian_matches_central_difference(problems):
     _assert_problems_match(problems, [RATE_STEP, UNIT_STEP])
 
 
-@pytest.mark.parametrize("magnitude", [False, True], ids=["complex", "magnitude"])
-def test_transmission_jacobian_matches_central_difference(problems, magnitude):
+def test_transmission_jacobian_matches_central_difference(problems):
     x, t = _transmission_curve(crosstalk=0.03 + 0.02j)
     rng = np.random.Generator(np.random.Philox(22))
     t = t + 0.01 * (rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size))
-    fit_transmission(samples_from_arrays(x, np.abs(t) if magnitude else t, np.full(t.size, 0.01)),
+    fit_transmission(samples_from_arrays(x, t, np.full(t.size, 0.01)),
                      gamma10=G10, Gamma10=GAMMA10_EMIT)
     step = [RATE_STEP] * 3 + [UNIT_STEP] * 3
     _assert_problems_match(problems, step)

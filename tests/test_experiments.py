@@ -32,7 +32,6 @@ from acoustic_eit.experiments import (
     GridSpec,
     NoiseParams,
     RunResult,
-    SweepPoint,
     export_result,
     import_csv,
     merge_config_dicts,
@@ -193,9 +192,6 @@ def test_resolve_config_profile_and_overrides(tmp_path):
 
 
 def test_sweep_record_validation():
-    rec = SweepPoint((1.0, 2.0), 0.6 - 0.8j, "eit")
-    assert rec.magnitude == pytest.approx(1.0, rel=1e-12)
-    assert rec.phase == pytest.approx(math.atan2(-0.8, 0.6), rel=1e-12)
     flux = paper_profile("flux-sweep")
     with np.errstate(all="ignore"), pytest.raises(ConfigError):
         run_flux_sweep(ExperimentConfig.from_dict(
@@ -984,8 +980,6 @@ def test_records_and_table_views_follow_data():
         assert rec.axes == (data["control_rabi_hz"][i], data["probe_detuning_hz"][i])
         assert rec.value == complex(data["re"][i], data["im"][i])
         assert rec.annotation == data["annotation"][i]
-        assert rec.magnitude == data["abs"][i]
-        assert rec.phase == data["phase"][i]
     for i, row in enumerate(flux.table):
         assert list(row) == list(data)
         assert all(row[col] == data[col][i] for col in data)

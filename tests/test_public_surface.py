@@ -18,6 +18,7 @@ DELETED = {
     idt: ("decay_from_conductance",),
     experiments: ("import_json",),
     estimation: ("fit_dip_lorentzian", "_with_fixed"),
+    leastsq: ("weighted_linear_fit",),
 }
 # still in its module, where fit_transmission calls it, but not exported
 UNEXPORTED = ("transmission_initial_guess",)
@@ -42,6 +43,9 @@ def test_deleted_names_are_gone_and_not_exported():
         assert name not in acoustic_eit.__all__ and not hasattr(acoustic_eit, name), name
     assert not hasattr(model.ThreeLevelAtom, "from_coherence")
     assert not hasattr(leastsq.FitResult, "as_dict")
+    # a sweep point is its axes, value and annotation; abs and phase are columns
+    assert experiments.SweepPoint._fields == ("axes", "value", "annotation")
+    assert not hasattr(experiments.SweepPoint, "magnitude") and not hasattr(experiments.SweepPoint, "phase")
 
 
 def test_deleted_keywords_are_gone():
@@ -64,6 +68,9 @@ def _estimator_results() -> dict[str, leastsq.FitResult]:
     two_level = np.abs(reflection_coefficient(Gamma10, gamma10, 4.94 * MHZ, 0.0, probe, 0.0))
     dip = np.abs(reflection_coefficient(Gamma10, gamma10, 4.94 * MHZ, 6.1 * MHZ, 0.0, control)) ** 2
     t = transmission_flux_coefficient(Gamma10, gamma10, 4.5 * MHZ, 16.0 * MHZ, probe, 4.0 * MHZ) + 0.03
+    # a control too weak to open a window: under noise the dip collapses
+    weak = np.abs(reflection_coefficient(Gamma10, gamma10, 4.94 * MHZ, 0.3 * MHZ, 0.0, control)) ** 2
+    weak += 0.005 * np.random.Generator(np.random.Philox(0)).standard_normal(control.size)
     powers = np.array([1e-9, 2e-9, 3e-9, 4e-9])
     return {
         "dip": estimation.fit_dip_stack(control, dip[None])[0],
@@ -72,17 +79,19 @@ def _estimator_results() -> dict[str, leastsq.FitResult]:
                                               Gamma10=Gamma10),
         "transmission": estimation.fit_transmission(estimation.samples_from_arrays(probe, t),
                                                     gamma10=gamma10, Gamma10=Gamma10),
-        "transmission-magnitude": estimation.fit_transmission(estimation.samples_from_arrays(probe, np.abs(t)),
-                                                              gamma10=gamma10, Gamma10=Gamma10),
+        # the collapsed dip ends on its hwhm >= 0 bound
+        "dip-at-bound": estimation.fit_dip_stack(control, weak[None])[0],
     }
 
 
 def test_estimators_report_only_what_they_fitted():
     results = _estimator_results()
     assert results["two-level"].names == ("gamma10", "scale")
-    assert results["transmission"].names == results["transmission-magnitude"].names == (
+    assert results["transmission"].names == (
         "gamma20", "delta", "Omega_c", "scale", "crosstalk_re", "crosstalk_im")
+    assert results["dip-at-bound"].at_bound == (False, True, False, False)
     for name, fit in results.items():
         assert fit.converged, name
-        assert not any(note.startswith("fixed:") for note in fit.notes), (name, fit.notes)
+        # at_bound states each bound flag once; no note repeats it
+        assert not any(note.startswith(("fixed:", "at-bound:")) for note in fit.notes), (name, fit.notes)
         assert fit.values.shape == fit.stderr.shape == (len(fit.names),), name
