@@ -14,6 +14,7 @@ parallel evaluation cannot change the draws. Exports carry no timestamps.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -46,8 +47,9 @@ FORMATS = ("csv", "json")
 # memory at a time instead of the whole text
 _CHUNK_ROWS = 4096
 # points in one run's grid (and in an idt response table): measured peak
-# memory is about 170 B per point for a sweep and 370 B per point for the
-# linewidth pipeline, so a run at the cap stays under about 2 GB
+# memory is about 160 B per point for a sweep (767 MB for a control sweep
+# at the cap) and 370 B per point for the linewidth pipeline, so a run at
+# the cap stays under about 2 GB
 _MAX_POINTS = 5_000_000
 
 
@@ -783,7 +785,7 @@ def _format_cell(value: Any) -> str:
     if isinstance(value, (float, np.floating)):
         return "%.17g" % float(value)
     text = str(value)
-    if "," in text or '"' in text or "\n" in text:  # RFC 4180 quoting
+    if "," in text or '"' in text or "\n" in text or "\r" in text:  # RFC 4180 quoting
         return '"%s"' % text.replace('"', '""')
     return text
 
@@ -835,6 +837,28 @@ def _once_per_string(column: np.ndarray | list, render: Callable[[Any], str]) ->
     return lambda rows: list(map(memo.__getitem__, column[rows]))
 
 
+def _float_render(column: np.ndarray, spec: str) -> tuple[str, Callable[[slice], list]]:
+    """Template field and row-slice renderer of an array column whose cells
+    are formatted with spec. A float64 column that repeats a value in its
+    first _CHUNK_ROWS rows and holds at most half as many distinct bit
+    patterns as rows (a grid axis) has each pattern formatted once, so -0.0
+    stays apart from 0.0 and NaN payloads from each other, and every chunk
+    looks its texts up among the sorted patterns; any other array goes
+    through spec in the row template, a value at a time, which is faster
+    when most values differ. The distinct patterns come from a sort: numpy
+    2.4's np.unique hashes integer arrays, some 20 times slower on 82,041
+    values."""
+    if column.dtype == np.float64:
+        head = np.sort(column[:_CHUNK_ROWS].view(np.uint64))
+        if (head[1:] == head[:-1]).any():
+            bits = np.sort(column.view(np.uint64))
+            bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
+            if 2 * len(bits) <= len(column):
+                texts = np.array([spec % value for value in bits.view(np.float64).tolist()], dtype=object)
+                return "%s", lambda rows: texts[np.searchsorted(bits, column[rows].view(np.uint64))].tolist()
+    return spec, lambda rows: column[rows].tolist()
+
+
 def _row_count(data: Mapping[str, np.ndarray | list]) -> int:
     """The number of rows of a table; columns of unequal length raise
     ValueError."""
@@ -847,19 +871,20 @@ def _row_count(data: Mapping[str, np.ndarray | list]) -> int:
 def _csv_chunks(data: Mapping[str, np.ndarray | list]) -> Iterable[str]:
     """Header, then the rows in chunks; floats at 17 significant digits.
 
-    Float array columns are formatted through one row-format string; list
-    columns (strings, nullable values) are formatted cell by cell first (a
-    string once per distinct value), and a string cell holding a comma, quote
-    or newline is quoted (RFC 4180).
+    Array columns are formatted through one row-format string, a repeating
+    float64 column once per distinct value (_float_render); list columns
+    (strings, nullable values) are formatted cell by cell first (a string
+    once per distinct value), and a string cell holding a comma, quote or
+    line break is quoted (RFC 4180).
     """
     n = _row_count(data)
-    row_format = ",".join("%.17g" if isinstance(column, np.ndarray) else "%s" for column in data.values()) + "\n"
-    renders = [
-        (lambda rows, column=column: column[rows].tolist()) if isinstance(column, np.ndarray)
-        else _once_per_string(column, _format_cell)
+    fields = [
+        _float_render(column, "%.17g") if isinstance(column, np.ndarray)
+        else ("%s", _once_per_string(column, _format_cell))
         for column in data.values()
     ]
-    return chain([",".join(data) + "\n"], _row_chunks(row_format, renders, n, ""))
+    row_format = ",".join(field for field, _ in fields) + "\n"
+    return chain([",".join(data) + "\n"], _row_chunks(row_format, [render for _, render in fields], n, ""))
 
 
 def _parse_column(cells: Sequence[str]) -> list:
@@ -877,15 +902,17 @@ def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]
 
     A cell parses as None when empty, as True/False for true/false, as a
     float when float() accepts it, and stays text otherwise; quoted cells
-    (RFC 4180) may hold commas, quotes and newlines. Empty lines are skipped.
-    An empty file, or a row whose cell count differs from the header's,
-    raises ValueError. Rows are parsed column by column, _CHUNK_ROWS at a
-    time.
+    (RFC 4180) may hold commas, quotes and line breaks. A row ends at a
+    newline, a carriage return or CRLF outside quotes, and at no other
+    line-break character. Empty lines are skipped. An empty file, or a row
+    whose cell count differs from the header's, raises ValueError. Rows are
+    parsed column by column, _CHUNK_ROWS at a time.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    quoted = '"' in text
+    with open(path, encoding="utf-8", newline="") as handle:
+        text = handle.read()
+    quoted = '"' in text or "\r" in text
     if quoted:  # rows of cells
-        table = (cells for cells in csv.reader(text.splitlines(keepends=True)) if cells)
+        table = (cells for cells in csv.reader(io.StringIO(text, newline="")) if cells)
     else:  # lines
         table = filter(None, text.split("\n"))
     header = next(table, None)
@@ -927,11 +954,11 @@ def _json_sanitize(value: Any) -> Any:
 
 def _json_render(column: np.ndarray | list) -> tuple[str, Callable[[slice], list]]:
     """Template field and row-slice renderer of one JSON column: an
-    all-finite float64 array goes through %r, the float repr json writes;
-    any other column is rendered cell by cell (a string once per distinct
-    value), non-finite floats as null."""
+    all-finite float64 array goes through %r, the float repr json writes
+    (_float_render); any other column is rendered cell by cell (a string
+    once per distinct value), non-finite floats as null."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64 and np.isfinite(column).all():
-        return "%r", lambda rows: column[rows].tolist()
+        return _float_render(column, "%r")
     return "%s", _once_per_string(column, lambda v: json.dumps(_json_sanitize(v)))
 
 

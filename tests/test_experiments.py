@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import io
 import json
 import math
 import os
@@ -45,6 +46,7 @@ from acoustic_eit.experiments import (
     run_power_sweep,
     synthesize_noise,
     table_chunks,
+    write_table,
 )
 
 
@@ -625,12 +627,22 @@ def _reference_json_text(data, config_echo=None, summary=None):
     return json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+_NAN_PAYLOAD = (np.array([np.nan]).view(np.uint64) | 1).view(np.float64)[0]
+
+
 def _hand_table(n):
-    """n rows holding every cell kind the JSON writer renders differently,
-    with the columns out of sorted order."""
+    """n rows holding every cell kind the writers render differently, with
+    the columns out of sorted order: float64 columns that repeat a value in
+    their first chunk (signed zeros, subnormals, NaN payloads, infinities, a
+    single value, values first met after the first chunk, and one repeat
+    among distinct values), one that repeats only later, and int64, float32
+    and bool arrays."""
     strings = ["plain", "caf\u00e9 \u03b3", 'q"uote', "back\\slash", "ctl\x01\t\n", "%s %r %%"]
     mixed = [None, True, False, 1.5, -0.0, float("nan"), float("inf"), 2.5e-300]
+    signed = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1.5])
+    nonfinite = np.array([np.nan, -0.0, np.inf, -np.inf, 0.0, _NAN_PAYLOAD, -np.nan])
     rng = np.random.default_rng(n)
+    i = np.arange(n)
     data = {
         "z_finite": rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n),
         "a_nonfinite": np.where(np.arange(n) % 3 == 1, np.nan, np.arange(n, dtype=float)),
@@ -638,6 +650,14 @@ def _hand_table(n):
         "b\u00e9 \"%key\\": [strings[i % len(strings)] for i in range(n)],
         "c_inf": np.where(np.arange(n) % 2 == 0, np.inf, -np.inf),
         "ints": np.arange(n),
+        "r_signed": signed[i % len(signed)],
+        "r_nonfinite": nonfinite[i % len(nonfinite)],
+        "single": np.full(n, 3.7),
+        "late_repeat": (i % _CHUNK) * 0.5 + 0.25,
+        "one_repeat": np.where(i == 1, 0.0, i * 0.75),
+        "early_repeat": np.where(i < _CHUNK, i % 5, i) * 0.125,
+        "f32": (i % 3).astype(np.float32) / np.float32(3.0),
+        "flags": i % 2 == 0,
     }
     return data
 
@@ -659,22 +679,21 @@ def test_json_text_matches_per_row_dict_reference(n):
 
 
 def _reference_csv_text(data):
-    """The export as one string with every row formatted up front."""
-    def cell(value):
-        if isinstance(value, float):
-            return "%.17g" % value
-        return experiments._format_cell(value)
-
+    """The export as one string with every cell formatted up front: an array
+    cell at 17 significant digits (a bool as 1 or 0), a list cell by
+    _format_cell."""
     columns = tuple(data)
-    cells = [data[col].tolist() if isinstance(data[col], np.ndarray) else list(data[col]) for col in columns]
-    return "\n".join([",".join(columns), *(",".join(map(cell, row)) for row in zip(*cells))]) + "\n"
+    cells = [["%.17g" % value for value in data[col].tolist()] if isinstance(data[col], np.ndarray)
+             else list(map(experiments._format_cell, data[col])) for col in columns]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _reference_import_csv(path):
     """import_csv as one _parse_cell call and one dict insert per cell."""
-    text = Path(path).read_text(encoding="utf-8")
-    if '"' in text:
-        table = (cells for cells in csv.reader(text.splitlines(keepends=True)) if cells)
+    with open(path, encoding="utf-8", newline="") as handle:
+        text = handle.read()
+    if '"' in text or "\r" in text:
+        table = (cells for cells in csv.reader(io.StringIO(text, newline="")) if cells)
     else:
         table = (line.split(",") for line in text.split("\n") if line != "")
     columns = tuple(next(table, ()))
@@ -728,6 +747,11 @@ def test_export_file_matches_result_text_at_chunk_edges(tmp_path, n):
         assert _exported_bytes(result, tmp_path / f"out.{fmt}", fmt) == text.encode("utf-8")
     assert result_text(result, "csv") == _reference_csv_text(data)
     assert len(result_text(result, "csv").splitlines()) == n + 1
+    # the float64 columns formatted once per distinct value: those that
+    # repeat in the first chunk with at most half their rows distinct
+    once = {key for key, column in data.items()
+            if isinstance(column, np.ndarray) and experiments._float_render(column, "%r")[0] == "%s"}
+    assert once == (set() if n < 2 else {"c_inf", "r_signed", "r_nonfinite", "single", "early_repeat"})
 
 
 def test_export_leaves_no_partial_file(tmp_path):
@@ -827,6 +851,32 @@ def test_import_csv_quoted_cells_across_a_chunk_edge(tmp_path):
     _, rows = import_csv(path)
     assert [row["status"] for row in rows] == status
     assert [row["x"] for row in rows] == list(map(float, range(n)))
+
+
+# every character str.splitlines ends a line at, besides "\n"
+_LINE_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("beside", ["c", "quoted, c"])
+@pytest.mark.parametrize("brk", _LINE_BREAKS, ids=[f"U+{ord(b[0]):04X}{'+LF' if len(b) > 1 else ''}" for b in _LINE_BREAKS])
+def test_csv_round_trips_text_holding_a_line_break(tmp_path, brk, beside):
+    data = {"v": np.array([1.0, 2.0]), "note": [f"a{brk}b", beside]}
+    path = tmp_path / "notes.csv"
+    write_table(path, table_chunks(data, "csv"))
+    columns, _ = _assert_imports_like_reference(path)
+    _, rows = import_csv(path)
+    assert columns == ("v", "note")
+    assert rows == [{"v": 1.0, "note": f"a{brk}b"}, {"v": 2.0, "note": beside}]
+
+
+@pytest.mark.parametrize("status", ["ok", '"a, b"'])
+def test_import_csv_reads_crlf_rows(tmp_path, status):
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(f"x,status\r\n1.5,{status}\r\n\r\n-0,\r\n".encode())
+    columns, _ = _assert_imports_like_reference(path)
+    _, rows = import_csv(path)
+    assert columns == ("x", "status")
+    assert repr(rows) == repr([{"x": 1.5, "status": status.strip('"')}, {"x": -0.0, "status": None}])
 
 
 @pytest.mark.parametrize("text", ["a,b\n", "a,b", '"a,b",c\n\n'])
