@@ -36,11 +36,7 @@ from .experiments import (
     import_csv,
     paper_profile,
     resolve_config,
-    run_control_sweep,
     run_experiment,
-    run_flux_sweep,
-    run_linewidth_pipeline,
-    run_power_sweep,
     synthesize_noise,
 )
 from .idt import (
@@ -142,11 +138,7 @@ __all__ = [
     "reflection_coefficient",
     "reflection_from_state",
     "resolve_config",
-    "run_control_sweep",
     "run_experiment",
-    "run_flux_sweep",
-    "run_linewidth_pipeline",
-    "run_power_sweep",
     "samples_from_arrays",
     "steady_state",
     "steady_state_density_matrix",

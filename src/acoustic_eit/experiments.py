@@ -388,31 +388,19 @@ def resolve_config(
     """Combine profile, config file, and command-line overrides into a config.
 
     A config file overlays the profile field-by-field when both are given;
-    without a profile the file must be complete. The scheme is fixed by the
-    caller and must not conflict with the file.
+    without a profile the file must be complete. A file that declares a
+    schema_version must declare the current one, with a profile too. The
+    scheme is fixed by the caller and must not conflict with the file.
     """
+    _require(profile is not None or config_path is not None, "need --config, --profile, or both")
+    base: dict[str, Any] = {}
     if profile is not None:
         _require(profile in PROFILE_NAMES, f"unknown profile {profile!r}; choose from {PROFILE_NAMES}")
         base = paper_profile(scheme).to_dict()
-    else:
-        base = None
-    if config_path is not None:
-        overlay = load_config_file(config_path)
-        if "scheme" in overlay and overlay["scheme"] != scheme:
-            raise ConfigError(
-                f"config file scheme {overlay['scheme']!r} conflicts with requested {scheme!r}"
-            )
-        if base is not None:
-            overlay.pop("schema_version", None)
-            merged = merge_config_dicts(base, overlay)
-        else:
-            merged = overlay
-        merged["scheme"] = scheme
-        cfg = ExperimentConfig.from_dict(merged)
-    elif base is not None:
-        cfg = ExperimentConfig.from_dict(base)
-    else:
-        raise ConfigError("need --config, --profile, or both")
+    overlay = {} if config_path is None else load_config_file(config_path)
+    if overlay.get("scheme", scheme) != scheme:
+        raise ConfigError(f"config file scheme {overlay['scheme']!r} conflicts with requested {scheme!r}")
+    cfg = ExperimentConfig.from_dict({**merge_config_dicts(base, overlay), "scheme": scheme})
     if seed is not None:
         cfg = replace(cfg, noise=replace(cfg.noise, seed=seed))
     return cfg
@@ -537,33 +525,41 @@ def synthesize_noise(
 
 
 def _regimes(atom: ThreeLevelAtom, omega_c: np.ndarray) -> list[str]:
-    """Transparency regime of each control amplitude, one decision per row."""
+    """Transparency regime of each control amplitude, one decision per row;
+    an amplitude that overflowed to inf is a config value out of range."""
+    _require(np.isfinite(omega_c).all(), "a config value is out of range: float overflow")
     return [classify_regime(atom.gamma10, atom.gamma20, w).regime.value for w in omega_c.tolist()]
 
 
-def _control_amplitudes(calibration: PowerCalibration, powers: np.ndarray) -> np.ndarray:
-    return np.array([calibration.omega_c(power) for power in powers.tolist()])
-
-
-def _threshold_summary(atom: ThreeLevelAtom, calibration: PowerCalibration | None) -> dict[str, Any]:
-    threshold = max(atom.gamma10 - atom.gamma20, 0.0)
-    out: dict[str, Any] = {"threshold_rabi_hz": angular_to_hz(threshold)}
-    if calibration is not None and threshold > 0.0:
-        out["threshold_power_dbm"] = calibration.power_dbm(threshold)
-    else:
-        out["threshold_power_dbm"] = None
-    return out
-
-
-def run_control_sweep(config: ExperimentConfig) -> RunResult:
-    """2-D reflection map over (control power dBm, control frequency Hz)."""
-    _require(config.scheme == "control-sweep", "config scheme must be control-sweep")
+def _drive(config: ExperimentConfig) -> tuple[ThreeLevelAtom, PowerCalibration, np.ndarray, np.ndarray, list[str]]:
+    """A calibrated run's device and its drive: the atom, the calibration,
+    the control powers (dBm), the control amplitude at each power and the
+    regime each amplitude puts the atom in."""
     atom = config.atom.build()
     calibration = config.calibration.build()
     powers = config.power_grid.values()
+    omega_c = np.array([calibration.omega_c(power) for power in powers.tolist()])
+    return atom, calibration, powers, omega_c, _regimes(atom, omega_c)
+
+
+def _threshold_summary(gamma10: float, gamma20: float, k: float | None) -> dict[str, Any]:
+    """The EIT/Autler-Townes threshold Omega_c = gamma10 - gamma20 (0 when
+    gamma20 is larger), and the control power that reaches it under the
+    calibration Omega_c**2 = k * P; None without a positive k and threshold."""
+    threshold = max(gamma10 - gamma20, 0.0)
+    return {
+        "threshold_rabi_hz": angular_to_hz(threshold),
+        "threshold_power_dbm": (
+            watts_to_dbm(threshold**2 / k) if k is not None and k > 0.0 and threshold > 0.0 else None
+        ),
+    }
+
+
+def _control_sweep(config: ExperimentConfig) -> RunResult:
+    """2-D reflection map over (control power dBm, control frequency Hz)."""
+    atom, calibration, powers, omega_c, regimes = _drive(config)
     freqs = config.control_frequency_grid.values()
-    omega_c = _control_amplitudes(calibration, powers)
-    annotation = [regime for regime in _regimes(atom, omega_c) for _ in range(freqs.size)]
+    annotation = [regime for regime in regimes for _ in range(freqs.size)]
     values = reflection_coefficient(
         Gamma10=atom.Gamma10,
         gamma10=atom.gamma10,
@@ -572,7 +568,7 @@ def run_control_sweep(config: ExperimentConfig) -> RunResult:
         Delta_p=hz_to_angular(config.probe_detuning_hz),
         Delta_c=hz_to_angular(freqs) - atom.omega21,
     )
-    summary = _threshold_summary(atom, calibration)
+    summary = _threshold_summary(atom.gamma10, atom.gamma20, calibration.k)
     summary["transition_frequency_hz"] = angular_to_hz(atom.omega21)
     axes = {
         "control_power_dbm": np.repeat(powers, freqs.size),
@@ -581,17 +577,13 @@ def run_control_sweep(config: ExperimentConfig) -> RunResult:
     return _sweep_columns(config, axes, values.ravel(), annotation, summary)
 
 
-def run_power_sweep(config: ExperimentConfig) -> RunResult:
+def _power_sweep(config: ExperimentConfig) -> RunResult:
     """1-D reflection versus control power at a fixed control frequency."""
-    _require(config.scheme == "power-sweep", "config scheme must be power-sweep")
-    atom = config.atom.build()
-    calibration = config.calibration.build()
-    powers = config.power_grid.values()
+    atom, calibration, powers, omega_c, regimes = _drive(config)
     if config.control_frequency_hz is None:
         delta_c = 0.0
     else:
         delta_c = hz_to_angular(config.control_frequency_hz) - atom.omega21
-    omega_c = _control_amplitudes(calibration, powers)
     values = reflection_coefficient(
         Gamma10=atom.Gamma10,
         gamma10=atom.gamma10,
@@ -600,19 +592,17 @@ def run_power_sweep(config: ExperimentConfig) -> RunResult:
         Delta_p=hz_to_angular(config.probe_detuning_hz),
         Delta_c=delta_c,
     )
-    annotation = _regimes(atom, omega_c)
-    summary = _threshold_summary(atom, calibration)
-    return _sweep_columns(config, {"control_power_dbm": powers}, values, annotation, summary)
+    summary = _threshold_summary(atom.gamma10, atom.gamma20, calibration.k)
+    return _sweep_columns(config, {"control_power_dbm": powers}, values, regimes, summary)
 
 
-def run_flux_sweep(config: ExperimentConfig) -> RunResult:
+def _flux_sweep(config: ExperimentConfig) -> RunResult:
     """Transmission curves versus probe detuning, one per control amplitude.
 
     Both detunings are swept together (transmon tuning), leaving the control
     offset at probe resonance as the residual detuning; a constant complex
     crosstalk background and a real scale multiply the model transmission.
     """
-    _require(config.scheme == "flux-sweep", "config scheme must be flux-sweep")
     atom = config.atom.build()
     detunings = config.probe_detuning_grid.values()
     delta = hz_to_angular(config.residual_detuning_hz)
@@ -629,7 +619,7 @@ def run_flux_sweep(config: ExperimentConfig) -> RunResult:
         delta=delta,
     )
     values = config.scale * (t.ravel() + crosstalk)
-    summary = _threshold_summary(atom, None)
+    summary = _threshold_summary(atom.gamma10, atom.gamma20, None)
     summary["residual_detuning_hz"] = config.residual_detuning_hz
     axes = {
         "control_rabi_hz": np.repeat(rabi_hz, detunings.size),
@@ -652,7 +642,7 @@ def _dip_status(fit: Any, noisy: bool) -> str:
     return f"dip-fit-failed: {failure}"
 
 
-def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
+def _linewidth_pipeline(config: ExperimentConfig) -> RunResult:
     """Per-power dip fits, then the linewidth-versus-power line fit.
 
     For each power: simulate the control-frequency dip at probe resonance,
@@ -665,16 +655,10 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
     with error bars per point. Rows whose dip fit fails are kept with a
     status message and excluded from the line fit.
     """
-    _require(config.scheme == "linewidth-pipeline", "config scheme must be linewidth-pipeline")
-    atom = config.atom.build()
-    calibration = config.calibration.build()
-    powers = config.power_grid.values()
-    freqs = config.control_frequency_grid.values()
-    delta_c = hz_to_angular(freqs) - atom.omega21
+    atom, _, powers, omega_c, regimes = _drive(config)
+    delta_c = hz_to_angular(config.control_frequency_grid.values()) - atom.omega21
     noisy = config.noise.sigma_rel > 0.0
     children = np.random.SeedSequence(config.noise.seed).spawn(len(powers))
-    omega_c = _control_amplitudes(calibration, powers)
-    regimes = _regimes(atom, omega_c)
     grid = reflection_coefficient(
         Gamma10=atom.Gamma10,
         gamma10=atom.gamma10,
@@ -736,7 +720,6 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
         "status": statuses,
     }
 
-    threshold_rabi = max(atom.gamma10 - gamma20_fit, 0.0)
     summary: dict[str, Any] = {
         "line_fit": {
             "gamma20_hz": angular_to_hz(gamma20_fit),
@@ -747,22 +730,22 @@ def run_linewidth_pipeline(config: ExperimentConfig) -> RunResult:
             "converged": line.converged,
             "points_used": len(good),
         },
-        "threshold_rabi_hz": angular_to_hz(threshold_rabi),
-        "threshold_power_dbm": (
-            watts_to_dbm(threshold_rabi**2 / k_fit) if threshold_rabi > 0.0 and k_fit > 0.0 else None
-        ),
+        **_threshold_summary(atom.gamma10, gamma20_fit, k_fit),
         "gamma10_hz": angular_to_hz(atom.gamma10),
     }
     return RunResult(config=config, data=data, summary=summary)
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
-    """Dispatch on the config's scheme."""
+    """Run the config's scheme: the one entry point of every scheme. A
+    config value that overflows a float or puts the model at a singular
+    point raises ConfigError; a pipeline whose fits fail raises
+    ConvergenceError or RankError."""
     runners = {
-        "control-sweep": run_control_sweep,
-        "power-sweep": run_power_sweep,
-        "flux-sweep": run_flux_sweep,
-        "linewidth-pipeline": run_linewidth_pipeline,
+        "control-sweep": _control_sweep,
+        "power-sweep": _power_sweep,
+        "flux-sweep": _flux_sweep,
+        "linewidth-pipeline": _linewidth_pipeline,
     }
     try:
         return runners[config.scheme](config)
@@ -848,20 +831,22 @@ def _float_render(column: np.ndarray, spec: str) -> tuple[str, Callable[[slice],
     when most values differ. The distinct patterns come from a sort: numpy
     2.4's np.unique hashes integer arrays, some 20 times slower on 82,041
     values."""
-    if column.dtype == np.float64:
-        head = np.sort(column[:_CHUNK_ROWS].view(np.uint64))
-        if (head[1:] == head[:-1]).any():
-            bits = np.sort(column.view(np.uint64))
-            bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
-            if 2 * len(bits) <= len(column):
-                texts = np.array([spec % value for value in bits.view(np.float64).tolist()], dtype=object)
-                return "%s", lambda rows: texts[np.searchsorted(bits, column[rows].view(np.uint64))].tolist()
+    head = np.sort(column[:_CHUNK_ROWS].view(np.uint64))
+    if (head[1:] == head[:-1]).any():
+        bits = np.sort(column.view(np.uint64))
+        bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
+        if 2 * len(bits) <= len(column):
+            texts = np.array([spec % value for value in bits.view(np.float64).tolist()], dtype=object)
+            return "%s", lambda rows: texts[np.searchsorted(bits, column[rows].view(np.uint64))].tolist()
     return spec, lambda rows: column[rows].tolist()
 
 
 def _row_count(data: Mapping[str, np.ndarray | list]) -> int:
-    """The number of rows of a table; columns of unequal length raise
-    ValueError."""
+    """The number of rows of a table; an array column that is not float64,
+    or columns of unequal length, raise ValueError."""
+    for name, column in data.items():
+        if isinstance(column, np.ndarray) and column.dtype != np.float64:
+            raise ValueError(f"table column {name!r} is a {column.dtype} array; array columns must be float64")
     lengths = {name: len(column) for name, column in data.items()}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"table columns differ in length: {lengths}")
@@ -945,19 +930,15 @@ def _json_sanitize(value: Any) -> Any:
     if isinstance(value, (np.floating, float)):
         value = float(value)
         return value if math.isfinite(value) else None
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
     return value
 
 
 def _json_render(column: np.ndarray | list) -> tuple[str, Callable[[slice], list]]:
     """Template field and row-slice renderer of one JSON column: an
-    all-finite float64 array goes through %r, the float repr json writes
+    all-finite array goes through %r, the float repr json writes
     (_float_render); any other column is rendered cell by cell (a string
     once per distinct value), non-finite floats as null."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64 and np.isfinite(column).all():
+    if isinstance(column, np.ndarray) and np.isfinite(column).all():
         return _float_render(column, "%r")
     return "%s", _once_per_string(column, lambda v: json.dumps(_json_sanitize(v)))
 
@@ -998,9 +979,10 @@ def table_chunks(
 ) -> Iterable[str]:
     """A table as text chunks of _CHUNK_ROWS rows: CSV (header and rows), or
     the schema-versioned JSON envelope that also carries the config echo for
-    provenance and the summary. The columns are data's, in its key order. An
-    unknown format, or columns of unequal length (ValueError), raise before
-    any chunk is made."""
+    provenance and the summary. The columns are data's, in its key order:
+    float64 arrays and lists. An unknown format, an array column that is not
+    float64 or columns of unequal length (ValueError) raise before any chunk
+    is made."""
     if fmt == "csv":
         return _csv_chunks(data)
     if fmt == "json":

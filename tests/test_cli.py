@@ -16,6 +16,7 @@ import pytest
 from acoustic_eit import cli, experiments
 from acoustic_eit.cli import build_parser, main
 from acoustic_eit.experiments import _CHUNK_ROWS, import_csv, resolve_config, result_text, run_experiment
+from textdiff import assert_same_text
 
 
 def test_no_arguments_exits_with_usage_error(capsys):
@@ -305,12 +306,26 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, overlay):
     assert "error:" in capsys.readouterr().err
 
 
-def test_flux_sweep_rabi_overflow_is_config_error(tmp_path, capsys):
+# k and each power are finite, but k times the power is not
+_HUGE_K = {"calibration": {"k_hz2_per_watt": 1e300, "anchor_power_dbm": None, "anchor_rabi_hz": None},
+           "power_grid": {"start": 200.0, "stop": 300.0, "count": 3}}
+
+
+@pytest.mark.parametrize("argv,overlay", [
+    (["simulate", "flux-sweep"], {"control_rabi_hz": [1e300]}),
+    (["simulate", "power-sweep"], _HUGE_K),
+    (["simulate", "control-sweep"], _HUGE_K),
+    (["pipeline", "linewidth"], _HUGE_K),
+], ids=["flux-rabi", "power-sweep-amplitude", "control-sweep-amplitude", "pipeline-amplitude"])
+def test_control_amplitude_overflow_is_config_error(tmp_path, capsys, argv, overlay):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"control_rabi_hz": [1e300]}))
-    code = main(["simulate", "flux-sweep", "--profile", "paper", "--config", str(path)])
+    path.write_text(json.dumps(overlay))
+    code = main([*argv, "--profile", "paper", "--config", str(path)])
     assert code == 2
-    assert "out of range" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "out of range" in captured.err
 
 
 def test_singular_model_point_is_config_error(tmp_path, capsys):
@@ -339,7 +354,20 @@ def test_complete_config_file_needs_no_profile(tmp_path, capsys, argv):
     assert main([*argv, "--profile", "paper"]) == 0
     profile_bytes = capsys.readouterr().out
     assert main([*argv, "--config", str(path)]) == 0
-    assert capsys.readouterr().out == profile_bytes
+    assert_same_text(capsys.readouterr().out, profile_bytes)
+
+
+@pytest.mark.parametrize("version,code", [(1, 0), (99, 2)])
+def test_config_file_schema_version_is_checked_with_a_profile(tmp_path, capsys, version, code):
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps({"schema_version": version, "noise": {"seed": 3}}))
+    assert main(["simulate", "power-sweep", "--profile", "paper", "--config", str(path)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == "error: config schema_version must be 1, got 99\n"
+    else:
+        assert captured.out.startswith("control_power_dbm,") and captured.err == ""
 
 
 def test_config_file_that_is_not_json_is_config_error(tmp_path, capsys):
@@ -389,7 +417,8 @@ def test_non_finite_flag_is_config_error(capsys, argv):
     ["simulate", "control-sweep", "--profile", "paper", "--format", "json"],
     ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--format", "csv"],
     ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--format", "json"],
-], ids=["control-sweep-csv", "control-sweep-json", "idt-csv", "idt-json"])
+    ["pipeline", "linewidth", "--profile", "paper"],
+], ids=["control-sweep-csv", "control-sweep-json", "idt-csv", "idt-json", "linewidth-pipeline"])
 def test_out_file_matches_stdout_bytes(tmp_path, capsys, argv):
     assert main(argv) == 0
     stdout = capsys.readouterr().out
@@ -399,7 +428,7 @@ def test_out_file_matches_stdout_bytes(tmp_path, capsys, argv):
         out_path.parent.mkdir(parents=True)
         assert main([*argv, "--out", str(out_path)]) == 0
         capsys.readouterr()
-        assert out_path.read_bytes() == stdout.encode("utf-8")
+        assert_same_text(out_path.read_bytes(), stdout.encode("utf-8"))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -476,7 +505,7 @@ def test_stdout_is_written_a_chunk_at_a_time(tmp_path, monkeypatch, fmt):
     text = "".join(stdout.writes)
     assert max(map(len, stdout.writes)) < len(text) / 4
     config = resolve_config("control-sweep", profile="paper", config_path=str(overlay))
-    assert text == result_text(run_experiment(config), fmt)
+    assert_same_text(text, result_text(run_experiment(config), fmt))
 
 
 def test_out_write_that_fails_at_close_exits_two_and_removes_the_file(tmp_path, capsys, monkeypatch):

@@ -39,15 +39,12 @@ from acoustic_eit.experiments import (
     paper_profile,
     resolve_config,
     result_text,
-    run_control_sweep,
     run_experiment,
-    run_flux_sweep,
-    run_linewidth_pipeline,
-    run_power_sweep,
     synthesize_noise,
     table_chunks,
     write_table,
 )
+from textdiff import assert_same_text
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +193,11 @@ def test_resolve_config_profile_and_overrides(tmp_path):
 def test_sweep_record_validation():
     flux = paper_profile("flux-sweep")
     with np.errstate(all="ignore"), pytest.raises(ConfigError):
-        run_flux_sweep(ExperimentConfig.from_dict(
+        run_experiment(ExperimentConfig.from_dict(
             {**flux.to_dict(), "probe_detuning_grid": {"start": -1e308, "stop": 1e308, "count": 3}}))
     with pytest.raises(ConfigError):
-        run_power_sweep(ExperimentConfig.from_dict({**paper_profile("power-sweep").to_dict(),
-                                                    "probe_detuning_hz": 1e308}))
+        run_experiment(ExperimentConfig.from_dict({**paper_profile("power-sweep").to_dict(),
+                                                   "probe_detuning_hz": 1e308}))
 
 
 def test_noise_zero_sigma_is_identity():
@@ -280,7 +277,7 @@ def test_each_run_makes_one_kernel_call(monkeypatch, scheme):
 
 
 def test_control_sweep_dip_deepens_and_broadens():
-    result = run_control_sweep(paper_profile("control-sweep"))
+    result = run_experiment(paper_profile("control-sweep"))
     freqs = paper_profile("control-sweep").control_frequency_grid.values()
     powers = paper_profile("control-sweep").power_grid.values()
     rows = {}
@@ -303,7 +300,7 @@ def test_control_sweep_dip_deepens_and_broadens():
 
 
 def test_control_sweep_threshold_annotation():
-    result = run_control_sweep(paper_profile("control-sweep"))
+    result = run_experiment(paper_profile("control-sweep"))
     assert result.summary["threshold_rabi_hz"] == pytest.approx(16.06e6, rel=1e-9)
     assert result.summary["threshold_power_dbm"] == pytest.approx(-45.0, abs=1e-9)
 
@@ -312,7 +309,7 @@ def test_control_sweep_regime_annotations_match_classifier():
     cfg = paper_profile("control-sweep")
     atom = cfg.atom.build()
     calibration = cfg.calibration.build()
-    result = run_control_sweep(cfg)
+    result = run_experiment(cfg)
     for power, annotation in zip(result.data["control_power_dbm"], result.data["annotation"]):
         omega_c = calibration.omega_c(power)
         expected = classify_regime(atom.gamma10, atom.gamma20, omega_c).regime.value
@@ -326,8 +323,8 @@ _ANCHOR_K_HZ2_PER_WATT = (16.06e6) ** 2 / dbm_to_watts(-45.0)
 
 
 def _power_sweep_with_k(k_hz2_per_watt: float):
-    return run_power_sweep(replace(paper_profile("power-sweep"),
-                                   calibration=CalibrationParams(k_hz2_per_watt=k_hz2_per_watt)))
+    return run_experiment(replace(paper_profile("power-sweep"),
+                                  calibration=CalibrationParams(k_hz2_per_watt=k_hz2_per_watt)))
 
 
 def _same_sweep(got, want) -> bool:
@@ -336,15 +333,15 @@ def _same_sweep(got, want) -> bool:
 
 
 def test_power_sweep_k_calibration_matches_the_anchor():
-    assert _same_sweep(_power_sweep_with_k(_ANCHOR_K_HZ2_PER_WATT), run_power_sweep(paper_profile("power-sweep")))
+    assert _same_sweep(_power_sweep_with_k(_ANCHOR_K_HZ2_PER_WATT), run_experiment(paper_profile("power-sweep")))
 
 
 def test_pipeline_k_fed_back_as_calibration_reproduces_the_sweep():
     # the linewidth fit's power calibration closes the loop back to the
     # forward model it was measured from
-    line = run_linewidth_pipeline(paper_profile("linewidth-pipeline")).summary["line_fit"]
+    line = run_experiment(paper_profile("linewidth-pipeline")).summary["line_fit"]
     result = _power_sweep_with_k(line["k_hz2_per_watt"])
-    anchor = run_power_sweep(paper_profile("power-sweep"))
+    anchor = run_experiment(paper_profile("power-sweep"))
     values = result.data["re"] + 1j * result.data["im"]
     expected = anchor.data["re"] + 1j * anchor.data["im"]
     assert float(np.max(np.abs(values - expected) / np.abs(expected))) <= 1e-9
@@ -355,11 +352,11 @@ def test_power_sweep_without_control_frequency_is_on_resonance():
     unset = ExperimentConfig.from_dict({**profile.to_dict(), "control_frequency_hz": None})
     assert unset.control_frequency_hz is None
     resonant = replace(profile, control_frequency_hz=profile.atom.frequency_hz - profile.atom.anharmonicity_hz)
-    assert _same_sweep(run_power_sweep(unset), run_power_sweep(resonant))
+    assert _same_sweep(run_experiment(unset), run_experiment(resonant))
 
 
 def test_power_sweep_runs_and_annotates():
-    result = run_power_sweep(paper_profile("power-sweep"))
+    result = run_experiment(paper_profile("power-sweep"))
     assert next(iter(result.data)) == "control_power_dbm"
     assert len(result.data["abs"]) == 41
     # on-resonance reflection shrinks monotonically with control power
@@ -386,7 +383,7 @@ def _flux_config(rabi_hz, crosstalk_re=0.0, residual_hz=4.0e6):
 
 
 def test_flux_sweep_control_off_is_symmetric():
-    result = run_flux_sweep(_flux_config([0.0], residual_hz=4.0e6))
+    result = run_experiment(_flux_config([0.0], residual_hz=4.0e6))
     mags = result.data["abs"]
     assert int(np.argmin(mags)) == mags.size // 2
     assert np.allclose(mags, mags[::-1], rtol=1e-12)
@@ -394,7 +391,7 @@ def test_flux_sweep_control_off_is_symmetric():
 
 
 def test_flux_sweep_ats_has_two_minima():
-    result = run_flux_sweep(_flux_config([30.0e6]))
+    result = run_experiment(_flux_config([30.0e6]))
     mags = result.data["abs"]
     dets = result.data["probe_detuning_hz"]
     interior = (mags[1:-1] < mags[:-2]) & (mags[1:-1] <= mags[2:])
@@ -406,7 +403,7 @@ def test_flux_sweep_ats_has_two_minima():
 
 
 def test_flux_sweep_asymmetry_with_offset():
-    result = run_flux_sweep(_flux_config([6.0e6], crosstalk_re=0.05))
+    result = run_experiment(_flux_config([6.0e6], crosstalk_re=0.05))
     mags = result.data["abs"]
     mirrored = mags[::-1]
     assert float(np.max(np.abs(mags - mirrored))) > 1e-3
@@ -414,7 +411,7 @@ def test_flux_sweep_asymmetry_with_offset():
 
 
 def test_flux_sweep_regimes_per_curve():
-    result = run_flux_sweep(_flux_config([6.0e6, 30.0e6]))
+    result = run_experiment(_flux_config([6.0e6, 30.0e6]))
     by_rabi = {}
     for rabi_hz, annotation in zip(result.data["control_rabi_hz"], result.data["annotation"]):
         by_rabi.setdefault(rabi_hz, set()).add(annotation)
@@ -444,7 +441,7 @@ _PIPELINE_COLUMNS = (
 
 def test_pipeline_noiseless_recovers_device_parameters():
     cfg = paper_profile("linewidth-pipeline")
-    result = run_linewidth_pipeline(cfg)
+    result = run_experiment(cfg)
     assert tuple(result.data) == _PIPELINE_COLUMNS
     assert len(result.data["status"]) == cfg.power_grid.count
     assert all(status == "ok" for status in result.data["status"])
@@ -488,7 +485,7 @@ def test_pipeline_row_with_nan_width_error_is_left_out(monkeypatch):
     monkeypatch.setattr(experiments, "fit_dip_stack", nan_width_error)
     monkeypatch.setattr(experiments, "fit_linewidth_line", capture_line)
     cfg = replace(paper_profile("linewidth-pipeline"), noise=NoiseParams(sigma_rel=0.0095, seed=1))
-    result = run_linewidth_pipeline(cfg)
+    result = run_experiment(cfg)
     data = result.data
     assert data["status"][bad_row] == "dip-fit-failed: dip width error is not a positive finite number"
     assert [i for i, status in enumerate(data["status"]) if status != "ok"] == [bad_row]
@@ -512,14 +509,21 @@ def test_pipeline_single_power_rank_error():
         control_frequency_grid=base.control_frequency_grid,
     )
     with pytest.raises(RankError):
-        run_linewidth_pipeline(cfg)
+        run_experiment(cfg)
 
 
 def test_run_experiment_dispatch():
     result = run_experiment(paper_profile("power-sweep"))
     assert tuple(result.data) == ("control_power_dbm", "re", "im", "abs", "phase", "annotation")
-    with pytest.raises(ConfigError):
-        run_control_sweep(paper_profile("power-sweep"))
+
+
+def test_singular_model_point_is_config_error():
+    # no decay and no dephasing: with the control off, the flux sweep's
+    # transmission is singular at zero probe detuning
+    profile = paper_profile("flux-sweep")
+    cfg = replace(profile, atom=replace(profile.atom, decay_hz=0.0, dephasing1_hz=0.0), control_rabi_hz=(0.0,))
+    with pytest.raises(ConfigError, match="^the config puts the model at a singular point: "):
+        run_experiment(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -535,28 +539,35 @@ def test_empty_records_give_header_only_csv():
     assert _table_text({"a": np.empty(0), "b": []}, "csv") == "a,b\n"
 
 
-def test_csv_round_trip_bitwise(tmp_path):
-    cfg = ExperimentConfig(
-        scheme="flux-sweep",
-        atom=paper_profile("flux-sweep").atom,
-        probe_detuning_grid=GridSpec(start=-20.0e6, stop=20.0e6, count=21),
-        control_rabi_hz=(6.0e6,),
-        residual_detuning_hz=4.0e6,
-        crosstalk_re=0.013,
-        noise=NoiseParams(sigma_rel=0.01, seed=9),
-    )
-    result = run_flux_sweep(cfg)
+def _assert_columns_bitwise(data, columns, rows):
+    """Rows read back from an export hold data's columns, an array bit for
+    bit (-0.0 is not 0.0)."""
+    assert list(columns) == list(data)
+    for name, column in data.items():
+        cells = [row[name] for row in rows]
+        if isinstance(column, np.ndarray):
+            assert np.array_equal(np.array(cells, dtype=float).view(np.uint64), column.view(np.uint64)), name
+        else:
+            assert cells == column, name
+
+
+_NOISY_FLUX = ExperimentConfig(
+    scheme="flux-sweep",
+    atom=paper_profile("flux-sweep").atom,
+    probe_detuning_grid=GridSpec(start=-20.0e6, stop=20.0e6, count=21),
+    control_rabi_hz=(6.0e6,),
+    residual_detuning_hz=4.0e6,
+    crosstalk_re=0.013,
+    noise=NoiseParams(sigma_rel=0.01, seed=9),
+)
+
+
+@pytest.mark.parametrize("cfg", [_NOISY_FLUX, paper_profile("control-sweep")], ids=["noisy-flux", "paper-control"])
+def test_csv_round_trip_bitwise(tmp_path, cfg):
+    result = run_experiment(cfg)
     path = tmp_path / "sweep.csv"
     export_result(result, path, fmt="csv")
-    columns, rows = import_csv(path)
-    assert columns == tuple(result.data)
-    assert len(rows) == len(result.table)
-    for got, want in zip(rows, result.table):
-        for col in columns:
-            if isinstance(want[col], float):
-                assert got[col] == want[col]
-            else:
-                assert got[col] == want[col]
+    _assert_columns_bitwise(result.data, *import_csv(path))
 
 
 def test_csv_quotes_cells_with_separators(tmp_path):
@@ -572,19 +583,16 @@ def test_csv_quotes_cells_with_separators(tmp_path):
     assert [row["x"] for row in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
-def test_json_round_trip_with_config_echo(tmp_path):
-    cfg = paper_profile("power-sweep")
-    result = run_power_sweep(cfg)
+@pytest.mark.parametrize("scheme", ["power-sweep", "control-sweep"])
+def test_json_round_trip_with_config_echo(tmp_path, scheme):
+    cfg = paper_profile(scheme)
+    result = run_experiment(cfg)
     path = tmp_path / "sweep.json"
     export_result(result, path, fmt="json")
     envelope = json.loads(path.read_text())
     assert envelope["schema_version"] == 1
     assert envelope["config_echo"] == cfg.to_dict()
-    assert envelope["columns"] == list(result.data)
-    assert len(envelope["rows"]) == len(result.table)
-    for got, want in zip(envelope["rows"], result.table):
-        for col in result.data:
-            assert got[col] == want[col]
+    _assert_columns_bitwise(result.data, envelope["columns"], envelope["rows"])
     assert envelope["summary"]["threshold_power_dbm"] == pytest.approx(-45.0, abs=1e-9)
 
 
@@ -597,7 +605,7 @@ def test_json_replaces_non_finite_with_null():
 
 def test_result_text_format_selection():
     cfg = paper_profile("power-sweep")
-    result = run_power_sweep(cfg)
+    result = run_experiment(cfg)
     assert result_text(result, "csv").startswith("control_power_dbm,")
     assert result_text(result, "json").startswith("{")
     with pytest.raises(ConfigError):
@@ -635,8 +643,8 @@ def _hand_table(n):
     the columns out of sorted order: float64 columns that repeat a value in
     their first chunk (signed zeros, subnormals, NaN payloads, infinities, a
     single value, values first met after the first chunk, and one repeat
-    among distinct values), one that repeats only later, and int64, float32
-    and bool arrays."""
+    among distinct values), one that repeats only later, and list columns
+    of strings and of mixed cells."""
     strings = ["plain", "caf\u00e9 \u03b3", 'q"uote', "back\\slash", "ctl\x01\t\n", "%s %r %%"]
     mixed = [None, True, False, 1.5, -0.0, float("nan"), float("inf"), 2.5e-300]
     signed = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1.5])
@@ -649,15 +657,12 @@ def _hand_table(n):
         "m_mixed": [mixed[i % len(mixed)] for i in range(n)],
         "b\u00e9 \"%key\\": [strings[i % len(strings)] for i in range(n)],
         "c_inf": np.where(np.arange(n) % 2 == 0, np.inf, -np.inf),
-        "ints": np.arange(n),
         "r_signed": signed[i % len(signed)],
         "r_nonfinite": nonfinite[i % len(nonfinite)],
         "single": np.full(n, 3.7),
         "late_repeat": (i % _CHUNK) * 0.5 + 0.25,
         "one_repeat": np.where(i == 1, 0.0, i * 0.75),
         "early_repeat": np.where(i < _CHUNK, i % 5, i) * 0.125,
-        "f32": (i % 3).astype(np.float32) / np.float32(3.0),
-        "flags": i % 2 == 0,
     }
     return data
 
@@ -670,9 +675,9 @@ def test_json_text_matches_per_row_dict_reference(n):
     data = _hand_table(n)
     echo = {"b": [1.0, float("nan")], "a": {"y": "\u00e9", "x": None}, "rows": []}
     summary = {"line_fit": {"rss": float("inf"), "converged": True}, "note": 'a "b"'}
-    assert _table_text(data, "json") == _reference_json_text(data)
+    assert_same_text(_table_text(data, "json"), _reference_json_text(data))
     text = _table_text(data, "json", echo, summary)
-    assert text == _reference_json_text(data, echo, summary)
+    assert_same_text(text, _reference_json_text(data, echo, summary))
     if n == 0:
         assert '\n  "rows": [],\n' in text
     assert "NaN" not in text and "Infinity" not in text
@@ -680,8 +685,7 @@ def test_json_text_matches_per_row_dict_reference(n):
 
 def _reference_csv_text(data):
     """The export as one string with every cell formatted up front: an array
-    cell at 17 significant digits (a bool as 1 or 0), a list cell by
-    _format_cell."""
+    cell at 17 significant digits, a list cell by _format_cell."""
     columns = tuple(data)
     cells = [["%.17g" % value for value in data[col].tolist()] if isinstance(data[col], np.ndarray)
              else list(map(experiments._format_cell, data[col])) for col in columns]
@@ -732,9 +736,10 @@ def test_export_file_matches_result_text(tmp_path, scheme, noise):
         assert sum(status != "ok" for status in result.data["status"]) == 1
     for fmt in ("csv", "json"):
         text = result_text(result, fmt)
-        assert _exported_bytes(result, tmp_path / f"out.{fmt}", fmt) == text.encode("utf-8")
-    assert result_text(result, "csv") == _reference_csv_text(result.data)
-    assert result_text(result, "json") == _reference_json_text(result.data, result.config.to_dict(), result.summary)
+        assert_same_text(_exported_bytes(result, tmp_path / f"out.{fmt}", fmt), text.encode("utf-8"))
+    assert_same_text(result_text(result, "csv"), _reference_csv_text(result.data))
+    assert_same_text(result_text(result, "json"),
+                     _reference_json_text(result.data, result.config.to_dict(), result.summary))
 
 
 @pytest.mark.parametrize("n", [0, 1, _CHUNK, _CHUNK + 1])
@@ -744,8 +749,8 @@ def test_export_file_matches_result_text_at_chunk_edges(tmp_path, n):
     result = RunResult(config=paper_profile("power-sweep"), data=data, summary={"n": n})
     for fmt in ("csv", "json"):
         text = result_text(result, fmt)
-        assert _exported_bytes(result, tmp_path / f"out.{fmt}", fmt) == text.encode("utf-8")
-    assert result_text(result, "csv") == _reference_csv_text(data)
+        assert_same_text(_exported_bytes(result, tmp_path / f"out.{fmt}", fmt), text.encode("utf-8"))
+    assert_same_text(result_text(result, "csv"), _reference_csv_text(data))
     assert len(result_text(result, "csv").splitlines()) == n + 1
     # the float64 columns formatted once per distinct value: those that
     # repeat in the first chunk with at most half their rows distinct
@@ -755,7 +760,7 @@ def test_export_file_matches_result_text_at_chunk_edges(tmp_path, n):
 
 
 def test_export_leaves_no_partial_file(tmp_path):
-    result = run_power_sweep(paper_profile("power-sweep"))
+    result = run_experiment(paper_profile("power-sweep"))
     path = tmp_path / "out.yaml"
     with pytest.raises(ConfigError):
         export_result(result, path, "yaml")
@@ -782,8 +787,22 @@ def test_columns_of_unequal_length_raise_before_any_chunk(tmp_path, fmt):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("column", [np.arange(3), np.arange(3, dtype=np.float32), np.arange(3) % 2 == 0],
+                         ids=["int64", "float32", "bool"])
+def test_array_column_that_is_not_float64_raises_before_any_chunk(tmp_path, fmt, column):
+    # the writer takes the tables the package makes: float64 arrays and lists
+    data = {"a": np.arange(3.0), "b": column}
+    with pytest.raises(ValueError, match=rf"^table column 'b' is a {column.dtype} array; array columns must be float64$"):
+        table_chunks(data, fmt)
+    path = tmp_path / f"out.{fmt}"
+    with pytest.raises(ValueError, match="must be float64"):
+        export_result(RunResult(config=paper_profile("power-sweep"), data=data, summary={}), path, fmt)
+    assert not path.exists()
+
+
 def test_pipeline_export_includes_status_column(tmp_path):
-    result = run_linewidth_pipeline(paper_profile("linewidth-pipeline"))
+    result = run_experiment(paper_profile("linewidth-pipeline"))
     path = tmp_path / "pipeline.csv"
     export_result(result, path, fmt="csv")
     columns, rows = import_csv(path)
@@ -942,9 +961,9 @@ def test_list_column_strings_render_once_per_value_same_bytes():
         "across-chunks": {"x": [column[i % len(column)] for i in range(n)]},
     }
     for data in cases.values():
-        assert _table_text(data, "csv") == _reference_csv_text(data)
+        assert_same_text(_table_text(data, "csv"), _reference_csv_text(data))
         text = _table_text(data, "json")
-        assert text == _reference_json_text(data)
+        assert_same_text(text, _reference_json_text(data))
         rendered = [line[len('      "x": '):] for line in text.splitlines() if line.startswith('      "x": ')]
         assert rendered == [json.dumps(experiments._json_sanitize(v)) for v in data["x"]]
     csv_cells = _table_text(cases["signed-and-bool-cells"], "csv").splitlines()[1:]
@@ -992,7 +1011,7 @@ def _failing_open(monkeypatch, fail, fileno=None):
 
 @pytest.mark.parametrize("fail", ["write", "close"])
 def test_write_table_failure_is_config_error_and_removes_the_file(tmp_path, monkeypatch, fail):
-    result = run_control_sweep(paper_profile("control-sweep"))
+    result = run_experiment(paper_profile("control-sweep"))
     path = tmp_path / "out.csv"
     _failing_open(monkeypatch, fail)
     with pytest.raises(ConfigError, match=f"^cannot write {path}: No space left on device$"):
@@ -1007,7 +1026,7 @@ def test_write_table_leaves_a_path_that_is_not_a_regular_file(tmp_path, monkeypa
         path = tmp_path / "device"
         _failing_open(monkeypatch, "close", fileno=read_end)
         with pytest.raises(ConfigError, match="No space left on device"):
-            export_result(run_power_sweep(paper_profile("power-sweep")), path, "csv")
+            export_result(run_experiment(paper_profile("power-sweep")), path, "csv")
         assert path.exists()
     finally:
         os.close(read_end)
@@ -1017,7 +1036,7 @@ def test_write_table_leaves_a_path_that_is_not_a_regular_file(tmp_path, monkeypa
 def test_records_and_table_views_follow_data():
     """RunResult.records and .table are read-only views over data; the
     benchmark's fit-batch reads rec.axes, rec.value and row["status"]."""
-    flux = run_flux_sweep(ExperimentConfig(
+    flux = run_experiment(ExperimentConfig(
         scheme="flux-sweep",
         atom=paper_profile("flux-sweep").atom,
         probe_detuning_grid=GridSpec(start=-20.0e6, stop=20.0e6, count=7),
@@ -1035,7 +1054,7 @@ def test_records_and_table_views_follow_data():
         assert all(row[col] == data[col][i] for col in data)
 
     base = paper_profile("linewidth-pipeline")
-    pipeline = run_linewidth_pipeline(ExperimentConfig(
+    pipeline = run_experiment(ExperimentConfig(
         scheme="linewidth-pipeline",
         atom=base.atom,
         calibration=base.calibration,

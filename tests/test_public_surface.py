@@ -16,7 +16,8 @@ DELETED = {
     lindblad: ("propagate", "_expm", "_PADE_13", "_THETA_13", "validate_density_matrix"),
     model: ("transmission_flux_sweep", "coherence_rates"),
     idt: ("decay_from_conductance",),
-    experiments: ("import_json",),
+    experiments: ("import_json", "run_control_sweep", "run_power_sweep", "run_flux_sweep",
+                  "run_linewidth_pipeline", "_control_amplitudes"),
     estimation: ("fit_dip_lorentzian", "_with_fixed"),
     leastsq: ("weighted_linear_fit",),
 }
