@@ -55,19 +55,15 @@ from .lindblad import (
     master_equation_reflection,
     reflection_from_state,
     steady_state,
-    steady_state_density_matrix,
     weak_probe_deviation,
 )
 from .model import (
     DipShape,
-    DriveCondition,
     ThreeLevelAtom,
     dip_shape,
     eit_linewidth,
     group_delay,
-    reflection,
     reflection_coefficient,
-    transmission,
     transmission_flux_coefficient,
 )
 from .poles import (
@@ -94,7 +90,6 @@ __all__ = [
     "ConvergenceError",
     "DeviationReport",
     "DipShape",
-    "DriveCondition",
     "ExperimentConfig",
     "FitResult",
     "GridSpec",
@@ -134,16 +129,13 @@ __all__ = [
     "paper_profile",
     "poles_and_decomposition",
     "rabi_per_point",
-    "reflection",
     "reflection_coefficient",
     "reflection_from_state",
     "resolve_config",
     "run_experiment",
     "samples_from_arrays",
     "steady_state",
-    "steady_state_density_matrix",
     "synthesize_noise",
-    "transmission",
     "transmission_flux_coefficient",
     "watts_to_dbm",
     "weak_probe_deviation",

@@ -146,9 +146,10 @@ def _handle_idt_response(args: argparse.Namespace) -> int:
 
 def _handle_oracle_check(args: argparse.Namespace) -> int:
     if not (2 <= args.grid_count <= _ORACLE_MAX_GRID_COUNT
-            and 0.0 < args.span_hz < math.inf and 0.0 < args.probe_rabi_hz < math.inf):
-        raise ConfigError(f"need 2 <= --grid-count <= {_ORACLE_MAX_GRID_COUNT} "
-                          "and finite --span-hz > 0, --probe-rabi-hz > 0")
+            and 0.0 < hz_to_angular(args.span_hz) < math.inf
+            and 0.0 < hz_to_angular(args.probe_rabi_hz) < math.inf):
+        raise ConfigError(f"need 2 <= --grid-count <= {_ORACLE_MAX_GRID_COUNT} and "
+                          "--span-hz > 0, --probe-rabi-hz > 0, both finite in angular frequency")
     atom = paper_profile("control-sweep").atom.build()
     detunings = hz_to_angular(np.linspace(-args.span_hz, args.span_hz, args.grid_count))
     control_amplitudes = hz_to_angular(np.array([0.0, 6.1e6, 30.0e6]))

@@ -82,6 +82,8 @@ class GridSpec:
         # start == stop with count > 1 is allowed: a repeated-setpoint grid is
         # how rank-deficient sweeps (all rows at one power) are expressed
 
+    # a span that overflows gives non-finite values, which the runners reject
+    @np.errstate(over="ignore", invalid="ignore")
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
 

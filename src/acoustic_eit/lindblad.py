@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import SteadyStateError
-from .model import DriveCondition, ThreeLevelAtom, reflection_coefficient
+from .model import ThreeLevelAtom, _check_drive, reflection_coefficient
 
 _DIM = 3
 _VEC = _DIM * _DIM
@@ -166,20 +166,15 @@ def steady_state(liouvillian: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
 
 
-def steady_state_density_matrix(atom: ThreeLevelAtom, drive: DriveCondition) -> np.ndarray:
-    """Steady state straight from physical parameters."""
-    h = hamiltonian(drive.Delta_p, drive.Delta_c, drive.Omega_p, drive.Omega_c)
-    return steady_state(build_liouvillian(h, jump_operators(atom)))
-
-
-def reflection_from_state(rho: np.ndarray, Gamma10: float, Omega_p: float):
+def reflection_from_state(rho: np.ndarray, Gamma10: float, Omega_p):
     """Reflection coefficient read off the steady-state 1-0 coherence.
 
     The scattered field is proportional to the lowering-operator expectation;
     normalizing by the probe amplitude gives r = -i (Gamma10 / Omega_p) rho_10.
-    A single state gives a complex number, a stack (..., 3, 3) an array.
+    A single state gives a complex number, a stack (..., 3, 3) an array;
+    Omega_p may be an array that broadcasts against the stack's leading dims.
     """
-    if Omega_p <= 0.0:
+    if not (np.asarray(Omega_p) > 0.0).all():
         raise ValueError("Omega_p must be positive to define a reflection")
     coherence = np.asarray(rho)[..., 1, 0]
     if coherence.ndim == 0:
@@ -187,10 +182,17 @@ def reflection_from_state(rho: np.ndarray, Gamma10: float, Omega_p: float):
     return -1j * (Gamma10 / Omega_p) * coherence
 
 
-def master_equation_reflection(atom: ThreeLevelAtom, drive: DriveCondition) -> complex:
-    """Nonperturbative reflection coefficient from the steady state."""
-    rho = steady_state_density_matrix(atom, drive)
-    return reflection_from_state(rho, atom.Gamma10, drive.Omega_p)
+def master_equation_reflection(atom: ThreeLevelAtom, Delta_p, Delta_c, Omega_p, Omega_c):
+    """Nonperturbative reflection coefficient from the steady state.
+
+    The drive arguments broadcast like hamiltonian's: scalars give a complex,
+    arrays an array over their broadcast shape, solved as one stack. A
+    non-finite drive value or a negative amplitude raises ValueError before
+    any solve; Omega_p must be positive to define a reflection.
+    """
+    _check_drive((Delta_p, Delta_c), (Omega_p, Omega_c))
+    h = hamiltonian(Delta_p, Delta_c, Omega_p, Omega_c)
+    return reflection_from_state(steady_state(build_liouvillian(h, jump_operators(atom))), atom.Gamma10, Omega_p)
 
 
 class DeviationReport(NamedTuple):
@@ -224,32 +226,28 @@ def weak_probe_deviation(
     |r_me - r_wp| / max(|r_wp|, 1e-30).
 
     The grid is walked with Omega_c outermost and Delta_p innermost, in
-    chunks of at most ``_CHUNK`` points, each solved as one stack and
-    compared with one closed-form call.
+    chunks of at most ``_CHUNK`` points, each solved as one stack by
+    master_equation_reflection (which rejects a non-finite grid value or a
+    negative Omega_c before the chunk's solve) and compared with one
+    closed-form call.
     """
     if not (Omega_p > 0.0 and math.isfinite(Omega_p)):
         raise ValueError("Omega_p must be positive and finite")
     axes = [np.asarray(values, dtype=float) for values in (Omega_c_values, Delta_c_values, Delta_p_values)]
     if any(axis.ndim != 1 or axis.size == 0 for axis in axes):
         raise ValueError("deviation grid must be a nonempty sequence in every axis")
-    if not all(np.all(np.isfinite(axis)) for axis in axes):
-        raise ValueError("deviation grid values must be finite")
     omega_c, delta_c, delta_p = axes
-    if np.any(omega_c < 0.0):
-        raise ValueError("Rabi amplitudes must be nonnegative")
     shape = (omega_c.size, delta_c.size, delta_p.size)
     points = math.prod(shape)
-    jumps = jump_operators(atom)
     max_abs = 0.0
     max_rel = 0.0
     worst = 0
     for start in range(0, points, _CHUNK):
         flat = np.arange(start, min(start + _CHUNK, points))
         i_o, i_c, i_p = np.unravel_index(flat, shape)
-        dp, dc = delta_p[i_p], delta_c[i_c]
-        rho = steady_state(build_liouvillian(hamiltonian(dp, dc, Omega_p, omega_c[i_o]), jumps))
-        r_me = reflection_from_state(rho, atom.Gamma10, Omega_p)
-        r_wp = reflection_coefficient(atom.Gamma10, atom.gamma10, atom.gamma20, omega_c[i_o], dp, dc)
+        dp, dc, oc = delta_p[i_p], delta_c[i_c], omega_c[i_o]
+        r_me = master_equation_reflection(atom, dp, dc, Omega_p, oc)
+        r_wp = reflection_coefficient(atom.Gamma10, atom.gamma10, atom.gamma20, oc, dp, dc)
         dev = np.abs(r_me - r_wp)
         rel = dev / np.maximum(np.abs(r_wp), 1e-30)
         max_abs = max(max_abs, float(dev.max()))

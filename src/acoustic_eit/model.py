@@ -68,26 +68,15 @@ class ThreeLevelAtom:
         return 0.5 * (self.Gamma10 + self.Gamma21) + self.gphi1 + self.gphi2
 
 
-@dataclass(frozen=True)
-class DriveCondition:
-    """Probe and control tone amplitudes and detunings (rad/s).
+def _check_drive(detunings, amplitudes) -> None:
+    """ValueError unless every drive value is finite and every Rabi amplitude nonnegative.
 
-    Delta_p = omega_probe - omega10, Delta_c = omega_control - omega21.
-    Omega_p is ignored by the analytic weak-probe formulas but is required by
-    the density-matrix oracle.
+    Each value may be a scalar or an array.
     """
-
-    Delta_p: float = 0.0
-    Delta_c: float = 0.0
-    Omega_p: float = 0.0
-    Omega_c: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.Omega_p < 0.0 or self.Omega_c < 0.0:
-            raise ValueError("Rabi amplitudes must be nonnegative")
-        for name in ("Delta_p", "Delta_c", "Omega_p", "Omega_c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+    if not all(np.isfinite(value).all() for value in (*detunings, *amplitudes)):
+        raise ValueError("drive detunings and amplitudes must be finite")
+    if any((np.asarray(value) < 0.0).any() for value in amplitudes):
+        raise ValueError("Rabi amplitudes must be nonnegative")
 
 
 # overflowing inputs come back as non-finite values for the callers to reject
@@ -162,17 +151,6 @@ def transmission_flux_coefficient(Gamma10: float, gamma10: float, gamma20: float
     return _scalar_or_array(1.0 + r)
 
 
-def reflection(atom: ThreeLevelAtom, drive: DriveCondition) -> complex:
-    """Weak-probe reflection coefficient r(Delta_p, Delta_c)."""
-    return reflection_coefficient(atom.Gamma10, atom.gamma10, atom.gamma20,
-                                  drive.Omega_c, drive.Delta_p, drive.Delta_c)
-
-
-def transmission(atom: ThreeLevelAtom, drive: DriveCondition) -> complex:
-    """Weak-probe transmission t = 1 + r."""
-    return 1.0 + reflection(atom, drive)
-
-
 def eit_linewidth(gamma10: float, gamma20: float, Omega_c: float) -> float:
     """Half width of the transparency dip: gamma20 + Omega_c**2 / (4*gamma10)."""
     if not (gamma10 > 0.0 and math.isfinite(gamma10)):
@@ -210,24 +188,28 @@ def dip_shape(Gamma10: float, gamma10: float, gamma20: float, Omega_c: float) ->
                     amplitude=amplitude, window=window)
 
 
-def group_delay(atom: ThreeLevelAtom, drive: DriveCondition) -> float:
-    """Group delay tau_g = d arg(t) / d Delta_p in seconds.
+def group_delay(Gamma10: float, gamma10: float, gamma20: float,
+                Omega_c: float, Delta_p: float, Delta_c: float) -> float:
+    """Group delay tau_g = d arg(t) / d Delta_p in seconds, at one drive point.
 
-    Uses the analytic derivative dr/dDelta_p = Gamma10 * dD/dDelta_p / D**2
-    of the kernel's denominator D. Raises UndefinedPhaseError when t = 0 at
-    the evaluation point (perfect extinction), where the phase carries no
-    information.
+    Takes reflection_coefficient's arguments as scalars. Uses the analytic
+    derivative dr/dDelta_p = Gamma10 * dD/dDelta_p / D**2 of the kernel's
+    denominator D. Raises ValueError on a rate that is negative or not
+    finite, a non-finite drive value or a negative Omega_c, and
+    UndefinedPhaseError when t = 0 at the evaluation point (perfect
+    extinction), where the phase carries no information.
     """
-    Omega_c = drive.Omega_c
+    if not all(rate >= 0.0 and math.isfinite(rate) for rate in (Gamma10, gamma10, gamma20)):
+        raise ValueError("Gamma10, gamma10 and gamma20 must be finite nonnegative rates")
+    _check_drive((Delta_p, Delta_c), (Omega_c,))
     r, two_photon, denominator, transparent = _kernel(
-        atom.Gamma10, atom.gamma10, atom.gamma20, Omega_c,
-        drive.Delta_p, drive.Delta_p + drive.Delta_c)
+        Gamma10, gamma10, gamma20, Omega_c, Delta_p, Delta_p + Delta_c)
     t0 = 1.0 + r
     if t0 == 0.0:
         raise UndefinedPhaseError("transmission is zero; phase undefined")
     if transparent:
         # ideal transparency point: t = 1 there and the exact limit of the
         # phase slope is 2*Gamma10/Omega_c**2
-        return 2.0 * atom.Gamma10 / Omega_c**2
+        return 2.0 * Gamma10 / Omega_c**2
     d_denominator = -2j + 1j * Omega_c**2 / (2.0 * two_photon**2)
-    return float((atom.Gamma10 * d_denominator / denominator**2 / t0).imag)
+    return float((Gamma10 * d_denominator / denominator**2 / t0).imag)

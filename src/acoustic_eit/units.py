@@ -12,9 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 
+@np.errstate(over="ignore")  # an overflow is inf, which the callers' finiteness checks reject
 def hz_to_angular(frequency_hz):
     """Ordinary frequency (Hz) to angular frequency (rad/s). Array-safe."""
     return TWO_PI * frequency_hz

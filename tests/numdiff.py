@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from acoustic_eit.model import transmission
+from acoustic_eit.model import reflection_coefficient
 
 
 def central_difference(fn, x, step):
@@ -25,14 +23,18 @@ def central_difference(fn, x, step):
     return np.stack(columns, axis=-1)
 
 
-def numeric_group_delay(atom, drive, h):
+def numeric_group_delay(Gamma10, gamma10, gamma20, Omega_c, Delta_p, Delta_c, h):
     """Group delay as the central difference of arg(t) in Delta_p with step h.
 
-    The phase is taken relative to t at the point, so it does not wrap.
+    Takes group_delay's arguments and the step. The phase is taken relative
+    to t at the point, so it does not wrap.
     """
-    t0 = transmission(atom, drive)
+    def transmission_at(delta_p):
+        return 1.0 + reflection_coefficient(Gamma10, gamma10, gamma20, Omega_c, delta_p, Delta_c)
+
+    t0 = transmission_at(Delta_p)
 
     def phase(delta_p):
-        return np.angle(transmission(atom, replace(drive, Delta_p=float(delta_p[0]))) / t0)
+        return np.angle(transmission_at(float(delta_p[0])) / t0)
 
-    return float(central_difference(phase, [drive.Delta_p], h)[0])
+    return float(central_difference(phase, [Delta_p], h)[0])

@@ -396,20 +396,47 @@ def test_oracle_check_fails_beyond_weak_probe(capsys):
     assert lines[-1] == "oracle check FAILED: max relative deviation > 0.001"
 
 
+_HUGE_CONTROL_GRID = {"control_frequency_grid": {"start": 1e308, "stop": 1.7e308, "count": 10}}
+
+
+@pytest.mark.parametrize("argv,overlay", [
+    (["simulate", "flux-sweep"], {"control_rabi_hz": [1e308]}),
+    (["simulate", "flux-sweep"], {"probe_detuning_grid": {"start": -1e308, "stop": 1e308, "count": 3}}),
+    (["simulate", "control-sweep"], _HUGE_CONTROL_GRID),
+    (["pipeline", "linewidth"], _HUGE_CONTROL_GRID),
+], ids=["flux-rabi-angular", "flux-grid-span", "control-grid-angular", "pipeline-grid-angular"])
+def test_angular_overflow_prints_only_the_error_line(tmp_path, capsys, argv, overlay):
+    # finite in Hz, not in rad/s: no numpy warning precedes the error line
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(overlay))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--profile", "paper", "--config", str(path)])
+    assert [str(w.message) for w in caught] == []
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "out of range" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "check", "--grid-count", "2", "--span-hz", "inf"],
     ["oracle", "check", "--grid-count", "2", "--span-hz", "nan"],
     ["oracle", "check", "--grid-count", "2", "--probe-rabi-hz", "nan"],
     ["oracle", "check", "--grid-count", "2", "--probe-rabi-hz", "inf"],
+    ["oracle", "check", "--grid-count", "2", "--span-hz", "1e308"],
+    ["oracle", "check", "--grid-count", "2", "--probe-rabi-hz", "1e308"],
     ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--f-max", "inf"],
     ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--f-min", "nan"],
     ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--f-max", "1e308", "--count", "3"],
-], ids=["span-inf", "span-nan", "probe-nan", "probe-inf", "f-max-inf", "f-min-nan", "f-max-angular-overflow"])
+], ids=["span-inf", "span-nan", "probe-nan", "probe-inf", "span-angular-overflow", "probe-angular-overflow",
+        "f-max-inf", "f-min-nan", "f-max-angular-overflow"])
 def test_non_finite_flag_is_config_error(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -192,7 +192,7 @@ def test_resolve_config_profile_and_overrides(tmp_path):
 
 def test_sweep_record_validation():
     flux = paper_profile("flux-sweep")
-    with np.errstate(all="ignore"), pytest.raises(ConfigError):
+    with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig.from_dict(
             {**flux.to_dict(), "probe_detuning_grid": {"start": -1e308, "stop": 1e308, "count": 3}}))
     with pytest.raises(ConfigError):

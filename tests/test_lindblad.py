@@ -11,19 +11,18 @@ import pytest
 
 from acoustic_eit import (
     DeviationReport,
-    DriveCondition,
     SteadyStateError,
     ThreeLevelAtom,
     build_liouvillian,
     hamiltonian,
     jump_operators,
     master_equation_reflection,
-    reflection,
+    reflection_coefficient,
     reflection_from_state,
     steady_state,
-    steady_state_density_matrix,
     weak_probe_deviation,
 )
+from acoustic_eit import lindblad
 from acoustic_eit.lindblad import _CHUNK
 
 MHZ = 2.0 * math.pi * 1e6
@@ -32,6 +31,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def _random_atom_drive(rng):
+    """A random atom and a drive (Delta_p, Delta_c, Omega_p, Omega_c)."""
     atom = ThreeLevelAtom(
         omega10=1e9, anharmonicity=1e8,
         Gamma10=float(rng.uniform(0.5, 30.0)) * MHZ,
@@ -39,18 +39,25 @@ def _random_atom_drive(rng):
         gphi1=float(rng.uniform(0.0, 10.0)) * MHZ,
         gphi2=float(rng.uniform(0.0, 10.0)) * MHZ,
     )
-    drive = DriveCondition(
-        Delta_p=float(rng.uniform(-30.0, 30.0)) * MHZ,
-        Delta_c=float(rng.uniform(-30.0, 30.0)) * MHZ,
-        Omega_p=float(rng.uniform(0.01, 20.0)) * MHZ,
-        Omega_c=float(rng.uniform(0.01, 30.0)) * MHZ,
+    drive = (
+        float(rng.uniform(-30.0, 30.0)) * MHZ,
+        float(rng.uniform(-30.0, 30.0)) * MHZ,
+        float(rng.uniform(0.01, 20.0)) * MHZ,
+        float(rng.uniform(0.01, 30.0)) * MHZ,
     )
     return atom, drive
 
 
-def _liouvillian(atom, drive):
-    h = hamiltonian(drive.Delta_p, drive.Delta_c, drive.Omega_p, drive.Omega_c)
-    return build_liouvillian(h, jump_operators(atom))
+def _liouvillian(atom, Delta_p=0.0, Delta_c=0.0, Omega_p=0.0, Omega_c=0.0):
+    return build_liouvillian(hamiltonian(Delta_p, Delta_c, Omega_p, Omega_c), jump_operators(atom))
+
+
+def _steady_state(atom, **drive):
+    return steady_state(_liouvillian(atom, **drive))
+
+
+def _closed_form(atom, Delta_p, Delta_c, Omega_c):
+    return reflection_coefficient(atom.Gamma10, atom.gamma10, atom.gamma20, Omega_c, Delta_p, Delta_c)
 
 
 # ---------------------------------------------------------------------------
@@ -68,20 +75,19 @@ def test_trace_preservation_random_specs():
     rng = np.random.Generator(np.random.Philox(11))
     for _ in range(50):
         atom, drive = _random_atom_drive(rng)
-        lv = _liouvillian(atom, drive)
+        lv = _liouvillian(atom, *drive)
         trace_row = lv[0] + lv[4] + lv[8]
         assert np.max(np.abs(trace_row)) < 1e-10 * max(np.linalg.norm(lv), 1.0)
 
 
 def test_hamiltonian_structure():
-    drive = DriveCondition(Delta_p=2.0 * MHZ, Delta_c=-3.0 * MHZ,
-                           Omega_p=0.5 * MHZ, Omega_c=6.1 * MHZ)
-    h = hamiltonian(drive.Delta_p, drive.Delta_c, drive.Omega_p, drive.Omega_c)
+    Delta_p, Delta_c, Omega_p, Omega_c = 2.0 * MHZ, -3.0 * MHZ, 0.5 * MHZ, 6.1 * MHZ
+    h = hamiltonian(Delta_p, Delta_c, Omega_p, Omega_c)
     assert np.allclose(h, h.conj().T)
-    assert h[1, 1] == -drive.Delta_p
-    assert h[2, 2] == -(drive.Delta_p + drive.Delta_c)
-    assert h[0, 1] == 0.5 * drive.Omega_p
-    assert h[1, 2] == 0.5 * drive.Omega_c
+    assert h[1, 1] == -Delta_p
+    assert h[2, 2] == -(Delta_p + Delta_c)
+    assert h[0, 1] == 0.5 * Omega_p
+    assert h[1, 2] == 0.5 * Omega_c
     assert h[0, 2] == 0.0
 
 
@@ -108,15 +114,14 @@ def test_jump_operators_skip_zero_rates(reflection_atom):
 
 
 def test_ground_state_without_drive(reflection_atom):
-    rho = steady_state_density_matrix(reflection_atom, DriveCondition())
+    rho = _steady_state(reflection_atom)
     expected = np.zeros((3, 3), dtype=complex)
     expected[0, 0] = 1.0
     assert np.allclose(rho, expected, atol=1e-12)
 
 
 def test_two_level_saturation(reflection_atom):
-    drive = DriveCondition(Omega_p=2000.0 * reflection_atom.Gamma10)
-    rho = steady_state_density_matrix(reflection_atom, drive)
+    rho = _steady_state(reflection_atom, Omega_p=2000.0 * reflection_atom.Gamma10)
     assert rho[0, 0].real == pytest.approx(0.5, abs=1e-3)
     assert rho[1, 1].real == pytest.approx(0.5, abs=1e-3)
 
@@ -127,8 +132,7 @@ def test_two_level_bloch_closed_form():
     atom = ThreeLevelAtom(omega10=1e9, anharmonicity=1e8, Gamma10=8.0 * MHZ,
                           Gamma21=1.0 * MHZ, gphi1=2.5 * MHZ, gphi2=0.7 * MHZ)
     for dp, op in ((0.0, 2.0 * MHZ), (5.0 * MHZ, 7.0 * MHZ), (-12.0 * MHZ, 0.3 * MHZ)):
-        drive = DriveCondition(Delta_p=dp, Omega_p=op)
-        rho = steady_state_density_matrix(atom, drive)
+        rho = _steady_state(atom, Delta_p=dp, Omega_p=op)
         g10 = atom.gamma10
         expected = (op**2 * g10 / (2.0 * atom.Gamma10)) / (
             dp**2 + g10**2 + op**2 * g10 / atom.Gamma10)
@@ -140,9 +144,8 @@ def test_decoupled_level_has_no_unique_steady_state():
     # |2> neither driven nor decaying: its population is conserved
     atom = ThreeLevelAtom(omega10=1e9, anharmonicity=1e8, Gamma10=8.0 * MHZ,
                           Gamma21=0.0, gphi1=2.5 * MHZ, gphi2=0.0)
-    drive = DriveCondition(Omega_p=1.0 * MHZ)
     with pytest.raises(SteadyStateError):
-        steady_state_density_matrix(atom, drive)
+        _steady_state(atom, Omega_p=1.0 * MHZ)
 
 
 def test_steady_state_shape_validation():
@@ -154,7 +157,7 @@ def test_random_steady_states_are_physical():
     rng = np.random.Generator(np.random.Philox(42))
     for _ in range(1000):
         atom, drive = _random_atom_drive(rng)
-        rho = steady_state_density_matrix(atom, drive)
+        rho = steady_state(_liouvillian(atom, *drive))
         assert np.linalg.norm(rho - rho.conj().T) <= 1e-10
         assert abs(np.trace(rho) - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
@@ -180,24 +183,54 @@ def test_reflection_from_state_requires_positive_probe():
 
 def test_weak_probe_two_level_reflection(reflection_atom):
     # weak resonant probe with the control off: r -> -Gamma10/(2*gamma10)
-    drive = DriveCondition(Omega_p=1e-4 * reflection_atom.gamma10)
-    r = master_equation_reflection(reflection_atom, drive)
+    r = master_equation_reflection(reflection_atom, 0.0, 0.0, 1e-4 * reflection_atom.gamma10, 0.0)
     expected = -reflection_atom.Gamma10 / (2.0 * reflection_atom.gamma10)
     assert r == pytest.approx(expected, rel=1e-3)
 
 
 def test_weak_probe_operating_point(reflection_atom):
-    drive = DriveCondition(Omega_p=2.0 * math.pi * 1.0e4, Omega_c=6.1 * MHZ)
-    r_me = master_equation_reflection(reflection_atom, drive)
-    r_wp = reflection(reflection_atom, drive)
+    r_me = master_equation_reflection(reflection_atom, 0.0, 0.0, WEAK_PROBE, 6.1 * MHZ)
+    r_wp = _closed_form(reflection_atom, 0.0, 0.0, 6.1 * MHZ)
     assert abs(r_me - r_wp) / abs(r_wp) < 1e-3
     assert r_me.real == pytest.approx(-0.4391888006723136, rel=1e-3)
 
 
 def test_saturated_probe_kills_reflection(reflection_atom):
-    drive = DriveCondition(Omega_p=2000.0 * reflection_atom.Gamma10)
-    r = master_equation_reflection(reflection_atom, drive)
+    r = master_equation_reflection(reflection_atom, 0.0, 0.0, 2000.0 * reflection_atom.Gamma10, 0.0)
     assert abs(r) < 1e-3
+
+
+def test_master_equation_reflection_broadcasts_like_hamiltonian(reflection_atom):
+    delta_p = np.array([-4.0, 0.0, 7.5]) * MHZ
+    omega_c = np.array([[0.0], [6.1 * MHZ]])
+    grid = master_equation_reflection(reflection_atom, delta_p, -2.0 * MHZ, WEAK_PROBE, omega_c)
+    assert grid.shape == (2, 3)
+    for i, j in np.ndindex(2, 3):
+        one = master_equation_reflection(reflection_atom, delta_p[j], -2.0 * MHZ, WEAK_PROBE, omega_c[i, 0])
+        assert isinstance(one, complex)
+        assert grid[i, j] == pytest.approx(one, rel=1e-12, abs=1e-15)
+    probes = np.array([1.0, 2.0]) * WEAK_PROBE
+    both = master_equation_reflection(reflection_atom, 0.0, 0.0, probes, 6.1 * MHZ)
+    assert both == pytest.approx([master_equation_reflection(reflection_atom, 0.0, 0.0, p, 6.1 * MHZ)
+                                  for p in probes], rel=1e-12)
+
+
+@pytest.mark.parametrize("drive, message", [
+    ((math.inf, 0.0, WEAK_PROBE, 0.0), "finite"),
+    ((0.0, math.nan, WEAK_PROBE, 0.0), "finite"),
+    ((0.0, 0.0, math.inf, 0.0), "finite"),
+    ((np.array([0.0, math.inf]), 0.0, WEAK_PROBE, 6.1 * MHZ), "finite"),
+    ((0.0, 0.0, -WEAK_PROBE, 0.0), "nonnegative"),
+    ((0.0, 0.0, WEAK_PROBE, np.array([6.1 * MHZ, -1.0])), "nonnegative"),
+], ids=["probe-detuning-inf", "control-detuning-nan", "probe-rabi-inf", "probe-detuning-array-inf",
+        "probe-rabi-negative", "control-rabi-array-negative"])
+def test_master_equation_reflection_rejects_bad_drive_before_solving(reflection_atom, monkeypatch, drive, message):
+    def no_solve(liouvillian):
+        raise AssertionError("a bad drive reached the steady-state solve")
+
+    monkeypatch.setattr(lindblad, "steady_state", no_solve)
+    with pytest.raises(ValueError, match=message):
+        master_equation_reflection(reflection_atom, *drive)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +277,8 @@ def _reference_deviation(atom, dp_values, dc_values, oc_values, Omega_p):
     for oc in oc_values:
         for dc in dc_values:
             for dp in dp_values:
-                drive = DriveCondition(Delta_p=float(dp), Delta_c=float(dc),
-                                       Omega_p=Omega_p, Omega_c=float(oc))
-                r_wp = reflection(atom, drive)
-                dev = abs(master_equation_reflection(atom, drive) - r_wp)
+                r_wp = _closed_form(atom, float(dp), float(dc), float(oc))
+                dev = abs(master_equation_reflection(atom, float(dp), float(dc), Omega_p, float(oc)) - r_wp)
                 rel = dev / max(abs(r_wp), 1e-30)
                 max_abs = max(max_abs, dev)
                 if rel > max_rel:
@@ -337,7 +368,7 @@ def _random_atom_drives(seed, count):
 
 
 def _random_liouvillians(seed, count):
-    return np.stack([_liouvillian(atom, drive) for atom, drive in _random_atom_drives(seed, count)])
+    return np.stack([_liouvillian(atom, *drive) for atom, drive in _random_atom_drives(seed, count)])
 
 
 def test_stacked_steady_states_match_single_solves():
@@ -353,7 +384,7 @@ def test_stacked_steady_states_match_single_solves():
 def test_stacked_liouvillian_matches_single_builds():
     pairs = _random_atom_drives(9, 20)
     jumps = jump_operators(pairs[0][0])
-    hs = np.stack([hamiltonian(d.Delta_p, d.Delta_c, d.Omega_p, d.Omega_c) for _, d in pairs])
+    hs = np.stack([hamiltonian(*drive) for _, drive in pairs])
     singles = np.stack([build_liouvillian(h, jumps) for h in hs])
     assert np.array_equal(build_liouvillian(hs, jumps), singles)
     assert build_liouvillian(hs.reshape(4, 5, 3, 3), jumps).shape == (4, 5, 9, 9)
@@ -403,7 +434,7 @@ def test_runtime_runs_without_scipy(tmp_path):
 def test_coherence_decay_rates(reflection_atom):
     # without drive each coherence |i><j| is an eigenvector of the
     # Liouvillian: it decays on its own, at its coherence rate
-    lv = _liouvillian(reflection_atom, DriveCondition())
+    lv = _liouvillian(reflection_atom)
     for (i, j), rate in (((0, 1), reflection_atom.gamma10),
                          ((0, 2), reflection_atom.gamma20),
                          ((1, 2), reflection_atom.gamma21)):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from acoustic_eit import (
-    DriveCondition,
     SingularModelError,
     ThreeLevelAtom,
     UndefinedPhaseError,
@@ -14,9 +13,7 @@ from acoustic_eit import (
     eit_linewidth,
     group_delay,
     hz_to_angular,
-    reflection,
     reflection_coefficient,
-    transmission,
     transmission_flux_coefficient,
 )
 from acoustic_eit.experiments import paper_profile, run_experiment
@@ -76,13 +73,6 @@ def test_atom_validation():
         ThreeLevelAtom(omega10=1.0, anharmonicity=-1.0, Gamma10=1.0)
     with pytest.raises(ValueError):
         ThreeLevelAtom(omega10=1.0, anharmonicity=1.0, Gamma10=-1.0)
-
-
-def test_drive_condition_validation():
-    with pytest.raises(ValueError):
-        DriveCondition(Omega_p=-1.0)
-    with pytest.raises(ValueError):
-        DriveCondition(Delta_p=float("inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +139,6 @@ def test_reflection_vector_matches_scalar(reflection_atom):
         assert grid[i] == pytest.approx(one, rel=1e-14)
 
 
-def test_reflection_wrapper_matches_kernel(reflection_atom):
-    drive = DriveCondition(Delta_p=2.0 * MHZ, Delta_c=-1.0 * MHZ,
-                           Omega_p=0.01 * MHZ, Omega_c=6.1 * MHZ)
-    direct = reflection_coefficient(
-        Gamma10=reflection_atom.Gamma10, gamma10=reflection_atom.gamma10,
-        gamma20=reflection_atom.gamma20, Omega_c=drive.Omega_c,
-        Delta_p=drive.Delta_p, Delta_c=drive.Delta_c)
-    assert reflection(reflection_atom, drive) == direct
-
-
 # ---------------------------------------------------------------------------
 # Transmission
 # ---------------------------------------------------------------------------
@@ -170,14 +150,17 @@ def test_transmission_full_extinction():
     assert t == 0.0 + 0.0j
 
 
+def _transmission(atom, Omega_c, Delta_p, Delta_c):
+    return 1.0 + reflection_coefficient(atom.Gamma10, atom.gamma10, atom.gamma20, Omega_c, Delta_p, Delta_c)
+
+
 def test_transmission_far_detuned_approaches_one(reflection_atom):
-    drive = DriveCondition(Delta_p=1e6 * reflection_atom.gamma10)
-    assert abs(transmission(reflection_atom, drive) - 1.0) < 1e-5
+    t = _transmission(reflection_atom, 0.0, 1e6 * reflection_atom.gamma10, 0.0)
+    assert abs(t - 1.0) < 1e-5
 
 
 def test_transmission_operating_point(reflection_atom):
-    drive = DriveCondition(Omega_c=6.1 * MHZ)
-    t = transmission(reflection_atom, drive)
+    t = _transmission(reflection_atom, 6.1 * MHZ, 0.0, 0.0)
     assert t.real == pytest.approx(0.5608111993276864, rel=1e-12)
     assert t.imag == pytest.approx(0.0, abs=1e-15)
 
@@ -185,7 +168,7 @@ def test_transmission_operating_point(reflection_atom):
 def test_flux_sweep_matches_transmission_at_zero_offset(reflection_atom):
     t_flux = transmission_flux_coefficient(reflection_atom.Gamma10, reflection_atom.gamma10,
                                            reflection_atom.gamma20, 6.1 * MHZ, Delta_p=0.0, delta=0.0)
-    t_plain = transmission(reflection_atom, DriveCondition(Omega_c=6.1 * MHZ))
+    t_plain = _transmission(reflection_atom, 6.1 * MHZ, 0.0, 0.0)
     assert t_flux == t_plain
 
 
@@ -295,15 +278,19 @@ def test_dip_shape_pole_form_matches_reflection(reflection_atom):
 # ---------------------------------------------------------------------------
 
 
+def _closed_form_rates(atom):
+    return atom.Gamma10, atom.gamma10, atom.gamma20
+
+
 def test_group_delay_undefined_at_extinction():
     atom = ThreeLevelAtom(omega10=1e9, anharmonicity=1e8, Gamma10=2.0e6, gphi1=0.0)
     with pytest.raises(UndefinedPhaseError):
-        group_delay(atom, DriveCondition())
+        group_delay(*_closed_form_rates(atom), 0.0, 0.0, 0.0)
 
 
 def test_group_delay_frozen_values(reflection_atom):
-    tau_61 = group_delay(reflection_atom, DriveCondition(Omega_c=6.1 * MHZ))
-    tau_12 = group_delay(reflection_atom, DriveCondition(Omega_c=12.0 * MHZ))
+    tau_61 = group_delay(*_closed_form_rates(reflection_atom), 6.1 * MHZ, 0.0, 0.0)
+    tau_12 = group_delay(*_closed_form_rates(reflection_atom), 12.0 * MHZ, 0.0, 0.0)
     assert tau_61 == pytest.approx(-3.3705020203230713e-09, rel=1e-12)
     assert tau_12 == pytest.approx(1.473321725733695e-09, rel=1e-12)
     # a weak control leaves fast (negative) delay, a developed window slows the probe
@@ -314,13 +301,12 @@ def test_group_delay_finite_difference_matches_analytic(reflection_atom):
     h = 1e-4 * reflection_atom.gamma10
     rng = np.random.Generator(np.random.Philox(7))
     for _ in range(25):
-        drive = DriveCondition(
-            Delta_p=float(rng.uniform(-20, 20)) * MHZ,
-            Delta_c=float(rng.uniform(-20, 20)) * MHZ,
-            Omega_c=float(rng.uniform(1.0, 30.0)) * MHZ,
-        )
-        analytic = group_delay(reflection_atom, drive)
-        numeric = numeric_group_delay(reflection_atom, drive, h)
+        Delta_p = float(rng.uniform(-20, 20)) * MHZ
+        Delta_c = float(rng.uniform(-20, 20)) * MHZ
+        Omega_c = float(rng.uniform(1.0, 30.0)) * MHZ
+        drive = (*_closed_form_rates(reflection_atom), Omega_c, Delta_p, Delta_c)
+        analytic = group_delay(*drive)
+        numeric = numeric_group_delay(*drive, h)
         assert numeric == pytest.approx(analytic, rel=1e-6)
 
 
@@ -330,9 +316,28 @@ def test_group_delay_ideal_transparency_limit(reflection_atom):
         omega10=reflection_atom.omega10, anharmonicity=reflection_atom.anharmonicity,
         Gamma10=reflection_atom.Gamma10, Gamma21=0.0,
         gphi1=reflection_atom.gphi1, gphi2=0.0)
-    drive = DriveCondition(Omega_c=10.0 * MHZ)
-    assert group_delay(atom, drive) == 2.0 * atom.Gamma10 / drive.Omega_c**2
-    assert group_delay(atom, drive) > 0.0
+    Omega_c = 10.0 * MHZ
+    assert group_delay(*_closed_form_rates(atom), Omega_c, 0.0, 0.0) == 2.0 * atom.Gamma10 / Omega_c**2
+    assert group_delay(*_closed_form_rates(atom), Omega_c, 0.0, 0.0) > 0.0
+
+
+@pytest.mark.parametrize("Omega_c, Delta_p, Delta_c, message", [
+    (-1.0, 0.0, 0.0, "nonnegative"),
+    (math.inf, 0.0, 0.0, "finite"),
+    (6.1 * MHZ, math.inf, 0.0, "finite"),
+    (6.1 * MHZ, 0.0, math.nan, "finite"),
+], ids=["negative-control", "control-inf", "probe-detuning-inf", "control-detuning-nan"])
+def test_group_delay_rejects_bad_drive(reflection_atom, Omega_c, Delta_p, Delta_c, message):
+    with pytest.raises(ValueError, match=message):
+        group_delay(*_closed_form_rates(reflection_atom), Omega_c, Delta_p, Delta_c)
+
+
+@pytest.mark.parametrize("rates", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -1.0)],
+                         ids=["Gamma10-nan", "gamma10-inf", "gamma20-negative"])
+def test_group_delay_rejects_bad_rates(rates):
+    # the rates a ThreeLevelAtom could not hold
+    with pytest.raises(ValueError, match="finite nonnegative rates"):
+        group_delay(*rates, 1.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

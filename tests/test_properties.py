@@ -16,12 +16,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acoustic_eit import (
-    DriveCondition,
     ThreeLevelAtom,
     dip_shape,
     eit_linewidth,
     poles_and_decomposition,
-    reflection,
     reflection_coefficient,
     weak_probe_deviation,
 )
@@ -70,7 +68,7 @@ def test_linewidth_identity(atom, omega_c, delta_c):
     assert shape.hwhm == hwhm
 
     def power(dc):
-        return abs(reflection(atom, DriveCondition(Delta_c=dc, Omega_c=omega_c))) ** 2
+        return abs(reflection_coefficient(atom.Gamma10, atom.gamma10, atom.gamma20, omega_c, 0.0, dc)) ** 2
 
     floor = power(0.0)
     assert floor == pytest.approx(shape.baseline - shape.depth, rel=1e-9, abs=1e-12)

@@ -13,8 +13,9 @@ from acoustic_eit import estimation, experiments, idt, leastsq, lindblad, model
 from acoustic_eit.model import reflection_coefficient, transmission_flux_coefficient
 
 DELETED = {
-    lindblad: ("propagate", "_expm", "_PADE_13", "_THETA_13", "validate_density_matrix"),
-    model: ("transmission_flux_sweep", "coherence_rates"),
+    lindblad: ("propagate", "_expm", "_PADE_13", "_THETA_13", "validate_density_matrix",
+               "steady_state_density_matrix"),
+    model: ("transmission_flux_sweep", "coherence_rates", "DriveCondition", "reflection", "transmission"),
     idt: ("decay_from_conductance",),
     experiments: ("import_json", "run_control_sweep", "run_power_sweep", "run_flux_sweep",
                   "run_linewidth_pipeline", "_control_amplitudes"),
@@ -53,6 +54,9 @@ def test_deleted_keywords_are_gone():
     for fn in (estimation.fit_transmission, estimation.transmission_initial_guess):
         parameters = inspect.signature(fn).parameters
         assert "omega_c_hint" not in parameters and "init" not in parameters, fn.__name__
+    # a drive is passed as bare values, never as an object
+    for fn in (model.group_delay, lindblad.master_equation_reflection):
+        assert "drive" not in inspect.signature(fn).parameters, fn.__name__
     # the transmission fit always fits its background
     assert "fit_crosstalk" not in inspect.signature(estimation.fit_transmission).parameters
     # every estimator names its parameters and bounds them
