@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, RankError
+from .errors import ConfigError, ConvergenceError, RankError, SteadyStateError
 from .experiments import (
     FORMATS,
     PROFILE_NAMES,
@@ -153,13 +153,18 @@ def _handle_oracle_check(args: argparse.Namespace) -> int:
     atom = paper_profile("control-sweep").atom.build()
     detunings = hz_to_angular(np.linspace(-args.span_hz, args.span_hz, args.grid_count))
     control_amplitudes = hz_to_angular(np.array([0.0, 6.1e6, 30.0e6]))
-    report = weak_probe_deviation(
-        atom,
-        detunings,
-        detunings,
-        control_amplitudes,
-        Omega_p=hz_to_angular(args.probe_rabi_hz),
-    )
+    try:
+        report = weak_probe_deviation(
+            atom,
+            detunings,
+            detunings,
+            control_amplitudes,
+            Omega_p=hz_to_angular(args.probe_rabi_hz),
+        )
+    except SteadyStateError as exc:
+        # the paper atom decays on every level, so only a drive too large
+        # for float64 leaves its steady state undetermined
+        raise ConfigError(f"--span-hz or --probe-rabi-hz too large for the oracle: {exc}") from exc
     lines = [
         f"points={report.points}\n",
         "max_abs=%.3e max_rel=%.3e\n" % (report.max_abs, report.max_rel),

@@ -14,12 +14,12 @@ parallel evaluation cannot change the draws. Exports carry no timestamps.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
 import stat
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -43,9 +43,12 @@ from .units import (
 SCHEMA_VERSION = 1
 SCHEMES = ("control-sweep", "power-sweep", "flux-sweep", "linewidth-pipeline")
 FORMATS = ("csv", "json")
-# rows per export chunk: an export holds one chunk of formatted rows in
-# memory at a time instead of the whole text
+# rows per export or import chunk: an export holds one chunk of formatted
+# rows in memory at a time instead of the whole text, and import_csv one
+# chunk of lines
 _CHUNK_ROWS = 4096
+# bytes per read of import_csv's scan for a quote or a carriage return
+_SCAN_BYTES = 1 << 20
 # points in one run's grid (and in an idt response table): measured peak
 # memory is about 160 B per point for a sweep (767 MB for a control sweep
 # at the cap) and 370 B per point for the linewidth pipeline, so a run at
@@ -675,7 +678,10 @@ def _linewidth_pipeline(config: ExperimentConfig) -> RunResult:
     _require_finite(values)
     y = np.abs(values) ** 2
     sigma_y = None
-    if noisy:
+    if noisy and config.noise.kind == "magnitude":
+        # |r|^2 (1 + n)^2 with n ~ N(0, sigma_rel), at first order
+        sigma_y = 2.0 * config.noise.sigma_rel * y
+    elif noisy:
         # known per-quadrature sigma carried to |r|^2 at first order
         sigma_q = config.noise.sigma_rel * np.max(np.abs(grid), axis=1, keepdims=True)
         sigma_y = 2.0 * np.abs(values) * sigma_q
@@ -892,34 +898,41 @@ def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]
     (RFC 4180) may hold commas, quotes and line breaks. A row ends at a
     newline, a carriage return or CRLF outside quotes, and at no other
     line-break character. Empty lines are skipped. An empty file, or a row
-    whose cell count differs from the header's, raises ValueError. Rows are
-    parsed column by column, _CHUNK_ROWS at a time.
+    whose cell count differs from the header's, raises ValueError.
+
+    The file is streamed: one scan of its bytes for a quote or a carriage
+    return picks the parser, then the rows are read, checked and parsed
+    column by column _CHUNK_ROWS at a time, so the memory beyond the
+    returned rows is one block. The scan needs a file that can seek back
+    to its start: a pipe raises io.UnsupportedOperation.
     """
     with open(path, encoding="utf-8", newline="") as handle:
-        text = handle.read()
-    quoted = '"' in text or "\r" in text
-    if quoted:  # rows of cells
-        table = (cells for cells in csv.reader(io.StringIO(text, newline="")) if cells)
-    else:  # lines
-        table = filter(None, text.split("\n"))
-    header = next(table, None)
-    if header is None:
-        raise ValueError(f"{path} is empty")
-    columns = tuple(header if quoted else header.split(","))
-    width = len(columns)
-    rows: list[dict[str, Any]] = []
-    while block := list(islice(table, _CHUNK_ROWS)):
-        if quoted:
-            counts, cells = map(len, block), zip(*block)
-        else:  # the block's lines split at once, each column a stride of the cells
-            counts = (commas + 1 for commas in map(str.count, block, repeat(",")))
-            flat = ",".join(block).split(",")
-            cells = (flat[j::width] for j in range(width))
-        for count in counts:
-            if count != width:
+        scan = iter(partial(handle.buffer.read, _SCAN_BYTES), b"")
+        quoted = any(b'"' in block or b"\r" in block for block in scan)
+        handle.seek(0)
+        if quoted:  # rows of cells
+            table = (cells for cells in csv.reader(handle) if cells)
+        else:  # lines, each but the file's last ending in "\n"
+            table = filter("\n".__ne__, handle)
+        header = next(table, None)
+        if header is None:
+            raise ValueError(f"{path} is empty")
+        columns = tuple(header if quoted else header.rstrip("\n").split(","))
+        width = len(columns)
+        rows: list[dict[str, Any]] = []
+        while block := list(islice(table, _CHUNK_ROWS)):
+            if quoted:
+                counts, cells = list(map(len, block)), zip(*block)
+            else:  # the block's lines split at once, each column a stride of the cells
+                counts = [commas + 1 for commas in map(str.count, block, repeat(","))]
+                block[-1] = block[-1].rstrip("\n")
+                flat = "".join(block).replace("\n", ",").split(",")
+                cells = (flat[j::width] for j in range(width))
+            if set(counts) != {width}:
+                count = next(count for count in counts if count != width)
                 raise ValueError(f"{path}: row has {count} cells, expected {width}")
-        parsed = map(_parse_column, cells)
-        rows.extend(map(dict, map(zip, repeat(columns), zip(*parsed))))
+            parsed = map(_parse_column, cells)
+            rows.extend(map(dict, map(zip, repeat(columns), zip(*parsed))))
     return columns, rows
 
 

@@ -131,7 +131,9 @@ def steady_state(liouvillian: np.ndarray) -> np.ndarray:
     the trace constraint tr(rho) = 1. If the replaced system is singular or
     the solution does not satisfy L v ~ 0 (non-unique steady state, e.g. a
     level decoupled by vanishing drive and decay), SteadyStateError is
-    raised rather than returning one arbitrary kernel vector.
+    raised rather than returning one arbitrary kernel vector. So it is when
+    the Liouvillian norm or the residual is not finite (a Liouvillian too
+    large for float64), since the residual test cannot then be made.
 
     A stack (..., 9, 9) is closed and solved by one batched solve and gives
     (..., 3, 3); every matrix passes the residual test on its own, and the
@@ -153,11 +155,18 @@ def steady_state(liouvillian: np.ndarray) -> np.ndarray:
         _, where = _first_failure(np.linalg.det(mat) == 0.0)
         raise SteadyStateError(
             f"steady state is not unique: trace-closed system is singular{where}") from exc
-    scale = np.linalg.norm(lv, axis=(-2, -1))
-    residual = np.linalg.norm(lv @ v, axis=(-2, -1))
-    failed = ~np.isfinite(residual) | (residual > _RESIDUAL_RTOL * np.maximum(scale, 1.0))
+    # a Liouvillian too large for float64 overflows its norm or lv @ v; the
+    # residual test cannot then be made, which fails the matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.linalg.norm(lv, axis=(-2, -1))
+        residual = np.linalg.norm(lv @ v, axis=(-2, -1))
+    finite = np.isfinite(scale) & np.isfinite(residual)
+    failed = ~finite | (residual > _RESIDUAL_RTOL * np.maximum(scale, 1.0))
     if np.any(failed):
         index, where = _first_failure(failed)
+        if not finite[index]:
+            raise SteadyStateError(
+                f"steady-state residual cannot be checked: liouvillian norm or residual is not finite{where}")
         raise SteadyStateError(
             f"steady-state residual {residual[index]:.3e} exceeds {_RESIDUAL_RTOL:.1e} * liouvillian norm{where}"
         )

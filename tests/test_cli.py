@@ -396,6 +396,25 @@ def test_oracle_check_fails_beyond_weak_probe(capsys):
     assert lines[-1] == "oracle check FAILED: max relative deviation > 0.001"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--span-hz", "1e307"],
+    ["--span-hz", "1e160"],
+    ["--probe-rabi-hz", "1e300"],
+], ids=["span-1e307", "span-1e160", "probe-1e300"])
+def test_oracle_check_too_large_for_the_solver_is_config_error(capsys, argv):
+    # finite in rad/s, but the Liouvillian norm overflows: the residual test
+    # cannot be made, so the check does not pass, and no numpy warning shows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["oracle", "check", "--grid-count", "3", *argv])
+    assert [str(w.message) for w in caught] == []
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "liouvillian norm or residual is not finite" in captured.err
+
+
 _HUGE_CONTROL_GRID = {"control_frequency_grid": {"start": 1e308, "stop": 1.7e308, "count": 10}}
 
 

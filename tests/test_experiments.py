@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -811,6 +812,29 @@ def test_pipeline_export_includes_status_column(tmp_path):
     assert all(row["one_sided"] is False for row in rows)
 
 
+@pytest.mark.parametrize("kind", ["complex", "magnitude"])
+def test_pipeline_weights_dips_by_the_noise_kind(monkeypatch, kind):
+    # |r|^2 carries the sigma of its noise model at first order: complex noise
+    # 2|v| sigma_rel max|r| per row, magnitude noise (r (1 + n)) 2|v|^2 sigma_rel
+    calls, fit = [], experiments.fit_dip_stack
+
+    def fit_and_capture(x, y, sigma):
+        calls.append((y, sigma))
+        return fit(x, y, sigma)
+
+    monkeypatch.setattr(experiments, "fit_dip_stack", fit_and_capture)
+    config = replace(paper_profile("linewidth-pipeline"), noise=NoiseParams(sigma_rel=0.01, seed=5, kind=kind))
+    run_experiment(config)
+    (y, sigma), = calls
+    if kind == "magnitude":
+        assert np.array_equal(sigma, 2.0 * 0.01 * y)
+    else:
+        atom, _, _, omega_c, _ = experiments._drive(config)
+        clean = np.abs(reflection_coefficient(atom.Gamma10, atom.gamma10, atom.gamma20, omega_c[:, None], 0.0,
+                                              hz_to_angular(config.control_frequency_grid.values()) - atom.omega21))
+        np.testing.assert_allclose(sigma, 2.0 * np.sqrt(y) * 0.01 * clean.max(axis=1, keepdims=True), rtol=1e-12)
+
+
 def _import_outcome(read, path):
     """What a CSV reader makes of a file: the columns and every row's keys,
     cell types and values (repr tells -0.0 from 0.0, True from 1.0 and
@@ -927,6 +951,84 @@ def test_import_csv_bad_row_past_first_chunk_raises_like_reference(tmp_path, quo
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     expected = 2 if bad == "short" else 4
     assert _assert_imports_like_reference(path) == ("error", f"{path}: row has {expected} cells, expected 3")
+
+
+_SCAN = experiments._SCAN_BYTES
+
+
+@pytest.mark.parametrize("where", ["quote-at-second-scan-block", "quote-last-byte", "cr-last-byte"])
+def test_import_csv_finds_a_quote_or_cr_past_the_first_scan_block(tmp_path, where):
+    # rows of one long text cell reach past the first scan block, and the
+    # only quote or carriage return of the file lies there
+    filler = "a" * 1000
+    lines = ["x,status"] + [f"{i},{filler}" for i in range(_SCAN // len(filler) + 5)]
+    text = "\n".join(lines) + "\n"
+    if where == "quote-at-second-scan-block":
+        head = text[:_SCAN - len("9,")]
+        head = head[:head.rindex("\n") + 1]
+        pad = _SCAN - len(head) - len("9,") - len("8,\n")
+        text = head + f"8,{'b' * pad}\n" + '9,"q, x"\n' + "10,c\n"
+        assert text.encode().index(b'"') == _SCAN
+    elif where == "quote-last-byte":
+        text += '9,""'
+    else:
+        text += "9,ok\r"
+    path = tmp_path / "late.csv"
+    path.write_bytes(text.encode())
+    assert len(text.encode()) > _SCAN
+    _assert_imports_like_reference(path)
+    _, parsed = import_csv(path)
+    assert parsed[-1]["status"] == {"quote-at-second-scan-block": "c", "quote-last-byte": None,
+                                    "cr-last-byte": "ok"}[where]
+    if where == "quote-at-second-scan-block":
+        assert parsed[-2]["status"] == "q, x"
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("last", ["ok", ""])
+@pytest.mark.parametrize("ending", ["", "\n"], ids=["no-newline", "newline"])
+def test_import_csv_last_row_starts_a_chunk(tmp_path, quoted, last, ending):
+    n = _CHUNK + 1
+    status = '"ok"' if quoted else "ok"
+    for width in (1, 2):  # one column: a stray empty cell would make a row
+        lines = ["status"] + [status] * (n - 1) + [last]
+        if width == 2:
+            lines = [f"{x},{cell}" for x, cell in zip(["x", *map(str, range(n))], lines)]
+        path = tmp_path / f"open{width}.csv"
+        path.write_text("\n".join(lines) + ending, encoding="utf-8", newline="\n")
+        _assert_imports_like_reference(path)
+        _, rows = import_csv(path)
+        if width == 1 and last == "":
+            # an empty last line is skipped, as every empty line is
+            assert len(rows) == n - 1
+            continue
+        assert len(rows) == n
+        assert [row["status"] for row in rows[-2:]] == ["ok", last or None]
+
+
+def _import_transient_bytes(path):
+    """tracemalloc's peak during import_csv less what the returned rows keep."""
+    tracemalloc.start()
+    try:
+        result = import_csv(path)  # held, so the rows count as kept
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - kept
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_import_csv_memory_beyond_the_rows_does_not_grow_with_the_file(tmp_path, quoted):
+    # the file is streamed a block of rows at a time: five times the rows
+    # keep five times the dicts, but need no more memory on the way
+    status = '"ok"' if quoted else "ok"
+    transients = []
+    for n in (2 * _CHUNK, 10 * _CHUNK):
+        path = tmp_path / f"narrow{n}.csv"
+        path.write_text("x,status\n" + "".join(f"{i * 0.5},{status}\n" for i in range(n)), encoding="utf-8")
+        transients.append(_import_transient_bytes(path))
+    small, large = transients
+    assert abs(large - small) <= 1_000_000, (small, large)
 
 
 _CELLS = st.one_of(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -402,6 +403,20 @@ def test_steady_state_names_failing_stack_index():
         steady_state(lvs[3])
     with pytest.raises(SteadyStateError, match=r"at stack index \(1, 0\)$"):
         steady_state(lvs[1:].reshape(2, 2, 9, 9))
+
+
+def test_steady_state_of_an_overflowing_liouvillian_raises_without_warning(reflection_atom):
+    # entries near float64's limit: the norm and lv @ v overflow, so the
+    # residual test cannot be made and must not pass by comparing with inf
+    huge = 6e307
+    lvs = np.stack([_liouvillian(reflection_atom, *drive)
+                    for drive in ((0.0, 0.0, WEAK_PROBE, MHZ), (huge, huge, WEAK_PROBE, MHZ), (huge, 0.0, huge, huge))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lv, where in ((lvs[1], ""), (lvs[2], ""), (lvs, " at stack index 1")):
+            with pytest.raises(SteadyStateError, match=rf"liouvillian norm or residual is not finite{where}$"):
+                steady_state(lv)
+        assert steady_state(lvs[0]).shape == (3, 3)
 
 
 _NO_SCIPY_SCRIPT = """
