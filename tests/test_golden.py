@@ -18,15 +18,24 @@ They were recaptured again when ``output_path`` and ``output_format`` left
 the config (where a run is written is not part of what it is): each export
 equals the former one with its two ``config_echo`` lines
 ``"output_format": "csv",`` and ``"output_path": null,`` removed.
+
+The master-equation oracle is pinned the same way: the ``oracle check``
+stdout at two grids, and the raw complex128 bytes of
+``master_equation_reflection`` over seeded random atoms (some with a
+zero-rate dephasing channel) and broadcast drive arrays, captured before the
+Hamiltonian and jump operators were folded into ``build_liouvillian``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from acoustic_eit import ThreeLevelAtom, master_equation_reflection
 from acoustic_eit.cli import main
 from acoustic_eit.experiments import NoiseParams, paper_profile, result_text, run_experiment
 
@@ -92,3 +101,43 @@ def test_idt_response_bytes_match_golden_digests(capsys, fmt):
     assert code == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == IDT_GOLDEN[fmt], f"idt response {fmt} bytes changed"
+
+
+ORACLE_GOLDEN = {
+    (): "aabb792426442dfaf3baa6cb693a7efeaeded32bff6c0814fd95e8833890dd82",
+    ("--grid-count", "51", "--probe-rabi-hz", "3e5"):
+        "cf7423dbd249eb846ef6b49e6aa275d057101412bc36795727592ea4680b3d1e",
+}
+MASTER_EQUATION_GOLDEN = "e1e990a10c45bfa3fb947a4830b9391fb4898408ad78a8053755948cc4d364bf"
+MHZ = 2.0 * math.pi * 1e6
+
+
+@pytest.mark.parametrize("flags", list(ORACLE_GOLDEN), ids=["default", "grid-51-probe-3e5"])
+def test_oracle_check_stdout_matches_golden_digests(capsys, flags):
+    assert main(["oracle", "check", *flags]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == ORACLE_GOLDEN[flags], f"oracle check {' '.join(flags)} stdout changed"
+
+
+def test_master_equation_reflection_matches_golden_digest():
+    rng = np.random.Generator(np.random.Philox(23))
+    delta_p = np.linspace(-40.0, 40.0, 7) * MHZ
+    digest = hashlib.sha256()
+    for i in range(200):
+        atom = ThreeLevelAtom(
+            omega10=1e9, anharmonicity=1e8,
+            Gamma10=float(rng.uniform(0.5, 30.0)) * MHZ,
+            Gamma21=float(rng.uniform(0.1, 5.0)) * MHZ,
+            gphi1=0.0 if i % 4 == 0 else float(rng.uniform(0.0, 10.0)) * MHZ,
+            gphi2=0.0 if i % 3 == 0 else float(rng.uniform(0.0, 10.0)) * MHZ,
+        )
+        delta_c = float(rng.uniform(-30.0, 30.0)) * MHZ
+        omega_p = rng.uniform(0.01, 20.0, (2, 1, 1)) * MHZ
+        omega_c = rng.uniform(0.0, 30.0, (3, 1)) * MHZ
+        grid = master_equation_reflection(atom, delta_p, delta_c, omega_p, omega_c)
+        one = master_equation_reflection(atom, float(delta_p[0]), delta_c, float(omega_p[0, 0, 0]),
+                                         float(omega_c[0, 0]))
+        assert grid.shape == (2, 3, 7) and isinstance(one, complex)
+        digest.update(grid.tobytes())
+        digest.update(np.complex128(one).tobytes())
+    assert digest.hexdigest() == MASTER_EQUATION_GOLDEN, "master_equation_reflection bytes changed"
