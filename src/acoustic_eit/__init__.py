@@ -50,10 +50,7 @@ from .leastsq import FitResult
 from .lindblad import (
     DeviationReport,
     build_liouvillian,
-    hamiltonian,
-    jump_operators,
     master_equation_reflection,
-    reflection_from_state,
     steady_state,
     weak_probe_deviation,
 )
@@ -120,17 +117,14 @@ __all__ = [
     "fit_transmission",
     "fit_two_level",
     "group_delay",
-    "hamiltonian",
     "hz_to_angular",
     "idt_bandwidth",
     "import_csv",
-    "jump_operators",
     "master_equation_reflection",
     "paper_profile",
     "poles_and_decomposition",
     "rabi_per_point",
     "reflection_coefficient",
-    "reflection_from_state",
     "resolve_config",
     "run_experiment",
     "samples_from_arrays",

@@ -239,6 +239,8 @@ def fit_linewidth_line(
         raise ValueError("powers and linewidths must be 1-d arrays of equal length")
     if powers.size < 3:
         raise ValueError("need at least 3 points")
+    if not (np.isfinite(powers).all() and np.isfinite(widths).all()):
+        raise ValueError("powers and linewidths must be finite")
     if np.unique(powers).size < 2:
         raise RankError("need at least 2 distinct powers to fit a line")
     _require_rate("gamma10", gamma10)
@@ -289,8 +291,8 @@ def rabi_per_point(
     first-order propagation.
     """
     _require_rate("gamma10", gamma10)
-    if gamma20 < 0.0:
-        raise ValueError("gamma20 must be nonnegative")
+    if not (gamma20 >= 0.0 and math.isfinite(gamma20)):
+        raise ValueError("gamma20 must be finite and nonnegative")
     widths = np.asarray(gamma_eit, dtype=float)
     if sigma_gamma is None:
         sigmas = np.zeros_like(widths)
@@ -298,6 +300,8 @@ def rabi_per_point(
         sigmas = np.asarray(sigma_gamma, dtype=float)
         if sigmas.shape != widths.shape:
             raise ValueError("sigma_gamma must match gamma_eit in length")
+    if not (np.isfinite(widths).all() and np.isfinite(sigmas).all() and (sigmas >= 0.0).all()):
+        raise ValueError("gamma_eit must be finite and sigma_gamma finite and nonnegative")
     excess = widths - gamma20
     one_sided = excess <= 0.0
     omega_c = np.sqrt(4.0 * gamma10 * np.where(one_sided, 0.0, excess))

@@ -201,6 +201,11 @@ class ExperimentConfig:
                      "control_frequency_grid must be positive frequencies")
         if self.scheme == "linewidth-pipeline":
             _require(self.power_grid.count >= 3, "linewidth-pipeline needs at least 3 powers")
+            # the pipeline reports log10 of each power in watts; a power
+            # above 0 dBm cannot underflow, and might overflow dbm_to_watts
+            lowest = min(self.power_grid.start, self.power_grid.stop)
+            _require(lowest > 0.0 or dbm_to_watts(lowest) > 0.0,
+                     f"linewidth-pipeline power_grid starts at {lowest:g} dBm, which is 0 W in float64")
             _require(self.control_frequency_grid.count >= 5,
                      "linewidth-pipeline needs at least 5 frequency points")
         if self.scheme == "power-sweep" and self.control_frequency_hz is not None:
@@ -890,6 +895,15 @@ def _parse_column(cells: Sequence[str]) -> list:
         return list(map(parsed.__getitem__, cells))
 
 
+def _strict_csv_rows(handle: Iterable[str], path: str | Path) -> Iterator[list[str]]:
+    """The nonempty rows of an RFC 4180 file; malformed quoting raises ValueError."""
+    reader = csv.reader(handle, strict=True)
+    try:
+        yield from filter(None, reader)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
 def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
     """Read a CSV export back: the header's column names and one dict per row.
 
@@ -897,8 +911,10 @@ def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]
     float when float() accepts it, and stays text otherwise; quoted cells
     (RFC 4180) may hold commas, quotes and line breaks. A row ends at a
     newline, a carriage return or CRLF outside quotes, and at no other
-    line-break character. Empty lines are skipped. An empty file, or a row
-    whose cell count differs from the header's, raises ValueError.
+    line-break character. Empty lines are skipped. An empty file, a row
+    whose cell count differs from the header's, or malformed quoting (a
+    quote left open at the end of the file, or text after a closing quote)
+    raises ValueError.
 
     The file is streamed: one scan of its bytes for a quote or a carriage
     return picks the parser, then the rows are read, checked and parsed
@@ -911,7 +927,7 @@ def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]
         quoted = any(b'"' in block or b"\r" in block for block in scan)
         handle.seek(0)
         if quoted:  # rows of cells
-            table = (cells for cells in csv.reader(handle) if cells)
+            table = _strict_csv_rows(handle, path)
         else:  # lines, each but the file's last ending in "\n"
             table = filter("\n".__ne__, handle)
         header = next(table, None)

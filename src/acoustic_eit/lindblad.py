@@ -1,16 +1,17 @@
 """Lindblad master equation for the driven three-level ladder.
 
 This module is the in-package oracle for the scattering formulas in
-``model``: it builds the rotating-frame Hamiltonian and jump operators,
-solves the steady state exactly (dense linear algebra, no perturbation in
-the probe), and reads the reflection coefficient off the steady-state
-coherence. In the weak-probe limit the result must agree with the
-closed-form kernel to high accuracy; ``weak_probe_deviation`` measures that
-agreement on a grid.
+``model``: it builds the Liouvillian of an atom under a drive from the
+rotating-frame Hamiltonian and jump operators below, solves the steady
+state exactly (dense linear algebra, no perturbation in the probe), and
+reads the reflection coefficient off the steady-state coherence. In the
+weak-probe limit the result must agree with the closed-form kernel to high
+accuracy; ``weak_probe_deviation`` measures that agreement on a grid.
 
-The Liouvillian builder, the steady-state solver and the readout take one
-matrix or a stack of them with any leading batch dims, so a grid is solved
-by one batched ``np.linalg.solve`` per chunk rather than point by point.
+The Liouvillian builder broadcasts its drive arguments and the steady-state
+solver takes one matrix or a stack of them with any leading batch dims, so a
+grid is solved by one batched ``np.linalg.solve`` per chunk rather than
+point by point.
 
 Conventions
 -----------
@@ -48,8 +49,22 @@ _RESIDUAL_RTOL = 1e-10
 _CHUNK = 1024
 
 
-def hamiltonian(Delta_p, Delta_c, Omega_p, Omega_c) -> np.ndarray:
-    """Rotating-frame Hamiltonian (rad/s), 3x3 or a stack (..., 3, 3) over broadcast drive arguments."""
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of trailing 3x3 blocks, broadcast over leading dims."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (_VEC, _VEC))
+
+
+def build_liouvillian(atom: ThreeLevelAtom, Delta_p, Delta_c, Omega_p, Omega_c) -> np.ndarray:
+    """Column-stacked Liouvillian L with d vec(rho)/dt = L vec(rho) for an atom under a drive.
+
+    The drive arguments broadcast: scalars give (9, 9), arrays (..., 9, 9)
+    over their broadcast shape. A non-finite drive value or a negative
+    amplitude raises ValueError. H and the four decay channels are those of
+    the module docstring; a zero-rate channel is skipped, and the dissipator
+    is built once and shared by every matrix of the stack.
+    """
+    _check_drive((Delta_p, Delta_c), (Omega_p, Omega_c))
     dp, dc, op, oc = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                            for x in (Delta_p, Delta_c, Omega_p, Omega_c)))
     h = np.zeros(dp.shape + (_DIM, _DIM), dtype=complex)
@@ -57,53 +72,19 @@ def hamiltonian(Delta_p, Delta_c, Omega_p, Omega_c) -> np.ndarray:
     h[..., 2, 2] = -(dp + dc)
     h[..., 0, 1] = h[..., 1, 0] = 0.5 * op
     h[..., 1, 2] = h[..., 2, 1] = 0.5 * oc
-    return h
-
-
-def jump_operators(atom: ThreeLevelAtom) -> list[np.ndarray]:
-    """Collapse operators for energy relaxation and pure dephasing.
-
-    Zero-rate channels are omitted so the Liouvillian stays minimal.
-    """
-    channels = ((0, 1, atom.Gamma10), (1, 2, atom.Gamma21),
-                (1, 1, 2.0 * atom.gphi1), (2, 2, 2.0 * atom.gphi2))
-    ops: list[np.ndarray] = []
-    for row, col, rate in channels:
-        if rate > 0.0:
-            op = np.zeros((_DIM, _DIM), dtype=complex)
-            op[row, col] = np.sqrt(rate)
-            ops.append(op)
-    return ops
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of trailing 3x3 blocks, broadcast over leading dims."""
-    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return prod.reshape(prod.shape[:-4] + (_VEC, _VEC))
-
-
-def build_liouvillian(h: np.ndarray, jumps: Sequence[np.ndarray]) -> np.ndarray:
-    """Column-stacked Liouvillian L with d vec(rho)/dt = L vec(rho).
-
-    h is one Hamiltonian (3, 3) or a stack (..., 3, 3); the result is
-    (9, 9) or (..., 9, 9). The dissipator is built once from the jump
-    operators and shared by every matrix of the stack.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.shape[-2:] != (_DIM, _DIM):
-        raise ValueError("hamiltonian must be 3x3 or a stack of 3x3")
     eye = np.eye(_DIM)
     dissipator = np.zeros((_VEC, _VEC), dtype=complex)
-    for op in jumps:
-        op = np.asarray(op, dtype=complex)
-        if op.shape != (_DIM, _DIM):
-            raise ValueError("jump operators must be 3x3")
-        opdag_op = op.conj().T @ op
-        dissipator += (
-            _kron(op.conj(), op)
-            - 0.5 * _kron(eye, opdag_op)
-            - 0.5 * _kron(opdag_op.T, eye)
-        )
+    for row, col, rate in ((0, 1, atom.Gamma10), (1, 2, atom.Gamma21),
+                           (1, 1, 2.0 * atom.gphi1), (2, 2, 2.0 * atom.gphi2)):
+        if rate > 0.0:
+            jump = np.zeros((_DIM, _DIM), dtype=complex)
+            jump[row, col] = np.sqrt(rate)
+            jump_dag_jump = jump.conj().T @ jump
+            dissipator += (
+                _kron(jump.conj(), jump)
+                - 0.5 * _kron(eye, jump_dag_jump)
+                - 0.5 * _kron(jump_dag_jump.T, eye)
+            )
     return -1j * (_kron(eye, h) - _kron(np.swapaxes(h, -1, -2), eye)) + dissipator
 
 
@@ -175,33 +156,22 @@ def steady_state(liouvillian: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
 
 
-def reflection_from_state(rho: np.ndarray, Gamma10: float, Omega_p):
-    """Reflection coefficient read off the steady-state 1-0 coherence.
-
-    The scattered field is proportional to the lowering-operator expectation;
-    normalizing by the probe amplitude gives r = -i (Gamma10 / Omega_p) rho_10.
-    A single state gives a complex number, a stack (..., 3, 3) an array;
-    Omega_p may be an array that broadcasts against the stack's leading dims.
-    """
-    if not (np.asarray(Omega_p) > 0.0).all():
-        raise ValueError("Omega_p must be positive to define a reflection")
-    coherence = np.asarray(rho)[..., 1, 0]
-    if coherence.ndim == 0:
-        coherence = complex(coherence)
-    return -1j * (Gamma10 / Omega_p) * coherence
-
-
 def master_equation_reflection(atom: ThreeLevelAtom, Delta_p, Delta_c, Omega_p, Omega_c):
     """Nonperturbative reflection coefficient from the steady state.
 
-    The drive arguments broadcast like hamiltonian's: scalars give a complex,
-    arrays an array over their broadcast shape, solved as one stack. A
-    non-finite drive value or a negative amplitude raises ValueError before
-    any solve; Omega_p must be positive to define a reflection.
+    The drive arguments broadcast like build_liouvillian's: scalars give a
+    complex, arrays an array over their broadcast shape, solved as one stack.
+    A non-finite drive value, a negative amplitude or an Omega_p that is not
+    positive raises ValueError before any solve.
+
+    The scattered field is proportional to the lowering-operator expectation;
+    normalizing by the probe amplitude gives r = -i (Gamma10 / Omega_p) rho_10.
     """
     _check_drive((Delta_p, Delta_c), (Omega_p, Omega_c))
-    h = hamiltonian(Delta_p, Delta_c, Omega_p, Omega_c)
-    return reflection_from_state(steady_state(build_liouvillian(h, jump_operators(atom))), atom.Gamma10, Omega_p)
+    if not (np.asarray(Omega_p) > 0.0).all():
+        raise ValueError("Omega_p must be positive to define a reflection")
+    coherence = steady_state(build_liouvillian(atom, Delta_p, Delta_c, Omega_p, Omega_c))[..., 1, 0]
+    return -1j * (atom.Gamma10 / Omega_p) * (complex(coherence) if coherence.ndim == 0 else coherence)
 
 
 class DeviationReport(NamedTuple):

@@ -90,8 +90,8 @@ def poles_and_decomposition(gamma10: float, gamma20: float, Omega_c: float,
     Within the threshold band the exact-crossover degenerate form is returned,
     flagged via `degenerate`.
     """
-    if Gamma10 < 0.0:
-        raise ValueError("Gamma10 must be nonnegative")
+    if not (Gamma10 >= 0.0 and math.isfinite(Gamma10)):
+        raise ValueError("Gamma10 must be finite and nonnegative")
     decision = classify_regime(gamma10, gamma20, Omega_c)
     if gamma10 == 0.0 and gamma20 == 0.0 and Omega_c == 0.0:
         raise SingularModelError("undamped undriven atom has no pole decomposition")

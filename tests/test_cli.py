@@ -177,6 +177,17 @@ def test_pipeline_negative_intercept_exits_three(tmp_path, capsys):
     assert err.count("error:") == 1 and err.startswith("error: line fit gives a negative intercept")
 
 
+def test_pipeline_power_that_underflows_to_zero_watts_exits_two(tmp_path, capsys):
+    overlay = tmp_path / "faint.json"
+    overlay.write_text(json.dumps({"power_grid": {"start": -3300.0, "stop": -45.0, "count": 500}}))
+    code = main(["pipeline", "linewidth", "--profile", "paper", "--config", str(overlay)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: linewidth-pipeline power_grid starts at -3300 dBm, "
+                            "which is 0 W in float64\n")
+
+
 def test_pipeline_zero_sigma_rows_exit_three(tmp_path, capsys):
     # the grid holds the exact two-photon point of a lossless upper level,
     # where r = 0; magnitude noise keeps it 0, so every row has a zero sigma

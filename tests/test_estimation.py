@@ -234,6 +234,14 @@ def test_line_fit_validation():
             fit_linewidth_line(powers, widths, sigma, gamma10=G10)
 
 
+@pytest.mark.parametrize("column, bad", [("power", math.nan), ("width", math.inf)])
+def test_line_fit_rejects_non_finite_points(column, bad):
+    powers, widths = _line_dataset()
+    (powers if column == "power" else widths)[2] = bad
+    with pytest.raises(ValueError, match="^powers and linewidths must be finite$"):
+        fit_linewidth_line(powers, widths, gamma10=G10)
+
+
 def test_line_fit_single_power_is_rank_error():
     p = dbm_to_watts(-50.0)
     with pytest.raises(RankError):
@@ -317,6 +325,18 @@ def test_rabi_columns_equal_the_per_point_loop():
         columns = rabi_per_point(G20, widths, sigmas, gamma10=G10)
     assert [column.dtype for column in columns] == [np.float64, np.float64, np.bool_]
     assert list(zip(*(column.tolist() for column in columns))) == _reference_rabi(G20, widths, sigmas, G10)
+
+
+@pytest.mark.parametrize("gamma20, widths, sigmas, message", [
+    (math.nan, [G10], None, "gamma20 must be finite and nonnegative"),
+    (math.inf, [G10], None, "gamma20 must be finite and nonnegative"),
+    (G20, [G10, math.nan], None, "gamma_eit must be finite"),
+    (G20, [G10, G10], [0.1, math.inf], "gamma_eit must be finite and sigma_gamma finite and nonnegative"),
+    (G20, [G10, G10], [0.1, -0.1], "gamma_eit must be finite and sigma_gamma finite and nonnegative"),
+], ids=["gamma20-nan", "gamma20-inf", "width-nan", "sigma-inf", "sigma-negative"])
+def test_rabi_rejects_non_finite_input(gamma20, widths, sigmas, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        rabi_per_point(gamma20, widths, sigmas, gamma10=G10)
 
 
 def test_rabi_validation():

@@ -97,6 +97,19 @@ def test_param_builders_wrap_domain_errors():
         NoiseParams(kind="additive")
 
 
+def test_pipeline_power_grid_that_underflows_to_zero_watts_is_config_error():
+    # dbm_to_watts is 0.0 below about -3206 dBm, where log10 of the power fails
+    data = {**paper_profile("linewidth-pipeline").to_dict(),
+            "power_grid": {"start": -45.0, "stop": -3300.0, "count": 5}}
+    with pytest.raises(ConfigError, match=r"^linewidth-pipeline power_grid starts at -3300 dBm, which is 0 W"):
+        ExperimentConfig.from_dict(data)
+    data["power_grid"]["stop"] = -3000.0
+    assert ExperimentConfig.from_dict(data).power_grid.stop == -3000.0
+    # in a sweep 0 W is just a control amplitude of 0
+    sweep = {**paper_profile("power-sweep").to_dict(), "power_grid": {"start": -3300.0, "stop": -45.0, "count": 5}}
+    assert run_experiment(ExperimentConfig.from_dict(sweep)).data["control_power_dbm"][0] == -3300.0
+
+
 def test_config_round_trip_through_dict():
     for scheme in ("control-sweep", "power-sweep", "flux-sweep", "linewidth-pipeline"):
         cfg = paper_profile(scheme)
@@ -951,6 +964,18 @@ def test_import_csv_bad_row_past_first_chunk_raises_like_reference(tmp_path, quo
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     expected = 2 if bad == "short" else 4
     assert _assert_imports_like_reference(path) == ("error", f"{path}: row has {expected} cells, expected 3")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('a,b\n1,"abc', "unexpected end of data"),
+    ('a,b\n1,"ab"c\n', "',' expected after '\"'"),
+], ids=["quote-open-at-end", "text-after-closing-quote"])
+def test_import_csv_rejects_malformed_quoting(tmp_path, text, message):
+    path = tmp_path / "malformed.csv"
+    path.write_text(text, encoding="utf-8", newline="\n")
+    with pytest.raises(ValueError) as excinfo:
+        import_csv(path)
+    assert str(excinfo.value) == f"{path}: line 2: {message}"
 
 
 _SCAN = experiments._SCAN_BYTES

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,8 @@ from acoustic_eit import (
     SteadyStateError,
     ThreeLevelAtom,
     build_liouvillian,
-    hamiltonian,
-    jump_operators,
     master_equation_reflection,
     reflection_coefficient,
-    reflection_from_state,
     steady_state,
     weak_probe_deviation,
 )
@@ -49,12 +47,8 @@ def _random_atom_drive(rng):
     return atom, drive
 
 
-def _liouvillian(atom, Delta_p=0.0, Delta_c=0.0, Omega_p=0.0, Omega_c=0.0):
-    return build_liouvillian(hamiltonian(Delta_p, Delta_c, Omega_p, Omega_c), jump_operators(atom))
-
-
-def _steady_state(atom, **drive):
-    return steady_state(_liouvillian(atom, **drive))
+def _steady_state(atom, Delta_p=0.0, Delta_c=0.0, Omega_p=0.0, Omega_c=0.0):
+    return steady_state(build_liouvillian(atom, Delta_p, Delta_c, Omega_p, Omega_c))
 
 
 def _closed_form(atom, Delta_p, Delta_c, Omega_c):
@@ -66,8 +60,13 @@ def _closed_form(atom, Delta_p, Delta_c, Omega_c):
 # ---------------------------------------------------------------------------
 
 
+# no decay channel: the Liouvillian is the Hamiltonian commutator alone
+BARE_ATOM = ThreeLevelAtom(omega10=1e9, anharmonicity=1e8, Gamma10=0.0)
+
+
 def test_zero_spec_is_zero_map():
-    lv = build_liouvillian(np.zeros((3, 3), dtype=complex), [])
+    lv = build_liouvillian(BARE_ATOM, 0.0, 0.0, 0.0, 0.0)
+    assert lv.shape == (9, 9)
     assert np.all(lv == 0.0)
 
 
@@ -76,37 +75,29 @@ def test_trace_preservation_random_specs():
     rng = np.random.Generator(np.random.Philox(11))
     for _ in range(50):
         atom, drive = _random_atom_drive(rng)
-        lv = _liouvillian(atom, *drive)
+        lv = build_liouvillian(atom, *drive)
         trace_row = lv[0] + lv[4] + lv[8]
         assert np.max(np.abs(trace_row)) < 1e-10 * max(np.linalg.norm(lv), 1.0)
 
 
-def test_hamiltonian_structure():
+def test_zero_rate_liouvillian_is_the_hamiltonian_commutator():
     Delta_p, Delta_c, Omega_p, Omega_c = 2.0 * MHZ, -3.0 * MHZ, 0.5 * MHZ, 6.1 * MHZ
-    h = hamiltonian(Delta_p, Delta_c, Omega_p, Omega_c)
-    assert np.allclose(h, h.conj().T)
-    assert h[1, 1] == -Delta_p
-    assert h[2, 2] == -(Delta_p + Delta_c)
-    assert h[0, 1] == 0.5 * Omega_p
-    assert h[1, 2] == 0.5 * Omega_c
-    assert h[0, 2] == 0.0
+    h = np.array([[0.0, 0.5 * Omega_p, 0.0],
+                  [0.5 * Omega_p, -Delta_p, 0.5 * Omega_c],
+                  [0.0, 0.5 * Omega_c, -(Delta_p + Delta_c)]], dtype=complex)
+    eye = np.eye(3)
+    lv = build_liouvillian(BARE_ATOM, Delta_p, Delta_c, Omega_p, Omega_c)
+    assert np.array_equal(lv, -1j * (np.kron(eye, h) - np.kron(h.T, eye)))
 
 
-def test_hamiltonian_broadcasts_over_drive_arrays():
+def test_liouvillian_broadcasts_over_drive_arrays(reflection_atom):
     delta_p = np.array([-1.0, 0.5, 2.0]) * MHZ
     omega_c = np.array([[0.0], [6.1 * MHZ]])
-    stack = hamiltonian(delta_p, 3.0 * MHZ, 0.5 * MHZ, omega_c)
-    assert stack.shape == (2, 3, 3, 3)
+    stack = build_liouvillian(reflection_atom, delta_p, 3.0 * MHZ, 0.5 * MHZ, omega_c)
+    assert stack.shape == (2, 3, 9, 9)
     for i, j in np.ndindex(2, 3):
-        assert np.array_equal(stack[i, j], hamiltonian(delta_p[j], 3.0 * MHZ, 0.5 * MHZ, omega_c[i, 0]))
-
-
-def test_jump_operators_skip_zero_rates(reflection_atom):
-    full = jump_operators(reflection_atom)
-    assert len(full) == 4
-    bare = jump_operators(ThreeLevelAtom(omega10=1e9, anharmonicity=1e8,
-                                         Gamma10=1.0 * MHZ))
-    assert len(bare) == 1
+        one = build_liouvillian(reflection_atom, delta_p[j], 3.0 * MHZ, 0.5 * MHZ, omega_c[i, 0])
+        assert np.array_equal(stack[i, j], one)
 
 
 # ---------------------------------------------------------------------------
@@ -158,28 +149,15 @@ def test_random_steady_states_are_physical():
     rng = np.random.Generator(np.random.Philox(42))
     for _ in range(1000):
         atom, drive = _random_atom_drive(rng)
-        rho = steady_state(_liouvillian(atom, *drive))
+        rho = steady_state(build_liouvillian(atom, *drive))
         assert np.linalg.norm(rho - rho.conj().T) <= 1e-10
         assert abs(np.trace(rho) - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
 
 # ---------------------------------------------------------------------------
-# Readout
+# Reflection
 # ---------------------------------------------------------------------------
-
-
-def test_reflection_from_ground_state_is_zero():
-    rho = np.zeros((3, 3), dtype=complex)
-    rho[0, 0] = 1.0
-    assert reflection_from_state(rho, Gamma10=10.0 * MHZ, Omega_p=1.0 * MHZ) == 0.0
-
-
-def test_reflection_from_state_requires_positive_probe():
-    rho = np.zeros((3, 3), dtype=complex)
-    rho[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        reflection_from_state(rho, Gamma10=10.0 * MHZ, Omega_p=0.0)
 
 
 def test_weak_probe_two_level_reflection(reflection_atom):
@@ -201,7 +179,7 @@ def test_saturated_probe_kills_reflection(reflection_atom):
     assert abs(r) < 1e-3
 
 
-def test_master_equation_reflection_broadcasts_like_hamiltonian(reflection_atom):
+def test_master_equation_reflection_broadcasts_its_drive(reflection_atom):
     delta_p = np.array([-4.0, 0.0, 7.5]) * MHZ
     omega_c = np.array([[0.0], [6.1 * MHZ]])
     grid = master_equation_reflection(reflection_atom, delta_p, -2.0 * MHZ, WEAK_PROBE, omega_c)
@@ -223,8 +201,9 @@ def test_master_equation_reflection_broadcasts_like_hamiltonian(reflection_atom)
     ((np.array([0.0, math.inf]), 0.0, WEAK_PROBE, 6.1 * MHZ), "finite"),
     ((0.0, 0.0, -WEAK_PROBE, 0.0), "nonnegative"),
     ((0.0, 0.0, WEAK_PROBE, np.array([6.1 * MHZ, -1.0])), "nonnegative"),
+    ((0.0, 0.0, 0.0, 6.1 * MHZ), "positive"),
 ], ids=["probe-detuning-inf", "control-detuning-nan", "probe-rabi-inf", "probe-detuning-array-inf",
-        "probe-rabi-negative", "control-rabi-array-negative"])
+        "probe-rabi-negative", "control-rabi-array-negative", "probe-rabi-zero"])
 def test_master_equation_reflection_rejects_bad_drive_before_solving(reflection_atom, monkeypatch, drive, message):
     def no_solve(liouvillian):
         raise AssertionError("a bad drive reached the steady-state solve")
@@ -369,7 +348,7 @@ def _random_atom_drives(seed, count):
 
 
 def _random_liouvillians(seed, count):
-    return np.stack([_liouvillian(atom, *drive) for atom, drive in _random_atom_drives(seed, count)])
+    return np.stack([build_liouvillian(atom, *drive) for atom, drive in _random_atom_drives(seed, count)])
 
 
 def test_stacked_steady_states_match_single_solves():
@@ -384,13 +363,13 @@ def test_stacked_steady_states_match_single_solves():
 
 def test_stacked_liouvillian_matches_single_builds():
     pairs = _random_atom_drives(9, 20)
-    jumps = jump_operators(pairs[0][0])
-    hs = np.stack([hamiltonian(*drive) for _, drive in pairs])
-    singles = np.stack([build_liouvillian(h, jumps) for h in hs])
-    assert np.array_equal(build_liouvillian(hs, jumps), singles)
-    assert build_liouvillian(hs.reshape(4, 5, 3, 3), jumps).shape == (4, 5, 9, 9)
+    atom = pairs[0][0]
+    drives = np.array([drive for _, drive in pairs]).T
+    singles = np.stack([build_liouvillian(atom, *drive) for _, drive in pairs])
+    assert np.array_equal(build_liouvillian(atom, *drives), singles)
+    assert build_liouvillian(atom, *drives.reshape(4, 4, 5)).shape == (4, 5, 9, 9)
     with pytest.raises(ValueError):
-        build_liouvillian(np.zeros((4, 2, 2)), jumps)
+        build_liouvillian(atom, np.zeros(4), np.zeros(3), 0.0, 0.0)
 
 
 def test_steady_state_names_failing_stack_index():
@@ -409,7 +388,7 @@ def test_steady_state_of_an_overflowing_liouvillian_raises_without_warning(refle
     # entries near float64's limit: the norm and lv @ v overflow, so the
     # residual test cannot be made and must not pass by comparing with inf
     huge = 6e307
-    lvs = np.stack([_liouvillian(reflection_atom, *drive)
+    lvs = np.stack([build_liouvillian(reflection_atom, *drive)
                     for drive in ((0.0, 0.0, WEAK_PROBE, MHZ), (huge, huge, WEAK_PROBE, MHZ), (huge, 0.0, huge, huge))])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -446,13 +425,17 @@ def test_runtime_runs_without_scipy(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_coherence_decay_rates(reflection_atom):
+@pytest.mark.parametrize("decay", ["all-channels", "probe-decay-only"])
+def test_coherence_decay_rates(reflection_atom, decay):
     # without drive each coherence |i><j| is an eigenvector of the
-    # Liouvillian: it decays on its own, at its coherence rate
-    lv = _liouvillian(reflection_atom)
-    for (i, j), rate in (((0, 1), reflection_atom.gamma10),
-                         ((0, 2), reflection_atom.gamma20),
-                         ((1, 2), reflection_atom.gamma21)):
+    # Liouvillian: it decays on its own, at its coherence rate, which is
+    # zero where every channel feeding it has zero rate
+    atom = reflection_atom if decay == "all-channels" else replace(
+        reflection_atom, Gamma21=0.0, gphi1=0.0, gphi2=0.0)
+    lv = build_liouvillian(atom, 0.0, 0.0, 0.0, 0.0)
+    for (i, j), rate in (((0, 1), atom.gamma10),
+                         ((0, 2), atom.gamma20),
+                         ((1, 2), atom.gamma21)):
         for row, col in ((i, j), (j, i)):
             coherence = np.zeros(9, dtype=complex)
             coherence[row + 3 * col] = 1.0  # column-stacked |row><col|

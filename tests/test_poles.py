@@ -125,6 +125,12 @@ def test_negative_emission_rate_rejected():
         poles_and_decomposition(G10, G20, 6.1 * MHZ, -1.0)
 
 
+@pytest.mark.parametrize("Gamma10", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_emission_rate_rejected(Gamma10):
+    with pytest.raises(ValueError, match="^Gamma10 must be finite and nonnegative$"):
+        poles_and_decomposition(G10, G20, 6.1 * MHZ, Gamma10)
+
+
 # ---------------------------------------------------------------------------
 # Partial-fraction reconstruction
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from acoustic_eit.model import reflection_coefficient, transmission_flux_coeffic
 
 DELETED = {
     lindblad: ("propagate", "_expm", "_PADE_13", "_THETA_13", "validate_density_matrix",
-               "steady_state_density_matrix"),
+               "steady_state_density_matrix", "hamiltonian", "jump_operators", "reflection_from_state"),
     model: ("transmission_flux_sweep", "coherence_rates", "DriveCondition", "reflection", "transmission"),
     idt: ("decay_from_conductance",),
     experiments: ("import_json", "run_control_sweep", "run_power_sweep", "run_flux_sweep",
@@ -57,6 +57,8 @@ def test_deleted_keywords_are_gone():
     # a drive is passed as bare values, never as an object
     for fn in (model.group_delay, lindblad.master_equation_reflection):
         assert "drive" not in inspect.signature(fn).parameters, fn.__name__
+    # the decay channels come from the atom, never as operators
+    assert "jumps" not in inspect.signature(lindblad.build_liouvillian).parameters
     # the transmission fit always fits its background
     assert "fit_crosstalk" not in inspect.signature(estimation.fit_transmission).parameters
     # every estimator names its parameters and bounds them
