@@ -167,10 +167,10 @@ def master_equation_reflection(atom: ThreeLevelAtom, Delta_p, Delta_c, Omega_p, 
     The scattered field is proportional to the lowering-operator expectation;
     normalizing by the probe amplitude gives r = -i (Gamma10 / Omega_p) rho_10.
     """
-    _check_drive((Delta_p, Delta_c), (Omega_p, Omega_c))
+    liouvillian = build_liouvillian(atom, Delta_p, Delta_c, Omega_p, Omega_c)
     if not (np.asarray(Omega_p) > 0.0).all():
         raise ValueError("Omega_p must be positive to define a reflection")
-    coherence = steady_state(build_liouvillian(atom, Delta_p, Delta_c, Omega_p, Omega_c))[..., 1, 0]
+    coherence = steady_state(liouvillian)[..., 1, 0]
     return -1j * (atom.Gamma10 / Omega_p) * (complex(coherence) if coherence.ndim == 0 else coherence)
 
 

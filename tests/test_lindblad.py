@@ -370,6 +370,10 @@ def test_stacked_liouvillian_matches_single_builds():
     assert build_liouvillian(atom, *drives.reshape(4, 4, 5)).shape == (4, 5, 9, 9)
     with pytest.raises(ValueError):
         build_liouvillian(atom, np.zeros(4), np.zeros(3), 0.0, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        build_liouvillian(atom, math.nan, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_liouvillian(atom, 0.0, 0.0, 0.0, -1.0)
 
 
 def test_steady_state_names_failing_stack_index():
