@@ -317,6 +317,34 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, overlay):
     assert "error:" in capsys.readouterr().err
 
 
+_NO_ANCHOR = {"anchor_power_dbm": None, "anchor_rabi_hz": None}
+
+
+@pytest.mark.parametrize("calibration,message", [
+    ({"k_hz2_per_watt": 0.0, **_NO_ANCHOR},
+     "invalid calibration: calibration constant k must be positive and finite"),
+    ({"k_hz2_per_watt": math.nan, **_NO_ANCHOR},
+     "invalid calibration: calibration constant k must be positive and finite"),
+    ({"anchor_rabi_hz": 0.0}, "invalid calibration: anchor Rabi amplitude must be positive"),
+    ({"anchor_rabi_hz": math.nan},
+     "invalid calibration: calibration constant k must be positive and finite"),
+    ({"anchor_power_dbm": -4000.0}, "invalid calibration: float division by zero"),
+    ({"anchor_power_dbm": 4000.0}, "invalid calibration: (34, 'Numerical result out of range')"),
+    ({"k_hz2_per_watt": 1.0}, "calibration needs exactly one of k_hz2_per_watt or an anchor pair"),
+    ({"anchor_rabi_hz": None},
+     "invalid calibration: calibration anchor needs both anchor_power_dbm and anchor_rabi_hz"),
+], ids=["k-zero", "k-nan", "anchor-rabi-zero", "anchor-rabi-nan", "anchor-power-underflow",
+        "anchor-power-overflow", "k-and-anchor", "anchor-half"])
+def test_bad_calibration_error_line(tmp_path, capsys, calibration, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"calibration": calibration}))
+    code = main(["simulate", "power-sweep", "--profile", "paper", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # k and each power are finite, but k times the power is not
 _HUGE_K = {"calibration": {"k_hz2_per_watt": 1e300, "anchor_power_dbm": None, "anchor_rabi_hz": None},
            "power_grid": {"start": 200.0, "stop": 300.0, "count": 3}}

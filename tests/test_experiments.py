@@ -97,6 +97,15 @@ def test_param_builders_wrap_domain_errors():
         NoiseParams(kind="additive")
 
 
+def test_calibration_k_is_bit_exact_for_both_forms():
+    two_pi = 2.0 * math.pi
+    anchor = CalibrationParams(anchor_power_dbm=-45.0, anchor_rabi_hz=16.06e6).build().k
+    assert anchor == (two_pi * 16.06e6) ** 2 / dbm_to_watts(-45.0)
+    assert anchor == paper_profile("power-sweep").calibration.build().k
+    direct = CalibrationParams(k_hz2_per_watt=_ANCHOR_K_HZ2_PER_WATT).build().k
+    assert direct == _ANCHOR_K_HZ2_PER_WATT * two_pi**2
+
+
 def test_pipeline_power_grid_that_underflows_to_zero_watts_is_config_error():
     # dbm_to_watts is 0.0 below about -3206 dBm, where log10 of the power fails
     data = {**paper_profile("linewidth-pipeline").to_dict(),
