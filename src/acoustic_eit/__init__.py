@@ -71,7 +71,6 @@ from .poles import (
     poles_and_decomposition,
 )
 from .units import (
-    PowerCalibration,
     angular_to_hz,
     dbm_to_watts,
     hz_to_angular,
@@ -93,7 +92,6 @@ __all__ = [
     "IdtTransducer",
     "NoiseParams",
     "PoleDecomposition",
-    "PowerCalibration",
     "RankError",
     "Regime",
     "RegimeDecision",

@@ -31,14 +31,7 @@ from .errors import ConfigError, ConvergenceError, SingularModelError
 from .estimation import fit_dip_stack, fit_linewidth_line, rabi_per_point
 from .model import ThreeLevelAtom, reflection_coefficient, transmission_flux_coefficient
 from .poles import classify_regime
-from .units import (
-    PowerCalibration,
-    TWO_PI,
-    angular_to_hz,
-    dbm_to_watts,
-    hz_to_angular,
-    watts_to_dbm,
-)
+from .units import TWO_PI, angular_to_hz, dbm_to_watts, hz_to_angular, watts_to_dbm
 
 SCHEMA_VERSION = 1
 SCHEMES = ("control-sweep", "power-sweep", "flux-sweep", "linewidth-pipeline")
@@ -118,32 +111,39 @@ class AtomParams:
 
 @dataclass(frozen=True)
 class CalibrationParams:
-    """Control-line power calibration: either k directly or a power anchor.
+    """Control-line power calibration Omega_c**2 = k * P: either k directly or
+    a power anchor.
 
     k_hz2_per_watt uses cyclic units ((Omega_c/2pi)^2 = k * P); the anchor
-    form pins one known Rabi frequency at one known power.
+    form pins one known Rabi frequency at one known power. build() returns
+    the angular k in (rad/s)^2 per watt, so Omega_c = sqrt(k * P) in rad/s
+    for a power P in watts.
     """
 
     k_hz2_per_watt: float | None = None
     anchor_power_dbm: float | None = None
     anchor_rabi_hz: float | None = None
 
-    def build(self) -> PowerCalibration:
+    def build(self) -> float:
         has_k = self.k_hz2_per_watt is not None
         has_anchor = self.anchor_power_dbm is not None or self.anchor_rabi_hz is not None
         _require(has_k != has_anchor,
                  "calibration needs exactly one of k_hz2_per_watt or an anchor pair")
         try:
             if has_k:
-                return PowerCalibration(k=self.k_hz2_per_watt * TWO_PI**2)
-            _require(self.anchor_power_dbm is not None and self.anchor_rabi_hz is not None,
-                     "calibration anchor needs both anchor_power_dbm and anchor_rabi_hz")
-            return PowerCalibration.from_threshold_anchor(
-                power_dbm=self.anchor_power_dbm,
-                omega_c=hz_to_angular(self.anchor_rabi_hz),
-            )
+                k = self.k_hz2_per_watt * TWO_PI**2
+            else:
+                _require(self.anchor_power_dbm is not None and self.anchor_rabi_hz is not None,
+                         "calibration anchor needs both anchor_power_dbm and anchor_rabi_hz")
+                omega_c = hz_to_angular(self.anchor_rabi_hz)
+                if omega_c <= 0.0:  # a NaN amplitude passes on to the check of k
+                    raise ValueError("anchor Rabi amplitude must be positive")
+                k = omega_c**2 / dbm_to_watts(self.anchor_power_dbm)
+            if not (k > 0.0 and math.isfinite(k)):
+                raise ValueError("calibration constant k must be positive and finite")
         except (ValueError, ArithmeticError) as exc:  # an anchor power whose watts overflow or vanish
             raise ConfigError(f"invalid calibration: {exc}") from exc
+        return k
 
 
 @dataclass(frozen=True)
@@ -541,33 +541,33 @@ def _regimes(atom: ThreeLevelAtom, omega_c: np.ndarray) -> list[str]:
     return [classify_regime(atom.gamma10, atom.gamma20, w).regime.value for w in omega_c.tolist()]
 
 
-def _drive(config: ExperimentConfig) -> tuple[ThreeLevelAtom, PowerCalibration, np.ndarray, np.ndarray, list[str]]:
-    """A calibrated run's device and its drive: the atom, the calibration,
-    the control powers (dBm), the control amplitude at each power and the
-    regime each amplitude puts the atom in."""
+def _drive(config: ExperimentConfig) -> tuple[ThreeLevelAtom, float, np.ndarray, np.ndarray, list[str]]:
+    """A calibrated run's device and its drive: the atom, the calibration
+    constant k, the control powers (dBm), the control amplitude
+    Omega_c = sqrt(k * P) at each power and the regime each amplitude puts
+    the atom in."""
     atom = config.atom.build()
-    calibration = config.calibration.build()
+    k = config.calibration.build()
     powers = config.power_grid.values()
-    omega_c = np.array([calibration.omega_c(power) for power in powers.tolist()])
-    return atom, calibration, powers, omega_c, _regimes(atom, omega_c)
+    omega_c = np.array([math.sqrt(k * dbm_to_watts(power)) for power in powers.tolist()])
+    return atom, k, powers, omega_c, _regimes(atom, omega_c)
 
 
 def _threshold_summary(gamma10: float, gamma20: float, k: float | None) -> dict[str, Any]:
     """The EIT/Autler-Townes threshold Omega_c = gamma10 - gamma20 (0 when
-    gamma20 is larger), and the control power that reaches it under the
-    calibration Omega_c**2 = k * P; None without a positive k and threshold."""
+    gamma20 is larger), and the control power P = Omega_c**2 / k that reaches
+    it; None without a positive k, or where that power is 0 W or overflows."""
     threshold = max(gamma10 - gamma20, 0.0)
+    power = threshold**2 / k if k is not None and k > 0.0 else 0.0
     return {
         "threshold_rabi_hz": angular_to_hz(threshold),
-        "threshold_power_dbm": (
-            watts_to_dbm(threshold**2 / k) if k is not None and k > 0.0 and threshold > 0.0 else None
-        ),
+        "threshold_power_dbm": watts_to_dbm(power) if 0.0 < power < math.inf else None,
     }
 
 
 def _control_sweep(config: ExperimentConfig) -> RunResult:
     """2-D reflection map over (control power dBm, control frequency Hz)."""
-    atom, calibration, powers, omega_c, regimes = _drive(config)
+    atom, k, powers, omega_c, regimes = _drive(config)
     freqs = config.control_frequency_grid.values()
     annotation = [regime for regime in regimes for _ in range(freqs.size)]
     values = reflection_coefficient(
@@ -578,7 +578,7 @@ def _control_sweep(config: ExperimentConfig) -> RunResult:
         Delta_p=hz_to_angular(config.probe_detuning_hz),
         Delta_c=hz_to_angular(freqs) - atom.omega21,
     )
-    summary = _threshold_summary(atom.gamma10, atom.gamma20, calibration.k)
+    summary = _threshold_summary(atom.gamma10, atom.gamma20, k)
     summary["transition_frequency_hz"] = angular_to_hz(atom.omega21)
     axes = {
         "control_power_dbm": np.repeat(powers, freqs.size),
@@ -589,7 +589,7 @@ def _control_sweep(config: ExperimentConfig) -> RunResult:
 
 def _power_sweep(config: ExperimentConfig) -> RunResult:
     """1-D reflection versus control power at a fixed control frequency."""
-    atom, calibration, powers, omega_c, regimes = _drive(config)
+    atom, k, powers, omega_c, regimes = _drive(config)
     if config.control_frequency_hz is None:
         delta_c = 0.0
     else:
@@ -602,7 +602,7 @@ def _power_sweep(config: ExperimentConfig) -> RunResult:
         Delta_p=hz_to_angular(config.probe_detuning_hz),
         Delta_c=delta_c,
     )
-    summary = _threshold_summary(atom.gamma10, atom.gamma20, calibration.k)
+    summary = _threshold_summary(atom.gamma10, atom.gamma20, k)
     return _sweep_columns(config, {"control_power_dbm": powers}, values, regimes, summary)
 
 

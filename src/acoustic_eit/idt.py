@@ -39,7 +39,7 @@ class IdtTransducer:
     capacitance: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.pairs, int) and self.pairs >= 1):
+        if not (isinstance(self.pairs, int) and not isinstance(self.pairs, bool) and self.pairs >= 1):
             raise ValueError("pairs must be an integer >= 1")
         if not (self.omega_center > 0.0 and math.isfinite(self.omega_center)):
             raise ValueError("omega_center must be positive and finite")
@@ -76,18 +76,22 @@ def detuning_parameter(idt: IdtTransducer, omega):
     return idt.pairs * math.pi * (omega - idt.omega_center) / idt.omega_center
 
 
+def _array_factor(idt: IdtTransducer, omega):
+    """sinc(X)**2 at omega, which must be positive and finite (checked
+    before any arithmetic)."""
+    if not np.all((np.asarray(omega) > 0.0) & np.isfinite(omega)):
+        raise ValueError("omega must be positive and finite")
+    return _sinc(detuning_parameter(idt, omega)) ** 2
+
+
 def acoustic_conductance(idt: IdtTransducer, omega):
     """Radiation conductance G_a(omega) in siemens. Array-safe in omega."""
-    if np.any(np.asarray(omega) <= 0.0):
-        raise ValueError("omega must be positive")
-    return idt.conductance_peak * _sinc(detuning_parameter(idt, omega)) ** 2
+    return idt.conductance_peak * _array_factor(idt, omega)
 
 
 def coupling_rate(idt: IdtTransducer, omega):
     """Acoustic energy decay rate Gamma_a(omega) = Gamma_a0 * sinc(X)**2 (rad/s)."""
-    if np.any(np.asarray(omega) <= 0.0):
-        raise ValueError("omega must be positive")
-    return idt.decay_peak * _sinc(detuning_parameter(idt, omega)) ** 2
+    return idt.decay_peak * _array_factor(idt, omega)
 
 
 def idt_bandwidth(idt: IdtTransducer) -> float:

@@ -367,6 +367,19 @@ def test_control_amplitude_overflow_is_config_error(tmp_path, capsys, argv, over
     assert "out of range" in captured.err
 
 
+@pytest.mark.parametrize("scheme", ["control-sweep", "power-sweep"])
+def test_threshold_power_that_overflows_is_null(tmp_path, capsys, scheme):
+    # threshold**2 / k is inf watts, which has no dBm: the export says null
+    path = tmp_path / "tiny_k.json"
+    path.write_text(json.dumps({"calibration": {"k_hz2_per_watt": 1e-300, **_NO_ANCHOR}}))
+    code = main(["simulate", scheme, "--profile", "paper", "--config", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    summary = json.loads(captured.out)["summary"]
+    assert summary["threshold_power_dbm"] is None
+    assert summary["threshold_rabi_hz"] == 16.06e6
+
+
 def test_singular_model_point_is_config_error(tmp_path, capsys):
     # no decay and no dephasing: with the control off, r's denominator
     # vanishes at zero probe detuning

@@ -99,10 +99,12 @@ def test_param_builders_wrap_domain_errors():
 
 def test_calibration_k_is_bit_exact_for_both_forms():
     two_pi = 2.0 * math.pi
-    anchor = CalibrationParams(anchor_power_dbm=-45.0, anchor_rabi_hz=16.06e6).build().k
+    anchor = CalibrationParams(anchor_power_dbm=-45.0, anchor_rabi_hz=16.06e6).build()
+    assert type(anchor) is float
     assert anchor == (two_pi * 16.06e6) ** 2 / dbm_to_watts(-45.0)
-    assert anchor == paper_profile("power-sweep").calibration.build().k
-    direct = CalibrationParams(k_hz2_per_watt=_ANCHOR_K_HZ2_PER_WATT).build().k
+    assert anchor == paper_profile("power-sweep").calibration.build()
+    direct = CalibrationParams(k_hz2_per_watt=_ANCHOR_K_HZ2_PER_WATT).build()
+    assert type(direct) is float
     assert direct == _ANCHOR_K_HZ2_PER_WATT * two_pi**2
 
 
@@ -331,10 +333,10 @@ def test_control_sweep_threshold_annotation():
 def test_control_sweep_regime_annotations_match_classifier():
     cfg = paper_profile("control-sweep")
     atom = cfg.atom.build()
-    calibration = cfg.calibration.build()
+    k = cfg.calibration.build()
     result = run_experiment(cfg)
     for power, annotation in zip(result.data["control_power_dbm"], result.data["annotation"]):
-        omega_c = calibration.omega_c(power)
+        omega_c = math.sqrt(k * dbm_to_watts(power))
         expected = classify_regime(atom.gamma10, atom.gamma20, omega_c).regime.value
         assert annotation == expected
     seen = set(result.data["annotation"])
@@ -477,9 +479,9 @@ def test_pipeline_noiseless_recovers_device_parameters():
     assert result.summary["threshold_power_dbm"] == pytest.approx(-45.0, abs=1e-5)
 
     atom = cfg.atom.build()
-    calibration = cfg.calibration.build()
+    k = cfg.calibration.build()
     for row in result.table:
-        omega_c = calibration.omega_c(row["power_dbm"])
+        omega_c = math.sqrt(k * dbm_to_watts(row["power_dbm"]))
         width = eit_linewidth(atom.gamma10, atom.gamma20, omega_c)
         assert hz_to_angular(row["gamma_eit_hz"]) == pytest.approx(width, rel=1e-6)
         assert hz_to_angular(row["omega_c_hz"]) == pytest.approx(omega_c, rel=1e-4)

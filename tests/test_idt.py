@@ -41,6 +41,12 @@ def test_constructor_validation():
         IdtTransducer(**{**good, "capacitance": -1e-13})
 
 
+def test_constructor_rejects_bool_pairs():
+    # True is an int, but not a count of finger periods
+    with pytest.raises(ValueError, match="pairs must be an integer"):
+        IdtTransducer(pairs=True, omega_center=1e9, k2=0.01, capacitance=1e-13)
+
+
 def test_peak_decay_rate(device_idt):
     assert angular_to_hz(device_idt.decay_peak) == pytest.approx(
         20085750.000000004, rel=1e-12)
@@ -155,3 +161,19 @@ def test_rejects_nonpositive_frequency(device_idt):
         coupling_rate(device_idt, 0.0)
     with pytest.raises(ValueError):
         acoustic_conductance(device_idt, -1.0)
+
+
+def test_coupling_rate_rejects_nan_frequency(device_idt):
+    with pytest.raises(ValueError, match="omega must be positive and finite"):
+        coupling_rate(device_idt, math.nan)
+
+
+def test_conductance_rejects_nan_in_a_frequency_array(device_idt):
+    with pytest.raises(ValueError, match="omega must be positive and finite"):
+        acoustic_conductance(device_idt, np.array([1e9, math.nan]))
+
+
+def test_coupling_rate_rejects_infinite_frequency_before_any_arithmetic(device_idt):
+    # an inf omega used to reach sin(inf) and inf/inf, warn twice and give nan
+    with pytest.raises(ValueError, match="omega must be positive and finite"):
+        coupling_rate(device_idt, math.inf)

@@ -9,6 +9,7 @@ from acoustic_eit import (
     SingularModelError,
     ThreeLevelAtom,
     UndefinedPhaseError,
+    dbm_to_watts,
     dip_shape,
     eit_linewidth,
     group_delay,
@@ -358,9 +359,9 @@ def test_kernel_matches_former_scalar_formula():
     # often in the last bit) and at random detunings
     cfg = paper_profile("power-sweep")
     atom = cfg.atom.build()
-    calibration = cfg.calibration.build()
+    k = cfg.calibration.build()
     delta_c = hz_to_angular(cfg.control_frequency_hz) - atom.omega21
-    omega_c = [calibration.omega_c(power) for power in cfg.power_grid.values().tolist()]
+    omega_c = [math.sqrt(k * dbm_to_watts(power)) for power in cfg.power_grid.values().tolist()]
     cases = [(atom, w, 0.0, delta_c) for w in omega_c]
     rng = np.random.Generator(np.random.Philox(13))
     for _ in range(500):

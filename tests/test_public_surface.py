@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 import acoustic_eit
-from acoustic_eit import estimation, experiments, idt, leastsq, lindblad, model
+from acoustic_eit import estimation, experiments, idt, leastsq, lindblad, model, units
 from acoustic_eit.model import reflection_coefficient, transmission_flux_coefficient
 
 DELETED = {
@@ -21,6 +21,7 @@ DELETED = {
                   "run_linewidth_pipeline", "_control_amplitudes"),
     estimation: ("fit_dip_lorentzian", "_with_fixed"),
     leastsq: ("weighted_linear_fit",),
+    units: ("PowerCalibration",),
 }
 # still in its module, where fit_transmission calls it, but not exported
 UNEXPORTED = ("transmission_initial_guess",)
