@@ -31,7 +31,13 @@ from .errors import ConfigError, ConvergenceError, SingularModelError
 from .estimation import fit_dip_stack, fit_linewidth_line, rabi_per_point
 from .model import ThreeLevelAtom, reflection_coefficient, transmission_flux_coefficient
 from .poles import classify_regime
-from .units import TWO_PI, angular_to_hz, dbm_to_watts, hz_to_angular, watts_to_dbm
+from .units import (
+    TWO_PI,
+    angular_to_hz,
+    dbm_to_watts,
+    hz_to_angular,
+    watts_to_dbm,
+)
 
 SCHEMA_VERSION = 1
 SCHEMES = ("control-sweep", "power-sweep", "flux-sweep", "linewidth-pipeline")

@@ -76,22 +76,18 @@ def detuning_parameter(idt: IdtTransducer, omega):
     return idt.pairs * math.pi * (omega - idt.omega_center) / idt.omega_center
 
 
-def _array_factor(idt: IdtTransducer, omega):
-    """sinc(X)**2 at omega, which must be positive and finite (checked
-    before any arithmetic)."""
-    if not np.all((np.asarray(omega) > 0.0) & np.isfinite(omega)):
-        raise ValueError("omega must be positive and finite")
-    return _sinc(detuning_parameter(idt, omega)) ** 2
-
-
 def acoustic_conductance(idt: IdtTransducer, omega):
     """Radiation conductance G_a(omega) in siemens. Array-safe in omega."""
-    return idt.conductance_peak * _array_factor(idt, omega)
+    if not np.all((np.asarray(omega) > 0.0) & np.isfinite(omega)):
+        raise ValueError("omega must be positive and finite")
+    return idt.conductance_peak * _sinc(detuning_parameter(idt, omega)) ** 2
 
 
 def coupling_rate(idt: IdtTransducer, omega):
     """Acoustic energy decay rate Gamma_a(omega) = Gamma_a0 * sinc(X)**2 (rad/s)."""
-    return idt.decay_peak * _array_factor(idt, omega)
+    if not np.all((np.asarray(omega) > 0.0) & np.isfinite(omega)):
+        raise ValueError("omega must be positive and finite")
+    return idt.decay_peak * _sinc(detuning_parameter(idt, omega)) ** 2
 
 
 def idt_bandwidth(idt: IdtTransducer) -> float:
