@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from acoustic_eit import (
+    ConfigError,
     angular_to_hz,
     dbm_to_watts,
     hz_to_angular,
@@ -63,3 +64,10 @@ def test_threshold_anchor_calibration():
     assert math.sqrt(k * dbm_to_watts(-45.0)) == pytest.approx(16.06 * MHZ, rel=1e-12)
     # power ratio maps -53.4 dBm near the weak-drive operating point
     assert angular_to_hz(math.sqrt(k * dbm_to_watts(-53.4))) == pytest.approx(6105841.7049082145, rel=1e-12)
+
+
+def test_calibration_rejects_bad_inputs():
+    for bad in (CalibrationParams(k_hz2_per_watt=0.0), CalibrationParams(k_hz2_per_watt=-1.0),
+                CalibrationParams(anchor_power_dbm=-45.0, anchor_rabi_hz=0.0)):
+        with pytest.raises(ConfigError, match="^invalid calibration: "):
+            bad.build()
