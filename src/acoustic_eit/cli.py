@@ -115,6 +115,8 @@ def _handle_idt_response(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if args.f_min is None and args.pairs <= 2:
+        raise ConfigError("the default --f-min, f_idt * (1 - 2/np), is not positive for --np <= 2; give --f-min")
     f_min = args.f_min if args.f_min is not None else args.f_idt * (1.0 - 2.0 / args.pairs)
     f_max = args.f_max if args.f_max is not None else args.f_idt * (1.0 + 2.0 / args.pairs)
     if not (0.0 < f_min < f_max and math.isfinite(hz_to_angular(f_max))):

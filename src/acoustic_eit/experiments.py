@@ -84,8 +84,6 @@ class GridSpec:
         # start == stop with count > 1 is allowed: a repeated-setpoint grid is
         # how rank-deficient sweeps (all rows at one power) are expressed
 
-    # a span that overflows gives non-finite values, which the runners reject
-    @np.errstate(over="ignore", invalid="ignore")
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
 
@@ -480,23 +478,28 @@ def _sweep_columns(
     config: ExperimentConfig,
     axes: dict[str, np.ndarray],
     values: np.ndarray,
-    annotation: list[str],
+    regimes: list[str],
     summary: dict[str, Any],
 ) -> RunResult:
-    """Add the configured noise to a sweep's complex values and derive the
-    export columns from them."""
-    values = synthesize_noise(values, config.noise.sigma_rel, config.noise.seed, config.noise.kind)
+    """A sweep's export columns from its 1-D axes (the drive axis first), its
+    noiseless values (one row per control amplitude) and each row's regime:
+    the first axis repeats along its row, the second is tiled, each regime
+    repeats over its row, and the configured noise is added to the values."""
+    rows, per_row = len(regimes), values.size // len(regimes)
+    (drive, drive_axis), *inner = axes.items()
+    grid = {drive: np.repeat(drive_axis, per_row), **{name: np.tile(axis, rows) for name, axis in inner}}
+    values = synthesize_noise(values.ravel(), config.noise.sigma_rel, config.noise.seed, config.noise.kind)
     _require_finite(values, *axes.values())
     re, im = values.real, values.imag
     data = {
-        **axes,
+        **grid,
         "re": re,
         "im": im,
         # np.hypot and math.atan2 agree bit for bit with abs() and
         # cmath.phase() of a Python complex; np.abs and np.angle do not
         "abs": np.hypot(re, im),
         "phase": np.fromiter(map(math.atan2, im.tolist(), re.tolist()), float, count=re.size),
-        "annotation": annotation,
+        "annotation": [regime for regime in regimes for _ in range(per_row)],
     }
     return RunResult(config=config, data=data, summary=summary)
 
@@ -575,7 +578,6 @@ def _control_sweep(config: ExperimentConfig) -> RunResult:
     """2-D reflection map over (control power dBm, control frequency Hz)."""
     atom, k, powers, omega_c, regimes = _drive(config)
     freqs = config.control_frequency_grid.values()
-    annotation = [regime for regime in regimes for _ in range(freqs.size)]
     values = reflection_coefficient(
         Gamma10=atom.Gamma10,
         gamma10=atom.gamma10,
@@ -586,11 +588,8 @@ def _control_sweep(config: ExperimentConfig) -> RunResult:
     )
     summary = _threshold_summary(atom.gamma10, atom.gamma20, k)
     summary["transition_frequency_hz"] = angular_to_hz(atom.omega21)
-    axes = {
-        "control_power_dbm": np.repeat(powers, freqs.size),
-        "control_frequency_hz": np.tile(freqs, powers.size),
-    }
-    return _sweep_columns(config, axes, values.ravel(), annotation, summary)
+    axes = {"control_power_dbm": powers, "control_frequency_hz": freqs}
+    return _sweep_columns(config, axes, values, regimes, summary)
 
 
 def _power_sweep(config: ExperimentConfig) -> RunResult:
@@ -625,7 +624,7 @@ def _flux_sweep(config: ExperimentConfig) -> RunResult:
     crosstalk = complex(config.crosstalk_re, config.crosstalk_im)
     rabi_hz = np.array(config.control_rabi_hz, dtype=float)
     omega_c = hz_to_angular(rabi_hz)
-    annotation = [regime for regime in _regimes(atom, omega_c) for _ in range(detunings.size)]
+    regimes = _regimes(atom, omega_c)
     t = transmission_flux_coefficient(
         Gamma10=atom.Gamma10,
         gamma10=atom.gamma10,
@@ -634,14 +633,10 @@ def _flux_sweep(config: ExperimentConfig) -> RunResult:
         Delta_p=hz_to_angular(detunings),
         delta=delta,
     )
-    values = config.scale * (t.ravel() + crosstalk)
     summary = _threshold_summary(atom.gamma10, atom.gamma20, None)
     summary["residual_detuning_hz"] = config.residual_detuning_hz
-    axes = {
-        "control_rabi_hz": np.repeat(rabi_hz, detunings.size),
-        "probe_detuning_hz": np.tile(detunings, rabi_hz.size),
-    }
-    return _sweep_columns(config, axes, values, annotation, summary)
+    axes = {"control_rabi_hz": rabi_hz, "probe_detuning_hz": detunings}
+    return _sweep_columns(config, axes, config.scale * (t + crosstalk), regimes, summary)
 
 
 def _dip_status(fit: Any, noisy: bool) -> str:
@@ -756,10 +751,11 @@ def _linewidth_pipeline(config: ExperimentConfig) -> RunResult:
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
-    """Run the config's scheme: the one entry point of every scheme. A
-    config value that overflows a float or puts the model at a singular
-    point raises ConfigError; a pipeline whose fits fail raises
-    ConvergenceError or RankError."""
+    """Run the config's scheme: the one entry point of every scheme. A float
+    overflow or invalid operation anywhere in the run (the exported abs
+    included) and a config value that puts the model at a singular point
+    raise ConfigError; a pipeline whose fits fail raises ConvergenceError
+    or RankError. numpy's error state is set for the run alone."""
     runners = {
         "control-sweep": _control_sweep,
         "power-sweep": _power_sweep,
@@ -767,8 +763,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         "linewidth-pipeline": _linewidth_pipeline,
     }
     try:
-        return runners[config.scheme](config)
-    except OverflowError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            return runners[config.scheme](config)
+    except (OverflowError, FloatingPointError) as exc:
         raise ConfigError("a config value is out of range: float overflow") from exc
     except SingularModelError as exc:
         raise ConfigError(f"the config puts the model at a singular point: {exc}") from exc

@@ -76,17 +76,27 @@ def detuning_parameter(idt: IdtTransducer, omega):
     return idt.pairs * math.pi * (omega - idt.omega_center) / idt.omega_center
 
 
+def _checked_omega(omega) -> np.ndarray:
+    """omega as floats; ValueError unless each is positive and finite."""
+    try:
+        omega = np.asarray(omega, dtype=float)
+        valid = np.all((omega > 0.0) & np.isfinite(omega))
+    except OverflowError:  # an int too large for a float
+        valid = False
+    if not valid:
+        raise ValueError("omega must be positive and finite")
+    return omega
+
+
 def acoustic_conductance(idt: IdtTransducer, omega):
     """Radiation conductance G_a(omega) in siemens. Array-safe in omega."""
-    if not np.all((np.asarray(omega) > 0.0) & np.isfinite(omega)):
-        raise ValueError("omega must be positive and finite")
+    omega = _checked_omega(omega)
     return idt.conductance_peak * _sinc(detuning_parameter(idt, omega)) ** 2
 
 
 def coupling_rate(idt: IdtTransducer, omega):
     """Acoustic energy decay rate Gamma_a(omega) = Gamma_a0 * sinc(X)**2 (rad/s)."""
-    if not np.all((np.asarray(omega) > 0.0) & np.isfinite(omega)):
-        raise ValueError("omega must be positive and finite")
+    omega = _checked_omega(omega)
     return idt.decay_peak * _sinc(detuning_parameter(idt, omega)) ** 2
 
 

@@ -239,6 +239,13 @@ def test_idt_response_validation(capsys):
     assert main(["idt", "response", "--np", "0", "--f-idt", "2.26e9",
                  "--k2", "7.11e-4"]) == 2
     capsys.readouterr()
+    for pairs in ("1", "2"):
+        assert main(["idt", "response", "--np", pairs, "--f-idt", "2.3e9", "--k2", "0.0007"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the default --f-min, f_idt * (1 - 2/np), is not positive for --np <= 2; give --f-min\n")
+    assert main(["idt", "response", "--np", "2", "--f-idt", "2.3e9", "--k2", "0.0007",
+                 "--f-min", "1e9", "--count", "3"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [
@@ -475,15 +482,29 @@ _HUGE_CONTROL_GRID = {"control_frequency_grid": {"start": 1e308, "stop": 1.7e308
     (["simulate", "flux-sweep"], {"probe_detuning_grid": {"start": -1e308, "stop": 1e308, "count": 3}}),
     (["simulate", "control-sweep"], _HUGE_CONTROL_GRID),
     (["pipeline", "linewidth"], _HUGE_CONTROL_GRID),
-], ids=["flux-rabi-angular", "flux-grid-span", "control-grid-angular", "pipeline-grid-angular"])
+    (["simulate", "power-sweep"],
+     {"power_grid": {"start": -60, "stop": -60, "count": 1}, "noise": {"sigma_rel": 1.5e308, "seed": 75}}),
+    (["simulate", "flux-sweep"], {"scale": 1e308, "crosstalk_re": 1e308}),
+    (["pipeline", "linewidth"], {"noise": {"sigma_rel": 1e300}}),
+    (["pipeline", "linewidth"], {"noise": {"sigma_rel": 1e308}}),
+    (["pipeline", "linewidth"], {"noise": {"sigma_rel": 1e300, "kind": "magnitude"}}),
+    (["pipeline", "linewidth"], {"atom": {"anharmonicity_hz": 1e307}}),
+], ids=["flux-rabi-angular", "flux-grid-span", "control-grid-angular", "pipeline-grid-angular",
+        "power-noise-abs", "flux-scale-crosstalk", "pipeline-noise-1e300", "pipeline-noise-1e308",
+        "pipeline-magnitude-noise", "pipeline-detunings-mean"])
 def test_angular_overflow_prints_only_the_error_line(tmp_path, capsys, argv, overlay):
-    # finite in Hz, not in rad/s: no numpy warning precedes the error line
+    # a value finite in the config that overflows on the way (in rad/s, in
+    # the noise, in the exported abs, in a fit's mean of the detunings)
+    # ends the run with the one error line, with no numpy warning before it
+    # and numpy's error state as it was
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(overlay))
+    before = np.geterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main([*argv, "--profile", "paper", "--config", str(path)])
     assert [str(w.message) for w in caught] == []
+    assert np.geterr() == before
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""

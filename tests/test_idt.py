@@ -177,3 +177,9 @@ def test_coupling_rate_rejects_infinite_frequency_before_any_arithmetic(device_i
     # an inf omega used to reach sin(inf) and inf/inf, warn twice and give nan
     with pytest.raises(ValueError, match="omega must be positive and finite"):
         coupling_rate(device_idt, math.inf)
+
+
+@pytest.mark.parametrize("function", [coupling_rate, acoustic_conductance])
+def test_int_frequency_too_large_for_a_float_rejected(device_idt, function):
+    with pytest.raises(ValueError, match="omega must be positive and finite"):
+        function(device_idt, 10**400)
