@@ -90,14 +90,12 @@ def _checked_omega(omega) -> np.ndarray:
 
 def acoustic_conductance(idt: IdtTransducer, omega):
     """Radiation conductance G_a(omega) in siemens. Array-safe in omega."""
-    omega = _checked_omega(omega)
-    return idt.conductance_peak * _sinc(detuning_parameter(idt, omega)) ** 2
+    return idt.conductance_peak * _sinc(detuning_parameter(idt, _checked_omega(omega))) ** 2
 
 
 def coupling_rate(idt: IdtTransducer, omega):
     """Acoustic energy decay rate Gamma_a(omega) = Gamma_a0 * sinc(X)**2 (rad/s)."""
-    omega = _checked_omega(omega)
-    return idt.decay_peak * _sinc(detuning_parameter(idt, omega)) ** 2
+    return idt.decay_peak * _sinc(detuning_parameter(idt, _checked_omega(omega))) ** 2
 
 
 def idt_bandwidth(idt: IdtTransducer) -> float:

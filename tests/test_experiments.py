@@ -551,6 +551,17 @@ def test_singular_model_point_is_config_error():
         run_experiment(cfg)
 
 
+def test_float_overflow_raises_only_inside_a_run():
+    # outside a run numpy keeps its own error state, so the grid only warns
+    grid = GridSpec(start=-1e308, stop=1e308, count=3)
+    with pytest.warns(RuntimeWarning, match="encountered in"):
+        grid.values()
+    before = np.geterr()
+    with pytest.raises(ConfigError, match="^a config value is out of range: float overflow$"):
+        run_experiment(replace(paper_profile("flux-sweep"), probe_detuning_grid=grid))
+    assert np.geterr() == before
+
+
 # ---------------------------------------------------------------------------
 # Export / import
 # ---------------------------------------------------------------------------
