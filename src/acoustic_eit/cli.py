@@ -21,6 +21,7 @@ from .experiments import (
     FORMATS,
     PROFILE_NAMES,
     _MAX_POINTS,
+    _float_overflow_is_config_error,
     export_result,
     paper_profile,
     resolve_config,
@@ -125,14 +126,15 @@ def _handle_idt_response(args: argparse.Namespace) -> int:
         raise ConfigError(f"--count must be from 2 to {_MAX_POINTS}")
     freqs = np.linspace(f_min, f_max, args.count)
     omegas = hz_to_angular(freqs)
-    rates = coupling_rate(idt, omegas)
-    data = {
-        "frequency_hz": freqs,
-        "detuning_parameter": detuning_parameter(idt, omegas),
-        "response": rates / idt.decay_peak,
-        "coupling_rate_hz": angular_to_hz(rates),
-        "conductance_s": acoustic_conductance(idt, omegas),
-    }
+    with _float_overflow_is_config_error():
+        rates = coupling_rate(idt, omegas)
+        data = {
+            "frequency_hz": freqs,
+            "detuning_parameter": detuning_parameter(idt, omegas),
+            "response": rates / idt.decay_peak,
+            "coupling_rate_hz": angular_to_hz(rates),
+            "conductance_s": acoustic_conductance(idt, omegas),
+        }
     summary = {
         "bandwidth_hz": angular_to_hz(idt_bandwidth(idt)),
         "peak_rate_hz": angular_to_hz(idt.decay_peak),

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import stat
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from itertools import chain, islice, repeat
@@ -750,6 +751,19 @@ def _linewidth_pipeline(config: ExperimentConfig) -> RunResult:
     return RunResult(config=config, data=data, summary=summary)
 
 
+@contextmanager
+def _float_overflow_is_config_error() -> Iterator[None]:
+    """Run the block with numpy raising on float overflow and invalid
+    operations (an inner np.errstate still wins), and turn that error or an
+    OverflowError into ConfigError. numpy's error state is set for the block
+    alone."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (OverflowError, FloatingPointError) as exc:
+        raise ConfigError("a config value is out of range: float overflow") from exc
+
+
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run the config's scheme: the one entry point of every scheme. A float
     overflow or invalid operation anywhere in the run (the exported abs
@@ -763,10 +777,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         "linewidth-pipeline": _linewidth_pipeline,
     }
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with _float_overflow_is_config_error():
             return runners[config.scheme](config)
-    except (OverflowError, FloatingPointError) as exc:
-        raise ConfigError("a config value is out of range: float overflow") from exc
     except SingularModelError as exc:
         raise ConfigError(f"the config puts the model at a singular point: {exc}") from exc
 

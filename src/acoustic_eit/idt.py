@@ -47,6 +47,13 @@ class IdtTransducer:
             raise ValueError("k2 must lie in (0, 1)")
         if not (self.capacitance > 0.0 and math.isfinite(self.capacitance)):
             raise ValueError("capacitance must be positive and finite")
+        try:
+            peaks_valid = 0.0 < self.decay_peak < math.inf and 0.0 < self.conductance_peak < math.inf
+        except OverflowError:  # pairs too large for a float
+            peaks_valid = False
+        if not peaks_valid:
+            raise ValueError("the peaks k2 * pairs * omega_center / 2 and k2 * pairs * omega_center * capacitance "
+                             "must be positive and finite")
 
     @property
     def conductance_peak(self) -> float:
@@ -63,9 +70,11 @@ def _sinc(x):
     """sin(x)/x with a Taylor branch near zero; a scalar gives a float."""
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SINC_TAYLOR_CUTOFF
-    x2 = x * x
+    # each branch sees only its own points, so the branch not taken neither
+    # overflows (x * x for a large |x|) nor divides 0 by 0
+    near = np.where(small, x, 0.0)
+    x2 = near * near
     taylor = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    # avoid 0/0 warnings on the branch not taken
     safe = np.where(small, 1.0, x)
     out = np.where(small, taylor, np.sin(safe) / safe)
     return float(out) if out.ndim == 0 else out

@@ -55,37 +55,48 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.reshape(prod.shape[:-4] + (_VEC, _VEC))
 
 
+# read-only tables of build_liouvillian: _COMMUTATOR (9, 81) takes the row-major
+# H (..., 9) to kron(I, H) - kron(H^T, I); _DISSIPATORS (4, 9, 9) holds each
+# channel's dissipator at unit rate, in the order of the module docstring
+_EYE = np.eye(_DIM)
+_UNITS = np.eye(_VEC).reshape(_VEC, _DIM, _DIM)  # |k><l| at index 3k + l
+_JUMPS = _UNITS[[1, 5, 4, 8]]  # |0><1|, |1><2|, |1><1|, |2><2|
+_JDJ = np.swapaxes(_JUMPS, -1, -2) @ _JUMPS
+_COMMUTATOR = (_kron(_EYE, _UNITS) - _kron(np.swapaxes(_UNITS, -1, -2), _EYE)).reshape(_VEC, -1)
+_DISSIPATORS = _kron(_JUMPS, _JUMPS) - 0.5 * _kron(_EYE, _JDJ) - 0.5 * _kron(np.swapaxes(_JDJ, -1, -2), _EYE)
+_COMMUTATOR.setflags(write=False)
+_DISSIPATORS.setflags(write=False)
+
+
 def build_liouvillian(atom: ThreeLevelAtom, Delta_p, Delta_c, Omega_p, Omega_c) -> np.ndarray:
     """Column-stacked Liouvillian L with d vec(rho)/dt = L vec(rho) for an atom under a drive.
 
     The drive arguments broadcast: scalars give (9, 9), arrays (..., 9, 9)
     over their broadcast shape. A non-finite drive value or a negative
     amplitude raises ValueError. H and the four decay channels are those of
-    the module docstring; a zero-rate channel is skipped, and the dissipator
-    is built once and shared by every matrix of the stack.
+    the module docstring. No Kronecker product is taken per call: L's
+    imaginary part is minus the row-major H times _COMMUTATOR, its real part,
+    shared by the stack, the sum of (sqrt rate)**2 times _DISSIPATORS over the
+    channels of nonzero rate. Every table entry is 0, +-1 or +-1/2, so L is
+    the textbook kron construction bit for bit, up to the sign of a zero.
     """
     _check_drive((Delta_p, Delta_c), (Omega_p, Omega_c))
     dp, dc, op, oc = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                            for x in (Delta_p, Delta_c, Omega_p, Omega_c)))
-    h = np.zeros(dp.shape + (_DIM, _DIM), dtype=complex)
-    h[..., 1, 1] = -dp
-    h[..., 2, 2] = -(dp + dc)
-    h[..., 0, 1] = h[..., 1, 0] = 0.5 * op
-    h[..., 1, 2] = h[..., 2, 1] = 0.5 * oc
-    eye = np.eye(_DIM)
-    dissipator = np.zeros((_VEC, _VEC), dtype=complex)
-    for row, col, rate in ((0, 1, atom.Gamma10), (1, 2, atom.Gamma21),
-                           (1, 1, 2.0 * atom.gphi1), (2, 2, 2.0 * atom.gphi2)):
+    h = np.zeros(dp.shape + (_VEC,))
+    h[..., 4] = -dp
+    h[..., 8] = -(dp + dc)
+    h[..., 1] = h[..., 3] = 0.5 * op
+    h[..., 5] = h[..., 7] = 0.5 * oc
+    dissipator = np.zeros((_VEC, _VEC))
+    for table, rate in zip(_DISSIPATORS, (atom.Gamma10, atom.Gamma21, 2.0 * atom.gphi1, 2.0 * atom.gphi2)):
         if rate > 0.0:
-            jump = np.zeros((_DIM, _DIM), dtype=complex)
-            jump[row, col] = np.sqrt(rate)
-            jump_dag_jump = jump.conj().T @ jump
-            dissipator += (
-                _kron(jump.conj(), jump)
-                - 0.5 * _kron(eye, jump_dag_jump)
-                - 0.5 * _kron(jump_dag_jump.T, eye)
-            )
-    return -1j * (_kron(eye, h) - _kron(np.swapaxes(h, -1, -2), eye)) + dissipator
+            root = math.sqrt(rate)
+            dissipator += root * root * table
+    liouvillian = np.empty(dp.shape + (_VEC, _VEC), dtype=complex)
+    liouvillian.real = dissipator
+    liouvillian.imag = -(h @ _COMMUTATOR).reshape(liouvillian.shape)
+    return liouvillian
 
 
 def _unvec(v: np.ndarray) -> np.ndarray:

@@ -248,6 +248,40 @@ def test_idt_response_validation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--np", "3", "--f-idt", "2.3e9", "--k2", "0.0007", "--ct", "1e308"], "must be positive and finite"),
+    (["--np", "3", "--f-idt", "1e-300", "--k2", "1e-320", "--ct", "1e-320"], "must be positive and finite"),
+    (["--np", "25", "--f-idt", "1e307", "--k2", "7.11e-4"], "a config value is out of range: float overflow"),
+], ids=["conductance-peak-overflow", "peaks-underflow", "detuning-overflow"])
+def test_idt_response_out_of_range_prints_only_the_error_line(capsys, argv, message):
+    # every flag is finite, but a peak or the array factor is not: the
+    # command ends with one error line, no numpy warning and no inf or nan row
+    before = np.geterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["idt", "response", *argv, "--count", "3"])
+    assert [str(w.message) for w in caught] == []
+    assert np.geterr() == before
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def test_idt_response_far_from_the_center_is_zero_without_warning(capsys):
+    # |X| ~ 1e302: sinc is 0 there, and the Taylor branch not taken must
+    # not overflow, or the run's overflow check would reject a valid table
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["idt", "response", "--np", "25", "--f-idt", "1", "--k2", "7e-4",
+                     "--f-min", "1", "--f-max", "1e300", "--count", "3"])
+    assert [str(w.message) for w in caught] == []
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[2:] for row in rows[1:]] == [["0", "0", "0"]] * 2
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "control-sweep", "--profile", "paper", "--config", "huge.json"],
     ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--count", str(10**15)],

@@ -41,6 +41,18 @@ def test_constructor_validation():
         IdtTransducer(**{**good, "capacitance": -1e-13})
 
 
+@pytest.mark.parametrize("overrides", [
+    {"pairs": 3, "omega_center": 2.0 * math.pi * 2.3e9, "k2": 7e-4, "capacitance": 1e308},
+    {"pairs": 3, "omega_center": 2.0 * math.pi * 1e-300, "k2": 1e-320, "capacitance": 1e-320},
+    {"pairs": 10**400},
+], ids=["conductance-overflow", "peaks-underflow", "pairs-too-large-for-a-float"])
+def test_constructor_rejects_peaks_that_are_not_positive_and_finite(overrides):
+    # each factor is valid, but the product that scales every response is not
+    good = dict(pairs=25, omega_center=1e9, k2=0.01, capacitance=1e-13)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        IdtTransducer(**{**good, **overrides})
+
+
 def test_constructor_rejects_bool_pairs():
     # True is an int, but not a count of finger periods
     with pytest.raises(ValueError, match="pairs must be an integer"):

@@ -90,6 +90,45 @@ def test_zero_rate_liouvillian_is_the_hamiltonian_commutator():
     assert np.array_equal(lv, -1j * (np.kron(eye, h) - np.kron(h.T, eye)))
 
 
+def _textbook_liouvillian(atom, Delta_p, Delta_c, Omega_p, Omega_c):
+    """The module docstring's H and jump operators, assembled with np.kron."""
+    h = np.array([[0.0, 0.5 * Omega_p, 0.0],
+                  [0.5 * Omega_p, -Delta_p, 0.5 * Omega_c],
+                  [0.0, 0.5 * Omega_c, -(Delta_p + Delta_c)]], dtype=complex)
+    eye = np.eye(3)
+    dissipator = 0
+    for row, col, rate in ((0, 1, atom.Gamma10), (1, 2, atom.Gamma21),
+                           (1, 1, 2.0 * atom.gphi1), (2, 2, 2.0 * atom.gphi2)):
+        if rate > 0.0:
+            jump = np.zeros((3, 3), dtype=complex)
+            jump[row, col] = np.sqrt(rate)
+            jdj = jump.conj().T @ jump
+            dissipator = dissipator + (np.kron(jump.conj(), jump)
+                                       - 0.5 * np.kron(eye, jdj) - 0.5 * np.kron(jdj.T, eye))
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye)) + dissipator
+
+
+def test_liouvillian_equals_the_textbook_construction():
+    # bit for bit, over random atoms with some channels switched off and
+    # over scalar and stacked drives
+    pairs = _random_atom_drives(17, 40)
+    for k, (atom, drive) in enumerate(pairs):
+        atom = replace(atom, **{name: 0.0 for bit, name in enumerate(("Gamma21", "gphi1", "gphi2"))
+                                if k >> bit & 1})
+        assert np.array_equal(build_liouvillian(atom, *drive), _textbook_liouvillian(atom, *drive))
+        drives = np.array([other for _, other in pairs[:7]]).T
+        stack = build_liouvillian(atom, *drives)
+        assert stack.shape == (7, 9, 9)
+        for lv, one in zip(stack, drives.T):
+            assert np.array_equal(lv, _textbook_liouvillian(atom, *one))
+
+
+def test_liouvillian_tables_are_read_only():
+    for table in (lindblad._COMMUTATOR, lindblad._DISSIPATORS):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+
+
 def test_liouvillian_broadcasts_over_drive_arrays(reflection_atom):
     delta_p = np.array([-1.0, 0.5, 2.0]) * MHZ
     omega_c = np.array([[0.0], [6.1 * MHZ]])
