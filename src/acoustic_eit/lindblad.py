@@ -61,7 +61,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _EYE = np.eye(_DIM)
 _UNITS = np.eye(_VEC).reshape(_VEC, _DIM, _DIM)  # |k><l| at index 3k + l
 _JUMPS = _UNITS[[1, 5, 4, 8]]  # |0><1|, |1><2|, |1><1|, |2><2|
-_JDJ = np.swapaxes(_JUMPS, -1, -2) @ _JUMPS
+_JDJ = _UNITS[[4, 8, 4, 8]]  # J^dag J = |c><c| for J = |r><c|
 _COMMUTATOR = (_kron(_EYE, _UNITS) - _kron(np.swapaxes(_UNITS, -1, -2), _EYE)).reshape(_VEC, -1)
 _DISSIPATORS = _kron(_JUMPS, _JUMPS) - 0.5 * _kron(_EYE, _JDJ) - 0.5 * _kron(np.swapaxes(_JDJ, -1, -2), _EYE)
 _COMMUTATOR.setflags(write=False)

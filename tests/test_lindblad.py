@@ -112,11 +112,11 @@ def test_liouvillian_equals_the_textbook_construction():
     # bit for bit, over random atoms with some channels switched off and
     # over scalar and stacked drives
     pairs = _random_atom_drives(17, 40)
+    drives = np.array([drive for _, drive in pairs[:7]]).T
     for k, (atom, drive) in enumerate(pairs):
         atom = replace(atom, **{name: 0.0 for bit, name in enumerate(("Gamma21", "gphi1", "gphi2"))
                                 if k >> bit & 1})
         assert np.array_equal(build_liouvillian(atom, *drive), _textbook_liouvillian(atom, *drive))
-        drives = np.array([other for _, other in pairs[:7]]).T
         stack = build_liouvillian(atom, *drives)
         assert stack.shape == (7, 9, 9)
         for lv, one in zip(stack, drives.T):
