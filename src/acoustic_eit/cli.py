@@ -3,7 +3,10 @@
 Exit codes: 0 success, 2 configuration/validation failure, 3 fit
 non-convergence or rank deficiency. `oracle check` returns 1 when the
 steady-state solver and the closed-form scattering model disagree beyond
-tolerance (which would indicate a broken build, not a bad config).
+tolerance (which would indicate a broken build, not a bad config). Every
+command runs under one float-overflow policy: a float overflow or invalid
+operation anywhere in it exits 2 with the one line `error: a config value
+is out of range: float overflow`, and leaves numpy's error state as it was.
 """
 
 from __future__ import annotations
@@ -126,15 +129,14 @@ def _handle_idt_response(args: argparse.Namespace) -> int:
         raise ConfigError(f"--count must be from 2 to {_MAX_POINTS}")
     freqs = np.linspace(f_min, f_max, args.count)
     omegas = hz_to_angular(freqs)
-    with _float_overflow_is_config_error():
-        rates = coupling_rate(idt, omegas)
-        data = {
-            "frequency_hz": freqs,
-            "detuning_parameter": detuning_parameter(idt, omegas),
-            "response": rates / idt.decay_peak,
-            "coupling_rate_hz": angular_to_hz(rates),
-            "conductance_s": acoustic_conductance(idt, omegas),
-        }
+    rates = coupling_rate(idt, omegas)
+    data = {
+        "frequency_hz": freqs,
+        "detuning_parameter": detuning_parameter(idt, omegas),
+        "response": rates / idt.decay_peak,
+        "coupling_rate_hz": angular_to_hz(rates),
+        "conductance_s": acoustic_conductance(idt, omegas),
+    }
     summary = {
         "bandwidth_hz": angular_to_hz(idt_bandwidth(idt)),
         "peak_rate_hz": angular_to_hz(idt.decay_peak),
@@ -244,7 +246,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        with _float_overflow_is_config_error():
+            return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

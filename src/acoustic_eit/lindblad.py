@@ -213,7 +213,8 @@ def weak_probe_deviation(
     control-amplitude grids at a fixed small probe amplitude, and returns
     the largest absolute and relative deviations and the location of the
     largest relative one. Relative deviation at a point is
-    |r_me - r_wp| / max(|r_wp|, 1e-30).
+    |r_me - r_wp| / max(|r_wp|, 1e-30). A deviation that is not finite
+    makes both maxima NaN and locates the first such point.
 
     The grid is walked with Omega_c outermost and Delta_p innermost, in
     chunks of at most ``_CHUNK`` points, each solved as one stack by
@@ -239,8 +240,12 @@ def weak_probe_deviation(
         r_me = master_equation_reflection(atom, dp, dc, Omega_p, oc)
         r_wp = reflection_coefficient(atom.Gamma10, atom.gamma10, atom.gamma20, oc, dp, dc)
         dev = np.abs(r_me - r_wp)
+        max_abs = max(float(dev.max()), max_abs)  # a NaN goes first, or max() drops it
+        if not math.isfinite(max_abs):  # a NaN left out of the maxima would read as agreement
+            max_abs = max_rel = math.nan
+            worst = start + int(np.flatnonzero(~np.isfinite(dev))[0])
+            break
         rel = dev / np.maximum(np.abs(r_wp), 1e-30)
-        max_abs = max(max_abs, float(dev.max()))
         top = int(np.argmax(rel))
         if rel[top] > max_rel:
             max_rel = float(rel[top])

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
 
-@np.errstate(over="ignore")  # an overflow is inf, which the callers' finiteness checks reject
 def hz_to_angular(frequency_hz):
-    """Ordinary frequency (Hz) to angular frequency (rad/s). Array-safe."""
+    """Ordinary frequency (Hz) to angular frequency (rad/s). Array-safe; an
+    array that overflows follows numpy's error state."""
     return TWO_PI * frequency_hz
 
 

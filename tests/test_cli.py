@@ -248,18 +248,26 @@ def test_idt_response_validation(capsys):
     capsys.readouterr()
 
 
+_IDT = ["idt", "response", "--count", "3"]
+_OVERFLOW = "a config value is out of range: float overflow"
+
+
 @pytest.mark.parametrize("argv,message", [
-    (["--np", "3", "--f-idt", "2.3e9", "--k2", "0.0007", "--ct", "1e308"], "must be positive and finite"),
-    (["--np", "3", "--f-idt", "1e-300", "--k2", "1e-320", "--ct", "1e-320"], "must be positive and finite"),
-    (["--np", "25", "--f-idt", "1e307", "--k2", "7.11e-4"], "a config value is out of range: float overflow"),
-], ids=["conductance-peak-overflow", "peaks-underflow", "detuning-overflow"])
+    ([*_IDT, "--np", "3", "--f-idt", "2.3e9", "--k2", "0.0007", "--ct", "1e308"], "must be positive and finite"),
+    ([*_IDT, "--np", "3", "--f-idt", "1e-300", "--k2", "1e-320", "--ct", "1e-320"], "must be positive and finite"),
+    ([*_IDT, "--np", "25", "--f-idt", "1e307", "--k2", "7.11e-4"], _OVERFLOW),
+    (["oracle", "check", "--grid-count", "3", "--span-hz", "2e307"], _OVERFLOW),
+    (["oracle", "check", "--grid-count", "2", "--probe-rabi-hz", "1e-320"], _OVERFLOW),
+], ids=["conductance-peak-overflow", "peaks-underflow", "detuning-overflow", "oracle-detuning-sum-overflow",
+        "oracle-reflection-overflow"])
 def test_idt_response_out_of_range_prints_only_the_error_line(capsys, argv, message):
-    # every flag is finite, but a peak or the array factor is not: the
-    # command ends with one error line, no numpy warning and no inf or nan row
+    # every flag is finite, but a peak, the array factor, the oracle's
+    # Delta_p + Delta_c or its Gamma10 / Omega_p is not: the command ends with
+    # one error line, no numpy warning and no inf or nan row
     before = np.geterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["idt", "response", *argv, "--count", "3"])
+        code = main(argv)
     assert [str(w.message) for w in caught] == []
     assert np.geterr() == before
     assert code == 2
@@ -542,8 +550,7 @@ def test_angular_overflow_prints_only_the_error_line(tmp_path, capsys, argv, ove
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "out of range" in captured.err
+    assert captured.err == f"error: {_OVERFLOW}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -95,6 +95,18 @@ def test_param_builders_wrap_domain_errors():
         NoiseParams(sigma_rel=-0.1)
     with pytest.raises(ConfigError):
         NoiseParams(kind="additive")
+    # an int too large for a float is out of range, not an OverflowError
+    flux = paper_profile("flux-sweep")
+    for build, message in [
+        (lambda: GridSpec(10**400, 1.0, 3), "grid start/stop must be finite numbers"),
+        (lambda: NoiseParams(sigma_rel=10**400), "noise.sigma_rel must be >= 0"),
+        (lambda: replace(flux, control_rabi_hz=(10**400,)), "control_rabi_hz values must be finite and nonnegative"),
+        (lambda: replace(flux, scale=10**400), "scale must be positive"),
+        (lambda: AtomParams(frequency_hz=10**400, anharmonicity_hz=1e8, decay_hz=1e7).build(),
+         "invalid atom parameters: int too large to convert to float"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            build()
 
 
 def test_calibration_k_is_bit_exact_for_both_forms():

@@ -346,6 +346,39 @@ def test_multi_chunk_grid_is_max_over_control_slices(reflection_atom):
     assert full[3:] == worst[3:]
 
 
+def test_deviation_that_is_not_finite_is_nan(reflection_atom):
+    # Omega_p = 2 pi 1e-320 rad/s: Gamma10 / Omega_p overflows, so every
+    # master-equation value is NaN, which max() and > would drop as agreement
+    grid = np.array([-5.0, 0.0, 5.0]) * MHZ
+    with np.errstate(invalid="ignore"):
+        report = weak_probe_deviation(reflection_atom, grid, grid, [0.0, 6.1 * MHZ],
+                                      Omega_p=2.0 * math.pi * 1e-320)
+    assert math.isnan(report.max_abs) and math.isnan(report.max_rel)
+    assert report[3:] == (grid[0], grid[0], 0.0)
+
+
+def test_deviation_locates_the_first_point_that_is_not_finite(reflection_atom, monkeypatch):
+    # an inf and then a NaN in the second chunk, after the finite deviations
+    # of the first: both maxima are NaN, and the worst point is the inf
+    grid = np.linspace(-50.0, 50.0, 21) * MHZ
+    controls = np.array([0.0, 6.1, 30.0]) * MHZ
+    solve = lindblad.master_equation_reflection
+    chunks = []
+
+    def spoiled(*args):
+        r = solve(*args)
+        if chunks:
+            r[[1100 - _CHUNK, 1200 - _CHUNK]] = [math.inf, math.nan]
+        chunks.append(r)
+        return r
+
+    monkeypatch.setattr(lindblad, "master_equation_reflection", spoiled)
+    report = weak_probe_deviation(reflection_atom, grid, grid, controls)
+    assert math.isnan(report.max_abs) and math.isnan(report.max_rel)
+    i_o, i_c, i_p = np.unravel_index(1100, (3, 21, 21))
+    assert report[3:] == (grid[i_p], grid[i_c], controls[i_o])
+
+
 def test_deviation_memory_is_bounded_by_the_chunk(reflection_atom):
     axis = np.linspace(-40.0, 40.0, 20) * MHZ
     controls = np.linspace(0.0, 30.0, 20) * MHZ
