@@ -230,8 +230,8 @@ def fit_linewidth_line(
     ((rad/s)^2 per watt) with standard errors. Weights are 1/sigma^2 when
     sigma is given, else uniform; the errors carry the residual-variance
     scaling of the nonlinear fits, so noiseless data report zero
-    uncertainty. gamma10 comes from an independent probe-only measurement
-    and is treated as exact.
+    uncertainty. gamma10 is treated as exact; the linewidth pipeline passes
+    the configured atom's own gamma10.
     """
     powers = np.asarray(powers_watts, dtype=float)
     widths = np.asarray(gamma_eit, dtype=float)
@@ -334,21 +334,20 @@ def fit_two_level(samples: Samples, *, Gamma10: float) -> FitResult:
     amp0 = float(np.max(y))
     if amp0 <= 0.0:
         raise ValueError("samples must contain positive magnitudes")
+    # |r| falls to half its peak at |Delta_p| = sqrt(3) * gamma10; a line
+    # narrower than the sampling has one sample above half, so the floor starts it
     half = y >= 0.5 * amp0
-    if np.count_nonzero(half) >= 2:
-        # |r| falls to half its peak at |Delta_p| = sqrt(3) * gamma10
-        gamma0 = 0.5 * float(np.ptp(x[half])) / math.sqrt(3.0)
-    else:
-        gamma0 = 0.125 * float(np.ptp(x))
-    gamma0 = max(gamma0, 1e-3 * float(np.ptp(x)))
+    gamma0 = max(0.5 * float(np.ptp(x[half])) / math.sqrt(3.0), 1e-3 * float(np.ptp(x)))
     scale0 = amp0 * 2.0 * gamma0 / Gamma10
 
     def evaluate(theta: np.ndarray, rows: np.ndarray):
         gamma, scale = theta[0]
-        root = np.sqrt(gamma * gamma + x * x)
-        f = scale * (0.5 * Gamma10) / root
-        d_gamma = -scale * (0.5 * Gamma10) * gamma / root**3
-        d_scale = (0.5 * Gamma10) / root
+        # a step clamped onto gamma = 0 divides by 0 at Delta_p = 0; its residuals reject it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.sqrt(gamma * gamma + x * x)
+            f = scale * (0.5 * Gamma10) / root
+            d_gamma = -scale * (0.5 * Gamma10) * gamma / root**3
+            d_scale = (0.5 * Gamma10) / root
         return ((f - y) * w)[None], (np.column_stack([d_gamma, d_scale]) * w[:, None])[None]
 
     return _only(levenberg_marquardt_stack(

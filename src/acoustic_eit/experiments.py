@@ -6,9 +6,9 @@ way into the physics layer and back to Hz on the way out, so exported tables
 are directly plot-ready.
 
 Determinism: a config plus its seed fully determines every byte of the
-export. Noise uses a counter-based generator (Philox); multi-row schemes
-derive one child seed per row via SeedSequence.spawn so row order and
-parallel evaluation cannot change the draws. Exports carry no timestamps.
+export. Noise uses a counter-based generator (Philox): a sweep draws its
+(n, 2) block from the config seed, and the linewidth pipeline derives one
+child seed per power row via SeedSequence.spawn. Exports carry no timestamps.
 """
 
 from __future__ import annotations

@@ -47,6 +47,9 @@ _RESIDUAL_RTOL = 1e-10
 # grid points per batched solve in weak_probe_deviation; a chunk's (n, 9, 9)
 # stack and its temporaries stay at a few MB whatever the grid size
 _CHUNK = 1024
+# weak_probe_deviation's default probe over the atom's smallest positive coherence
+# rate: the weak-probe term (~1e-13 on the paper atom) then stays above rounding
+_WEAK_PROBE_FRACTION = 1e-6
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,16 +208,20 @@ def weak_probe_deviation(
     Delta_p_values: Sequence[float],
     Delta_c_values: Sequence[float],
     Omega_c_values: Sequence[float],
-    Omega_p: float = 2.0 * np.pi * 1.0e4,
+    Omega_p: float | None = None,
 ) -> DeviationReport:
     """Compare the steady-state reflection to the weak-probe formula.
 
     Evaluates both on the Cartesian product of the supplied detuning and
-    control-amplitude grids at a fixed small probe amplitude, and returns
-    the largest absolute and relative deviations and the location of the
-    largest relative one. Relative deviation at a point is
-    |r_me - r_wp| / max(|r_wp|, 1e-30). A deviation that is not finite
-    makes both maxima NaN and locates the first such point.
+    control-amplitude grids and returns the largest absolute and relative
+    deviations and the location of the largest relative one. Relative
+    deviation at a point is |r_me - r_wp| / max(|r_wp|, 1e-30). A deviation
+    that is not finite makes both maxima NaN and locates the first such point.
+
+    Omega_p unset is ``_WEAK_PROBE_FRACTION`` times gamma_min, the smaller
+    positive of atom.gamma10 and atom.gamma20 (ValueError if neither is); a
+    correct closed form then deviates by the weak-probe term alone: about 0.08
+    (paper atom) and at most about 6 (random atoms) times (Omega_p / gamma_min)**2.
 
     The grid is walked with Omega_c outermost and Delta_p innermost, in
     chunks of at most ``_CHUNK`` points, each solved as one stack by
@@ -222,8 +229,11 @@ def weak_probe_deviation(
     negative Omega_c before the chunk's solve) and compared with one
     closed-form call.
     """
+    if Omega_p is None:
+        Omega_p = _WEAK_PROBE_FRACTION * min((rate for rate in (atom.gamma10, atom.gamma20) if rate > 0.0),
+                                             default=math.nan)
     if not (Omega_p > 0.0 and math.isfinite(Omega_p)):
-        raise ValueError("Omega_p must be positive and finite")
+        raise ValueError("Omega_p must be positive and finite; unset, it needs a positive gamma10 or gamma20")
     axes = [np.asarray(values, dtype=float) for values in (Omega_c_values, Delta_c_values, Delta_p_values)]
     if any(axis.ndim != 1 or axis.size == 0 for axis in axes):
         raise ValueError("deviation grid must be a nonempty sequence in every axis")

@@ -80,13 +80,13 @@ def test_criterion_04_master_equation_oracle(capsys, reflection_atom):
     start = time.perf_counter()
     report = weak_probe_deviation(reflection_atom, grid, grid, controls)
     elapsed = time.perf_counter() - start
-    ok = report.points == 1323 and report.max_rel <= 1e-3 and elapsed < 10.0
+    ok = report.points == 1323 and report.max_rel <= 1e-10 and elapsed < 10.0
     _report(capsys, 4, ok,
             f"analytic vs steady-state reflection: max rel dev "
             f"{report.max_rel:.2e} over {report.points} points in {elapsed:.1f} s "
-            "(bound 1e-3, budget 10 s)")
+            "(bound 1e-10, budget 10 s)")
     assert report.points == 1323
-    assert report.max_rel <= 1e-3
+    assert report.max_rel <= 1e-10
     assert elapsed < 10.0
 
 

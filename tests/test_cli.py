@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acoustic_eit import cli, experiments
+from acoustic_eit import cli, experiments, lindblad
 from acoustic_eit.cli import build_parser, main
 from acoustic_eit.experiments import _CHUNK_ROWS, import_csv, resolve_config, result_text, run_experiment
 from textdiff import assert_same_text
@@ -257,13 +257,11 @@ _OVERFLOW = "a config value is out of range: float overflow"
     ([*_IDT, "--np", "3", "--f-idt", "1e-300", "--k2", "1e-320", "--ct", "1e-320"], "must be positive and finite"),
     ([*_IDT, "--np", "25", "--f-idt", "1e307", "--k2", "7.11e-4"], _OVERFLOW),
     (["oracle", "check", "--grid-count", "3", "--span-hz", "2e307"], _OVERFLOW),
-    (["oracle", "check", "--grid-count", "2", "--probe-rabi-hz", "1e-320"], _OVERFLOW),
-], ids=["conductance-peak-overflow", "peaks-underflow", "detuning-overflow", "oracle-detuning-sum-overflow",
-        "oracle-reflection-overflow"])
+], ids=["conductance-peak-overflow", "peaks-underflow", "detuning-overflow", "oracle-detuning-sum-overflow"])
 def test_idt_response_out_of_range_prints_only_the_error_line(capsys, argv, message):
-    # every flag is finite, but a peak, the array factor, the oracle's
-    # Delta_p + Delta_c or its Gamma10 / Omega_p is not: the command ends with
-    # one error line, no numpy warning and no inf or nan row
+    # every flag is finite, but a peak, the array factor or the oracle's
+    # Delta_p + Delta_c is not: the command ends with one error line, no
+    # numpy warning and no inf or nan row
     before = np.geterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -329,7 +327,7 @@ def test_oracle_check_prints_worst_point(capsys):
 def test_oracle_check_flag_validation(capsys):
     assert main(["oracle", "check", "--grid-count", "1"]) == 2
     capsys.readouterr()
-    # the cap bounds the run time: 3 * 501**2 points take about 10 s
+    # the cap bounds the run time: 3 * 501**2 points take about 3 s
     assert main(["oracle", "check", "--grid-count", "502"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -489,19 +487,45 @@ def test_integer_too_large_for_a_float_is_config_error(tmp_path, capsys):
     assert "probe_detuning_hz is too large for a float" in captured.err
 
 
-def test_oracle_check_fails_beyond_weak_probe(capsys):
-    # a probe as strong as the decay rates saturates the transition, so the
-    # master equation leaves the weak-probe closed form behind
-    assert main(["oracle", "check", "--probe-rabi-hz", "1e8"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "oracle check FAILED: max relative deviation > 0.001"
+_WRONG_CLOSED_FORMS = {
+    "true": lambda G10, g10, g20, oc, dp, dc: (G10, g10, g20, oc, dp, dc),
+    "gamma20-1e-8": lambda G10, g10, g20, oc, dp, dc: (G10, g10, g20 * (1.0 + 1e-8), oc, dp, dc),
+    "gamma10-1e-8": lambda G10, g10, g20, oc, dp, dc: (G10, g10 * (1.0 + 1e-8), g20, oc, dp, dc),
+    "Gamma10-1e-8": lambda G10, g10, g20, oc, dp, dc: (G10 * (1.0 + 1e-8), g10, g20, oc, dp, dc),
+    "control-detuning-sign": lambda G10, g10, g20, oc, dp, dc: (G10, g10, g20, oc, dp, -dc),
+}
+
+
+@pytest.mark.parametrize("wrong", list(_WRONG_CLOSED_FORMS))
+def test_oracle_check_fails_a_wrong_closed_form(monkeypatch, capsys, wrong):
+    # at the oracle's own probe the weak-probe term is ~1e-13, so a closed
+    # form off by 1e-8 in one rate reads ~1e-8 and fails the 1e-10 bound
+    closed_form = lindblad.reflection_coefficient
+    monkeypatch.setattr(lindblad, "reflection_coefficient",
+                        lambda *args: closed_form(*_WRONG_CLOSED_FORMS[wrong](*args)))
+    code = main(["oracle", "check"])
+    last = capsys.readouterr().out.splitlines()[-1]
+    if wrong == "true":
+        assert (code, last) == (0, "oracle check passed: max relative deviation <= 1e-10")
+    else:
+        assert (code, last) == (1, "oracle check FAILED: max relative deviation > 1e-10")
+
+
+def test_oracle_check_has_no_probe_flag(capsys):
+    # the oracle derives its probe from the atom
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "check", "--probe-rabi-hz", "1e4"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert "unrecognized arguments: --probe-rabi-hz 1e4" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
     ["--span-hz", "1e307"],
     ["--span-hz", "1e160"],
-    ["--probe-rabi-hz", "1e300"],
-], ids=["span-1e307", "span-1e160", "probe-1e300"])
+], ids=["span-1e307", "span-1e160"])
 def test_oracle_check_too_large_for_the_solver_is_config_error(capsys, argv):
     # finite in rad/s, but the Liouvillian norm overflows: the residual test
     # cannot be made, so the check does not pass, and no numpy warning shows
@@ -556,15 +580,11 @@ def test_angular_overflow_prints_only_the_error_line(tmp_path, capsys, argv, ove
 @pytest.mark.parametrize("argv", [
     ["oracle", "check", "--grid-count", "2", "--span-hz", "inf"],
     ["oracle", "check", "--grid-count", "2", "--span-hz", "nan"],
-    ["oracle", "check", "--grid-count", "2", "--probe-rabi-hz", "nan"],
-    ["oracle", "check", "--grid-count", "2", "--probe-rabi-hz", "inf"],
     ["oracle", "check", "--grid-count", "2", "--span-hz", "1e308"],
-    ["oracle", "check", "--grid-count", "2", "--probe-rabi-hz", "1e308"],
     ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--f-max", "inf"],
     ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--f-min", "nan"],
     ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--f-max", "1e308", "--count", "3"],
-], ids=["span-inf", "span-nan", "probe-nan", "probe-inf", "span-angular-overflow", "probe-angular-overflow",
-        "f-max-inf", "f-min-nan", "f-max-angular-overflow"])
+], ids=["span-inf", "span-nan", "span-angular-overflow", "f-max-inf", "f-min-nan", "f-max-angular-overflow"])
 def test_non_finite_flag_is_config_error(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from acoustic_eit import estimation, leastsq
+from acoustic_eit import estimation, experiments, leastsq
 from acoustic_eit import (
     ConvergenceError,
     RankError,
@@ -391,11 +391,29 @@ def test_two_level_radiatively_limited_peak():
     assert peak == pytest.approx(1.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("count", [21, 101])
+@pytest.mark.parametrize("gamma_mhz", [0.2, 0.5, 0.8, 2.0])
+def test_two_level_line_narrower_than_its_sampling(count, gamma_mhz):
+    # the grid samples Delta_p = 0 and at most one point sits above half the
+    # peak: the fit starts from its floor and recovers the line with no
+    # warning (a test failure here), also under the float-overflow policy
+    gamma = gamma_mhz * MHZ
+    x = np.linspace(-50.0, 50.0, count) * MHZ
+    y = 0.5 * GAMMA10_EMIT / np.sqrt(gamma * gamma + x * x)
+    with experiments._float_overflow_is_config_error():
+        res = fit_two_level(samples_from_arrays(x, y), Gamma10=GAMMA10_EMIT)
+    assert res.converged
+    assert res.value("gamma10") == pytest.approx(gamma, rel=1e-9)
+    assert res.value("scale") == pytest.approx(1.0, rel=1e-9)
+
+
 def test_two_level_validation():
     x, y = _two_level_curve(n=4)
     with pytest.raises(ValueError):
         fit_two_level(samples_from_arrays(x, y), Gamma10=GAMMA10_EMIT)
     x, y = _two_level_curve(n=9)
+    with pytest.raises(ValueError, match="positive magnitudes"):
+        fit_two_level(samples_from_arrays(x, -y), Gamma10=GAMMA10_EMIT)
     with pytest.raises(ValueError):
         fit_two_level(samples_from_arrays(x, y), Gamma10=0.0)
     with pytest.raises(ValueError):

@@ -23,7 +23,11 @@ The master-equation oracle is pinned the same way: the ``oracle check``
 stdout at two grids, and the raw complex128 bytes of
 ``master_equation_reflection`` over seeded random atoms (some with a
 zero-rate dephasing channel) and broadcast drive arrays, captured before the
-Hamiltonian and jump operators were folded into ``build_liouvillian``.
+Hamiltonian and jump operators were folded into ``build_liouvillian``. The
+two ``oracle check`` digests were recaptured when the oracle's probe went
+from a fixed 10 kHz to 1e-6 * gamma20 of the paper atom (4.94 Hz) and its
+bound from 1e-3 to 1e-10; ``test_oracle_probe_move_follows_the_weak_probe_law``
+bounds the moved deviation.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from acoustic_eit import ThreeLevelAtom, master_equation_reflection
+from acoustic_eit import ThreeLevelAtom, master_equation_reflection, weak_probe_deviation
 from acoustic_eit.cli import main
 from acoustic_eit.experiments import NoiseParams, paper_profile, result_text, run_experiment
 
@@ -104,19 +108,32 @@ def test_idt_response_bytes_match_golden_digests(capsys, fmt):
 
 
 ORACLE_GOLDEN = {
-    (): "aabb792426442dfaf3baa6cb693a7efeaeded32bff6c0814fd95e8833890dd82",
-    ("--grid-count", "51", "--probe-rabi-hz", "3e5"):
-        "cf7423dbd249eb846ef6b49e6aa275d057101412bc36795727592ea4680b3d1e",
+    (): "19113575ff685cb330ee22ae08d49bcefd64c011105ef36f44ae1438bb609094",
+    ("--grid-count", "51"): "fd3f3393147ea35658dad87bbd4085ccdda061b3f7df71110fc26dffd8af4e4e",
 }
 MASTER_EQUATION_GOLDEN = "e1e990a10c45bfa3fb947a4830b9391fb4898408ad78a8053755948cc4d364bf"
 MHZ = 2.0 * math.pi * 1e6
 
 
-@pytest.mark.parametrize("flags", list(ORACLE_GOLDEN), ids=["default", "grid-51-probe-3e5"])
+@pytest.mark.parametrize("flags", list(ORACLE_GOLDEN), ids=["default", "grid-51"])
 def test_oracle_check_stdout_matches_golden_digests(capsys, flags):
     assert main(["oracle", "check", *flags]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == ORACLE_GOLDEN[flags], f"oracle check {' '.join(flags)} stdout changed"
+
+
+def test_oracle_probe_move_follows_the_weak_probe_law():
+    # the deviation is the weak-probe term, quadratic in the probe: the
+    # derived probe's worst deviation is the former 10 kHz one times
+    # (Omega_p / 10 kHz)**2, at the same grid point
+    atom = paper_profile("control-sweep").atom.build()
+    grid = np.linspace(-50.0, 50.0, 21) * MHZ
+    controls = np.array([0.0, 6.1, 30.0]) * MHZ
+    derived = weak_probe_deviation(atom, grid, grid, controls)
+    former = weak_probe_deviation(atom, grid, grid, controls, Omega_p=2.0 * math.pi * 1.0e4)
+    assert derived.max_rel == pytest.approx(former.max_rel * (1e-6 * atom.gamma20 / (2.0 * math.pi * 1.0e4)) ** 2,
+                                            rel=1e-2)
+    assert derived[3:] == former[3:]
 
 
 def test_master_equation_reflection_matches_golden_digest():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from acoustic_eit.leastsq import FitResult
+from acoustic_eit.leastsq import FitResult, levenberg_marquardt_stack
 from numdiff import central_difference
 
 
@@ -132,6 +132,13 @@ def test_names_length_validation(fit_one):
         fit_one(lambda x: x, [1.0, 2.0], lambda x: np.eye(2), names=("only-one",))
     with pytest.raises(ValueError):
         fit_one(lambda x: x, [1.0, 2.0], lambda x: np.eye(2), lower=[0.0])
+
+
+@pytest.mark.parametrize("x0", [[1.0, 2.0], [[[1.0]]]], ids=["1-d", "3-d"])
+def test_start_not_one_row_per_fit_raises(x0):
+    with pytest.raises(ValueError, match=r"shape \(k, p\)"):
+        levenberg_marquardt_stack(lambda theta, rows: pytest.fail("evaluated"), x0, names=("a", "b"),
+                                  lower=[0.0, 0.0])
 
 
 def test_non_finite_initial_residual_raises(fit_one):

@@ -279,6 +279,25 @@ def test_weak_probe_deviation_strong_probe_breaks(reflection_atom):
     assert weaker.max_rel < strong.max_rel
 
 
+@pytest.mark.parametrize("rates", [{}, {"Gamma21": 0.0, "gphi2": 0.0}, {"gphi1": 0.0, "gphi2": 30.0 * MHZ}],
+                         ids=["gamma20-smaller", "gamma20-zero", "gamma10-smaller"])
+def test_weak_probe_deviation_derives_its_probe_from_the_atom(reflection_atom, rates):
+    atom = replace(reflection_atom, **rates)
+    positive = [rate for rate in (atom.gamma10, atom.gamma20) if rate > 0.0]
+    dp = np.linspace(-30.0, 30.0, 5) * MHZ
+    dc = [-10.0 * MHZ, 0.0]
+    oc = [6.1 * MHZ, 30.0 * MHZ]  # a control couples |2> in, also where it does not decay
+    assert weak_probe_deviation(atom, dp, dc, oc) == weak_probe_deviation(
+        atom, dp, dc, oc, Omega_p=1e-6 * min(positive))
+
+
+def test_weak_probe_deviation_needs_a_positive_coherence_rate(monkeypatch):
+    atom = ThreeLevelAtom(omega10=1e9, anharmonicity=1e8, Gamma10=0.0)
+    monkeypatch.setattr(lindblad, "master_equation_reflection", lambda *args: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="positive gamma10 or gamma20"):
+        weak_probe_deviation(atom, [0.0], [0.0], [6.1 * MHZ])
+
+
 def test_weak_probe_deviation_rejects_empty_grid(reflection_atom):
     with pytest.raises(ValueError):
         weak_probe_deviation(reflection_atom, [], [0.0], [0.0])

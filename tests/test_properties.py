@@ -25,7 +25,6 @@ from acoustic_eit import (
 )
 
 MHZ = 2.0 * math.pi * 1e6
-WEAK_PROBE = 2.0 * math.pi * 1.0e4
 
 SEEDED = settings(derandomize=True, deadline=None, database=None)
 
@@ -53,9 +52,10 @@ controls = _mhz(0.0, 40.0)
        delta_c=st.lists(detunings, min_size=1, max_size=3),
        omega_c=st.lists(controls, min_size=1, max_size=3))
 def test_closed_form_matches_steady_state(atom, delta_p, delta_c, omega_c):
-    report = weak_probe_deviation(atom, delta_p, delta_c, omega_c, Omega_p=WEAK_PROBE)
+    # at the oracle's own probe a correct closed form reads at most ~1e-11
+    report = weak_probe_deviation(atom, delta_p, delta_c, omega_c)
     assert report.points == len(delta_p) * len(delta_c) * len(omega_c)
-    assert report.max_rel <= 1e-3
+    assert report.max_rel <= 1e-10
 
 
 @SEEDED
