@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from acoustic_eit.cli import main
 from acoustic_eit.estimation import fit_transmission, samples_from_arrays
@@ -91,6 +90,9 @@ def test_criterion_04_master_equation_oracle(capsys, reflection_atom):
 
 
 def test_criterion_05_linewidth_identity(capsys):
+    # scipy is a test extra: without it this criterion is skipped, and the rest
+    # of the suite still runs on the numpy-only runtime
+    brentq = pytest.importorskip("scipy.optimize").brentq
     rng = np.random.Generator(np.random.Philox(12345))
     worst = 0.0
     for _ in range(1000):
