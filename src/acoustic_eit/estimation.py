@@ -123,12 +123,13 @@ def fit_dip_stack(x, y, sigma=None) -> list[FitResult | Exception]:
 
     Weighted least squares when sigma (k, n) is given. Returns one entry per
     row: its FitResult, or the error fitting that row alone raises
-    (ValueError for a sigma that is not positive and finite, ConvergenceError
-    for a fit that does not converge). Each entry equals the fit of that row
-    as a batch of one. Constant data leaves the width and center
-    unidentifiable: the baseline is then reported exactly and the result is
-    flagged instead of iterated. Shapes that do not match, fewer than 5
-    samples, or complex curves raise ValueError for the whole stack.
+    (ValueError for a value that is not finite, else for a sigma that is not
+    positive and finite; ConvergenceError for a fit that does not converge).
+    Each entry equals the fit of that row as a batch of one. Constant data
+    leaves the width and center unidentifiable: the baseline is then
+    reported exactly and the result is flagged instead of iterated. Shapes
+    that do not match, fewer than 5 samples, complex curves or a non-finite
+    abscissa raise ValueError for the whole stack.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
@@ -138,18 +139,21 @@ def fit_dip_stack(x, y, sigma=None) -> list[FitResult | Exception]:
         raise ValueError("need at least 5 samples spanning the dip")
     if np.iscomplexobj(y):
         raise ValueError("dip curves must be real (|r|^2 values)")
+    if not np.isfinite(x).all():
+        raise ValueError("sample abscissa must be finite")
     y = y.astype(float, copy=False)
     outcomes: list[FitResult | Exception | None] = [None] * len(y)
-    if sigma is None:
-        rows = np.arange(len(y))
-        ws = np.ones_like(y)
-    else:
+    valid = np.isfinite(y).all(axis=1)
+    for i in np.flatnonzero(~valid):
+        outcomes[i] = ValueError("sample value must be finite")
+    if sigma is not None:
         sigma = np.asarray(sigma, dtype=float)
-        valid = ((sigma > 0.0) & np.isfinite(sigma)).all(axis=1)
-        for i in np.flatnonzero(~valid):
+        weighted = ((sigma > 0.0) & np.isfinite(sigma)).all(axis=1)
+        for i in np.flatnonzero(valid & ~weighted):
             outcomes[i] = ValueError("sample sigma must be positive and finite when present")
-        rows = np.flatnonzero(valid)
-        ws = 1.0 / sigma[rows]
+        valid &= weighted
+    rows = np.flatnonzero(valid)
+    ws = np.ones((rows.size, x.size)) if sigma is None else 1.0 / sigma[rows]
     ys = y[rows]
 
     # constant data leaves width and center unidentifiable: report the

@@ -926,10 +926,10 @@ def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]
     float when float() accepts it, and stays text otherwise; quoted cells
     (RFC 4180) may hold commas, quotes and line breaks. A row ends at a
     newline, a carriage return or CRLF outside quotes, and at no other
-    line-break character. Empty lines are skipped. An empty file, a row
-    whose cell count differs from the header's, or malformed quoting (a
-    quote left open at the end of the file, or text after a closing quote)
-    raises ValueError.
+    line-break character. Empty lines are skipped. An empty file, a header
+    that names a column twice, a row whose cell count differs from the
+    header's, or malformed quoting (a quote left open at the end of the
+    file, or text after a closing quote) raises ValueError.
 
     The file is streamed: one scan of its bytes for a quote or a carriage
     return picks the parser, then the rows are read, checked and parsed
@@ -950,6 +950,9 @@ def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]
             raise ValueError(f"{path} is empty")
         columns = tuple(header if quoted else header.rstrip("\n").split(","))
         width = len(columns)
+        if len(set(columns)) < width:
+            repeated = next(name for i, name in enumerate(columns) if name in columns[:i])
+            raise ValueError(f"{path}: column {repeated!r} repeats in the header")
         rows: list[dict[str, Any]] = []
         while block := list(islice(table, _CHUNK_ROWS)):
             if quoted:

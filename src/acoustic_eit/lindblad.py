@@ -5,9 +5,9 @@ This module is the in-package oracle for the scattering formulas in
 rotating-frame Hamiltonian and jump operators below, as the real generator
 G of the Bloch vector, solves the steady state exactly (dense linear
 algebra, no perturbation in the probe), and reads the reflection
-coefficient off the steady-state coherence. In the
-weak-probe limit the result must agree with the closed-form kernel to high
-accuracy; ``weak_probe_deviation`` measures that agreement on a grid.
+coefficient off the steady-state coherence. In the weak-probe limit the
+result must agree with the closed-form kernel to high accuracy;
+``weak_probe_deviation`` measures that agreement on a grid.
 
 The Liouvillian builder broadcasts its drive arguments and the steady-state
 solver takes one matrix or a stack of them with any leading batch dims, so a
@@ -32,12 +32,11 @@ The generator acts on the real Bloch vector
 with du/dt = G u. rho is Hermitian, so these nine real numbers fix it, and
 the Lindblad equation maps Hermitian matrices to Hermitian matrices, so G
 is real: these are the optical Bloch equations, and the steady state is one
-real solve. G is the column-stacked Liouvillian L, vec(A rho B) = (B^T kron
-A) vec(rho), in that basis: G = T^-1 L T with vec(rho) = T u. T's entries
-are 0, +-1 and +-i, and T^-1's 0, 1, +-1/2 and +-i/2, so the change is exact.
-The trace tr(rho) = u0 + u1 + u2 is conserved: the trace row (1, 1, 1, 0,
-..., 0) annihilates G, so G u = 0 is singular, and steady_state closes it by
-putting that row, with tr(rho) = 1, in place of G's first row.
+real solve. Column j of G is u of d(rho)/dt at rho = B_j, the Hermitian
+matrix whose u is the j-th unit vector. The trace tr(rho) = u0 + u1 + u2
+is conserved: the trace row (1, 1, 1, 0, ..., 0) annihilates G, so G u = 0
+is singular, and steady_state closes it by putting that row, with
+tr(rho) = 1, in place of G's first row.
 """
 
 from __future__ import annotations
@@ -62,49 +61,42 @@ _CHUNK = 1024
 _WEAK_PROBE_FRACTION = 1e-6
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of trailing 3x3 blocks, broadcast over leading dims."""
-    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return prod.reshape(prod.shape[:-4] + (_VEC, _VEC))
+# the Bloch basis: coordinate i of u(A) is the real part, or the imaginary
+# part where _IMAG[i], of A[_ROW[i], _COL[i]]; _BASIS[j] is the Hermitian
+# matrix B_j whose u is the j-th unit vector
+_ROW = np.array([0, 1, 2, 1, 1, 2, 2, 2, 2])
+_COL = np.array([0, 1, 2, 0, 0, 0, 0, 1, 1])
+_IMAG = np.array([False, False, False, False, True, False, True, False, True])
+_BASIS = np.zeros((_VEC, _DIM, _DIM), dtype=complex)
+_BASIS[np.arange(_VEC), _ROW, _COL] = np.where(_IMAG, 1j, 1.0)
+_BASIS = np.where(np.eye(_DIM, dtype=bool), _BASIS, _BASIS + np.swapaxes(_BASIS, -1, -2).conj())
+_TRACE_ROW = np.trace(_BASIS, axis1=-2, axis2=-1).real  # tr(rho) = sum_j u_j tr(B_j) = u0 + u1 + u2
 
 
-# rho from the Bloch vector u: rho[r, c] = u[_RHO_REAL[r, c]] + i _RHO_SIGN[r, c] u[_RHO_IMAG[r, c]]
-_RHO_REAL = np.array([[0, 3, 5], [3, 1, 7], [5, 7, 2]])
-_RHO_IMAG = np.array([[0, 4, 6], [4, 0, 8], [6, 8, 0]])
-_RHO_SIGN = np.array([[0.0, -1.0, -1.0], [1.0, 0.0, -1.0], [1.0, 1.0, 0.0]])
-# the same map as a matrix, vec(rho) = _TO_VEC u; its inverse is its conjugate
-# transpose with the coherence rows halved
-_TO_VEC = np.zeros((_VEC, _VEC), dtype=complex)
-_COLUMN_STACKED = np.arange(_VEC).reshape(_DIM, _DIM).T  # vec position of rho[r, c]
-_TO_VEC[_COLUMN_STACKED, _RHO_IMAG] = 1j * _RHO_SIGN
-_TO_VEC[_COLUMN_STACKED, _RHO_REAL] += 1.0
-_FROM_VEC = _TO_VEC.conj().T / np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])[:, None]
-# tr(rho) = u0 + u1 + u2
-_TRACE_ROW = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of trailing 3x3 blocks, broadcast over leading dims; einsum, not a matmul,
+    so the package import makes no BLAS call, whose first use adds about 0.4 MB of resident memory."""
+    return np.einsum("...rs,...sc->...rc", a, b)
 
 
-def _to_bloch(superoperator: np.ndarray) -> np.ndarray:
-    """Column-stacked superoperators (..., 9, 9) in the Bloch basis; exact, and real for a Lindblad generator.
-
-    einsum, not a matmul: the package import then makes no BLAS call, whose
-    first use in a process adds about 0.4 MB of resident memory.
-    """
-    return np.einsum("ij,...jk,kl->...il", _FROM_VEC, superoperator, _TO_VEC).real
+def _generator(images: np.ndarray) -> np.ndarray:
+    """Real generators (..., 9, 9) whose column j is u of images[..., j, :, :], the image of B_j."""
+    picked = np.moveaxis(images, -3, -1)[..., _ROW, _COL, :]
+    return np.where(_IMAG[:, None], picked.imag, picked.real)
 
 
 # read-only tables of build_liouvillian: _DRIVE (4, 81) takes the drive terms
 # (-Delta_p, -(Delta_p + Delta_c), Omega_p/2, Omega_c/2) to G's row-major
-# entries, each the Bloch form of -i[H_k, .] for its unit Hamiltonian H_k;
-# _DISSIPATORS (4, 9, 9) holds each channel's dissipator at unit rate, in the
-# order of the module docstring
-_EYE = np.eye(_DIM)
-_UNITS = np.eye(_VEC).reshape(_VEC, _DIM, _DIM)  # |k><l| at index 3k + l
-_HAMILTONIANS = np.array([_UNITS[4], _UNITS[8], _UNITS[1] + _UNITS[3], _UNITS[5] + _UNITS[7]])
-_JUMPS = _UNITS[[1, 5, 4, 8]]  # |0><1|, |1><2|, |1><1|, |2><2|
-_JDJ = _UNITS[[4, 8, 4, 8]]  # J^dag J = |c><c| for J = |r><c|
-_COMMUTATORS = -1j * (_kron(_EYE, _HAMILTONIANS) - _kron(np.swapaxes(_HAMILTONIANS, -1, -2), _EYE))
-_DRIVE = _to_bloch(_COMMUTATORS).reshape(len(_HAMILTONIANS), _VEC * _VEC)
-_DISSIPATORS = _to_bloch(_kron(_JUMPS, _JUMPS) - 0.5 * _kron(_EYE, _JDJ) - 0.5 * _kron(np.swapaxes(_JDJ, -1, -2), _EYE))
+# entries, each the Bloch form of -i[H_k, .] for its unit Hamiltonian H_k,
+# which is B_1, B_2, B_3 or B_7; _DISSIPATORS (4, 9, 9) holds each channel's
+# J rho J^dag - {J^dag J, rho}/2 at unit rate, in the order of the module docstring
+_HAMILTONIANS = _BASIS[[1, 2, 3, 7], None]
+_JUMPS = np.eye(_VEC).reshape(_VEC, _DIM, _DIM)[[1, 5, 4, 8], None]  # |0><1|, |1><2|, |1><1|, |2><2|
+_JUMPS_DAG = np.swapaxes(_JUMPS, -1, -2)
+_JDAG_J = _product(_JUMPS_DAG, _JUMPS)
+_DRIVE = _generator(-1j * (_product(_HAMILTONIANS, _BASIS) - _product(_BASIS, _HAMILTONIANS))).reshape(4, -1)
+_DISSIPATORS = _generator(_product(_product(_JUMPS, _BASIS), _JUMPS_DAG)
+                          - 0.5 * (_product(_JDAG_J, _BASIS) + _product(_BASIS, _JDAG_J)))
 _DRIVE.setflags(write=False)
 _DISSIPATORS.setflags(write=False)
 
@@ -114,22 +106,25 @@ def build_liouvillian(atom: ThreeLevelAtom, Delta_p, Delta_c, Omega_p, Omega_c) 
 
     u is the Bloch vector of the module docstring. The drive arguments
     broadcast: scalars give (9, 9), arrays (..., 9, 9) over their broadcast
-    shape. A non-finite drive value or a negative amplitude raises ValueError.
+    shape. A non-finite drive value, a detuning sum Delta_p + Delta_c that
+    overflows or a negative amplitude raises ValueError.
     H and the four decay channels are those of the module docstring. No
-    Kronecker product is taken per call: G is the drive terms times _DRIVE
+    matrix product is built per call: G is the drive terms times _DRIVE
     plus, shared by the stack, the sum of (sqrt rate)**2 times _DISSIPATORS
     over the channels of nonzero rate. Every table entry is 0, +-1, +-2 or
     +-1/2, so G is the textbook kron construction carried into the Bloch
     basis, bit for bit up to the sign of a zero.
     """
-    _check_drive((Delta_p, Delta_c), (Omega_p, Omega_c))
     dp, dc, op, oc = (np.asarray(x, dtype=float) for x in (Delta_p, Delta_c, Omega_p, Omega_c))
     shape = np.broadcast(dp, dc, op, oc).shape
     terms = np.empty(shape + (len(_HAMILTONIANS),))
     terms[..., 0] = -dp
     terms[..., 1] = -(dp + dc)
-    terms[..., 2] = 0.5 * op
-    terms[..., 3] = 0.5 * oc
+    terms[..., 2] = op
+    terms[..., 3] = oc
+    # checked before halving: 0.5 * -5e-324 rounds to -0.0, which passes a sign test
+    _check_drive(terms, 2)
+    terms[..., 2:] *= 0.5
     dissipator = np.zeros((_VEC, _VEC))
     for table, rate in zip(_DISSIPATORS, (atom.Gamma10, atom.Gamma21, 2.0 * atom.gphi1, 2.0 * atom.gphi2)):
         if rate > 0.0:
@@ -204,11 +199,7 @@ def steady_state(liouvillian: np.ndarray) -> np.ndarray:
     the error names the stack index of the first one that fails. rho is
     built from u, so it is Hermitian exactly.
     """
-    u = _bloch_steady_state(liouvillian)
-    rho = np.empty(u.shape[:-1] + (_DIM, _DIM), dtype=complex)
-    rho.real = u[..., _RHO_REAL]
-    rho.imag = _RHO_SIGN * u[..., _RHO_IMAG]
-    return rho
+    return np.einsum("...j,jrc->...rc", _bloch_steady_state(liouvillian), _BASIS)
 
 
 def master_equation_reflection(atom: ThreeLevelAtom, Delta_p, Delta_c, Omega_p, Omega_c):

@@ -68,14 +68,12 @@ class ThreeLevelAtom:
         return 0.5 * (self.Gamma10 + self.Gamma21) + self.gphi1 + self.gphi2
 
 
-def _check_drive(detunings, amplitudes) -> None:
-    """ValueError unless every drive value is finite and every Rabi amplitude nonnegative.
-
-    Each value may be a scalar or an array.
-    """
-    if not all(np.isfinite(value).all() for value in (*detunings, *amplitudes)):
+def _check_drive(terms: np.ndarray, amplitudes: int) -> None:
+    """ValueError unless the drive terms along terms' last axis are finite and the last ``amplitudes``
+    of them, the Rabi amplitudes, nonnegative."""
+    if not np.isfinite(terms).all():
         raise ValueError("drive detunings and amplitudes must be finite")
-    if any((np.asarray(value) < 0.0).any() for value in amplitudes):
+    if (terms[..., -amplitudes:] < 0.0).any():
         raise ValueError("Rabi amplitudes must be nonnegative")
 
 
@@ -201,7 +199,7 @@ def group_delay(Gamma10: float, gamma10: float, gamma20: float,
     """
     if not all(rate >= 0.0 and math.isfinite(rate) for rate in (Gamma10, gamma10, gamma20)):
         raise ValueError("Gamma10, gamma10 and gamma20 must be finite nonnegative rates")
-    _check_drive((Delta_p, Delta_c), (Omega_c,))
+    _check_drive(np.array([Delta_p, Delta_c, Omega_c], dtype=float), 1)
     r, two_photon, denominator, transparent = _kernel(
         Gamma10, gamma10, gamma20, Omega_c, Delta_p, Delta_p + Delta_c)
     t0 = 1.0 + r

@@ -113,6 +113,32 @@ def test_dip_rejects_complex_values(imag):
         fit_dip_stack(x, (y + imag)[None])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dip_rejects_a_non_finite_abscissa(bad):
+    x, y = _dip_curve(n=11)
+    x[4] = bad
+    with pytest.raises(ValueError, match="^sample abscissa must be finite$"):
+        fit_dip_stack(x, y[None])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dip_row_with_a_non_finite_value_fails_alone(bad):
+    # a non-finite value fails its own row, with no numpy warning, and no other row
+    x, y = _dip_curve(n=11)
+    y_bad = y.copy()
+    y_bad[5] = bad
+    sigma = np.full((3, y.size), 0.01)
+    sigma[2, 0] = 0.0  # a bad value is reported before a bad sigma
+    bad_row, good, both = fit_dip_stack(x, np.stack([y_bad, y, y_bad]), sigma)
+    for fit in (bad_row, both):
+        assert isinstance(fit, ValueError) and str(fit) == "sample value must be finite"
+    alone, = fit_dip_stack(x, y[None], sigma[1:2])
+    assert good.converged and np.array_equal(good.values, alone.values)
+    unweighted, = fit_dip_stack(x, y_bad[None])
+    assert isinstance(unweighted, ValueError) and str(unweighted) == "sample value must be finite"
+
+
 def test_dip_constant_data_flagged():
     x = np.linspace(-1.0, 1.0, 11)
     res, = fit_dip_stack(x, np.full((1, 11), 0.3))

@@ -751,6 +751,9 @@ def _reference_import_csv(path):
     columns = tuple(next(table, ()))
     if not columns:
         raise ValueError(f"{path} is empty")
+    for i, name in enumerate(columns):
+        if name in columns[:i]:
+            raise ValueError(f"{path}: column {name!r} repeats in the header")
     rows = []
     for cells in table:
         if len(cells) != len(columns):
@@ -982,6 +985,16 @@ def test_import_csv_empty_file_raises_like_reference(tmp_path, text):
     path = tmp_path / "empty.csv"
     path.write_text(text, encoding="utf-8")
     assert _assert_imports_like_reference(path) == ("error", f"{path} is empty")
+
+
+@pytest.mark.parametrize("text, name", [
+    ("a,a,b\n1,2,3\n", "a"), ('a,b,"a"\n1,2,3\n', "a"), ("x,a,b,a,b\n", "a"), ('"x,y",b,"x,y"\r\n', "x,y"),
+])
+def test_import_csv_rejects_a_repeated_column(tmp_path, text, name):
+    # a dict per row would keep only the last of two same-named cells
+    path = tmp_path / "repeated.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _assert_imports_like_reference(path) == ("error", f"{path}: column {name!r} repeats in the header")
 
 
 @pytest.mark.parametrize("quoted", [False, True])

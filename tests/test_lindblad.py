@@ -270,14 +270,20 @@ def test_master_equation_reflection_broadcasts_its_drive(reflection_atom):
     ((0.0, 0.0, -WEAK_PROBE, 0.0), "nonnegative"),
     ((0.0, 0.0, WEAK_PROBE, np.array([6.1 * MHZ, -1.0])), "nonnegative"),
     ((0.0, 0.0, 0.0, 6.1 * MHZ), "positive"),
+    # the sign is checked before the amplitudes are halved: 0.5 * -5e-324 is -0.0
+    ((0.0, 0.0, -5e-324, 0.0), "nonnegative"),
+    ((0.0, 0.0, WEAK_PROBE, -5e-324), "nonnegative"),
+    # each detuning is finite, but the two-photon term -(Delta_p + Delta_c) overflows
+    ((1e308, 1e308, WEAK_PROBE, 0.0), "finite"),
 ], ids=["probe-detuning-inf", "control-detuning-nan", "probe-rabi-inf", "probe-detuning-array-inf",
-        "probe-rabi-negative", "control-rabi-array-negative", "probe-rabi-zero"])
+        "probe-rabi-negative", "control-rabi-array-negative", "probe-rabi-zero",
+        "probe-rabi-tiniest-negative", "control-rabi-tiniest-negative", "detuning-sum-overflows"])
 def test_master_equation_reflection_rejects_bad_drive_before_solving(reflection_atom, monkeypatch, drive, message):
     def no_solve(liouvillian):
         raise AssertionError("a bad drive reached the steady-state solve")
 
     monkeypatch.setattr(lindblad, "_bloch_steady_state", no_solve)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
         master_equation_reflection(reflection_atom, *drive)
 
 

@@ -327,7 +327,8 @@ def test_group_delay_ideal_transparency_limit(reflection_atom):
     (math.inf, 0.0, 0.0, "finite"),
     (6.1 * MHZ, math.inf, 0.0, "finite"),
     (6.1 * MHZ, 0.0, math.nan, "finite"),
-], ids=["negative-control", "control-inf", "probe-detuning-inf", "control-detuning-nan"])
+    (-5e-324, 0.0, 0.0, "nonnegative"),
+], ids=["negative-control", "control-inf", "probe-detuning-inf", "control-detuning-nan", "control-tiniest-negative"])
 def test_group_delay_rejects_bad_drive(reflection_atom, Omega_c, Delta_p, Delta_c, message):
     with pytest.raises(ValueError, match=message):
         group_delay(*_closed_form_rates(reflection_atom), Omega_c, Delta_p, Delta_c)

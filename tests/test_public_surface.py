@@ -14,7 +14,10 @@ from acoustic_eit.model import reflection_coefficient, transmission_flux_coeffic
 
 DELETED = {
     lindblad: ("propagate", "_expm", "_PADE_13", "_THETA_13", "validate_density_matrix",
-               "steady_state_density_matrix", "hamiltonian", "jump_operators", "reflection_from_state"),
+               "steady_state_density_matrix", "hamiltonian", "jump_operators", "reflection_from_state",
+               # the Bloch-basis tables are built from _BASIS, not through a column-stacked Liouvillian
+               "_kron", "_TO_VEC", "_COLUMN_STACKED", "_FROM_VEC", "_to_bloch", "_COMMUTATORS", "_EYE",
+               "_RHO_REAL", "_RHO_IMAG", "_RHO_SIGN", "_JDJ", "_UNITS"),
     model: ("transmission_flux_sweep", "coherence_rates", "DriveCondition", "reflection", "transmission"),
     idt: ("decay_from_conductance",),
     experiments: ("import_json", "run_control_sweep", "run_power_sweep", "run_flux_sweep",
