@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConvergenceError, RankError
 from .leastsq import FitResult, _covariances, levenberg_marquardt_stack
-from .model import _kernel
+from .model import _kernel, _probe_factor
 
 
 class Samples(NamedTuple):
@@ -105,7 +105,10 @@ def _dip_start(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     if window % 2 == 0:
         window += 1
     kernel = np.ones(window) / window
-    padded = np.pad(ys[:, order], ((0, 0), (window // 2, window // 2)), mode="edge")
+    # each sorted curve padded with copies of its edge values
+    sorted_ys = ys[:, order]
+    edges = window // 2
+    padded = np.concatenate([sorted_ys[:, :1]] * edges + [sorted_ys] + [sorted_ys[:, -1:]] * edges, axis=1)
     smooth = np.empty_like(ys)
     smooth[:, order] = [np.convolve(row, kernel, mode="valid") for row in padded]
     baseline = np.max(smooth, axis=1)
@@ -180,24 +183,28 @@ def fit_dip_stack(x, y, sigma=None) -> list[FitResult | Exception]:
 
     def evaluate(theta: np.ndarray, active: np.ndarray):
         center, hwhm, depth, baseline = theta.T[:, :, None]
-        w = ws[active]
+        # every row stays live until the first fit finishes
+        w, y_rows = (ws, ys) if active.size == len(ys) else (ws[active], ys[active])
         dx = x - center
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            denom = dx * dx + hwhm * hwhm
-            lor = np.where(denom > 0.0, hwhm * hwhm / denom, 1.0)
+            # the per-fit factors -2*depth*hwhm and hwhm^2
+            slope, hwhm2 = -depth * 2.0 * hwhm, hwhm * hwhm
+            denom = dx * dx + hwhm2
+            lor = np.where(denom > 0.0, hwhm2 / denom, 1.0)
             f = baseline - depth * lor
             denom2 = denom * denom
-            d_center = -depth * 2.0 * hwhm * hwhm * dx / denom2
-            d_hwhm = -depth * 2.0 * hwhm * dx * dx / denom2
+            # d/dcenter and d/dhwhm
+            d_shape = np.empty((2,) + dx.shape)
+            np.divide(slope * hwhm * dx, denom2, out=d_shape[0])
+            np.divide(slope * dx * dx, denom2, out=d_shape[1])
+        finite = np.isfinite(d_shape)
+        if not finite.all():
+            d_shape[~finite] = 0.0
         jac = np.empty(dx.shape + (4,))
-        for j, column in enumerate((d_center, d_hwhm)):
-            finite = np.isfinite(column)
-            if not finite.all():
-                column = np.where(finite, column, 0.0)
-            np.multiply(column, w, out=jac[:, :, j])
+        np.multiply(d_shape, w, out=jac[:, :, :2].transpose(2, 0, 1))
         np.multiply(-lor, w, out=jac[:, :, 2])
         jac[:, :, 3] = w
-        return (f - ys[active]) * w, jac
+        return (f - y_rows) * w, jac
 
     fits = levenberg_marquardt_stack(
         evaluate, _dip_start(x, ys), names=_DIP_NAMES, lower=np.array([-np.inf, 0.0, -np.inf, -np.inf]))
@@ -449,13 +456,16 @@ def fit_transmission(
     w = np.ones(x.size) if sigma is None else 1.0 / sigma
 
     guess = transmission_initial_guess(samples, gamma10=gamma10)
+    # the model's parts that no parameter moves
+    probe, two_x = _probe_factor(gamma10, x), 2.0 * x
 
     def evaluate(theta: np.ndarray, rows: np.ndarray):
         gamma20, delta, omega_c, scale, c_re, c_im = theta[0]
         c = complex(c_re, c_im)
-        r, two_photon, denominator, transparent = _kernel(
-            Gamma10, gamma10, gamma20, omega_c, x, 2.0 * x + delta)
-        t = scale * (1.0 + r + c)
+        r, two_photon, denominator, transparent = _kernel(Gamma10, probe, gamma20, omega_c, two_x + delta)
+        # t / scale, which is also dt/dscale
+        unscaled = 1.0 + r + c
+        t = scale * unscaled
         # chain rule through D: dt/dD = scale*Gamma10/D**2 with
         # dD/dgamma20 = -Omega_c**2/(2T**2), dD/ddelta = i*Omega_c**2/(2T**2)
         # and dD/dOmega_c = Omega_c/T
@@ -474,7 +484,7 @@ def fit_transmission(
         np.multiply(res.real, w, out=resid[0, :n])
         np.multiply(res.imag, w, out=resid[0, n:])
         jac = np.zeros((1, 2 * n, 6))
-        for j, column in enumerate((d_gamma20, -1j * d_gamma20, d_omega_c, 1.0 + r + c)):
+        for j, column in enumerate((d_gamma20, -1j * d_gamma20, d_omega_c, unscaled)):
             np.multiply(column.real, w, out=jac[0, :n, j])
             np.multiply(column.imag, w, out=jac[0, n:, j])
         # dt/dc_re = scale and dt/dc_im = i*scale

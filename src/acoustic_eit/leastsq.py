@@ -9,9 +9,14 @@ per-parameter at-bound flags reported on the result.
 
 Schedule and stopping rule:
   - damping factor starts at 1e-3, multiplied by 10 on a rejected step and
-    divided by 10 on an accepted one;
+    divided by 10 on an accepted one, never below 1e-15;
+  - a step is accepted when it lowers rss, or when it is tiny (no parameter
+    moves by more than 1e-8 of its value) and its residuals are finite with
+    rss within 64 ulps of the current cost, rss * (1 + 64 eps); a zero step
+    is never taken;
   - convergence when the (projected) gradient norm |J^T r| drops below
-    1e-10 * (1 + rss), within at most 200 iterations.
+    1e-10 * (1 + rss), within at most 200 iterations;
+  - a fit whose damping passes 1e15 stops, unconverged.
 
 Standard errors come from the curvature of the weighted sum of squares at
 the optimum, scaled by the residual variance: cov = inv(J^T J) * rss / (n - p).
@@ -109,7 +114,8 @@ def _gradients(jac: np.ndarray, r: np.ndarray, x: np.ndarray, lower: np.ndarray)
     """J^T r per fit, and the norm of its projection: the components that push
     a bound-clamped parameter outward are left out."""
     grad = (r[:, None, :] @ jac)[:, 0, :]
-    projected = np.where((x <= lower) & (grad > 0.0), 0.0, grad)
+    clamped = x <= lower
+    projected = np.where(clamped & (grad > 0.0), 0.0, grad) if clamped.any() else grad
     return grad, np.sqrt(_dots(projected, projected))
 
 
@@ -132,7 +138,10 @@ def _steps(jac: np.ndarray, grad: np.ndarray, damping: np.ndarray) -> np.ndarray
                 steps[i] = np.linalg.solve(system[i:i + 1], rhs[i:i + 1])[0, :, 0]
             except np.linalg.LinAlgError:
                 pass
-    return np.where(np.isfinite(steps).all(axis=1, keepdims=True), steps, 0.0)
+    finite = np.isfinite(steps)
+    if finite.all():
+        return steps
+    return np.where(finite.all(axis=1, keepdims=True), steps, 0.0)
 
 
 def levenberg_marquardt_stack(
@@ -192,37 +201,50 @@ def levenberg_marquardt_stack(
         x_trial = np.maximum(x_live + step, bound)
         r_trial, jac_trial = (np.ascontiguousarray(a, dtype=float) for a in evaluate(x_trial, live))
         rss_trial = _dots(r_trial, r_trial)
-        better = rss_trial < rss_live
-        if not better.all():
+        # rss_live is finite, so a smaller rss_trial is finite, and so is
+        # every residual it sums
+        take = rss_trial < rss_live
+        every = take.all()
+        if not every:
             # near the optimum the exact cost decrease of a polish step falls
             # below the rounding granularity of rss itself; such a step still
             # moves the gradient to its floating-point floor, so accept it
             # when it is negligibly small and within a few ulps of the cost
             tiny_step = ((np.abs(step) <= 1e-8 * np.maximum(np.abs(x_live), 1e-300)).all(axis=1)
                          & (x_trial != x_live).any(axis=1))
-            better |= tiny_step & (rss_trial <= rss_live * (1.0 + 64.0 * np.finfo(float).eps))
-        # a zero step (singular system) moves nowhere, so it is never accepted
-        take = better & np.isfinite(r_trial).all(axis=1)
-        # with no step taken the state and its gradients stay as they are
-        if take.any():
-            if take.all():
-                x_live, r_live, rss_live, jac_live = x_trial, r_trial, rss_trial, jac_trial
-            else:
-                x_live = np.where(take[:, None], x_trial, x_live)
-                r_live = np.where(take[:, None], r_trial, r_live)
-                rss_live = np.where(take, rss_trial, rss_live)
-                jac_live = np.where(take[:, None, None], jac_trial, jac_live)
+            # a zero step (singular system) moves nowhere, so it is never accepted
+            take |= (tiny_step & (rss_trial <= rss_live * (1.0 + 64.0 * np.finfo(float).eps))
+                     & np.isfinite(r_trial).all(axis=1))
+            every = take.all()
+        if every:
+            x_live, r_live, rss_live, jac_live = x_trial, r_trial, rss_trial, jac_trial
             grad_live, gnorm_live = _gradients(jac_live, r_live, x_live, bound)
-        damping = np.where(take, np.maximum(damping / _DAMPING_SHRINK, 1e-15), damping * _DAMPING_GROW)
-        converged_live = gnorm_live < _GTOL * (1.0 + rss_live)
-        done = converged_live | (damping > _DAMPING_MAX) | (iteration == _MAX_ITER)
+            # shrinking damping cannot pass the damping stop
+            damping = np.maximum(damping / _DAMPING_SHRINK, 1e-15)
+            done = gnorm_live < _GTOL * (1.0 + rss_live)
+        elif take.any():
+            x_live = np.where(take[:, None], x_trial, x_live)
+            r_live = np.where(take[:, None], r_trial, r_live)
+            rss_live = np.where(take, rss_trial, rss_live)
+            jac_live = np.where(take[:, None, None], jac_trial, jac_live)
+            grad_live, gnorm_live = _gradients(jac_live, r_live, x_live, bound)
+            damping = np.where(take, np.maximum(damping / _DAMPING_SHRINK, 1e-15), damping * _DAMPING_GROW)
+            done = (gnorm_live < _GTOL * (1.0 + rss_live)) | (damping > _DAMPING_MAX)
+        else:
+            # with no step taken the state, its gradients and the convergence
+            # test stay as they are
+            damping = damping * _DAMPING_GROW
+            done = damping > _DAMPING_MAX
+        if iteration == _MAX_ITER:
+            done[:] = True
         if done.any():
             rows = live[done]
             x[rows], rss[rows], jac[rows], gnorm[rows] = x_live[done], rss_live[done], jac_live[done], gnorm_live[done]
-            converged[rows] = converged_live[done]
             iterations[rows] = iteration
             live, x_live, r_live, rss_live, jac_live, grad_live, gnorm_live, damping = (
                 a[~done] for a in (live, x_live, r_live, rss_live, jac_live, grad_live, gnorm_live, damping))
+    # the convergence test on each fit's final state
+    converged = gnorm < _GTOL * (1.0 + rss)
 
     covariances = iter(_covariances(jac[started], rss[started]))
     results: list[FitResult | ValueError] = []

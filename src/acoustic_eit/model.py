@@ -79,35 +79,40 @@ def _check_drive(terms: np.ndarray, amplitudes: int) -> None:
 
 # overflowing inputs come back as non-finite values for the callers to reject
 @np.errstate(over="ignore", invalid="ignore")
-def _kernel(Gamma10: float, gamma10: float, gamma20, Omega_c, Delta_p, two_photon_detuning):
+def _probe_factor(gamma10: float, Delta_p):
+    """2*(gamma10 - i*Delta_p), the probe transition's part of the kernel's denominator."""
+    return 2.0 * (gamma10 - 1j * np.asarray(Delta_p, dtype=float))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _kernel(Gamma10: float, probe, gamma20, Omega_c, two_photon_detuning):
     """The closed form on broadcast arrays: (r, two_photon, denominator, transparent).
 
-    two_photon = gamma20 - i*two_photon_detuning and denominator =
-    2*(gamma10 - i*Delta_p) + Omega_c**2 / (2*two_photon), so r = -Gamma10 /
-    denominator. transparent marks perfect transparency (two-photon factor
-    exactly zero with the control on): r is exactly 0 there, and the returned
-    two_photon and denominator hold 1 so that derivatives built from them stay
-    finite. A zero two-photon factor with the control off also reads 1, which
-    makes its control terms vanish. Any other vanishing denominator raises
-    SingularModelError.
+    probe is _probe_factor(gamma10, Delta_p), two_photon = gamma20 -
+    i*two_photon_detuning and denominator = probe + Omega_c**2 /
+    (2*two_photon), so r = -Gamma10 / denominator. transparent marks perfect
+    transparency (two-photon factor exactly zero with the control on): r is
+    exactly 0 there, and the returned two_photon and denominator hold 1 so
+    that derivatives built from them stay finite. A zero two-photon factor
+    with the control off also reads 1, which makes its control terms vanish.
+    Any other vanishing denominator raises SingularModelError.
     """
     Omega_c = np.asarray(Omega_c, dtype=float)
     two_photon = gamma20 - 1j * np.asarray(two_photon_detuning, dtype=float)
     zero = two_photon == 0.0
-    transparent = zero & (Omega_c != 0.0)
-    # each mask is applied only where it selects a point
-    if zero.any():
+    # each mask is built and applied only where it selects a point
+    some_zero = zero.any()
+    if some_zero:
         two_photon = np.where(zero, 1.0, two_photon)
     control_term = Omega_c**2 / (2.0 * two_photon)
-    control_off = Omega_c == 0.0
-    if control_off.any():
-        control_term = np.where(control_off, 0.0, control_term)
-    denominator = 2.0 * (gamma10 - 1j * np.asarray(Delta_p, dtype=float)) + control_term
-    singular = denominator == 0.0
-    if singular.any() and (singular & ~transparent).any():
+    transparent = zero & (Omega_c != 0.0) if some_zero else np.zeros(control_term.shape, dtype=bool)
+    if not Omega_c.all():
+        control_term = np.where(Omega_c == 0.0, 0.0, control_term)
+    denominator = probe + control_term
+    if not denominator.all() and ((denominator == 0.0) & ~transparent).any():
         raise SingularModelError(
             "reflection denominator vanished; need gamma10 > 0 or Delta_p != 0")
-    if not transparent.any():
+    if not (some_zero and transparent.any()):
         return -Gamma10 / denominator, two_photon, denominator, transparent
     denominator = np.where(transparent, 1.0, denominator)
     r = np.where(transparent, 0.0 + 0.0j, -Gamma10 / denominator)
@@ -130,7 +135,7 @@ def reflection_coefficient(Gamma10: float, gamma10: float, gamma20: float,
     all rates and detunings zero).
     """
     dp = np.asarray(Delta_p, dtype=float)
-    r = _kernel(Gamma10, gamma10, gamma20, Omega_c, dp, dp + np.asarray(Delta_c, dtype=float))[0]
+    r = _kernel(Gamma10, _probe_factor(gamma10, dp), gamma20, Omega_c, dp + np.asarray(Delta_c, dtype=float))[0]
     return _scalar_or_array(r)
 
 
@@ -145,7 +150,7 @@ def transmission_flux_coefficient(Gamma10: float, gamma10: float, gamma20: float
     broadcastable arrays; scalars alone give a Python complex.
     """
     dp = np.asarray(Delta_p, dtype=float)
-    r = _kernel(Gamma10, gamma10, gamma20, Omega_c, dp, 2.0 * dp + delta)[0]
+    r = _kernel(Gamma10, _probe_factor(gamma10, dp), gamma20, Omega_c, 2.0 * dp + delta)[0]
     return _scalar_or_array(1.0 + r)
 
 
@@ -201,7 +206,7 @@ def group_delay(Gamma10: float, gamma10: float, gamma20: float,
         raise ValueError("Gamma10, gamma10 and gamma20 must be finite nonnegative rates")
     _check_drive(np.array([Delta_p, Delta_c, Omega_c], dtype=float), 1)
     r, two_photon, denominator, transparent = _kernel(
-        Gamma10, gamma10, gamma20, Omega_c, Delta_p, Delta_p + Delta_c)
+        Gamma10, _probe_factor(gamma10, Delta_p), gamma20, Omega_c, Delta_p + Delta_c)
     t0 = 1.0 + r
     if t0 == 0.0:
         raise UndefinedPhaseError("transmission is zero; phase undefined")

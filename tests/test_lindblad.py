@@ -247,6 +247,36 @@ def test_saturated_probe_kills_reflection(reflection_atom):
     assert abs(r) < 1e-3
 
 
+def _saturation_law(atom, Delta_p, Omega_p):
+    """Reflection of the driven two-level atom at any probe strength."""
+    g10 = atom.gamma10
+    return -atom.Gamma10 * (g10 + 1j * Delta_p) / (
+        2.0 * (g10**2 + Delta_p**2 + Omega_p**2 * g10 / atom.Gamma10))
+
+
+def test_control_off_reflection_is_the_saturation_law():
+    # with the control off the oracle's reflection is the two-level law at
+    # every probe strength s = Omega_p / sqrt(Gamma10 * gamma10), to rounding;
+    # a probe off by 1e-10 reads about 1e-10 against the same law, so the
+    # bound sees it
+    rng = np.random.Generator(np.random.Philox(12))
+    worst = worst_off = 0.0
+    for _ in range(200):
+        Gamma10, Gamma21, gphi1, gphi2 = rng.uniform([1.0, 0.0, 0.0, 0.0], [40.0, 40.0, 10.0, 10.0]) * MHZ
+        atom = ThreeLevelAtom(omega10=1e9, anharmonicity=1e8, Gamma10=float(Gamma10),
+                              Gamma21=float(Gamma21), gphi1=float(gphi1), gphi2=float(gphi2))
+        Omega_p = float(rng.uniform(0.0, 10.0)) * math.sqrt(atom.Gamma10 * atom.gamma10)
+        delta_p = rng.uniform(-50.0, 50.0, 64) * MHZ
+        delta_c = float(rng.uniform(-50.0, 50.0)) * MHZ
+        r = master_equation_reflection(atom, delta_p, delta_c, Omega_p, 0.0)
+        law = _saturation_law(atom, delta_p, Omega_p)
+        worst = max(worst, float(np.max(np.abs(r - law) / np.abs(law))))
+        off = _saturation_law(atom, delta_p, Omega_p * (1.0 + 1e-10))
+        worst_off = max(worst_off, float(np.max(np.abs(r - off) / np.abs(off))))
+    assert worst <= 1e-13
+    assert worst_off > 1e-11
+
+
 def test_master_equation_reflection_broadcasts_its_drive(reflection_atom):
     delta_p = np.array([-4.0, 0.0, 7.5]) * MHZ
     omega_c = np.array([[0.0], [6.1 * MHZ]])

@@ -155,7 +155,9 @@ def test_other_fit_paths_are_pinned(monkeypatch):
     problems = _edge_problems()
     # "iteration-cap" accepts every step while "damping-overflow" rejects
     # every step, so the last stack never accepts one
-    stacks = (list(problems), ["iteration-cap", "damping-overflow", "exponential"],
+    # the digest was taken over the problems before "non-finite-tiny-step"
+    pinned = [name for name in problems if name != "non-finite-tiny-step"]
+    stacks = (pinned, ["iteration-cap", "damping-overflow", "exponential"],
               ["damping-overflow", "damping-overflow"])
     for lower in (FREE, [-np.inf, 0.0]):
         for names in stacks:
@@ -222,6 +224,8 @@ T = np.linspace(0.0, 2.0, 8)
 TINY = 2.2e-161  # TINY**2 is about 100 units of the smallest subnormal
 FIRST = (T == 0.0).astype(float)
 FREE = [-np.inf, -np.inf]
+NEAR_OPTIMUM = np.array([2.0 + 8e-9, 0.5])
+SPOILED = np.where(T == 0.0, np.nan, np.where(T == T[1], np.inf, 0.0))
 
 
 def _edge_problems():
@@ -252,6 +256,12 @@ def _edge_problems():
             lambda x: np.column_stack([np.exp(-x[1] * T), -x[0] * T * np.exp(-x[1] * T)]))),
         "non-finite-start": (np.array([1.0, 1.0]), (lambda x: np.full(T.size, np.inf),
                                                             lambda x: design)),
+        # 8e-9 off the optimum, so the first trial step passes the tiny-step
+        # size test, and residuals that hold a NaN and an inf everywhere but
+        # the start: no step is ever taken
+        "non-finite-tiny-step": (NEAR_OPTIMUM, (
+            lambda x: design @ x - design @ start if np.all(x == NEAR_OPTIMUM) else SPOILED,
+            lambda x: design)),
     }
 
 
@@ -286,6 +296,23 @@ def test_mixed_stack_matches_fits_alone(lower, fit_one):
     assert fits["damping-overflow"].iterations == 19 and not fits["damping-overflow"].converged
     assert fits["exponential"].converged
     assert isinstance(fits["non-finite-start"], ValueError)
+    # its trial steps are rejected until the damping stop, so it ends where it started
+    spoiled = fits["non-finite-tiny-step"]
+    assert spoiled.iterations == 19 and not spoiled.converged
+    assert np.array_equal(spoiled.values, NEAR_OPTIMUM)
+
+
+def test_spoiled_tiny_step_passes_the_size_test():
+    # the first trial step of "non-finite-tiny-step" is one the tiny-step rule
+    # would weigh: no larger than 1e-8 of each parameter, and not zero
+    _, (residual, jacobian) = _edge_problems()["non-finite-tiny-step"]
+    r, jac = residual(NEAR_OPTIMUM)[None], jacobian(NEAR_OPTIMUM)[None]
+    grad, gnorm = leastsq._gradients(jac, r, NEAR_OPTIMUM[None], np.array(FREE))
+    assert gnorm[0] >= leastsq._GTOL * (1.0 + r[0] @ r[0])
+    step = leastsq._steps(jac, grad, np.array([leastsq._DAMPING_INIT]))[0]
+    assert np.all(np.abs(step) <= 1e-8 * np.abs(NEAR_OPTIMUM))
+    assert np.any(NEAR_OPTIMUM + step != NEAR_OPTIMUM)
+    assert np.isnan(SPOILED).any() and np.isinf(SPOILED).any()
 
 
 def test_singular_case_is_singular():

@@ -18,7 +18,7 @@ from acoustic_eit import (
     transmission_flux_coefficient,
 )
 from acoustic_eit.experiments import paper_profile, run_experiment
-from acoustic_eit.model import _kernel
+from acoustic_eit.model import _kernel, _probe_factor
 from numdiff import numeric_group_delay
 
 MHZ = 2.0 * math.pi * 1e6
@@ -404,24 +404,34 @@ def _bits(value) -> bytes:
 def test_kernel_unmasked_path_matches_masked_path():
     # a broadcast grid mixing perfectly transparent points (gamma20 = 0 on
     # two-photon resonance, control on), zero-control points, zero two-photon
-    # points with the control off and ordinary points takes every mask; a
-    # per-point call on an ordinary point takes none
+    # points with the control off, a NaN control and ordinary points takes
+    # every mask; a per-point call on an ordinary point takes none
     Gamma10, gamma10 = 20.1 * MHZ, 21.0 * MHZ
     gamma20 = np.array([[0.0], [0.0], [4.94 * MHZ]])
-    omega_c = np.array([0.0, 6.1 * MHZ, 30.0 * MHZ])[:, None, None]
+    omega_c = np.array([0.0, 6.1 * MHZ, 30.0 * MHZ, np.nan])[:, None, None]
     delta_p = np.array([-7.0, 0.0, 3.0]) * MHZ
     two_photon = np.array([0.0, 0.0, 5.0]) * MHZ
-    grid = _kernel(Gamma10, gamma10, gamma20, omega_c, delta_p, two_photon)
+    grid = _kernel(Gamma10, _probe_factor(gamma10, delta_p), gamma20, omega_c, two_photon)
     transparent = grid[3]
-    assert transparent.shape == (3, 3, 3)
+    assert transparent.shape == (4, 3, 3) and transparent.dtype == bool
     assert transparent.any() and not transparent.all()
+    # the masks as the docstring defines them: a NaN control counts as on
+    zero = (gamma20 - 1j * two_photon == 0.0) & np.ones(transparent.shape, dtype=bool)
+    assert np.array_equal(transparent, zero & (omega_c != 0.0))
+    assert np.all(grid[1][zero[0]] == 1.0)
+    assert np.all(grid[0][transparent] == 0.0) and np.all(grid[2][transparent] == 1.0)
+    assert np.isnan(grid[0][3][~transparent[3]]).all()
     for index in np.ndindex(transparent.shape):
         i, j, k = index
-        one = _kernel(Gamma10, gamma10, float(gamma20[j, 0]), float(omega_c[i, 0, 0]),
-                      float(delta_p[k]), float(two_photon[k]))
+        one = _kernel(Gamma10, _probe_factor(gamma10, float(delta_p[k])), float(gamma20[j, 0]),
+                      float(omega_c[i, 0, 0]), float(two_photon[k]))
         for whole, single in zip(grid, one):
+            assert np.asarray(whole).dtype == np.asarray(single).dtype
             assert _bits(np.broadcast_to(whole, transparent.shape)[index]) == _bits(single), index
-    # a vanishing denominator still raises, on its own and among ordinary points
+    # a vanishing denominator still raises, on its own, among ordinary points
+    # and beside a transparent point
     for delta in (0.0, np.array([1.0, 0.0]) * MHZ):
         with pytest.raises(SingularModelError):
-            _kernel(1.0, 0.0, 1.0, 0.0, delta, delta)
+            _kernel(1.0, _probe_factor(0.0, delta), 1.0, 0.0, delta)
+    with pytest.raises(SingularModelError):
+        _kernel(1.0, _probe_factor(0.0, 0.0), 0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
