@@ -38,8 +38,8 @@ from .poles import classify_regime
 from .units import angular_to_hz, hz_to_angular
 
 _ORACLE_TOLERANCE = 1e-10
-# the oracle costs about 4 us per point and checks 3 * grid_count**2 points,
-# so the largest grid (about 0.75 M points) runs in about 3 s
+# the oracle costs about 2.5-4 us per point and checks 3 * grid_count**2
+# points, so the largest grid (about 0.75 M points) runs in 2-3 s
 _ORACLE_MAX_GRID_COUNT = 501
 
 

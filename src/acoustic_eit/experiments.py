@@ -825,19 +825,22 @@ def _row_chunks(template: str, renders: Sequence[Callable[[slice], list]], n: in
 
 
 class _StringMemo(dict):
-    """Text of a list column's cells: a str cell rendered once per distinct
-    value and kept, any other cell rendered every time, because keyed by
-    value True would answer for 1.0 and -0.0 for 0.0."""
+    """A column's cells through render, once per distinct value for a str
+    cell: the text of a list column's cells on export, the parse of a
+    column's cell texts on import. A str cell's result is kept, so the rows
+    that hold one text share one value; any other cell is rendered every
+    time, because keyed by value True would answer for 1.0 and -0.0 for
+    0.0."""
 
-    def __init__(self, render: Callable[[Any], str]) -> None:
+    def __init__(self, render: Callable[[Any], Any]) -> None:
         super().__init__()
         self.render = render
 
-    def __missing__(self, value: Any) -> str:
-        text = self.render(value)
+    def __missing__(self, value: Any) -> Any:
+        result = self.render(value)
         if type(value) is str:
-            self[value] = text
-        return text
+            self[value] = result
+        return result
 
 
 def _once_per_string(column: np.ndarray | list, render: Callable[[Any], str]) -> Callable[[slice], list]:
@@ -900,14 +903,16 @@ def _csv_chunks(data: Mapping[str, np.ndarray | list]) -> Iterable[str]:
     return chain([",".join(data) + "\n"], _row_chunks(row_format, [render for _, render in fields], n, ""))
 
 
-def _parse_column(cells: Sequence[str]) -> list:
-    """_parse_cell of every cell: one float pass, or, when a cell is not a
-    float ("", true, false or text all fail float), once per distinct cell."""
-    try:
-        return list(map(float, cells))
-    except ValueError:
-        parsed = {cell: _parse_cell(cell) for cell in set(cells)}
-        return list(map(parsed.__getitem__, cells))
+def _parse_column(cells: Sequence[str], memo: _StringMemo | None) -> list:
+    """_parse_cell of every cell: through memo when given, else one float
+    pass, or, when a cell is not a float ("", true, false or text all fail
+    float), once per distinct cell of the block."""
+    if memo is None:
+        try:
+            return list(map(float, cells))
+        except ValueError:
+            memo = _StringMemo(_parse_cell)
+    return list(map(memo.__getitem__, cells))
 
 
 def _strict_csv_rows(handle: Iterable[str], path: str | Path) -> Iterator[list[str]]:
@@ -933,9 +938,14 @@ def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]
 
     The file is streamed: one scan of its bytes for a quote or a carriage
     return picks the parser, then the rows are read, checked and parsed
-    column by column _CHUNK_ROWS at a time, so the memory beyond the
-    returned rows is one block. The scan needs a file that can seek back
-    to its start: a pipe raises io.UnsupportedOperation.
+    column by column _CHUNK_ROWS at a time. A column whose first block
+    holds at most half as many distinct texts as rows (a grid axis, a
+    status) is parsed once per distinct text through one memo kept across
+    blocks, so its rows share one value per text; a memo that passes
+    _CHUNK_ROWS texts is dropped, and its column is parsed block by block
+    from there on. So the memory beyond the returned rows is one block plus
+    at most _CHUNK_ROWS texts per repeating column. The scan needs a file
+    that can seek back to its start: a pipe raises io.UnsupportedOperation.
     """
     with open(path, encoding="utf-8", newline="") as handle:
         scan = iter(partial(handle.buffer.read, _SCAN_BYTES), b"")
@@ -954,6 +964,7 @@ def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]
             repeated = next(name for i, name in enumerate(columns) if name in columns[:i])
             raise ValueError(f"{path}: column {repeated!r} repeats in the header")
         rows: list[dict[str, Any]] = []
+        memos: list[_StringMemo | None] | None = None
         while block := list(islice(table, _CHUNK_ROWS)):
             if quoted:
                 counts, cells = list(map(len, block)), zip(*block)
@@ -965,8 +976,13 @@ def import_csv(path: str | Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]
             if set(counts) != {width}:
                 count = next(count for count in counts if count != width)
                 raise ValueError(f"{path}: row has {count} cells, expected {width}")
-            parsed = map(_parse_column, cells)
+            if memos is None:  # a column that repeats in the first block keeps one memo for the file
+                cells = list(cells)
+                memos = [_StringMemo(_parse_cell) if 2 * len(set(column)) <= len(block) else None
+                         for column in cells]
+            parsed = map(_parse_column, cells, memos)
             rows.extend(map(dict, map(zip, repeat(columns), zip(*parsed))))
+            memos = [None if memo is None or len(memo) > _CHUNK_ROWS else memo for memo in memos]
     return columns, rows
 
 

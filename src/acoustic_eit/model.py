@@ -131,9 +131,12 @@ def reflection_coefficient(Gamma10: float, gamma10: float, gamma20: float,
     Omega_c, Delta_p and Delta_c may be scalars or broadcastable arrays;
     scalars alone give a Python complex. Returns exactly 0 in the
     perfect-transparency limit (gamma20 = 0 on two-photon resonance with the
-    control on); raises SingularModelError if the denominator vanishes (e.g.
-    all rates and detunings zero).
+    control on); raises ValueError on an Omega_c that is not finite or is
+    negative, and SingularModelError if the denominator vanishes (e.g. all
+    rates and detunings zero).
     """
+    Omega_c = np.asarray(Omega_c, dtype=float)
+    _check_drive(Omega_c[..., None], 1)
     dp = np.asarray(Delta_p, dtype=float)
     r = _kernel(Gamma10, _probe_factor(gamma10, dp), gamma20, Omega_c, dp + np.asarray(Delta_c, dtype=float))[0]
     return _scalar_or_array(r)
@@ -147,8 +150,11 @@ def transmission_flux_coefficient(Gamma10: float, gamma10: float, gamma20: float
     in lockstep: Delta_c = Delta_p + delta, with delta the fixed control offset
     from the two-photon point. The two-photon denominator then carries
     gamma20 - i*(2*Delta_p + delta). Omega_c and Delta_p may be scalars or
-    broadcastable arrays; scalars alone give a Python complex.
+    broadcastable arrays; scalars alone give a Python complex. Raises
+    ValueError on an Omega_c that is not finite or is negative.
     """
+    Omega_c = np.asarray(Omega_c, dtype=float)
+    _check_drive(Omega_c[..., None], 1)
     dp = np.asarray(Delta_p, dtype=float)
     r = _kernel(Gamma10, _probe_factor(gamma10, dp), gamma20, Omega_c, 2.0 * dp + delta)[0]
     return _scalar_or_array(1.0 + r)

@@ -931,6 +931,46 @@ def test_import_csv_mixed_column_matches_reference(tmp_path):
     assert [type(row["mixed"]) for row in parsed[5:13]] == [float, float, float, float, float, str, str, float]
 
 
+@pytest.mark.parametrize("quoted", [False, True])
+def test_import_csv_repeating_columns_match_reference_and_share_values(tmp_path, quoted):
+    # "mixed" repeats its texts through the file and is parsed once per text;
+    # "early" repeats through the first block, then takes a new text every
+    # row, so its memo passes _CHUNK texts in the second block and is dropped,
+    # and its repeats in the third block are parsed row by row again
+    texts = ["", "true", "false", "text", "1_0", " 2 ", "-0.0", "0.0", "nan"] + (['"a, b"'] if quoted else [])
+    n = 3 * _CHUNK + 7
+    early = [f"{i % 3 * 0.5}" if i < _CHUNK or i >= 2 * _CHUNK else f"{i * 0.25}" for i in range(n)]
+    lines = ["x,mixed,early"] + [f"{i},{texts[i % len(texts)]},{early[i]}" for i in range(n)]
+    path = tmp_path / "repeating.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _assert_imports_like_reference(path)
+    _, rows = import_csv(path)
+
+    def objects(column, part):
+        return len({id(row[column]) for row in part})
+
+    assert objects("mixed", rows) == len(texts)
+    assert objects("early", rows[:_CHUNK]) == 3
+    assert objects("early", rows[2 * _CHUNK:]) == n - 2 * _CHUNK
+    assert objects("x", rows) == n
+
+
+def test_import_csv_axis_rows_share_one_value_per_text(tmp_path):
+    result = run_experiment(paper_profile("control-sweep"))
+    path = tmp_path / "map.csv"
+    export_result(result, path, "csv")
+    _, rows = import_csv(path)
+    assert len(rows) > _CHUNK
+
+    def objects(column):
+        return len({id(row[column]) for row in rows})
+
+    for axis in ("control_power_dbm", "control_frequency_hz"):
+        assert objects(axis) == len(set(result.data[axis].tolist())) < len(rows) // 2
+    assert objects("annotation") == len(set(result.data["annotation"]))
+    assert objects("re") == len(rows)
+
+
 def test_import_csv_quoted_cells_across_a_chunk_edge(tmp_path):
     n = _CHUNK + 6
     status = ["ok"] * n
@@ -1092,15 +1132,22 @@ def _import_transient_bytes(path):
 @pytest.mark.parametrize("quoted", [False, True])
 def test_import_csv_memory_beyond_the_rows_does_not_grow_with_the_file(tmp_path, quoted):
     # the file is streamed a block of rows at a time: five times the rows
-    # keep five times the dicts, but need no more memory on the way
-    status = '"ok"' if quoted else "ok"
-    transients = []
-    for n in (2 * _CHUNK, 10 * _CHUNK):
-        path = tmp_path / f"narrow{n}.csv"
-        path.write_text("x,status\n" + "".join(f"{i * 0.5},{status}\n" for i in range(n)), encoding="utf-8")
-        transients.append(_import_transient_bytes(path))
-    small, large = transients
-    assert abs(large - small) <= 1_000_000, (small, large)
+    # keep five times the dicts, but need no more memory on the way, also
+    # when a column repeats in its first block only and its memo of texts
+    # would otherwise grow with the file
+    cell = '"%s"' if quoted else "%s"
+    seconds = {
+        "status": lambda i: cell % "ok",
+        "first-block": lambda i: cell % (i % 5 if i < _CHUNK else i),
+    }
+    for kind, second in seconds.items():
+        transients = []
+        for n in (2 * _CHUNK, 10 * _CHUNK):
+            path = tmp_path / f"{kind}{n}.csv"
+            path.write_text("x,y\n" + "".join(f"{i * 0.5},{second(i)}\n" for i in range(n)), encoding="utf-8")
+            transients.append(_import_transient_bytes(path))
+        small, large = transients
+        assert abs(large - small) <= 1_000_000, (kind, small, large)
 
 
 _CELLS = st.one_of(

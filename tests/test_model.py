@@ -342,6 +342,30 @@ def test_group_delay_rejects_bad_rates(rates):
         group_delay(*rates, 1.0, 0.0, 0.0)
 
 
+_NOT_FINITE = "^drive detunings and amplitudes must be finite$"
+_NEGATIVE = "^Rabi amplitudes must be nonnegative$"
+
+
+@pytest.mark.parametrize("closed_form", [reflection_coefficient, transmission_flux_coefficient])
+@pytest.mark.parametrize("Omega_c, Delta_p, message", [
+    (math.nan, 0.0, _NOT_FINITE),
+    (math.nan, 0.1, _NOT_FINITE),
+    (math.inf, 0.0, _NOT_FINITE),
+    (-math.inf, 0.0, _NOT_FINITE),
+    (-1.0, 0.0, _NEGATIVE),
+    (-5e-324, 0.0, _NEGATIVE),
+    (np.array([[2.0], [math.nan]]), np.array([0.0, 0.1]), _NOT_FINITE),
+    (np.array([-1.0, 2.0]), 0.1, _NEGATIVE),
+], ids=["nan-at-transparency", "nan-off-transparency", "inf", "minus-inf", "negative", "tiniest-negative",
+        "nan-in-array", "negative-in-array"])
+def test_closed_forms_reject_bad_control(closed_form, Omega_c, Delta_p, message):
+    # gamma20 = 0 and Delta_p = 0 put both closed forms on the transparency
+    # point, where the kernel gives an exact r = 0 for any control it counts
+    # as on, a NaN or an infinity included, so only the check rejects them
+    with pytest.raises(ValueError, match=message):
+        closed_form(1.0, 1.0, 0.0, Omega_c, Delta_p, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # One kernel for scalars and arrays
 # ---------------------------------------------------------------------------
