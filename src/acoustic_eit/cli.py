@@ -24,9 +24,10 @@ from .experiments import (
     FORMATS,
     PROFILE_NAMES,
     _MAX_POINTS,
+    _REFLECTION_ATOM,
+    _SCHEMES,
     _float_overflow_is_config_error,
     export_result,
-    paper_profile,
     resolve_config,
     run_experiment,
     table_chunks,
@@ -43,12 +44,11 @@ _ORACLE_TOLERANCE = 1e-10
 _ORACLE_MAX_GRID_COUNT = 501
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON config file (overlays --profile)")
-    parser.add_argument("--profile", choices=PROFILE_NAMES, help="built-in device profile")
-    parser.add_argument("--seed", type=int, metavar="U64", help="override the config noise seed")
-    parser.add_argument("--out", metavar="PATH", help="output file (default: print to stdout)")
-    parser.add_argument("--format", choices=FORMATS, default="csv", help="output format (default: csv)")
+def scheme_command(scheme: str) -> list[str]:
+    """The command words that run a scheme: `pipeline <name>` for a
+    "<name>-pipeline" scheme, `simulate <scheme>` for any other."""
+    name = scheme.removesuffix("-pipeline")
+    return ["simulate", scheme] if name == scheme else ["pipeline", name]
 
 
 def _write_stdout(chunks: Iterable[str]) -> None:
@@ -154,7 +154,7 @@ def _handle_oracle_check(args: argparse.Namespace) -> int:
     if not (2 <= args.grid_count <= _ORACLE_MAX_GRID_COUNT and 0.0 < hz_to_angular(args.span_hz) < math.inf):
         raise ConfigError(f"need 2 <= --grid-count <= {_ORACLE_MAX_GRID_COUNT} and "
                           "--span-hz > 0, finite in angular frequency")
-    atom = paper_profile("control-sweep").atom.build()
+    atom = _REFLECTION_ATOM.build()
     detunings = hz_to_angular(np.linspace(-args.span_hz, args.span_hz, args.grid_count))
     control_amplitudes = hz_to_angular(np.array([0.0, 6.1e6, 30.0e6]))
     try:
@@ -184,18 +184,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    simulate = subparsers.add_parser("simulate", help="run a forward sweep")
-    sim_sub = simulate.add_subparsers(dest="scheme", required=True)
-    for scheme in ("control-sweep", "flux-sweep", "power-sweep"):
-        sweep = sim_sub.add_parser(scheme, help=f"{scheme} simulation")
-        _add_run_flags(sweep)
-        sweep.set_defaults(handler=_handle_run, scheme=scheme)
-
-    pipeline = subparsers.add_parser("pipeline", help="run an estimation pipeline")
-    pipe_sub = pipeline.add_subparsers(dest="pipeline_name", required=True)
-    linewidth = pipe_sub.add_parser("linewidth", help="dip fits, linewidth line, per-point drive strength")
-    _add_run_flags(linewidth)
-    linewidth.set_defaults(handler=_handle_run, scheme="linewidth-pipeline")
+    groups = {
+        "simulate": subparsers.add_parser("simulate", help="run a forward sweep")
+        .add_subparsers(dest="scheme", required=True),
+        "pipeline": subparsers.add_parser("pipeline", help="run an estimation pipeline")
+        .add_subparsers(dest="pipeline_name", required=True),
+    }
+    for scheme, entry in _SCHEMES.items():
+        group, name = scheme_command(scheme)
+        run = groups[group].add_parser(name, help=(entry.run.__doc__ or "").partition("\n")[0])
+        run.add_argument("--config", metavar="PATH", help="JSON config file (overlays --profile)")
+        run.add_argument("--profile", choices=PROFILE_NAMES, help="built-in device profile")
+        run.add_argument("--seed", type=int, metavar="U64", help="override the config noise seed")
+        run.add_argument("--out", metavar="PATH", help="output file (default: print to stdout)")
+        run.add_argument("--format", choices=FORMATS, default="csv", help="output format (default: csv)")
+        run.set_defaults(handler=_handle_run, scheme=scheme)
 
     classify = subparsers.add_parser("classify", help="transparency regime for given rates")
     classify.add_argument("--gamma10", type=float, required=True, metavar="HZ",

@@ -41,7 +41,6 @@ from .units import (
 )
 
 SCHEMA_VERSION = 1
-SCHEMES = ("control-sweep", "power-sweep", "flux-sweep", "linewidth-pipeline")
 FORMATS = ("csv", "json")
 # rows per export or import chunk: an export holds one chunk of formatted
 # rows in memory at a time instead of the whole text, and import_csv one
@@ -359,41 +358,7 @@ PROFILE_NAMES = ("paper",)
 def paper_profile(scheme: str) -> ExperimentConfig:
     """Built-in device profile reproducing the published datasets per scheme."""
     _require(scheme in SCHEMES, f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if scheme == "control-sweep":
-        return ExperimentConfig(
-            scheme=scheme,
-            atom=_REFLECTION_ATOM,
-            calibration=_PROFILE_CALIBRATION,
-            power_grid=GridSpec(start=-60.0, stop=-40.0, count=21),
-            control_frequency_grid=GridSpec(start=2.10e9, stop=2.20e9, count=201),
-        )
-    elif scheme == "power-sweep":
-        return ExperimentConfig(
-            scheme=scheme,
-            atom=_REFLECTION_ATOM,
-            calibration=_PROFILE_CALIBRATION,
-            power_grid=GridSpec(start=-60.0, stop=-40.0, count=41),
-            control_frequency_hz=2.15e9,
-        )
-    elif scheme == "linewidth-pipeline":
-        return ExperimentConfig(
-            scheme=scheme,
-            atom=_REFLECTION_ATOM,
-            calibration=_PROFILE_CALIBRATION,
-            power_grid=GridSpec(start=-60.0, stop=-45.0, count=10),
-            control_frequency_grid=GridSpec(start=2.125e9, stop=2.175e9, count=201),
-        )
-    else:
-        return ExperimentConfig(
-            scheme=scheme,
-            atom=_TRANSMISSION_ATOM,
-            calibration=_PROFILE_CALIBRATION,
-            probe_detuning_grid=GridSpec(start=-50.0e6, stop=50.0e6, count=401),
-            control_rabi_hz=(6.0e6, 16.0e6, 30.0e6),
-            residual_detuning_hz=4.0e6,
-            crosstalk_re=0.05,
-            crosstalk_im=0.0,
-        )
+    return ExperimentConfig(scheme=scheme, calibration=_PROFILE_CALIBRATION, **_SCHEMES[scheme].profile)
 
 
 def resolve_config(
@@ -565,10 +530,10 @@ def _drive(config: ExperimentConfig) -> tuple[ThreeLevelAtom, float, np.ndarray,
 
 def _threshold_summary(gamma10: float, gamma20: float, k: float | None) -> dict[str, Any]:
     """The EIT/Autler-Townes threshold Omega_c = gamma10 - gamma20 (0 when
-    gamma20 is larger), and the control power P = Omega_c**2 / k that reaches
-    it; None without a positive k, or where that power is 0 W or overflows."""
+    gamma20 is larger), and the control power P = Omega_c**2 / k (k > 0) that
+    reaches it; None without k, or where that power is 0 W or overflows."""
     threshold = max(gamma10 - gamma20, 0.0)
-    power = threshold**2 / k if k is not None and k > 0.0 else 0.0
+    power = threshold**2 / k if k is not None else 0.0
     return {
         "threshold_rabi_hz": angular_to_hz(threshold),
         "threshold_power_dbm": watts_to_dbm(power) if 0.0 < power < math.inf else None,
@@ -710,6 +675,8 @@ def _linewidth_pipeline(config: ExperimentConfig) -> RunResult:
     k_fit = line.value("k")
     if not gamma20_fit >= 0.0:
         raise ConvergenceError(f"line fit gives a negative intercept gamma20 = {angular_to_hz(gamma20_fit):.4g} Hz")
+    if not k_fit > 0.0:
+        raise ConvergenceError(f"line fit gives a non-positive calibration slope k = {k_fit / TWO_PI**2:.4g} Hz^2/W")
     omega_c_fit, omega_c_sigma, one_sided = rabi_per_point(gamma20_fit, widths, width_sigmas, gamma10=atom.gamma10)
     omega_c_hz = angular_to_hz(omega_c_fit).tolist()
 
@@ -751,6 +718,38 @@ def _linewidth_pipeline(config: ExperimentConfig) -> RunResult:
     return RunResult(config=config, data=data, summary=summary)
 
 
+class _Scheme(NamedTuple):
+    """A scheme's runner and its paper profile's config fields, less the shared _PROFILE_CALIBRATION."""
+
+    run: Callable[[ExperimentConfig], RunResult]
+    profile: Mapping[str, Any]
+
+
+# Every scheme, declared once and in SCHEMES order. SCHEMES, paper_profile,
+# run_experiment and the CLI's run commands (cli.build_parser) read this table.
+_SCHEMES = {
+    "control-sweep": _Scheme(_control_sweep, dict(
+        atom=_REFLECTION_ATOM,
+        power_grid=GridSpec(start=-60.0, stop=-40.0, count=21),
+        control_frequency_grid=GridSpec(start=2.10e9, stop=2.20e9, count=201))),
+    "power-sweep": _Scheme(_power_sweep, dict(
+        atom=_REFLECTION_ATOM,
+        power_grid=GridSpec(start=-60.0, stop=-40.0, count=41),
+        control_frequency_hz=2.15e9)),
+    "flux-sweep": _Scheme(_flux_sweep, dict(
+        atom=_TRANSMISSION_ATOM,
+        probe_detuning_grid=GridSpec(start=-50.0e6, stop=50.0e6, count=401),
+        control_rabi_hz=(6.0e6, 16.0e6, 30.0e6),
+        residual_detuning_hz=4.0e6,
+        crosstalk_re=0.05)),
+    "linewidth-pipeline": _Scheme(_linewidth_pipeline, dict(
+        atom=_REFLECTION_ATOM,
+        power_grid=GridSpec(start=-60.0, stop=-45.0, count=10),
+        control_frequency_grid=GridSpec(start=2.125e9, stop=2.175e9, count=201))),
+}
+SCHEMES = tuple(_SCHEMES)
+
+
 @contextmanager
 def _float_overflow_is_config_error() -> Iterator[None]:
     """Run the block with numpy raising on float overflow and invalid
@@ -770,15 +769,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     included) and a config value that puts the model at a singular point
     raise ConfigError; a pipeline whose fits fail raises ConvergenceError
     or RankError. numpy's error state is set for the run alone."""
-    runners = {
-        "control-sweep": _control_sweep,
-        "power-sweep": _power_sweep,
-        "flux-sweep": _flux_sweep,
-        "linewidth-pipeline": _linewidth_pipeline,
-    }
     try:
         with _float_overflow_is_config_error():
-            return runners[config.scheme](config)
+            return _SCHEMES[config.scheme].run(config)
     except SingularModelError as exc:
         raise ConfigError(f"the config puts the model at a singular point: {exc}") from exc
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import errno
 import json
@@ -14,8 +15,17 @@ import numpy as np
 import pytest
 
 from acoustic_eit import cli, experiments, lindblad
-from acoustic_eit.cli import build_parser, main
-from acoustic_eit.experiments import _CHUNK_ROWS, import_csv, resolve_config, result_text, run_experiment
+from acoustic_eit.cli import build_parser, main, scheme_command
+from acoustic_eit.experiments import (
+    _CHUNK_ROWS,
+    FORMATS,
+    SCHEMES,
+    import_csv,
+    paper_profile,
+    resolve_config,
+    result_text,
+    run_experiment,
+)
 from textdiff import assert_same_text
 
 
@@ -31,6 +41,39 @@ def test_parser_builds():
     args = parser.parse_args(["classify", "--gamma10", "21e6",
                               "--gamma20", "4.94e6", "--omega-c", "6.1e6"])
     assert args.gamma10 == 21e6
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    action = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return action.choices
+
+
+_COMMANDS = {
+    "control-sweep": ["simulate", "control-sweep"],
+    "power-sweep": ["simulate", "power-sweep"],
+    "flux-sweep": ["simulate", "flux-sweep"],
+    "linewidth-pipeline": ["pipeline", "linewidth"],
+}
+
+
+def test_parser_commands_are_the_scheme_table():
+    commands = _subcommands(build_parser())
+    assert list(_subcommands(commands["simulate"])) == ["control-sweep", "power-sweep", "flux-sweep"]
+    assert list(_subcommands(commands["pipeline"])) == ["linewidth"]
+    assert tuple(_COMMANDS) == SCHEMES
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_scheme_command_sets_its_scheme(scheme):
+    assert scheme_command(scheme) == _COMMANDS[scheme]
+    assert build_parser().parse_args([*_COMMANDS[scheme], "--profile", "paper"]).scheme == scheme
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_scheme_command_prints_its_runner_export(capsys, scheme, fmt):
+    assert main([*_COMMANDS[scheme], "--profile", "paper", "--format", fmt]) == 0
+    assert_same_text(capsys.readouterr().out, result_text(run_experiment(paper_profile(scheme)), fmt))
 
 
 def test_classify_below_threshold(capsys):
@@ -175,6 +218,21 @@ def test_pipeline_negative_intercept_exits_three(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.startswith("error: line fit gives a negative intercept")
+
+
+@pytest.mark.parametrize("power_grid,k", [
+    ({"start": 10, "stop": 40, "count": 4}, "-7.393e+15"),
+    ({"start": -30, "stop": 0, "count": 4}, "-2.373e+19"),
+], ids=["above-0-dbm", "up-to-0-dbm"])
+def test_pipeline_slope_that_is_not_positive_exits_three(tmp_path, capsys, power_grid, k):
+    # Omega_c**2 = k * P has no solution for k <= 0, so no threshold power is printed
+    overlay = tmp_path / "strong.json"
+    overlay.write_text(json.dumps({"power_grid": power_grid}))
+    code = main(["pipeline", "linewidth", "--profile", "paper", "--config", str(overlay)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line fit gives a non-positive calibration slope k = {k} Hz^2/W\n"
 
 
 def test_pipeline_power_that_underflows_to_zero_watts_exits_two(tmp_path, capsys):
@@ -595,10 +653,15 @@ def test_non_finite_flag_is_config_error(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["simulate", "control-sweep", "--profile", "paper", "--format", "csv"],
     ["simulate", "control-sweep", "--profile", "paper", "--format", "json"],
+    ["simulate", "power-sweep", "--profile", "paper", "--format", "csv"],
+    ["simulate", "power-sweep", "--profile", "paper", "--format", "json"],
+    ["simulate", "flux-sweep", "--profile", "paper", "--format", "csv"],
+    ["simulate", "flux-sweep", "--profile", "paper", "--format", "json"],
     ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--format", "csv"],
     ["idt", "response", "--np", "25", "--f-idt", "2.26e9", "--k2", "7.11e-4", "--format", "json"],
     ["pipeline", "linewidth", "--profile", "paper"],
-], ids=["control-sweep-csv", "control-sweep-json", "idt-csv", "idt-json", "linewidth-pipeline"])
+], ids=["control-sweep-csv", "control-sweep-json", "power-sweep-csv", "power-sweep-json", "flux-sweep-csv",
+        "flux-sweep-json", "idt-csv", "idt-json", "linewidth-pipeline"])
 def test_out_file_matches_stdout_bytes(tmp_path, capsys, argv):
     assert main(argv) == 0
     stdout = capsys.readouterr().out
