@@ -233,6 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--span-hz", dest="span_hz", type=float, default=50.0e6)
     check.set_defaults(handler=_handle_oracle_check)
 
+    # a missing command is named by its choices in the usage error, not by
+    # the dest it is stored under
+    for commands in (subparsers, *groups.values(), idt_sub, oracle_sub):
+        commands.metavar = "{" + ",".join(commands.choices) + "}"
     return parser
 
 

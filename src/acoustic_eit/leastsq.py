@@ -16,7 +16,16 @@ Schedule and stopping rule:
     is never taken;
   - convergence when the (projected) gradient norm |J^T r| drops below
     1e-10 * (1 + rss), within at most 200 iterations;
+  - convergence, too, when the next step is negligible: before its trial is
+    evaluated, a fit with damping at most 1e-3 and n > p residuals stops
+    at its current state if the decrease its damped step predicts,
+    -g^T p = p^T (J^T J + lambda S) p, is at most tau^2 * rss / (n - p)
+    with tau = 1e-4: that step would move the fit by less than about 1e-4
+    of a standard error (the Gauss-Newton decrement test);
   - a fit whose damping passes 1e15 stops, unconverged.
+
+FitResult.stop names the test that ended a fit: "gradient", "decrement",
+"damping" or "iterations" (the 200-iteration cap).
 
 Standard errors come from the curvature of the weighted sum of squares at
 the optimum, scaled by the residual variance: cov = inv(J^T J) * rss / (n - p).
@@ -30,11 +39,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 _GTOL = 1e-10
+_DECREMENT_TOL = 1e-4
 _MAX_ITER = 200
 _DAMPING_INIT = 1e-3
 _DAMPING_GROW = 10.0
 _DAMPING_SHRINK = 10.0
 _DAMPING_MAX = 1e15
+_STOPS = ("gradient", "decrement", "damping", "iterations")
+_GRADIENT, _DECREMENT, _DAMPING, _ITERATIONS = range(len(_STOPS))
 
 
 @dataclass(frozen=True)
@@ -45,7 +57,9 @@ class FitResult:
     when the covariance is unavailable (rank-deficient curvature or zero
     degrees of freedom). at_bound marks the parameters that finished on
     their lower bound; notes carries the flags the estimators add, such as
-    degeneracy markers.
+    degeneracy markers. stop names the test that ended the fit: "gradient",
+    "decrement", "damping" or "iterations"; a fit made without iterating (a
+    linear solve, constant data) reports "gradient".
     """
 
     names: tuple[str, ...]
@@ -58,6 +72,7 @@ class FitResult:
     at_bound: tuple[bool, ...] = ()
     gradient_norm: float = float("nan")
     notes: tuple[str, ...] = field(default_factory=tuple)
+    stop: str = "gradient"
 
     def __post_init__(self) -> None:
         if len(self.names) != len(self.values) or len(self.names) != len(self.stderr):
@@ -105,6 +120,11 @@ def _covariances(jac: np.ndarray, rss: np.ndarray) -> list[tuple[np.ndarray | No
     return [(cov[i], stderr[i]) if defined[i] else (None, np.full(p, np.nan)) for i in range(k)]
 
 
+def _all(mask: np.ndarray) -> bool:
+    """mask.all(), at a third of its cost on the engine's small arrays."""
+    return np.count_nonzero(mask) == mask.size
+
+
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (k, n) stacks, bit-equal to a[i] @ b[i]."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
@@ -115,7 +135,7 @@ def _gradients(jac: np.ndarray, r: np.ndarray, x: np.ndarray, lower: np.ndarray)
     a bound-clamped parameter outward are left out."""
     grad = (r[:, None, :] @ jac)[:, 0, :]
     clamped = x <= lower
-    projected = np.where(clamped & (grad > 0.0), 0.0, grad) if clamped.any() else grad
+    projected = np.where(clamped & (grad > 0.0), 0.0, grad) if np.count_nonzero(clamped) else grad
     return grad, np.sqrt(_dots(projected, projected))
 
 
@@ -139,7 +159,7 @@ def _steps(jac: np.ndarray, grad: np.ndarray, damping: np.ndarray) -> np.ndarray
             except np.linalg.LinAlgError:
                 pass
     finite = np.isfinite(steps)
-    if finite.all():
+    if _all(finite):
         return steps
     return np.where(finite.all(axis=1, keepdims=True), steps, 0.0)
 
@@ -159,8 +179,8 @@ def levenberg_marquardt_stack(
     per trial step and must give each fit the same values whichever other
     fits share the call, in new arrays each time (the engine keeps them).
     Every fit keeps its own damping, acceptance, bound projection, gradient
-    test and damping-overflow stop, and freezes once it finishes, so each
-    result is bit-equal to the fit run as a batch of one.
+    and decrement tests and damping-overflow stop, and freezes once it
+    finishes, so each result is bit-equal to the fit run as a batch of one.
     names and lower are shared by all fits: names labels the p parameters,
     and lower holds their lower bounds (-inf for free parameters); iterates
     are projected onto them and at_bound marks parameters that finished
@@ -186,25 +206,55 @@ def levenberg_marquardt_stack(
     # such a fit never iterates; its result is a ValueError
     r[~started], rss[~started] = 0.0, 0.0
     grad, gnorm = _gradients(jac, r, x, bound)
-    converged = gnorm < _GTOL * (1.0 + rss)
+    dof = r.shape[1] - p
+    # the decrement test's bound on g^T step, per unit of rss; with n <= p
+    # it is 0, which no step passes
+    decrement_floor = -_DECREMENT_TOL**2 / dof if dof > 0 else 0.0
     iterations = np.zeros(k, dtype=int)
+    stop = np.zeros(k, dtype=int)
 
     # the state of the fits still iterating, compacted: a fit leaves it once
     # it finishes
-    live = np.flatnonzero(started & ~converged)
+    live = np.flatnonzero(started)
     x_live, r_live, rss_live, jac_live, grad_live, gnorm_live = (a[live] for a in (x, r, rss, jac, grad, gnorm))
     damping = np.full(live.size, _DAMPING_INIT)
-    for iteration in range(1, _MAX_ITER + 1):
-        if live.size == 0:
-            break
-        step = _steps(jac_live, grad_live, damping)
+    done = gnorm_live < _GTOL * (1.0 + rss_live)
+    for iteration in range(_MAX_ITER + 1):
+        # done holds the gradient and damping tests on the state the last
+        # trial left; the decrement test needs this iteration's step. A fit
+        # that passes one, or reaches the cap, finishes after this many
+        # iterations
+        at_cap = iteration == _MAX_ITER
+        stepping = not (at_cap or _all(done))
+        if stepping:
+            step = _steps(jac_live, grad_live, damping)
+            # g^T step is minus the decrease the damped model predicts; a
+            # zero step (singular system) predicts none and never stops
+            decrement = _dots(grad_live, step)
+            done |= ((damping <= _DAMPING_INIT) & (decrement < 0.0)
+                     & (decrement >= decrement_floor * rss_live))
+        if not stepping or np.count_nonzero(done):
+            ended = done | at_cap
+            rows = live[ended]
+            x[rows], rss[rows], jac[rows], gnorm[rows] = (
+                x_live[ended], rss_live[ended], jac_live[ended], gnorm_live[ended])
+            iterations[rows] = iteration
+            # done past the gradient and damping tests is the decrement test
+            stop[rows] = np.where(gnorm_live[ended] < _GTOL * (1.0 + rss_live[ended]), _GRADIENT,
+                                  np.where(damping[ended] > _DAMPING_MAX, _DAMPING,
+                                           np.where(done[ended], _DECREMENT, _ITERATIONS)))
+            if _all(ended):
+                break
+            keep = ~ended
+            live, x_live, r_live, rss_live, jac_live, grad_live, gnorm_live, damping, step = (
+                a[keep] for a in (live, x_live, r_live, rss_live, jac_live, grad_live, gnorm_live, damping, step))
         x_trial = np.maximum(x_live + step, bound)
         r_trial, jac_trial = (np.ascontiguousarray(a, dtype=float) for a in evaluate(x_trial, live))
         rss_trial = _dots(r_trial, r_trial)
         # rss_live is finite, so a smaller rss_trial is finite, and so is
         # every residual it sums
         take = rss_trial < rss_live
-        every = take.all()
+        every = _all(take)
         if not every:
             # near the optimum the exact cost decrease of a polish step falls
             # below the rounding granularity of rss itself; such a step still
@@ -215,14 +265,14 @@ def levenberg_marquardt_stack(
             # a zero step (singular system) moves nowhere, so it is never accepted
             take |= (tiny_step & (rss_trial <= rss_live * (1.0 + 64.0 * np.finfo(float).eps))
                      & np.isfinite(r_trial).all(axis=1))
-            every = take.all()
+            every = _all(take)
         if every:
             x_live, r_live, rss_live, jac_live = x_trial, r_trial, rss_trial, jac_trial
             grad_live, gnorm_live = _gradients(jac_live, r_live, x_live, bound)
             # shrinking damping cannot pass the damping stop
             damping = np.maximum(damping / _DAMPING_SHRINK, 1e-15)
             done = gnorm_live < _GTOL * (1.0 + rss_live)
-        elif take.any():
+        elif np.count_nonzero(take):
             x_live = np.where(take[:, None], x_trial, x_live)
             r_live = np.where(take[:, None], r_trial, r_live)
             rss_live = np.where(take, rss_trial, rss_live)
@@ -231,20 +281,10 @@ def levenberg_marquardt_stack(
             damping = np.where(take, np.maximum(damping / _DAMPING_SHRINK, 1e-15), damping * _DAMPING_GROW)
             done = (gnorm_live < _GTOL * (1.0 + rss_live)) | (damping > _DAMPING_MAX)
         else:
-            # with no step taken the state, its gradients and the convergence
+            # with no step taken the state, its gradients and the gradient
             # test stay as they are
             damping = damping * _DAMPING_GROW
             done = damping > _DAMPING_MAX
-        if iteration == _MAX_ITER:
-            done[:] = True
-        if done.any():
-            rows = live[done]
-            x[rows], rss[rows], jac[rows], gnorm[rows] = x_live[done], rss_live[done], jac_live[done], gnorm_live[done]
-            iterations[rows] = iteration
-            live, x_live, r_live, rss_live, jac_live, grad_live, gnorm_live, damping = (
-                a[~done] for a in (live, x_live, r_live, rss_live, jac_live, grad_live, gnorm_live, damping))
-    # the convergence test on each fit's final state
-    converged = gnorm < _GTOL * (1.0 + rss)
 
     covariances = iter(_covariances(jac[started], rss[started]))
     results: list[FitResult | ValueError] = []
@@ -261,9 +301,10 @@ def levenberg_marquardt_stack(
             covariance=covariance,
             rss=float(rss[i]),
             iterations=int(iterations[i]),
-            converged=bool(converged[i]),
+            converged=stop[i] in (_GRADIENT, _DECREMENT),
             at_bound=at_bound,
             gradient_norm=float(gnorm[i]),
+            stop=_STOPS[stop[i]],
         ))
     return results
 

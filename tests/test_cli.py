@@ -43,6 +43,18 @@ def test_parser_builds():
     assert args.gamma10 == 21e6
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["pipeline"], "acoustic-eit pipeline: error: the following arguments are required: {linewidth}"),
+    (["simulate"], "acoustic-eit simulate: error: the following arguments are required: "
+                   "{control-sweep,power-sweep,flux-sweep}"),
+])
+def test_missing_subcommand_names_its_choices(capsys, argv, line):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == line
+
+
 def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
     action = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
     return action.choices
@@ -193,9 +205,9 @@ def test_pipeline_single_power_exits_three(tmp_path, capsys):
 
 
 def test_failed_dip_row_round_trips_through_csv(tmp_path, capsys):
-    # at this seed one dip fit fails and its status message holds a comma
+    # at this noise and seed one dip fit fails and its status message holds a comma
     overlay = tmp_path / "noise.json"
-    overlay.write_text(json.dumps({"noise": {"sigma_rel": 0.0095, "seed": 225}}))
+    overlay.write_text(json.dumps({"noise": {"sigma_rel": 0.015, "seed": 35}}))
     out_path = tmp_path / "pipeline.csv"
     code = main(["pipeline", "linewidth", "--profile", "paper", "--config", str(overlay),
                  "--out", str(out_path)])

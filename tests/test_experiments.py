@@ -771,7 +771,8 @@ _NOISE = {
     "clean": NoiseParams(),
     "seeded": NoiseParams(sigma_rel=0.01, seed=5),
     "magnitude": NoiseParams(sigma_rel=0.01, seed=5, kind="magnitude"),
-    "failed-row": NoiseParams(sigma_rel=0.0095, seed=225),
+    # one dip row of this pipeline ends unconverged, with a comma in its status
+    "failed-row": NoiseParams(sigma_rel=0.015, seed=35),
 }
 _EXPORT_CASES = [
     *((scheme, noise) for scheme in experiments.SCHEMES for noise in ("clean", "seeded")),

@@ -1,23 +1,21 @@
 """The lockstep fit engine: its results pinned bit for bit, and equal per fit
 to the same fits run one at a time.
 
-The digest of test_fit_batch_fits_are_pinned was taken before the fits were
-stacked, from the fits the benchmark's fit-batch workload makes. It covers
-every dip-fit row of the 40 noisy seed-1 paper pipelines (sigma 0.0095, one
-child seed of SeedSequence(1) each, failed rows included) and of the
-seed-225 pipeline with its unconverged -50 dBm row, and the 60 seed-1 flux
-curves (sigma 0.01) fitted as complex data. Each row contributes every
-field of its FitResult, or the error it raised, and each pipeline its CSV
-export (which carries the row statuses) and line fit.
+The digest of test_fit_batch_fits_are_pinned covers the fits the
+benchmark's fit-batch workload makes: every dip-fit row of the 40 noisy
+seed-1 paper pipelines (sigma 0.0095, one child seed of SeedSequence(1)
+each, failed rows included) and the 60 seed-1 flux curves (sigma 0.01)
+fitted as complex data; and two more pipelines, seed 225 (sigma 0.0095),
+whose -50 dBm row stalled at its optimum until the decrement test, and seed
+35 at sigma 0.015, whose -60 dBm row runs into the iteration cap. Each row
+contributes every field of its FitResult, or the error it raised, and each
+pipeline its CSV export (which carries the row statuses) and line fit.
 test_other_fit_paths_are_pinned pins, the same way, the fit paths that
-workload does not reach; its digest was taken before the engine's trial
-step was trimmed to the array work it needs, and recaptured, with every
-fit it kept unchanged, when the two-level fit stopped reporting its fixed
-Gamma10 and the transmission fit lost its pinned-background mode. Both
-digests were recaptured, with every fit they kept unchanged, when the
-transmission fit lost its magnitude mode and the engine stopped repeating
-at_bound as "at-bound:" notes. The other tests mix fits in one stack, edge
-cases included, and compare each with the same fit alone.
+workload does not reach. Both digests were last recaptured when the engine
+gained its decrement stop and FitResult its stop field;
+test_decrement_test_moves_no_fit_by_1e_3_of_a_standard_error bounds how far
+that moved the fits. The other tests mix fits in one stack, edge cases
+included, and compare each with the same fit alone.
 """
 
 from __future__ import annotations
@@ -43,17 +41,31 @@ def _child_seeds(seed: int, n: int) -> list[int]:
     return [int(s.generate_state(1, np.uint64)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
+def _pipeline(sigma_rel: float, seed: int) -> experiments.ExperimentConfig:
+    return dataclasses.replace(paper_profile("linewidth-pipeline"), noise=NoiseParams(sigma_rel=sigma_rel, seed=seed))
+
+
+# its -50 dBm row ran into the iteration cap before the decrement test
+SEED_225 = _pipeline(PIPELINE_SIGMA, 225)
+# its -60 dBm row runs into the iteration cap, with a comma in its status
+FAILED_ROW = _pipeline(0.015, 35)
+
+
+def _fit_batch_pipelines(seed: int) -> list[experiments.ExperimentConfig]:
+    """The 40 linewidth pipelines of the benchmark's fit-batch at seed."""
+    return [_pipeline(PIPELINE_SIGMA, s) for s in _child_seeds(seed, 60)[:40]]
+
+
 def _pipeline_configs() -> list[experiments.ExperimentConfig]:
-    base = paper_profile("linewidth-pipeline")
-    seeds = _child_seeds(1, 60)[:40] + [225]
-    return [dataclasses.replace(base, noise=NoiseParams(sigma_rel=PIPELINE_SIGMA, seed=s)) for s in seeds]
+    return _fit_batch_pipelines(1) + [SEED_225, FAILED_ROW]
 
 
-def _flux_curves() -> list[tuple[np.ndarray, np.ndarray]]:
+def _flux_curves(seed: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The 60 flux curves of the benchmark's fit-batch at seed."""
     flux = paper_profile("flux-sweep")
     curves = []
-    for seed in _child_seeds(1, 60)[40:]:
-        config = dataclasses.replace(flux, noise=NoiseParams(sigma_rel=FLUX_SIGMA, seed=seed))
+    for child in _child_seeds(seed, 60)[40:]:
+        config = dataclasses.replace(flux, noise=NoiseParams(sigma_rel=FLUX_SIGMA, seed=child))
         data = run_experiment(config).data
         for rabi in flux.control_rabi_hz:
             rows = data["control_rabi_hz"] == rabi
@@ -68,7 +80,7 @@ def _fit_record(fit) -> str:
         return repr((type(fit).__name__, str(fit)))
     covariance = None if fit.covariance is None else fit.covariance.tolist()
     return repr((fit.names, fit.values.tolist(), fit.stderr.tolist(), covariance, fit.rss,
-                 fit.iterations, fit.converged, fit.at_bound, fit.gradient_norm, fit.notes))
+                 fit.iterations, fit.converged, fit.at_bound, fit.gradient_norm, fit.notes, fit.stop))
 
 
 def _attempt(fn, *args, **kwargs):
@@ -76,6 +88,11 @@ def _attempt(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except (ConvergenceError, ValueError) as exc:
         return exc
+
+
+def _transmission_fit(x, values):
+    flux = paper_profile("flux-sweep").atom.build()
+    return _attempt(fit_transmission, samples_from_arrays(x, values), gamma10=flux.gamma10, Gamma10=flux.Gamma10)
 
 
 def pipeline_rows(monkeypatch, config) -> tuple[tuple, object]:
@@ -109,14 +126,11 @@ def test_fit_batch_fits_are_pinned(monkeypatch):
         else:
             digest.update(result_text(result, "csv").encode())
             digest.update(repr(sorted(result.summary["line_fit"].items())).encode())
-    flux = paper_profile("flux-sweep").atom.build()
     for x, values in _flux_curves():
-        fit = _attempt(fit_transmission, samples_from_arrays(x, values),
-                       gamma10=flux.gamma10, Gamma10=flux.Gamma10)
-        digest.update(_fit_record(fit).encode())
-    # the seed-225 pipeline's -50 dBm row does not converge
+        digest.update(_fit_record(_transmission_fit(x, values)).encode())
+    # the FAILED_ROW pipeline's -60 dBm row does not converge
     assert failed_rows == 1
-    assert digest.hexdigest() == "6db03d3de11364e16f73711577e48afb841a8ccb4d2a808ef5ef97df7ca3733a"
+    assert digest.hexdigest() == "37c3012c6c5c25857b1c4f1c378399e1e800e8d3ee7f19701f38dc4a851899af"
 
 
 def _probe_only_curves():
@@ -163,7 +177,7 @@ def test_other_fit_paths_are_pinned(monkeypatch):
         for names in stacks:
             for fit in _stacked(problems, names, lower):
                 digest.update(_fit_record(fit).encode())
-    assert digest.hexdigest() == "2a0048a64d8ac18fa43f23c7429eb486af2584251b8b9a18fb7cf30cd9654862"
+    assert digest.hexdigest() == "1b5c673711ed27321ac627ce3cc3fad1b9da09f673373214383f435ce33d0e40"
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +217,83 @@ def test_stacked_dip_fits_equal_single_fits(monkeypatch, engine_results):
     assert [_fit_record(fit) for fit in stacked] == [_fit_record(fit) for fit in single]
     assert "degenerate:constant-data" in stacked[3].notes
     assert isinstance(stacked[7], ValueError) and "sigma must be positive" in str(stacked[7])
-    # the seed-225 -50 dBm row runs into the iteration cap inside the stack
-    assert sum(fit.iterations == 200 and not fit.converged for fit in stacked_engine) == 1
+    # the FAILED_ROW pipeline's -60 dBm row runs into the iteration cap inside the stack
+    capped = [fit for fit in stacked_engine if fit.stop == "iterations"]
+    assert len(capped) == 1 and capped[0].iterations == 200 and not capped[0].converged
     assert sum(isinstance(fit, ConvergenceError) for fit in stacked) == 1
+
+
+# ---------------------------------------------------------------------------
+# The decrement test: what it stops, and how far it moves a fit
+# ---------------------------------------------------------------------------
+
+
+def test_seed_225_row_converges_by_the_decrement_test(monkeypatch):
+    (x, y, sigma), result = pipeline_rows(monkeypatch, SEED_225)
+    row = list(result.data["power_dbm"]).index(-50.0)
+    assert list(result.data["status"]) == ["ok"] * len(y)
+    fit, = estimation.fit_dip_stack(x, y[row:row + 1], sigma[row:row + 1])
+    assert fit.converged and fit.stop == "decrement" and fit.iterations < 10
+    # without the decrement test the row stalls at its optimum until the cap
+    monkeypatch.setattr(leastsq, "_DECREMENT_TOL", 0.0)
+    stalled, = estimation.fit_dip_stack(x, y[row:row + 1], sigma[row:row + 1])
+    assert isinstance(stalled, ConvergenceError) and "after 200 iterations" in str(stalled)
+
+
+def _ok(fit) -> bool:
+    return (isinstance(fit, leastsq.FitResult) and fit.converged and not fit.notes
+            and bool(np.all(fit.stderr > 0.0)) and bool(np.isfinite(fit.stderr).all()))
+
+
+def test_decrement_test_moves_no_fit_by_1e_3_of_a_standard_error(monkeypatch):
+    """fit-batch's fits at seeds 1 and 7 and the seed-225 pipeline, with the
+    decrement test and without it (tau = 0 is the gradient test alone)."""
+    stacks = [pipeline_rows(monkeypatch, config)[0]
+              for config in _fit_batch_pipelines(1) + _fit_batch_pipelines(7) + [SEED_225]]
+    curves = _flux_curves(1) + _flux_curves(7)
+
+    def fits():
+        dips = [fit for x, y, sigma in stacks for fit in estimation.fit_dip_stack(x, y, sigma)]
+        return dips, [_transmission_fit(x, values) for x, values in curves]
+
+    new = fits()
+    monkeypatch.setattr(leastsq, "_DECREMENT_TOL", 0.0)
+    old = fits()
+    for new_fits, old_fits in zip(new, old):
+        assert not any(getattr(fit, "stop", None) == "decrement" for fit in old_fits)
+        # every fit that was ok stays ok
+        assert all(_ok(fit) for fit, before in zip(new_fits, old_fits) if _ok(before))
+        moves = [np.max(np.abs(fit.values - before.values) / before.stderr)
+                 for fit, before in zip(new_fits, old_fits) if _ok(fit) and _ok(before)]
+        assert len(moves) >= 0.95 * len(old_fits)
+        assert max(moves) < 1e-3
+    # the seed-225 -50 dBm row is ok with the decrement test only
+    assert sum(map(_ok, new[0])) == sum(map(_ok, old[0])) + 1
+
+
+def test_fit_batch_evaluation_counts(monkeypatch):
+    """Model evaluations of fit-batch's seed-1 fits, counted through a
+    wrapped evaluate: the in-process measure of the decrement test's gain
+    (728 dip-stack and 394 transmission evaluations without it)."""
+    counts = {"dip": 0, "transmission": 0}
+    engine = estimation.levenberg_marquardt_stack
+
+    def counted(evaluate, x0, *, names, lower):
+        kind = "dip" if names == estimation._DIP_NAMES else "transmission"
+
+        def count(theta, rows):
+            counts[kind] += 1
+            return evaluate(theta, rows)
+
+        return engine(count, x0, names=names, lower=lower)
+
+    monkeypatch.setattr(estimation, "levenberg_marquardt_stack", counted)
+    for config in _fit_batch_pipelines(1):
+        _attempt(run_experiment, config)
+    for x, values in _flux_curves(1):
+        _transmission_fit(x, values)
+    assert counts["dip"] <= 480
+    assert counts["transmission"] <= 394
 
 
 def test_dip_stack_needs_one_length():
@@ -291,9 +379,17 @@ def test_mixed_stack_matches_fits_alone(lower, fit_one):
 
     fits = dict(zip(names, _stacked(problems, names, lower)))
     assert fits["at-optimum"].iterations == 0 and fits["at-optimum"].converged
+    assert fits["at-optimum"].stop == "gradient"
+    # every step is tiny, but the 1000-fold Jacobian predicts it removes all of rss
     assert fits["iteration-cap"].iterations == 200 and not fits["iteration-cap"].converged
-    # damping 1e-3 grows tenfold per rejection and passes 1e15 on the 19th
+    assert fits["iteration-cap"].stop == "iterations"
+    # damping 1e-3 grows tenfold per rejection and passes 1e15 on the 19th;
+    # past 1e-3 the decrement test does not apply
     assert fits["damping-overflow"].iterations == 19 and not fits["damping-overflow"].converged
+    assert fits["damping-overflow"].stop == "damping"
+    # its first trial step is zero (a singular system), which the decrement
+    # test does not take for a negligible one
+    assert fits["singular"].converged and fits["singular"].stop == "gradient"
     assert fits["exponential"].converged
     assert isinstance(fits["non-finite-start"], ValueError)
     # its trial steps are rejected until the damping stop, so it ends where it started
