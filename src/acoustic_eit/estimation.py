@@ -96,18 +96,21 @@ def _only(outcomes: list, what: str) -> FitResult:
 _DIP_NAMES = ("center", "hwhm", "depth", "baseline")
 
 
+def _box_kernel(n: int) -> np.ndarray:
+    """Moving average over an odd window of max(3, n // 25) of n samples."""
+    window = max(3, n // 25) | 1
+    return np.ones(window) / window
+
+
 def _dip_start(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Initial (center, hwhm, depth, baseline) per row of ys from lightly
     smoothed curves, so shallow dips under noise do not seed a zero-width
     spike through a single outlier."""
     order = np.argsort(x)
-    window = max(3, x.size // 25)
-    if window % 2 == 0:
-        window += 1
-    kernel = np.ones(window) / window
+    kernel = _box_kernel(x.size)
     # each sorted curve padded with copies of its edge values
     sorted_ys = ys[:, order]
-    edges = window // 2
+    edges = kernel.size // 2
     padded = np.concatenate([sorted_ys[:, :1]] * edges + [sorted_ys] + [sorted_ys[:, -1:]] * edges, axis=1)
     smooth = np.empty_like(ys)
     smooth[:, order] = [np.convolve(row, kernel, mode="valid") for row in padded]
@@ -172,7 +175,6 @@ def fit_dip_stack(x, y, sigma=None) -> list[FitResult | Exception]:
             covariance=None,
             rss=float(resid @ resid),
             iterations=0,
-            converged=True,
             at_bound=(False, False, False, False),
             gradient_norm=0.0,
             notes=("degenerate:constant-data", "hwhm-unidentifiable"),
@@ -279,7 +281,6 @@ def fit_linewidth_line(
         covariance=None if covariance is None else covariance * scale[:, None] * scale,
         rss=rss,
         iterations=1,
-        converged=True,
         at_bound=(False, False),
         gradient_norm=float(np.linalg.norm(jac.T @ resid)),
     )
@@ -388,10 +389,7 @@ def transmission_initial_guess(samples: Samples, *, gamma10: float) -> dict[str,
     order = np.argsort(x)
     x = x[order]
     mag = np.abs(values)[order]
-    win = max(3, len(mag) // 25)
-    if win % 2 == 0:
-        win += 1
-    kernel = np.ones(win) / win
+    kernel = _box_kernel(len(mag))
     smooth = np.convolve(mag, kernel, mode="same")
     edge = max(1, len(mag) // 10)
     baseline = float(np.median(np.concatenate([smooth[:edge], smooth[-edge:]])))
@@ -404,7 +402,7 @@ def transmission_initial_guess(samples: Samples, *, gamma10: float) -> dict[str,
     min_idx = min_idx[np.argsort(smooth[min_idx])]
     picks = [int(min_idx[0])]
     for idx in min_idx[1:]:
-        if abs(int(idx) - picks[0]) > win:
+        if abs(int(idx) - picks[0]) > kernel.size:
             picks.append(int(idx))
             break
 
@@ -493,8 +491,6 @@ def fit_transmission(
         return resid, jac
 
     x0 = np.array([guess[name] for name in _TRANSMISSION_NAMES])
-    lower = np.full(len(_TRANSMISSION_NAMES), -np.inf)
-    lower[0] = 0.0  # gamma20
-    lower[2] = 0.0  # Omega_c
+    lower = np.array([0.0, -np.inf, 0.0, -np.inf, -np.inf, -np.inf])  # gamma20, Omega_c >= 0
     return _only(levenberg_marquardt_stack(evaluate, x0[None], names=_TRANSMISSION_NAMES, lower=lower),
                  "transmission fit")

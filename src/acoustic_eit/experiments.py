@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError, SingularModelError
 from .estimation import fit_dip_stack, fit_linewidth_line, rabi_per_point
 from .model import ThreeLevelAtom, reflection_coefficient, transmission_flux_coefficient
-from .poles import classify_regime
+from .poles import classify_regime, crossover_rabi
 from .units import (
     TWO_PI,
     angular_to_hz,
@@ -197,36 +197,30 @@ class ExperimentConfig:
         _require(_finite(self.crosstalk_re) and _finite(self.crosstalk_im), "crosstalk must be finite")
         _require(_finite(self.scale) and self.scale > 0.0, "scale must be positive")
         self.atom.build()
-        if self.scheme in ("control-sweep", "power-sweep", "linewidth-pipeline"):
+        grid = _SCHEMES[self.scheme].grid
+        if "power_grid" in grid:  # a drive in control power needs the power calibration
             _require(self.calibration is not None, f"{self.scheme} needs a calibration section")
             self.calibration.build()
-            _require(self.power_grid is not None, f"{self.scheme} needs power_grid")
-        if self.scheme in ("control-sweep", "linewidth-pipeline"):
-            _require(self.control_frequency_grid is not None,
-                     f"{self.scheme} needs control_frequency_grid")
+        points = 1
+        for name, least in grid.items():
+            value = getattr(self, name)
+            size = 0 if value is None else value.count if isinstance(value, GridSpec) else len(value)
+            _require(size >= least, f"{self.scheme} needs {name} ({least} or more points)")
+            points *= size
+        if "control_frequency_grid" in grid:
             _require(min(self.control_frequency_grid.start, self.control_frequency_grid.stop) > 0.0,
                      "control_frequency_grid must be positive frequencies")
+        if "control_rabi_hz" in grid:
+            _require(all(_finite(v) and v >= 0.0 for v in self.control_rabi_hz),
+                     "control_rabi_hz values must be finite and nonnegative")
         if self.scheme == "linewidth-pipeline":
-            _require(self.power_grid.count >= 3, "linewidth-pipeline needs at least 3 powers")
             # the pipeline reports log10 of each power in watts; a power
             # above 0 dBm cannot underflow, and might overflow dbm_to_watts
             lowest = min(self.power_grid.start, self.power_grid.stop)
             _require(lowest > 0.0 or dbm_to_watts(lowest) > 0.0,
                      f"linewidth-pipeline power_grid starts at {lowest:g} dBm, which is 0 W in float64")
-            _require(self.control_frequency_grid.count >= 5,
-                     "linewidth-pipeline needs at least 5 frequency points")
         if self.scheme == "power-sweep" and self.control_frequency_hz is not None:
             _require(self.control_frequency_hz > 0.0, "control_frequency_hz must be positive")
-        if self.scheme == "flux-sweep":
-            _require(self.probe_detuning_grid is not None, "flux-sweep needs probe_detuning_grid")
-            _require(len(self.control_rabi_hz) > 0, "flux-sweep needs at least one control_rabi_hz")
-            _require(all(_finite(v) and v >= 0.0 for v in self.control_rabi_hz),
-                     "control_rabi_hz values must be finite and nonnegative")
-            points = len(self.control_rabi_hz) * self.probe_detuning_grid.count
-        elif self.scheme == "power-sweep":
-            points = self.power_grid.count
-        else:
-            points = self.power_grid.count * self.control_frequency_grid.count
         _require(points <= _MAX_POINTS, f"{self.scheme} grid has {points} points; the limit is {_MAX_POINTS}")
 
     def to_dict(self) -> dict[str, Any]:
@@ -529,10 +523,10 @@ def _drive(config: ExperimentConfig) -> tuple[ThreeLevelAtom, float, np.ndarray,
 
 
 def _threshold_summary(gamma10: float, gamma20: float, k: float | None) -> dict[str, Any]:
-    """The EIT/Autler-Townes threshold Omega_c = gamma10 - gamma20 (0 when
-    gamma20 is larger), and the control power P = Omega_c**2 / k (k > 0) that
-    reaches it; None without k, or where that power is 0 W or overflows."""
-    threshold = max(gamma10 - gamma20, 0.0)
+    """The EIT/Autler-Townes threshold drive (poles.crossover_rabi) and the
+    control power P = Omega_c**2 / k (k > 0) that reaches it; None without
+    k, or where that power is 0 W or overflows."""
+    threshold = crossover_rabi(gamma10, gamma20)
     power = threshold**2 / k if k is not None else 0.0
     return {
         "threshold_rabi_hz": angular_to_hz(threshold),
@@ -719,30 +713,32 @@ def _linewidth_pipeline(config: ExperimentConfig) -> RunResult:
 
 
 class _Scheme(NamedTuple):
-    """A scheme's runner and its paper profile's config fields, less the shared _PROFILE_CALIBRATION."""
+    """A scheme's runner, its grid (each config field the run spans, drive axis
+    first, with its fewest points) and its paper profile's fields less _PROFILE_CALIBRATION."""
 
     run: Callable[[ExperimentConfig], RunResult]
-    profile: Mapping[str, Any]
+    grid: Mapping[str, int]
+    profile: Mapping[str, Any] = {}
 
 
-# Every scheme, declared once and in SCHEMES order. SCHEMES, paper_profile,
-# run_experiment and the CLI's run commands (cli.build_parser) read this table.
+# Every scheme, declared once and in SCHEMES order: SCHEMES, validate,
+# paper_profile, run_experiment and the CLI's run commands read this table.
 _SCHEMES = {
-    "control-sweep": _Scheme(_control_sweep, dict(
+    "control-sweep": _Scheme(_control_sweep, dict(power_grid=1, control_frequency_grid=1), dict(
         atom=_REFLECTION_ATOM,
         power_grid=GridSpec(start=-60.0, stop=-40.0, count=21),
         control_frequency_grid=GridSpec(start=2.10e9, stop=2.20e9, count=201))),
-    "power-sweep": _Scheme(_power_sweep, dict(
+    "power-sweep": _Scheme(_power_sweep, dict(power_grid=1), dict(
         atom=_REFLECTION_ATOM,
         power_grid=GridSpec(start=-60.0, stop=-40.0, count=41),
         control_frequency_hz=2.15e9)),
-    "flux-sweep": _Scheme(_flux_sweep, dict(
+    "flux-sweep": _Scheme(_flux_sweep, dict(control_rabi_hz=1, probe_detuning_grid=1), dict(
         atom=_TRANSMISSION_ATOM,
         probe_detuning_grid=GridSpec(start=-50.0e6, stop=50.0e6, count=401),
         control_rabi_hz=(6.0e6, 16.0e6, 30.0e6),
         residual_detuning_hz=4.0e6,
         crosstalk_re=0.05)),
-    "linewidth-pipeline": _Scheme(_linewidth_pipeline, dict(
+    "linewidth-pipeline": _Scheme(_linewidth_pipeline, dict(power_grid=3, control_frequency_grid=5), dict(
         atom=_REFLECTION_ATOM,
         power_grid=GridSpec(start=-60.0, stop=-45.0, count=10),
         control_frequency_grid=GridSpec(start=2.125e9, stop=2.175e9, count=201))),

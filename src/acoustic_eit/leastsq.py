@@ -57,9 +57,9 @@ class FitResult:
     when the covariance is unavailable (rank-deficient curvature or zero
     degrees of freedom). at_bound marks the parameters that finished on
     their lower bound; notes carries the flags the estimators add, such as
-    degeneracy markers. stop names the test that ended the fit: "gradient",
-    "decrement", "damping" or "iterations"; a fit made without iterating (a
-    linear solve, constant data) reports "gradient".
+    degeneracy markers. stop names the test that ended the fit: "gradient"
+    or "decrement" when it converged, "damping" or "iterations" when not; a
+    fit made without iterating (a linear solve, constant data) reports "gradient".
     """
 
     names: tuple[str, ...]
@@ -68,7 +68,6 @@ class FitResult:
     covariance: np.ndarray | None
     rss: float
     iterations: int
-    converged: bool
     at_bound: tuple[bool, ...] = ()
     gradient_norm: float = float("nan")
     notes: tuple[str, ...] = field(default_factory=tuple)
@@ -77,6 +76,10 @@ class FitResult:
     def __post_init__(self) -> None:
         if len(self.names) != len(self.values) or len(self.names) != len(self.stderr):
             raise ValueError("names, values, and stderr must have equal length")
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in ("gradient", "decrement")
 
     def _index(self, name: str) -> int:
         try:
@@ -301,7 +304,6 @@ def levenberg_marquardt_stack(
             covariance=covariance,
             rss=float(rss[i]),
             iterations=int(iterations[i]),
-            converged=stop[i] in (_GRADIENT, _DECREMENT),
             at_bound=at_bound,
             gradient_norm=float(gnorm[i]),
             stop=_STOPS[stop[i]],

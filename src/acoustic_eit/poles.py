@@ -33,6 +33,11 @@ class RegimeDecision(NamedTuple):
     threshold: float  # crossover Rabi amplitude, max(gamma10 - gamma20, 0)
 
 
+def crossover_rabi(gamma10: float, gamma20: float) -> float:
+    """The crossover drive gamma10 - gamma20, or 0 when gamma20 is larger; unchecked."""
+    return max(gamma10 - gamma20, 0.0)
+
+
 def classify_regime(gamma10: float, gamma20: float, Omega_c: float) -> RegimeDecision:
     """Classify the drive against the crossover Omega_c,t = gamma10 - gamma20.
 
@@ -44,7 +49,7 @@ def classify_regime(gamma10: float, gamma20: float, Omega_c: float) -> RegimeDec
     for name, value in (("gamma10", gamma10), ("gamma20", gamma20), ("Omega_c", Omega_c)):
         if value < 0.0 or not math.isfinite(value):
             raise ValueError(f"{name} must be finite and nonnegative")
-    threshold = max(gamma10 - gamma20, 0.0)
+    threshold = crossover_rabi(gamma10, gamma20)
     if Omega_c == 0.0:
         return RegimeDecision(Regime.EIT, threshold)
     if threshold > 0.0 and abs(Omega_c - threshold) <= THRESHOLD_BAND_RTOL * gamma10:

@@ -191,6 +191,42 @@ def test_grid_point_cap(scheme, at_cap, over_cap):
         _grid_config(scheme, *over_cap)
 
 
+def test_a_scheme_declared_by_its_table_entry_alone_is_validated(monkeypatch):
+    # a scheme that its _SCHEMES entry alone declares, with a runner and a
+    # grid: validate derives its checks and its point count from the grid
+    for name, grid in [("probe-sweep", dict(control_rabi_hz=2, probe_detuning_grid=1)),
+                       ("drive-sweep", dict(power_grid=2))]:
+        monkeypatch.setitem(experiments._SCHEMES, name, experiments._Scheme(experiments._flux_sweep, grid))
+    monkeypatch.setattr(experiments, "SCHEMES", tuple(experiments._SCHEMES))
+    atom = paper_profile("flux-sweep").atom
+    rabi = (6.0e6, 16.0e6)
+
+    def probe_sweep(count: int, **fields) -> ExperimentConfig:
+        return ExperimentConfig(scheme="probe-sweep", atom=atom, **{
+            "control_rabi_hz": rabi, "probe_detuning_grid": GridSpec(-5.0e6, 5.0e6, count), **fields})
+
+    result = run_experiment(probe_sweep(7))
+    assert list(result.data) == ["control_rabi_hz", "probe_detuning_hz", "re", "im", "abs", "phase", "annotation"]
+    assert result.data["re"].size == 14
+    assert probe_sweep(_CAP // 2).scheme == "probe-sweep"
+    with pytest.raises(ConfigError, match=rf"^probe-sweep grid has {_CAP + 2} points; the limit is {_CAP}$"):
+        probe_sweep(_CAP // 2 + 1)
+    with pytest.raises(ConfigError, match=r"^probe-sweep needs probe_detuning_grid \(1 or more points\)$"):
+        probe_sweep(7, probe_detuning_grid=None)
+    with pytest.raises(ConfigError, match=r"^probe-sweep needs control_rabi_hz \(2 or more points\)$"):
+        probe_sweep(7, control_rabi_hz=rabi[:1])
+    with pytest.raises(ConfigError, match=r"^control_rabi_hz values must be finite and nonnegative$"):
+        probe_sweep(7, control_rabi_hz=(-1.0, 1.0))
+    # a field outside the grid is neither required nor checked
+    assert probe_sweep(7, control_frequency_grid=GridSpec(-1.0, 1.0, 1)).power_grid is None
+    # a drive in control power asks for a calibration first
+    with pytest.raises(ConfigError, match=r"^drive-sweep needs a calibration section$"):
+        ExperimentConfig(scheme="drive-sweep", atom=atom)
+    with pytest.raises(ConfigError, match=r"^drive-sweep needs power_grid \(2 or more points\)$"):
+        ExperimentConfig(scheme="drive-sweep", atom=atom, calibration=CalibrationParams(k_hz2_per_watt=1.0),
+                         power_grid=GridSpec(-50.0, -40.0, 1))
+
+
 def test_merge_config_dicts_is_recursive():
     base = {"a": 1, "nested": {"x": 1, "y": 2}}
     overlay = {"nested": {"y": 3}, "b": 4}

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ def _simple_result() -> FitResult:
         covariance=np.diag([0.01, 0.04]),
         rss=0.5,
         iterations=3,
-        converged=True,
     )
 
 
@@ -44,7 +45,16 @@ def test_fit_result_length_validation():
     with pytest.raises(ValueError):
         FitResult(names=("a",), values=np.array([1.0, 2.0]),
                   stderr=np.array([0.1, 0.1]), covariance=None,
-                  rss=0.0, iterations=0, converged=True)
+                  rss=0.0, iterations=0)
+
+
+def test_converged_follows_from_stop():
+    for stop, converged in [("gradient", True), ("decrement", True), ("damping", False), ("iterations", False)]:
+        assert replace(_simple_result(), stop=stop).converged is converged
+    # it is no field, so no result can claim it apart from its stop
+    with pytest.raises(TypeError):
+        FitResult(names=("a",), values=np.array([1.0]), stderr=np.array([0.1]), covariance=None,
+                  rss=0.0, iterations=200, converged=True, stop="iterations")
 
 
 # ---------------------------------------------------------------------------

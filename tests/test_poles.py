@@ -12,7 +12,7 @@ from acoustic_eit import (
     poles_and_decomposition,
     reflection_coefficient,
 )
-from acoustic_eit.poles import THRESHOLD_BAND_RTOL
+from acoustic_eit.poles import THRESHOLD_BAND_RTOL, crossover_rabi
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -161,3 +161,10 @@ def test_residues_sum_rule():
         dec = poles_and_decomposition(G10, G20, omega_c, GAMMA10)
         total = dec.residues[0] + dec.residues[1]
         assert total == pytest.approx(-0.5j * GAMMA10, rel=1e-12)
+
+
+def test_crossover_rabi_is_the_classifier_threshold():
+    for gamma10, gamma20 in [(21.0, 4.94), (4.94, 21.0), (3.0, 3.0), (0.0, 0.0)]:
+        assert crossover_rabi(gamma10, gamma20) == classify_regime(gamma10, gamma20, 1.0).threshold
+    # it checks nothing: the rates reach it already checked
+    assert crossover_rabi(math.inf, 1.0) == math.inf
