@@ -16,8 +16,12 @@ Five estimators mirror the measurement analysis chain:
   quadratures) with a constant electrical-crosstalk background.
 
 The fits run on the in-package damped least-squares engine and return
-its FitResult. Inputs are angular frequencies (rad/s) and watts; unit
-conversion happens at the program boundary, not here.
+its FitResult, each through one private front door, _fit_rows, which holds
+the data, weights and live rows (_fittable picks a stack's rows). An
+estimator gives only its model(theta) -> (f, df): values (m, n) and
+derivatives (m, n, p), real or complex, at the parameter rows theta
+(m, p), in new C-ordered arrays. Inputs are angular frequencies (rad/s)
+and watts; unit conversion happens at the program boundary, not here.
 """
 
 from __future__ import annotations
@@ -71,21 +75,55 @@ def _require_rate(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite")
 
 
-def _convergence_error(result: FitResult, what: str) -> ConvergenceError:
-    return ConvergenceError(
-        f"{what} did not converge after {result.iterations} iterations "
-        f"(gradient norm {result.gradient_norm:.3e}, rss {result.rss:.3e})"
-    )
+def _fittable(y: np.ndarray, sigma, outcomes: list):
+    """Indices, values and weights 1/sigma (1 without sigma) of the rows of y
+    (k, n) that can be fitted; each other row gets its ValueError in outcomes."""
+    sigma = np.ones(y.shape) if sigma is None else np.asarray(sigma, dtype=float)
+    valid = np.isfinite(y).all(axis=1)
+    fits = valid & ((sigma > 0.0) & (sigma < np.inf)).all(axis=1)
+    for i in np.flatnonzero(~fits):
+        outcomes[i] = ValueError("sample value must be finite" if not valid[i]
+                                 else "sample sigma must be positive and finite when present")
+    rows = np.flatnonzero(fits)
+    return rows, y[rows], 1.0 / sigma[rows]
 
 
-def _only(outcomes: list, what: str) -> FitResult:
-    """The result of a batch of one, raising its error or non-convergence."""
-    fit, = outcomes
-    if isinstance(fit, Exception):
-        raise fit
-    if not fit.converged:
-        raise _convergence_error(fit, what)
-    return fit
+def _fit_rows(model, x0, rows, ys, ws, outcomes: list, *, names: Sequence[str], lower, what: str) -> list:
+    """Fit model to each curve of ys (m, n), weighted by ws, from x0 (m, p) in lockstep, into
+    outcomes at its index in rows; a fit that did not converge becomes a ConvergenceError."""
+    if np.iscomplexobj(ys):
+        # a complex curve is fitted as its real parts, then its imaginary parts
+        ys, ws = np.concatenate([ys.real, ys.imag], axis=1), np.concatenate([ws, ws], axis=1)
+    # each weight once per parameter, to weight a Jacobian in one flat pass
+    wjs = np.repeat(ws, x0.shape[1], axis=1)
+
+    def evaluate(theta: np.ndarray, active: np.ndarray):
+        f, df = model(theta)
+        if np.iscomplexobj(f):
+            f, df = np.concatenate([f.real, f.imag], axis=1), np.concatenate([df.real, df.imag], axis=1)
+        # every row stays live until the first fit finishes
+        y, w, wj = (ys, ws, wjs) if active.size == len(ys) else (ys[active], ws[active], wjs[active])
+        # weighted in place, on the arrays just made
+        res, jac = f - y, df.reshape(wj.shape)
+        res *= w
+        jac *= wj
+        return res, jac.reshape(df.shape)
+
+    for i, fit in zip(rows, levenberg_marquardt_stack(evaluate, x0, names=names, lower=lower)):
+        if isinstance(fit, FitResult) and not fit.converged:
+            fit = ConvergenceError(f"{what} did not converge after {fit.iterations} iterations "
+                                   f"(gradient norm {fit.gradient_norm:.3e}, rss {fit.rss:.3e})")
+        outcomes[i] = fit
+    return outcomes
+
+
+def _only(model, x0: np.ndarray, y: np.ndarray, sigma: np.ndarray | None, **fit) -> FitResult:
+    """Fit model to one curve y (n,), checked by samples_from_arrays, from x0 (p,); raise its error."""
+    ws = np.ones((1, y.size)) if sigma is None else 1.0 / sigma[None]
+    result, = _fit_rows(model, x0[None], [0], y[None], ws, [None], **fit)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +187,7 @@ def fit_dip_stack(x, y, sigma=None) -> list[FitResult | Exception]:
         raise ValueError("sample abscissa must be finite")
     y = y.astype(float, copy=False)
     outcomes: list[FitResult | Exception | None] = [None] * len(y)
-    valid = np.isfinite(y).all(axis=1)
-    for i in np.flatnonzero(~valid):
-        outcomes[i] = ValueError("sample value must be finite")
-    if sigma is not None:
-        sigma = np.asarray(sigma, dtype=float)
-        weighted = ((sigma > 0.0) & np.isfinite(sigma)).all(axis=1)
-        for i in np.flatnonzero(valid & ~weighted):
-            outcomes[i] = ValueError("sample sigma must be positive and finite when present")
-        valid &= weighted
-    rows = np.flatnonzero(valid)
-    ws = np.ones((rows.size, x.size)) if sigma is None else 1.0 / sigma[rows]
-    ys = y[rows]
+    rows, ys, ws = _fittable(y, sigma, outcomes)
 
     # constant data leaves width and center unidentifiable: report the
     # baseline exactly and flag the result instead of iterating
@@ -183,11 +210,10 @@ def fit_dip_stack(x, y, sigma=None) -> list[FitResult | Exception]:
     if not rows.size:
         return outcomes
 
-    def evaluate(theta: np.ndarray, active: np.ndarray):
+    def model(theta: np.ndarray):
         center, hwhm, depth, baseline = theta.T[:, :, None]
-        # every row stays live until the first fit finishes
-        w, y_rows = (ws, ys) if active.size == len(ys) else (ws[active], ys[active])
         dx = x - center
+        df = np.empty(dx.shape + (4,))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # the per-fit factors -2*depth*hwhm and hwhm^2
             slope, hwhm2 = -depth * 2.0 * hwhm, hwhm * hwhm
@@ -195,33 +221,23 @@ def fit_dip_stack(x, y, sigma=None) -> list[FitResult | Exception]:
             lor = np.where(denom > 0.0, hwhm2 / denom, 1.0)
             f = baseline - depth * lor
             denom2 = denom * denom
-            # d/dcenter and d/dhwhm
-            d_shape = np.empty((2,) + dx.shape)
-            np.divide(slope * hwhm * dx, denom2, out=d_shape[0])
-            np.divide(slope * dx * dx, denom2, out=d_shape[1])
-        finite = np.isfinite(d_shape)
+            # d/dcenter, d/dhwhm, d/ddepth and d/dbaseline
+            np.divide(slope * hwhm * dx, denom2, out=df[:, :, 0])
+            np.divide(slope * dx * dx, denom2, out=df[:, :, 1])
+        df[:, :, 2], df[:, :, 3] = -lor, 1.0
+        finite = np.isfinite(df)
         if not finite.all():
-            d_shape[~finite] = 0.0
-        jac = np.empty(dx.shape + (4,))
-        np.multiply(d_shape, w, out=jac[:, :, :2].transpose(2, 0, 1))
-        np.multiply(-lor, w, out=jac[:, :, 2])
-        jac[:, :, 3] = w
-        return (f - y_rows) * w, jac
+            df[~finite] = 0.0
+        return f, df
 
-    fits = levenberg_marquardt_stack(
-        evaluate, _dip_start(x, ys), names=_DIP_NAMES, lower=np.array([-np.inf, 0.0, -np.inf, -np.inf]))
-    for i, fit in zip(rows, fits):
-        if isinstance(fit, Exception):
-            outcomes[i] = fit
-        elif not fit.converged:
-            outcomes[i] = _convergence_error(fit, "dip fit")
-        elif fit.value("hwhm") <= 0.0:
-            # collapse onto the width bound means the optimum is a zero-width
-            # spike, not a resolved dip; mark the width unidentifiable for
-            # downstream filters
-            outcomes[i] = fit.with_notes("hwhm-unidentifiable")
-        else:
-            outcomes[i] = fit
+    _fit_rows(model, _dip_start(x, ys), rows, ys, ws, outcomes, names=_DIP_NAMES,
+              lower=np.array([-np.inf, 0.0, -np.inf, -np.inf]), what="dip fit")
+    for i in rows:
+        # collapse onto the width bound means the optimum is a zero-width
+        # spike, not a resolved dip; mark the width unidentifiable for
+        # downstream filters
+        if isinstance(outcomes[i], FitResult) and outcomes[i].value("hwhm") <= 0.0:
+            outcomes[i] = outcomes[i].with_notes("hwhm-unidentifiable")
     return outcomes
 
 
@@ -334,14 +350,13 @@ def fit_two_level(samples: Samples, *, Gamma10: float) -> FitResult:
     Gamma10 multiplies the same factor as scale, so it is supplied from an
     independent calibration; the result holds the fitted gamma10 and scale.
     """
-    x, values, sigma = samples
+    x, values, sigma = samples_from_arrays(*samples)
     if x.size < 5:
         raise ValueError("need at least 5 samples")
     _require_rate("Gamma10", Gamma10)
     y = values.real
     if np.any(np.abs(values.imag) > 0.0):
         raise ValueError("two-level samples must be real (|r| values)")
-    w = np.ones_like(y) if sigma is None else 1.0 / sigma
 
     amp0 = float(np.max(y))
     if amp0 <= 0.0:
@@ -352,7 +367,7 @@ def fit_two_level(samples: Samples, *, Gamma10: float) -> FitResult:
     gamma0 = max(0.5 * float(np.ptp(x[half])) / math.sqrt(3.0), 1e-3 * float(np.ptp(x)))
     scale0 = amp0 * 2.0 * gamma0 / Gamma10
 
-    def evaluate(theta: np.ndarray, rows: np.ndarray):
+    def model(theta: np.ndarray):
         gamma, scale = theta[0]
         # a step clamped onto gamma = 0 divides by 0 at Delta_p = 0; its residuals reject it
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -360,14 +375,10 @@ def fit_two_level(samples: Samples, *, Gamma10: float) -> FitResult:
             f = scale * (0.5 * Gamma10) / root
             d_gamma = -scale * (0.5 * Gamma10) * gamma / root**3
             d_scale = (0.5 * Gamma10) / root
-        return ((f - y) * w)[None], (np.column_stack([d_gamma, d_scale]) * w[:, None])[None]
+        return f[None], np.column_stack([d_gamma, d_scale])[None]
 
-    return _only(levenberg_marquardt_stack(
-        evaluate,
-        np.array([[gamma0, scale0]]),
-        names=("gamma10", "scale"),
-        lower=np.array([0.0, -np.inf]),
-    ), "two-level fit")
+    return _only(model, np.array([gamma0, scale0]), y, sigma, names=("gamma10", "scale"),
+                 lower=np.array([0.0, -np.inf]), what="two-level fit")
 
 
 # ---------------------------------------------------------------------------
@@ -444,26 +455,24 @@ def fit_transmission(
     The six-parameter landscape has secondary minima at large background, so
     the fit starts from the data-driven transmission_initial_guess.
     """
-    x, values, sigma = samples
+    x, values, sigma = samples_from_arrays(*samples)
     if x.size < 8:
         raise ValueError("need at least 8 samples")
     _require_rate("gamma10", gamma10)
     _require_rate("Gamma10", Gamma10)
     if not np.any(values.imag != 0.0):
         raise ValueError("transmission values must be complex (both quadratures)")
-    w = np.ones(x.size) if sigma is None else 1.0 / sigma
 
-    guess = transmission_initial_guess(samples, gamma10=gamma10)
+    guess = transmission_initial_guess(Samples(x, values), gamma10=gamma10)
     # the model's parts that no parameter moves
     probe, two_x = _probe_factor(gamma10, x), 2.0 * x
 
-    def evaluate(theta: np.ndarray, rows: np.ndarray):
+    def model(theta: np.ndarray):
         gamma20, delta, omega_c, scale, c_re, c_im = theta[0]
         c = complex(c_re, c_im)
         r, two_photon, denominator, transparent = _kernel(Gamma10, probe, gamma20, omega_c, two_x + delta)
         # t / scale, which is also dt/dscale
         unscaled = 1.0 + r + c
-        t = scale * unscaled
         # chain rule through D: dt/dD = scale*Gamma10/D**2 with
         # dD/dgamma20 = -Omega_c**2/(2T**2), dD/ddelta = i*Omega_c**2/(2T**2)
         # and dD/dOmega_c = Omega_c/T
@@ -475,22 +484,13 @@ def fit_transmission(
             # leaves these finite limits
             d_gamma20 = np.where(transparent, -2.0 * scale * Gamma10 / omega_c**2, d_gamma20)
             d_omega_c = np.where(transparent, 0.0, d_omega_c)
-        # the real parts, then the imaginary parts, weighted
-        n = x.size
-        res = t - values
-        resid = np.empty((1, 2 * n))
-        np.multiply(res.real, w, out=resid[0, :n])
-        np.multiply(res.imag, w, out=resid[0, n:])
-        jac = np.zeros((1, 2 * n, 6))
-        for j, column in enumerate((d_gamma20, -1j * d_gamma20, d_omega_c, unscaled)):
-            np.multiply(column.real, w, out=jac[0, :n, j])
-            np.multiply(column.imag, w, out=jac[0, n:, j])
-        # dt/dc_re = scale and dt/dc_im = i*scale
-        np.multiply(scale, w, out=jac[0, :n, 4])
-        np.multiply(scale, w, out=jac[0, n:, 5])
-        return resid, jac
+        # dt/dc_re = scale and dt/dc_im = i*scale, built as (0, scale): 1j*scale
+        # would give a real part of -0.0 for a negative scale
+        df = np.empty((x.size, 6), complex)
+        df.T[:4] = d_gamma20, -1j * d_gamma20, d_omega_c, unscaled
+        df.T[4], df.T[5] = complex(scale, 0.0), complex(0.0, scale)
+        return (scale * unscaled)[None], df[None]
 
     x0 = np.array([guess[name] for name in _TRANSMISSION_NAMES])
     lower = np.array([0.0, -np.inf, 0.0, -np.inf, -np.inf, -np.inf])  # gamma20, Omega_c >= 0
-    return _only(levenberg_marquardt_stack(evaluate, x0[None], names=_TRANSMISSION_NAMES, lower=lower),
-                 "transmission fit")
+    return _only(model, x0, values, sigma, names=_TRANSMISSION_NAMES, lower=lower, what="transmission fit")

@@ -21,7 +21,7 @@ from acoustic_eit import (
     samples_from_arrays,
     transmission_flux_coefficient,
 )
-from acoustic_eit.estimation import fit_dip_stack, transmission_initial_guess
+from acoustic_eit.estimation import Samples, fit_dip_stack, transmission_initial_guess
 from numdiff import central_difference
 
 MHZ = 2.0 * math.pi * 1e6
@@ -491,6 +491,35 @@ def test_transmission_validation():
     with pytest.raises(ValueError):
         fit_transmission(samples_from_arrays(x, t), gamma10=0.0, Gamma10=GAMMA10_EMIT)
 
+
+HAND_BUILT_ERRORS = {
+    "nan-value": "sample value must be finite",
+    "zero-sigma": "sample sigma must be positive and finite when present",
+    "short-sigma": "samples must be 1-d arrays of equal length",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(HAND_BUILT_ERRORS))
+@pytest.mark.parametrize("estimator", ["two-level", "transmission"])
+def test_hand_built_samples_raise_the_validation_errors(estimator, case):
+    """Samples is a public NamedTuple, so it can be built without
+    samples_from_arrays; both estimators validate it through that function
+    and raise its message, with no numpy error and no warning."""
+    if estimator == "two-level":
+        x, values = _two_level_curve(n=101)
+        fit = lambda samples: fit_two_level(samples, Gamma10=GAMMA10_EMIT)
+    else:
+        x, values = _transmission_curve(n=101)
+        fit = lambda samples: fit_transmission(samples, gamma10=G10, Gamma10=GAMMA10_EMIT)
+    seventh = np.arange(x.size) == 7
+    samples = {
+        "nan-value": Samples(x, np.where(seventh, np.nan, values)),
+        "zero-sigma": Samples(x, values, np.where(seventh, 0.0, 0.01)),
+        "short-sigma": Samples(x, values, np.full(5, 0.01)),
+    }[case]
+    with pytest.raises(ValueError, match=f"^{HAND_BUILT_ERRORS[case]}$"):
+        fit(samples)
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])

@@ -15,7 +15,8 @@ workload does not reach. Both digests were last recaptured when the engine
 gained its decrement stop and FitResult its stop field;
 test_decrement_test_moves_no_fit_by_1e_3_of_a_standard_error bounds how far
 that moved the fits. The other tests mix fits in one stack, edge cases
-included, and compare each with the same fit alone.
+included, and compare each with the same fit alone; among them, a toy
+complex model run through the estimators' private front door.
 """
 
 from __future__ import annotations
@@ -221,6 +222,80 @@ def test_stacked_dip_fits_equal_single_fits(monkeypatch, engine_results):
     capped = [fit for fit in stacked_engine if fit.stop == "iterations"]
     assert len(capped) == 1 and capped[0].iterations == 200 and not capped[0].converged
     assert sum(isinstance(fit, ConvergenceError) for fit in stacked) == 1
+
+
+# ---------------------------------------------------------------------------
+# The estimators' front door, on a toy complex model
+# ---------------------------------------------------------------------------
+
+TOY_X = np.linspace(-3.0, 3.0, 61)
+TOY_NAMES = ("center", "width", "amp")
+TOY_TRUTH = np.array([[-0.5, 0.4, 1.0], [0.0, 0.8, 0.5], [0.7, 0.3, 2.0], [1.2, 1.1, 0.8]])
+# each row's start, off its truth by its own factors, so that the rows finish
+# at different iterations and leave the stack while others still iterate
+TOY_STARTS = (TOY_TRUTH * np.array([[1.0, 1.3, 0.8], [1.0, 1.1, 0.9], [1.0, 2.0, 0.5], [1.0, 1.5, 1.2]])
+              + np.array([0.1, 0.0, 0.0]))
+
+
+def _toy_lorentzian(theta):
+    """amp * width / (width - i * (x - center)) at each row of theta (m, 3),
+    and its derivatives by center, width and amp: a model that reads no data."""
+    center, width, amp = theta.T[:, :, None]
+    denom = width - 1j * (TOY_X - center)
+    df = np.stack([-1j * amp * width / denom**2, -1j * amp * (TOY_X - center) / denom**2, width / denom], axis=-1)
+    return amp * width / denom, df
+
+
+def _toy_data():
+    """Noisy curves of the TOY_TRUTH rows and their per-point sigma."""
+    rng = np.random.Generator(np.random.Philox(5))
+    clean, _ = _toy_lorentzian(TOY_TRUTH)
+    sigma = 0.01 + 0.02 * rng.random(clean.shape)
+    return clean + sigma * (rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)), sigma
+
+
+def _toy_fits(y, sigma, starts, what="toy fit"):
+    """Each row of the stack y fitted from its start through the front door."""
+    outcomes = [None] * len(y)
+    rows, ys, ws = estimation._fittable(y, sigma, outcomes)
+    return estimation._fit_rows(_toy_lorentzian, starts[rows], rows, ys, ws, outcomes, names=TOY_NAMES,
+                                lower=np.array([-np.inf, 0.0, -np.inf]), what=what)
+
+
+def _toy_alone(y, sigma, i):
+    fit, = _toy_fits(y[i:i + 1], sigma[i:i + 1], TOY_STARTS[i:i + 1])
+    return fit
+
+
+def test_front_door_stack_equals_its_batches_of_one():
+    y, sigma = _toy_data()
+    stacked = _toy_fits(y, sigma, TOY_STARTS)
+    assert all(fit.converged for fit in stacked)
+    assert np.allclose([fit.values for fit in stacked], TOY_TRUTH, atol=0.05)
+    # the first row is not the last to finish, so a later row's data must follow it
+    iterations = [fit.iterations for fit in stacked]
+    assert len(set(iterations)) > 2 and np.argmax(iterations) > 0
+    assert [_fit_record(fit) for fit in stacked] == [_fit_record(_toy_alone(y, sigma, i)) for i in range(len(y))]
+
+
+def test_front_door_gives_a_row_with_bad_samples_its_own_error():
+    y, sigma = _toy_data()
+    # a value that is not finite wins over a bad sigma in the same row
+    y[1, 5], sigma[1, 0] = np.nan, -1.0
+    sigma[2, 9] = 0.0
+    fits = _toy_fits(y, sigma, TOY_STARTS)
+    assert [type(fit) for fit in fits] == [leastsq.FitResult, ValueError, ValueError, leastsq.FitResult]
+    assert str(fits[1]) == "sample value must be finite"
+    assert str(fits[2]) == "sample sigma must be positive and finite when present"
+    assert [_fit_record(fit) for fit in fits] == [_fit_record(_toy_alone(y, sigma, i)) for i in range(len(y))]
+
+
+def test_front_door_turns_an_unconverged_fit_into_an_error_naming_it(monkeypatch):
+    monkeypatch.setattr(leastsq, "_MAX_ITER", 1)
+    y, sigma = _toy_data()
+    fits = _toy_fits(y, sigma, TOY_STARTS, what="toy lorentzian fit")
+    assert all(isinstance(fit, ConvergenceError) for fit in fits)
+    assert all(str(fit).startswith("toy lorentzian fit did not converge after 1 iterations (") for fit in fits)
 
 
 # ---------------------------------------------------------------------------
