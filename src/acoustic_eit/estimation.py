@@ -394,9 +394,9 @@ def transmission_initial_guess(samples: Samples, *, gamma10: float) -> dict[str,
     Two resolved minima (split lineshape) give the control Rabi frequency
     from their separation and the two-photon offset from their midpoint; a
     single minimum gives the offset alone and the Rabi guess falls back to
-    half the probe linewidth.
+    half the probe linewidth. The samples are checked by samples_from_arrays.
     """
-    x, values, _ = samples
+    x, values, _ = samples_from_arrays(*samples)
     order = np.argsort(x)
     x = x[order]
     mag = np.abs(values)[order]

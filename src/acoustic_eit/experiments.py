@@ -192,35 +192,27 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         _require(self.scheme in SCHEMES, f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        _require(_finite(self.probe_detuning_hz), "probe_detuning_hz must be finite")
-        _require(_finite(self.residual_detuning_hz), "residual_detuning_hz must be finite")
-        _require(_finite(self.crosstalk_re) and _finite(self.crosstalk_im), "crosstalk must be finite")
-        _require(_finite(self.scale) and self.scale > 0.0, "scale must be positive")
         self.atom.build()
-        grid = _SCHEMES[self.scheme].grid
-        if "power_grid" in grid:  # a drive in control power needs the power calibration
+        reads = _SCHEMES[self.scheme].reads
+        if "calibration" in reads:
             _require(self.calibration is not None, f"{self.scheme} needs a calibration section")
             self.calibration.build()
         points = 1
-        for name, least in grid.items():
+        for name, least in reads.items():
             value = getattr(self, name)
-            size = 0 if value is None else value.count if isinstance(value, GridSpec) else len(value)
-            _require(size >= least, f"{self.scheme} needs {name} ({least} or more points)")
-            points *= size
-        if "control_frequency_grid" in grid:
-            _require(min(self.control_frequency_grid.start, self.control_frequency_grid.stop) > 0.0,
-                     "control_frequency_grid must be positive frequencies")
-        if "control_rabi_hz" in grid:
-            _require(all(_finite(v) and v >= 0.0 for v in self.control_rabi_hz),
-                     "control_rabi_hz values must be finite and nonnegative")
+            if least:
+                size = 0 if value is None else value.count if isinstance(value, GridSpec) else len(value)
+                _require(size >= least, f"{self.scheme} needs {name} ({least} or more points)")
+                points *= size
+            if name in _FIELD_CHECKS:
+                check, message = _FIELD_CHECKS[name]
+                _require(check(value), message)
         if self.scheme == "linewidth-pipeline":
             # the pipeline reports log10 of each power in watts; a power
             # above 0 dBm cannot underflow, and might overflow dbm_to_watts
             lowest = min(self.power_grid.start, self.power_grid.stop)
             _require(lowest > 0.0 or dbm_to_watts(lowest) > 0.0,
                      f"linewidth-pipeline power_grid starts at {lowest:g} dBm, which is 0 W in float64")
-        if self.scheme == "power-sweep" and self.control_frequency_hz is not None:
-            _require(self.control_frequency_hz > 0.0, "control_frequency_hz must be positive")
         _require(points <= _MAX_POINTS, f"{self.scheme} grid has {points} points; the limit is {_MAX_POINTS}")
 
     def to_dict(self) -> dict[str, Any]:
@@ -234,6 +226,21 @@ class ExperimentConfig:
         _require(version == SCHEMA_VERSION,
                  f"config schema_version must be {SCHEMA_VERSION}, got {version!r}")
         return _decode(cls, data, "")
+
+
+# a checked config field's test and error; validate tests only the fields the scheme reads
+_FIELD_CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "probe_detuning_hz": (_finite, "probe_detuning_hz must be finite"),
+    "residual_detuning_hz": (_finite, "residual_detuning_hz must be finite"),
+    "crosstalk_re": (_finite, "crosstalk must be finite"),
+    "crosstalk_im": (_finite, "crosstalk must be finite"),
+    "scale": (lambda v: _finite(v) and v > 0.0, "scale must be positive"),
+    "control_frequency_hz": (lambda v: v is None or v > 0.0, "control_frequency_hz must be positive"),
+    "control_frequency_grid": (lambda g: min(g.start, g.stop) > 0.0,
+                               "control_frequency_grid must be positive frequencies"),
+    "control_rabi_hz": (lambda v: all(_finite(x) and x >= 0.0 for x in v),
+                        "control_rabi_hz values must be finite and nonnegative"),
+}
 
 
 def _encode(value: Any) -> Any:
@@ -713,32 +720,37 @@ def _linewidth_pipeline(config: ExperimentConfig) -> RunResult:
 
 
 class _Scheme(NamedTuple):
-    """A scheme's runner, its grid (each config field the run spans, drive axis
-    first, with its fewest points) and its paper profile's fields less _PROFILE_CALIBRATION."""
+    """A scheme's runner, the config fields it reads (its README row: a grid field, drive axis
+    first, maps to the fewest points it must hold, any other field to 0; validate checks these
+    alone and ignores the rest) and its paper profile's fields less _PROFILE_CALIBRATION."""
 
     run: Callable[[ExperimentConfig], RunResult]
-    grid: Mapping[str, int]
+    reads: Mapping[str, int]
     profile: Mapping[str, Any] = {}
 
 
 # Every scheme, declared once and in SCHEMES order: SCHEMES, validate,
 # paper_profile, run_experiment and the CLI's run commands read this table.
 _SCHEMES = {
-    "control-sweep": _Scheme(_control_sweep, dict(power_grid=1, control_frequency_grid=1), dict(
+    "control-sweep": _Scheme(_control_sweep, dict(atom=0, calibration=0, power_grid=1, control_frequency_grid=1,
+                                                  probe_detuning_hz=0, noise=0), dict(
         atom=_REFLECTION_ATOM,
         power_grid=GridSpec(start=-60.0, stop=-40.0, count=21),
         control_frequency_grid=GridSpec(start=2.10e9, stop=2.20e9, count=201))),
-    "power-sweep": _Scheme(_power_sweep, dict(power_grid=1), dict(
+    "power-sweep": _Scheme(_power_sweep, dict(atom=0, calibration=0, power_grid=1, control_frequency_hz=0,
+                                              probe_detuning_hz=0, noise=0), dict(
         atom=_REFLECTION_ATOM,
         power_grid=GridSpec(start=-60.0, stop=-40.0, count=41),
         control_frequency_hz=2.15e9)),
-    "flux-sweep": _Scheme(_flux_sweep, dict(control_rabi_hz=1, probe_detuning_grid=1), dict(
+    "flux-sweep": _Scheme(_flux_sweep, dict(atom=0, control_rabi_hz=1, probe_detuning_grid=1, residual_detuning_hz=0,
+                                            crosstalk_re=0, crosstalk_im=0, scale=0, noise=0), dict(
         atom=_TRANSMISSION_ATOM,
         probe_detuning_grid=GridSpec(start=-50.0e6, stop=50.0e6, count=401),
         control_rabi_hz=(6.0e6, 16.0e6, 30.0e6),
         residual_detuning_hz=4.0e6,
         crosstalk_re=0.05)),
-    "linewidth-pipeline": _Scheme(_linewidth_pipeline, dict(power_grid=3, control_frequency_grid=5), dict(
+    "linewidth-pipeline": _Scheme(_linewidth_pipeline, dict(atom=0, calibration=0, power_grid=3,
+                                                            control_frequency_grid=5, noise=0), dict(
         atom=_REFLECTION_ATOM,
         power_grid=GridSpec(start=-60.0, stop=-45.0, count=10),
         control_frequency_grid=GridSpec(start=2.125e9, stop=2.175e9, count=201))),

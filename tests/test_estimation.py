@@ -501,17 +501,21 @@ HAND_BUILT_ERRORS = {
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", list(HAND_BUILT_ERRORS))
-@pytest.mark.parametrize("estimator", ["two-level", "transmission"])
+@pytest.mark.parametrize("estimator", ["two-level", "transmission", "transmission-guess"])
 def test_hand_built_samples_raise_the_validation_errors(estimator, case):
     """Samples is a public NamedTuple, so it can be built without
-    samples_from_arrays; both estimators validate it through that function
-    and raise its message, with no numpy error and no warning."""
+    samples_from_arrays; both estimators and the transmission start validate
+    it through that function and raise its message, with no numpy error and
+    no warning."""
     if estimator == "two-level":
         x, values = _two_level_curve(n=101)
         fit = lambda samples: fit_two_level(samples, Gamma10=GAMMA10_EMIT)
-    else:
+    elif estimator == "transmission":
         x, values = _transmission_curve(n=101)
         fit = lambda samples: fit_transmission(samples, gamma10=G10, Gamma10=GAMMA10_EMIT)
+    else:
+        x, values = _transmission_curve(n=101)
+        fit = lambda samples: transmission_initial_guess(samples, gamma10=G10)
     seventh = np.arange(x.size) == 7
     samples = {
         "nan-value": Samples(x, np.where(seventh, np.nan, values)),

@@ -192,11 +192,12 @@ def test_grid_point_cap(scheme, at_cap, over_cap):
 
 
 def test_a_scheme_declared_by_its_table_entry_alone_is_validated(monkeypatch):
-    # a scheme that its _SCHEMES entry alone declares, with a runner and a
-    # grid: validate derives its checks and its point count from the grid
-    for name, grid in [("probe-sweep", dict(control_rabi_hz=2, probe_detuning_grid=1)),
-                       ("drive-sweep", dict(power_grid=2))]:
-        monkeypatch.setitem(experiments._SCHEMES, name, experiments._Scheme(experiments._flux_sweep, grid))
+    # a scheme that its _SCHEMES entry alone declares, with a runner and the
+    # fields it reads: validate derives its checks and its point count from them
+    scalars = dict(residual_detuning_hz=0, crosstalk_re=0, crosstalk_im=0, scale=0)
+    for name, reads in [("probe-sweep", dict(control_rabi_hz=2, probe_detuning_grid=1, **scalars)),
+                        ("drive-sweep", dict(calibration=0, power_grid=2))]:
+        monkeypatch.setitem(experiments._SCHEMES, name, experiments._Scheme(experiments._flux_sweep, reads))
     monkeypatch.setattr(experiments, "SCHEMES", tuple(experiments._SCHEMES))
     atom = paper_profile("flux-sweep").atom
     rabi = (6.0e6, 16.0e6)
@@ -217,9 +218,9 @@ def test_a_scheme_declared_by_its_table_entry_alone_is_validated(monkeypatch):
         probe_sweep(7, control_rabi_hz=rabi[:1])
     with pytest.raises(ConfigError, match=r"^control_rabi_hz values must be finite and nonnegative$"):
         probe_sweep(7, control_rabi_hz=(-1.0, 1.0))
-    # a field outside the grid is neither required nor checked
+    # a field the scheme does not read is neither required nor checked
     assert probe_sweep(7, control_frequency_grid=GridSpec(-1.0, 1.0, 1)).power_grid is None
-    # a drive in control power asks for a calibration first
+    # a scheme that reads the calibration asks for it first
     with pytest.raises(ConfigError, match=r"^drive-sweep needs a calibration section$"):
         ExperimentConfig(scheme="drive-sweep", atom=atom)
     with pytest.raises(ConfigError, match=r"^drive-sweep needs power_grid \(2 or more points\)$"):
