@@ -235,7 +235,7 @@ _FIELD_CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "crosstalk_re": (_finite, "crosstalk must be finite"),
     "crosstalk_im": (_finite, "crosstalk must be finite"),
     "scale": (lambda v: _finite(v) and v > 0.0, "scale must be positive"),
-    "control_frequency_hz": (lambda v: v is None or v > 0.0, "control_frequency_hz must be positive"),
+    "control_frequency_hz": (lambda v: v is None or (_finite(v) and v > 0.0), "control_frequency_hz must be positive"),
     "control_frequency_grid": (lambda g: min(g.start, g.stop) > 0.0,
                                "control_frequency_grid must be positive frequencies"),
     "control_rabi_hz": (lambda v: all(_finite(x) and x >= 0.0 for x in v),
@@ -517,16 +517,26 @@ def _regimes(atom: ThreeLevelAtom, omega_c: np.ndarray) -> list[str]:
     return [classify_regime(atom.gamma10, atom.gamma20, w).regime.value for w in omega_c.tolist()]
 
 
-def _drive(config: ExperimentConfig) -> tuple[ThreeLevelAtom, float, np.ndarray, np.ndarray, list[str]]:
-    """A calibrated run's device and its drive: the atom, the calibration
-    constant k, the control powers (dBm), the control amplitude
-    Omega_c = sqrt(k * P) at each power and the regime each amplitude puts
-    the atom in."""
+def _calibrated_grid(
+    config: ExperimentConfig, probe_detuning_hz: float, control_hz: np.ndarray | float | None
+) -> tuple[ThreeLevelAtom, float, np.ndarray, np.ndarray, list[str], np.ndarray, np.ndarray]:
+    """A calibrated run's atom, k, control powers (dBm, watts), each power's regime, control detunings and
+    noiseless reflection at probe_detuning_hz: a row per power, a column per control_hz (Hz; None: Delta_c = 0)."""
     atom = config.atom.build()
     k = config.calibration.build()
     powers = config.power_grid.values()
-    omega_c = np.sqrt(k * np.array([dbm_to_watts(power) for power in powers.tolist()]))
-    return atom, k, powers, omega_c, _regimes(atom, omega_c)
+    watts = np.array([dbm_to_watts(power) for power in powers.tolist()])
+    omega_c = np.sqrt(k * watts)
+    delta_c = np.zeros(1) if control_hz is None else hz_to_angular(np.atleast_1d(control_hz)) - atom.omega21
+    values = reflection_coefficient(
+        Gamma10=atom.Gamma10,
+        gamma10=atom.gamma10,
+        gamma20=atom.gamma20,
+        Omega_c=omega_c[:, None],
+        Delta_p=hz_to_angular(probe_detuning_hz),
+        Delta_c=delta_c,
+    )
+    return atom, k, powers, watts, _regimes(atom, omega_c), delta_c, values
 
 
 def _threshold_summary(gamma10: float, gamma20: float, k: float | None) -> dict[str, Any]:
@@ -543,16 +553,8 @@ def _threshold_summary(gamma10: float, gamma20: float, k: float | None) -> dict[
 
 def _control_sweep(config: ExperimentConfig) -> RunResult:
     """2-D reflection map over (control power dBm, control frequency Hz)."""
-    atom, k, powers, omega_c, regimes = _drive(config)
     freqs = config.control_frequency_grid.values()
-    values = reflection_coefficient(
-        Gamma10=atom.Gamma10,
-        gamma10=atom.gamma10,
-        gamma20=atom.gamma20,
-        Omega_c=omega_c[:, None],
-        Delta_p=hz_to_angular(config.probe_detuning_hz),
-        Delta_c=hz_to_angular(freqs) - atom.omega21,
-    )
+    atom, k, powers, _, regimes, _, values = _calibrated_grid(config, config.probe_detuning_hz, freqs)
     summary = _threshold_summary(atom.gamma10, atom.gamma20, k)
     summary["transition_frequency_hz"] = angular_to_hz(atom.omega21)
     axes = {"control_power_dbm": powers, "control_frequency_hz": freqs}
@@ -560,20 +562,9 @@ def _control_sweep(config: ExperimentConfig) -> RunResult:
 
 
 def _power_sweep(config: ExperimentConfig) -> RunResult:
-    """1-D reflection versus control power at a fixed control frequency."""
-    atom, k, powers, omega_c, regimes = _drive(config)
-    if config.control_frequency_hz is None:
-        delta_c = 0.0
-    else:
-        delta_c = hz_to_angular(config.control_frequency_hz) - atom.omega21
-    values = reflection_coefficient(
-        Gamma10=atom.Gamma10,
-        gamma10=atom.gamma10,
-        gamma20=atom.gamma20,
-        Omega_c=omega_c,
-        Delta_p=hz_to_angular(config.probe_detuning_hz),
-        Delta_c=delta_c,
-    )
+    """1-D reflection versus control power at a fixed control frequency: a one-column control map."""
+    atom, k, powers, _, regimes, _, values = _calibrated_grid(
+        config, config.probe_detuning_hz, config.control_frequency_hz)
     summary = _threshold_summary(atom.gamma10, atom.gamma20, k)
     return _sweep_columns(config, {"control_power_dbm": powers}, values, regimes, summary)
 
@@ -627,25 +618,15 @@ def _linewidth_pipeline(config: ExperimentConfig) -> RunResult:
     optionally add seeded noise (one spawned child seed per power, so the
     draws are independent of row evaluation order), fit the squared-magnitude
     Lorentzian (all powers in one lockstep stack), and keep the half width as
-    the transparency linewidth. The
-    surviving rows feed the weighted line fit for the intrinsic rate and the
-    power calibration constant, which in turn give a control Rabi frequency
-    with error bars per point. Rows whose dip fit fails are kept with a
-    status message and excluded from the line fit.
+    the transparency linewidth. The surviving rows feed the weighted line fit
+    for the intrinsic rate and the power calibration constant, which in turn
+    give a control Rabi frequency with error bars per point. Rows whose dip
+    fit fails are kept with a status message and excluded from the line fit.
     """
-    atom, _, powers, omega_c, regimes = _drive(config)
-    delta_c = hz_to_angular(config.control_frequency_grid.values()) - atom.omega21
+    atom, _, powers, powers_watts, regimes, delta_c, grid = _calibrated_grid(
+        config, 0.0, config.control_frequency_grid.values())
     noisy = config.noise.sigma_rel > 0.0
     children = np.random.SeedSequence(config.noise.seed).spawn(len(powers))
-    grid = reflection_coefficient(
-        Gamma10=atom.Gamma10,
-        gamma10=atom.gamma10,
-        gamma20=atom.gamma20,
-        Omega_c=omega_c[:, None],
-        Delta_p=0.0,
-        Delta_c=delta_c,
-    )
-
     values = np.stack([synthesize_noise(base, config.noise.sigma_rel, child, config.noise.kind)
                        for base, child in zip(grid, children)])
     _require_finite(values)
@@ -666,7 +647,6 @@ def _linewidth_pipeline(config: ExperimentConfig) -> RunResult:
         raise ConvergenceError(
             f"only {len(good)} of {len(powers)} dip fits usable; need at least 3 for the line fit"
         )
-    powers_watts = np.array([dbm_to_watts(p) for p in powers.tolist()])
     widths = np.array([fits[i].value("hwhm") for i in good])
     width_errors = np.array([fits[i].error("hwhm") for i in good])
     width_sigmas = width_errors if noisy else None

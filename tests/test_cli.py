@@ -434,6 +434,23 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, overlay):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid,message", [
+    ({"start": math.nan, "stop": 1.0, "count": 3}, "grid start/stop must be finite numbers"),
+    ({"start": 0.0, "stop": 1.0, "count": 0}, "grid count must be an integer >= 1"),
+], ids=["nan-start", "zero-count"])
+def test_an_unread_grid_still_checks_itself(tmp_path, capsys, grid, message):
+    # control-sweep never reads probe_detuning_grid, but a grid checks itself
+    # when it is built, so a bad one is not ignored
+    assert "probe_detuning_grid" not in experiments._SCHEMES["control-sweep"].reads
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"probe_detuning_grid": grid}))
+    code = main(["simulate", "control-sweep", "--profile", "paper", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 _NO_ANCHOR = {"anchor_power_dbm": None, "anchor_rabi_hz": None}
 
 
@@ -617,6 +634,7 @@ _HUGE_CONTROL_GRID = {"control_frequency_grid": {"start": 1e308, "stop": 1.7e308
     (["simulate", "flux-sweep"], {"control_rabi_hz": [1e308]}),
     (["simulate", "flux-sweep"], {"probe_detuning_grid": {"start": -1e308, "stop": 1e308, "count": 3}}),
     (["simulate", "control-sweep"], _HUGE_CONTROL_GRID),
+    (["simulate", "power-sweep"], {"control_frequency_hz": 1e308}),
     (["pipeline", "linewidth"], _HUGE_CONTROL_GRID),
     (["simulate", "power-sweep"],
      {"power_grid": {"start": -60, "stop": -60, "count": 1}, "noise": {"sigma_rel": 1.5e308, "seed": 75}}),
@@ -625,7 +643,8 @@ _HUGE_CONTROL_GRID = {"control_frequency_grid": {"start": 1e308, "stop": 1.7e308
     (["pipeline", "linewidth"], {"noise": {"sigma_rel": 1e308}}),
     (["pipeline", "linewidth"], {"noise": {"sigma_rel": 1e300, "kind": "magnitude"}}),
     (["pipeline", "linewidth"], {"atom": {"anharmonicity_hz": 1e307}}),
-], ids=["flux-rabi-angular", "flux-grid-span", "control-grid-angular", "pipeline-grid-angular",
+], ids=["flux-rabi-angular", "flux-grid-span", "control-grid-angular", "power-frequency-angular",
+        "pipeline-grid-angular",
         "power-noise-abs", "flux-scale-crosstalk", "pipeline-noise-1e300", "pipeline-noise-1e308",
         "pipeline-magnitude-noise", "pipeline-detunings-mean"])
 def test_angular_overflow_prints_only_the_error_line(tmp_path, capsys, argv, overlay):

@@ -429,6 +429,24 @@ def test_power_sweep_without_control_frequency_is_on_resonance():
     assert _same_sweep(run_experiment(unset), run_experiment(resonant))
 
 
+@pytest.mark.parametrize("noise", [
+    NoiseParams(),
+    NoiseParams(sigma_rel=0.01, seed=7),
+    NoiseParams(sigma_rel=0.02, seed=3, kind="magnitude"),
+], ids=["clean", "complex", "magnitude"])
+@pytest.mark.parametrize("frequency_hz", [2.15e9, 2.1301e9])
+def test_power_sweep_is_the_one_frequency_control_map(noise, frequency_hz):
+    power = replace(paper_profile("power-sweep"), control_frequency_hz=frequency_hz, probe_detuning_hz=1.5e6,
+                    noise=noise)
+    control = replace(paper_profile("control-sweep"), power_grid=power.power_grid,
+                      control_frequency_grid=GridSpec(start=frequency_hz, stop=frequency_hz, count=1),
+                      probe_detuning_hz=1.5e6, noise=noise)
+    got, want = run_experiment(power).data, run_experiment(control).data
+    for name in ("control_power_dbm", "re", "im", "abs", "phase"):
+        assert got[name].tobytes() == want[name].tobytes(), name
+    assert got["annotation"] == want["annotation"]
+
+
 def test_power_sweep_runs_and_annotates():
     result = run_experiment(paper_profile("power-sweep"))
     assert next(iter(result.data)) == "control_power_dbm"
@@ -917,9 +935,8 @@ def test_pipeline_weights_dips_by_the_noise_kind(monkeypatch, kind):
     if kind == "magnitude":
         assert np.array_equal(sigma, 2.0 * 0.01 * y)
     else:
-        atom, _, _, omega_c, _ = experiments._drive(config)
-        clean = np.abs(reflection_coefficient(atom.Gamma10, atom.gamma10, atom.gamma20, omega_c[:, None], 0.0,
-                                              hz_to_angular(config.control_frequency_grid.values()) - atom.omega21))
+        *_, grid = experiments._calibrated_grid(config, 0.0, config.control_frequency_grid.values())
+        clean = np.abs(grid)
         np.testing.assert_allclose(sigma, 2.0 * np.sqrt(y) * 0.01 * clean.max(axis=1, keepdims=True), rtol=1e-12)
 
 

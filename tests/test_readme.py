@@ -113,6 +113,7 @@ def test_a_field_outside_its_readme_row_changes_no_exported_value(scheme):
 @pytest.mark.parametrize("scheme, name, value, message", [
     ("control-sweep", "probe_detuning_hz", math.nan, "probe_detuning_hz must be finite"),
     ("power-sweep", "control_frequency_hz", -5.0, "control_frequency_hz must be positive"),
+    ("power-sweep", "control_frequency_hz", math.inf, "control_frequency_hz must be positive"),
     ("flux-sweep", "scale", -1.0, "scale must be positive"),
     ("linewidth-pipeline", "control_frequency_grid", GridSpec(start=-2.2e9, stop=-2.1e9, count=201),
      "control_frequency_grid must be positive frequencies"),
