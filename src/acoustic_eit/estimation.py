@@ -259,8 +259,8 @@ def fit_linewidth_line(
     ((rad/s)^2 per watt) with standard errors. Weights are 1/sigma^2 when
     sigma is given, else uniform; the errors carry the residual-variance
     scaling of the nonlinear fits, so noiseless data report zero
-    uncertainty. gamma10 is treated as exact; the linewidth pipeline passes
-    the configured atom's own gamma10.
+    uncertainty. gamma10 is treated as exact; the linewidth pipeline's fit
+    half passes the gamma10 of the atom it is given (the configured one).
     """
     powers = np.asarray(powers_watts, dtype=float)
     widths = np.asarray(gamma_eit, dtype=float)

@@ -597,14 +597,14 @@ def _flux_sweep(config: ExperimentConfig) -> RunResult:
     return _sweep_columns(config, axes, config.scale * (t + crosstalk), regimes, summary)
 
 
-def _dip_status(fit: Any, noisy: bool) -> str:
+def _dip_status(fit: Any, weighted: bool) -> str:
     """A pipeline row's status from its dip stack outcome (a FitResult or
     the error fitting it): "ok" when the fit is usable for the line fit."""
     if isinstance(fit, Exception):
         failure = str(fit)
     elif "hwhm-unidentifiable" in fit.notes:
         failure = "dip is degenerate: width unidentifiable"
-    elif noisy and not 0.0 < fit.error("hwhm") < math.inf:
+    elif weighted and not 0.0 < fit.error("hwhm") < math.inf:
         failure = "dip width error is not a positive finite number"
     else:
         return "ok"
@@ -612,36 +612,39 @@ def _dip_status(fit: Any, noisy: bool) -> str:
 
 
 def _linewidth_pipeline(config: ExperimentConfig) -> RunResult:
-    """Per-power dip fits, then the linewidth-versus-power line fit.
-
-    For each power: simulate the control-frequency dip at probe resonance,
-    optionally add seeded noise (one spawned child seed per power, so the
-    draws are independent of row evaluation order), fit the squared-magnitude
-    Lorentzian (all powers in one lockstep stack), and keep the half width as
-    the transparency linewidth. The surviving rows feed the weighted line fit
-    for the intrinsic rate and the power calibration constant, which in turn
-    give a control Rabi frequency with error bars per point. Rows whose dip
-    fit fails are kept with a status message and excluded from the line fit.
-    """
+    """Simulate the dips at probe resonance, add seeded noise (a spawned child seed per power) and fit them."""
     atom, _, powers, powers_watts, regimes, delta_c, grid = _calibrated_grid(
         config, 0.0, config.control_frequency_grid.values())
-    noisy = config.noise.sigma_rel > 0.0
     children = np.random.SeedSequence(config.noise.seed).spawn(len(powers))
     values = np.stack([synthesize_noise(base, config.noise.sigma_rel, child, config.noise.kind)
                        for base, child in zip(grid, children)])
     _require_finite(values)
     y = np.abs(values) ** 2
     sigma_y = None
-    if noisy and config.noise.kind == "magnitude":
+    if config.noise.sigma_rel > 0.0 and config.noise.kind == "magnitude":
         # |r|^2 (1 + n)^2 with n ~ N(0, sigma_rel), at first order
         sigma_y = 2.0 * config.noise.sigma_rel * y
-    elif noisy:
+    elif config.noise.sigma_rel > 0.0:
         # known per-quadrature sigma carried to |r|^2 at first order
         sigma_q = config.noise.sigma_rel * np.max(np.abs(grid), axis=1, keepdims=True)
         sigma_y = 2.0 * np.abs(values) * sigma_q
+    data, summary = _fit_linewidths(atom, powers, powers_watts, delta_c, y, sigma_y, regimes)
+    return RunResult(config=config, data=data, summary=summary)
 
+
+def _fit_linewidths(atom: ThreeLevelAtom, powers: np.ndarray, powers_watts: np.ndarray, delta_c: np.ndarray,
+                    y: np.ndarray, sigma_y: np.ndarray | None, regimes: list[str]) -> tuple[dict, dict[str, Any]]:
+    """Per-power dip fits of y = |r|^2 (a row per power over the control detunings delta_c; sigma_y its
+    sigma, None when noiseless), then the linewidth-versus-power line fit: a run's data and summary.
+
+    All powers' Lorentzians fit in one lockstep stack, and each half width is
+    the transparency linewidth. The surviving rows feed the weighted line fit
+    for the intrinsic rate and the power calibration constant, which in turn
+    give a control Rabi frequency with error bars per point. Rows whose dip
+    fit fails are kept with a status message and excluded from the line fit.
+    Of the atom, only gamma10 and omega21 are read."""
     fits = fit_dip_stack(delta_c, y, sigma_y)
-    statuses = [_dip_status(fit, noisy) for fit in fits]
+    statuses = [_dip_status(fit, sigma_y is not None) for fit in fits]
     good = [i for i, status in enumerate(statuses) if status == "ok"]
     if len(good) < 3:
         raise ConvergenceError(
@@ -649,7 +652,7 @@ def _linewidth_pipeline(config: ExperimentConfig) -> RunResult:
         )
     widths = np.array([fits[i].value("hwhm") for i in good])
     width_errors = np.array([fits[i].error("hwhm") for i in good])
-    width_sigmas = width_errors if noisy else None
+    width_sigmas = width_errors if sigma_y is not None else None
     centers = np.array([fits[i].value("center") for i in good])
     line = fit_linewidth_line(powers_watts[good], widths, width_sigmas, gamma10=atom.gamma10)
     gamma20_fit = line.value("gamma20")
@@ -696,7 +699,7 @@ def _linewidth_pipeline(config: ExperimentConfig) -> RunResult:
         **_threshold_summary(atom.gamma10, gamma20_fit, k_fit),
         "gamma10_hz": angular_to_hz(atom.gamma10),
     }
-    return RunResult(config=config, data=data, summary=summary)
+    return data, summary
 
 
 class _Scheme(NamedTuple):

@@ -940,6 +940,59 @@ def test_pipeline_weights_dips_by_the_noise_kind(monkeypatch, kind):
         np.testing.assert_allclose(sigma, 2.0 * np.sqrt(y) * 0.01 * clean.max(axis=1, keepdims=True), rtol=1e-12)
 
 
+def _exact(data, summary):
+    """A run's columns cell by cell and its summary, through repr so that
+    -0.0, nan and None count."""
+    cells = {name: repr(column.tolist() if isinstance(column, np.ndarray) else column) for name, column in data.items()}
+    return cells, repr(summary)
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseParams(),
+    NoiseParams(sigma_rel=0.01, seed=5, kind="complex"),
+    NoiseParams(sigma_rel=0.01, seed=5, kind="magnitude"),
+    NoiseParams(sigma_rel=0.015, seed=35),  # its -60 dBm row fails
+], ids=["clean", "complex", "magnitude", "failed-row"])
+def test_fit_half_rebuilds_a_pipeline_run_bit_for_bit(noise):
+    # the fit half sees |r|^2, its sigma, gamma10 and omega21 alone: the values
+    # and sigmas rebuilt here from the noise model (one spawned child seed per
+    # row, the README's sigma formulas) give the run's columns and summary
+    config = replace(paper_profile("linewidth-pipeline"), noise=noise)
+    atom, _, powers, watts, regimes, delta_c, grid = experiments._calibrated_grid(
+        config, 0.0, config.control_frequency_grid.values())
+    children = np.random.SeedSequence(noise.seed).spawn(len(powers))
+    values = np.array([synthesize_noise(row, noise.sigma_rel, child, noise.kind) for row, child in zip(grid, children)])
+    y = np.abs(values) ** 2
+    if noise.sigma_rel == 0.0:
+        sigma_y = None
+    elif noise.kind == "magnitude":
+        sigma_y = 2.0 * noise.sigma_rel * y
+    else:
+        sigma_y = 2.0 * np.abs(values) * (noise.sigma_rel * np.max(np.abs(grid), axis=1, keepdims=True))
+    data, summary = experiments._fit_linewidths(atom, powers, watts, delta_c, y, sigma_y, regimes)
+    result = run_experiment(config)
+    assert _exact(data, summary) == _exact(result.data, result.summary)
+    assert (data["status"][0] != "ok") == (noise.seed == 35)
+
+
+def test_a_clean_control_sweep_fitted_by_the_fit_half_is_the_clean_pipeline():
+    # a control sweep over the pipeline's grids exports the pipeline's input
+    pipeline = paper_profile("linewidth-pipeline")
+    sweep = run_experiment(replace(paper_profile("control-sweep"), power_grid=pipeline.power_grid,
+                                   control_frequency_grid=pipeline.control_frequency_grid)).data
+    shape = (pipeline.power_grid.count, pipeline.control_frequency_grid.count)
+    values = (sweep["re"] + 1j * sweep["im"]).reshape(shape)
+    powers = sweep["control_power_dbm"].reshape(shape)[:, 0]
+    atom = pipeline.atom.build()
+    watts = np.array([dbm_to_watts(power) for power in powers.tolist()])
+    delta_c = hz_to_angular(sweep["control_frequency_hz"].reshape(shape)[0]) - atom.omega21
+    regimes = sweep["annotation"][::shape[1]]
+    data, summary = experiments._fit_linewidths(atom, powers, watts, delta_c, np.abs(values) ** 2, None, regimes)
+    clean = run_experiment(pipeline)
+    assert _exact(data, summary) == _exact(clean.data, clean.summary)
+    assert summary["line_fit"]["converged"] and summary["line_fit"]["points_used"] == shape[0]
+
+
 def _import_outcome(read, path):
     """What a CSV reader makes of a file: the columns and every row's keys,
     cell types and values (repr tells -0.0 from 0.0, True from 1.0 and

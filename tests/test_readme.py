@@ -1,5 +1,6 @@
-"""The README's Python examples run as written, with numpy alone, and its
-table of the config fields each scheme reads holds."""
+"""The README's Python examples run as written, with numpy alone, its table
+of the config fields each scheme reads holds, and the Python and numpy it and
+pyproject.toml declare are the versions CI pins."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import json
 import math
 import re
 import sys
+import tomllib
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -122,3 +124,16 @@ def test_a_bad_value_of_a_read_field_keeps_its_message(scheme, name, value, mess
     assert name in _readme_rows()[scheme]
     with pytest.raises(ConfigError, match=f"^{message}$"):
         replace(paper_profile(scheme), **{name: value})
+
+
+def test_declared_versions_are_the_ones_ci_pins():
+    # every digest was captured under the workflow's pins, so the declared
+    # floors are those pins and nothing older that no job runs
+    root = README.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    pinned = dict(pin.split("==") for pin in re.search(r"^\s*PINNED: (.+)$", workflow, re.MULTILINE)[1].split())
+    python, = set(re.findall(r'^\s*python-version: "(.+)"$', workflow, re.MULTILINE))
+    assert project["requires-python"] == f">={python}"
+    assert project["dependencies"] == [f"numpy>={pinned['numpy']}"]
+    assert f"Python {python} or newer and numpy {pinned['numpy']} or newer;" in README.read_text(encoding="utf-8")
