@@ -96,13 +96,16 @@ def _fit_rows(model, x0, rows, ys, ws, outcomes: list, *, names: Sequence[str], 
         ys, ws = np.concatenate([ys.real, ys.imag], axis=1), np.concatenate([ws, ws], axis=1)
     # each weight once per parameter, to weight a Jacobian in one flat pass
     wjs = np.repeat(ws, x0.shape[1], axis=1)
+    y, w, wj = ys, ws, wjs
 
     def evaluate(theta: np.ndarray, active: np.ndarray):
+        nonlocal y, w, wj
         f, df = model(theta)
         if np.iscomplexobj(f):
             f, df = np.concatenate([f.real, f.imag], axis=1), np.concatenate([df.real, df.imag], axis=1)
-        # every row stays live until the first fit finishes
-        y, w, wj = (ys, ws, wjs) if active.size == len(ys) else (ys[active], ws[active], wjs[active])
+        # the engine's rows only lose entries, so they change only when their count does
+        if active.size != len(y):
+            y, w, wj = ys[active], ws[active], wjs[active]
         # weighted in place, on the arrays just made
         res, jac = f - y, df.reshape(wj.shape)
         res *= w
@@ -397,6 +400,11 @@ def transmission_initial_guess(samples: Samples, *, gamma10: float) -> dict[str,
     half the probe linewidth. The samples are checked by samples_from_arrays.
     """
     x, values, _ = samples_from_arrays(*samples)
+    return _transmission_start(x, values, gamma10)
+
+
+def _transmission_start(x: np.ndarray, values: np.ndarray, gamma10: float) -> dict[str, float]:
+    """transmission_initial_guess on samples that are already checked."""
     order = np.argsort(x)
     x = x[order]
     mag = np.abs(values)[order]
@@ -463,12 +471,13 @@ def fit_transmission(
     if not np.any(values.imag != 0.0):
         raise ValueError("transmission values must be complex (both quadratures)")
 
-    guess = transmission_initial_guess(Samples(x, values), gamma10=gamma10)
+    guess = _transmission_start(x, values, gamma10)
     # the model's parts that no parameter moves
     probe, two_x = _probe_factor(gamma10, x), 2.0 * x
 
     def model(theta: np.ndarray):
-        gamma20, delta, omega_c, scale, c_re, c_im = theta[0]
+        gamma20, delta, _, scale, c_re, c_im = theta[0].tolist()
+        omega_c = theta[0, 2]  # a numpy scalar, whose square overflows to inf where a Python float's raises
         c = complex(c_re, c_im)
         r, two_photon, denominator, transparent = _kernel(Gamma10, probe, gamma20, omega_c, two_x + delta)
         # t / scale, which is also dt/dscale
@@ -486,10 +495,10 @@ def fit_transmission(
             d_omega_c = np.where(transparent, 0.0, d_omega_c)
         # dt/dc_re = scale and dt/dc_im = i*scale, built as (0, scale): 1j*scale
         # would give a real part of -0.0 for a negative scale
-        df = np.empty((x.size, 6), complex)
-        df.T[:4] = d_gamma20, -1j * d_gamma20, d_omega_c, unscaled
-        df.T[4], df.T[5] = complex(scale, 0.0), complex(0.0, scale)
-        return (scale * unscaled)[None], df[None]
+        df = np.empty((1, x.size, 6), complex)
+        df[0, :, 0], df[0, :, 1], df[0, :, 2], df[0, :, 3] = d_gamma20, -1j * d_gamma20, d_omega_c, unscaled
+        df[0, :, 4], df[0, :, 5] = complex(scale, 0.0), complex(0.0, scale)
+        return (scale * unscaled)[None], df
 
     x0 = np.array([guess[name] for name in _TRANSMISSION_NAMES])
     lower = np.array([0.0, -np.inf, 0.0, -np.inf, -np.inf, -np.inf])  # gamma20, Omega_c >= 0

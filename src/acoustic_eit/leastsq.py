@@ -5,7 +5,10 @@ of independent fits in lockstep: one model evaluation per trial step gives
 the (weighted) residuals and analytic Jacobians of every fit still
 iterating, and one stacked solve gives their steps. A single fit is a batch
 of one. Lower bounds are enforced by projection (clamping), with
-per-parameter at-bound flags reported on the result.
+per-parameter at-bound flags reported on the result. The rows evaluate is
+asked for only ever lose entries and keep stack order. Arrays hold what the
+stacked linear algebra and evaluate read; each fit's stop tests run on
+Python floats, one fit at a time, with the same IEEE operations.
 
 Schedule and stopping rule:
   - damping factor starts at 1e-3, multiplied by 10 on a rejected step and
@@ -45,6 +48,7 @@ _DAMPING_INIT = 1e-3
 _DAMPING_GROW = 10.0
 _DAMPING_SHRINK = 10.0
 _DAMPING_MAX = 1e15
+_COST_SLACK = 1.0 + 64.0 * float(np.finfo(float).eps)  # a tiny step's rss may pass the cost by 64 ulps
 _STOPS = ("gradient", "decrement", "damping", "iterations")
 _GRADIENT, _DECREMENT, _DAMPING, _ITERATIONS = range(len(_STOPS))
 
@@ -123,33 +127,28 @@ def _covariances(jac: np.ndarray, rss: np.ndarray) -> list[tuple[np.ndarray | No
     return [(cov[i], stderr[i]) if defined[i] else (None, np.full(p, np.nan)) for i in range(k)]
 
 
-def _all(mask: np.ndarray) -> bool:
-    """mask.all(), at a third of its cost on the engine's small arrays."""
-    return np.count_nonzero(mask) == mask.size
-
-
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (k, n) stacks, bit-equal to a[i] @ b[i]."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _gradients(jac: np.ndarray, r: np.ndarray, x: np.ndarray, lower: np.ndarray):
-    """J^T r per fit, and the norm of its projection: the components that push
-    a bound-clamped parameter outward are left out."""
+    """J^T r per fit, and the norm of its projection as a list of floats: the
+    components that push a bound-clamped parameter outward are left out."""
     grad = (r[:, None, :] @ jac)[:, 0, :]
     clamped = x <= lower
     projected = np.where(clamped & (grad > 0.0), 0.0, grad) if np.count_nonzero(clamped) else grad
-    return grad, np.sqrt(_dots(projected, projected))
+    return grad, np.sqrt(_dots(projected, projected)).tolist()
 
 
-def _steps(jac: np.ndarray, grad: np.ndarray, damping: np.ndarray) -> np.ndarray:
+def _steps(jac: np.ndarray, grad: np.ndarray, damping: Sequence[float]) -> np.ndarray:
     """Damped Gauss-Newton steps of a stack of fits; a fit whose system is
     singular or whose step is not finite gets a zero step."""
     system = jac.transpose(0, 2, 1) @ jac
     p = system.shape[1]
     diagonal = system.reshape(len(system), p * p)[:, ::p + 1]
     # keep the damping matrix nonsingular for parameters with no local effect
-    diagonal += damping[:, None] * np.where(diagonal <= 0.0, 1.0, diagonal)
+    diagonal += np.array(damping)[:, None] * np.where(diagonal <= 0.0, 1.0, diagonal)
     rhs = -grad[:, :, None]
     try:
         steps = np.linalg.solve(system, rhs)[:, :, 0]
@@ -162,7 +161,7 @@ def _steps(jac: np.ndarray, grad: np.ndarray, damping: np.ndarray) -> np.ndarray
             except np.linalg.LinAlgError:
                 pass
     finite = np.isfinite(steps)
-    if _all(finite):
+    if np.count_nonzero(finite) == finite.size:
         return steps
     return np.where(finite.all(axis=1, keepdims=True), steps, 0.0)
 
@@ -204,109 +203,101 @@ def levenberg_marquardt_stack(
 
     r, jac = (np.array(a, dtype=float) for a in evaluate(x, np.arange(k)))
     with np.errstate(over="ignore"):  # an overflowing rss fails the start like a non-finite residual
-        rss = _dots(r, r)
-    started = np.isfinite(r).all(axis=1) & np.isfinite(rss)
-    # such a fit never iterates; its result is a ValueError
-    r[~started], rss[~started] = 0.0, 0.0
-    grad, gnorm = _gradients(jac, r, x, bound)
+        rss_start = _dots(r, r)
+    started = np.isfinite(r).all(axis=1) & np.isfinite(rss_start)
+    # a fit that does not start never iterates; its result is a ValueError
+    live = np.flatnonzero(started)
     dof = r.shape[1] - p
     # the decrement test's bound on g^T step, per unit of rss; with n <= p
     # it is 0, which no step passes
     decrement_floor = -_DECREMENT_TOL**2 / dof if dof > 0 else 0.0
-    iterations = np.zeros(k, dtype=int)
-    stop = np.zeros(k, dtype=int)
+    # each fit's scalars, by stack index once it finishes
+    rss, gnorm, iterations, stop = [0.0] * k, [0.0] * k, [0] * k, [0] * k
 
     # the state of the fits still iterating, compacted: a fit leaves it once
-    # it finishes
-    live = np.flatnonzero(started)
-    x_live, r_live, rss_live, jac_live, grad_live, gnorm_live = (a[live] for a in (x, r, rss, jac, grad, gnorm))
-    damping = np.full(live.size, _DAMPING_INIT)
-    done = gnorm_live < _GTOL * (1.0 + rss_live)
-    for iteration in range(_MAX_ITER + 1):
-        # done holds the gradient and damping tests on the state the last
+    # it finishes. Each fit's rss, gradient norm and damping are Python
+    # floats (its stop cause None while it iterates), tested with the IEEE
+    # operations numpy would make. A Python float does not raise on overflow
+    # under a run's error state, as numpy does, but none occurs: damping stays
+    # at or below 1e16 and rss is finite (only rss * (1 + 64 eps) could pass
+    # the largest double, for an rss within a relative 64 eps of it).
+    x_live, r_live, jac_live = (a.take(live, axis=0) for a in (x, r, jac))
+    rss_live = rss_start.take(live).tolist()
+    grad_live, gnorm_live = _gradients(jac_live, r_live, x_live, bound)
+    damping = [_DAMPING_INIT] * live.size
+    cause = [_GRADIENT if g < _GTOL * (1.0 + s) else None for g, s in zip(gnorm_live, rss_live)]
+    for iteration in range(_MAX_ITER + 1 if live.size else 0):
+        # cause holds the gradient and damping tests on the state the last
         # trial left; the decrement test needs this iteration's step. A fit
         # that passes one, or reaches the cap, finishes after this many
         # iterations
-        at_cap = iteration == _MAX_ITER
-        stepping = not (at_cap or _all(done))
+        stepping = iteration < _MAX_ITER and None in cause
         if stepping:
             step = _steps(jac_live, grad_live, damping)
             # g^T step is minus the decrease the damped model predicts; a
             # zero step (singular system) predicts none and never stops
-            decrement = _dots(grad_live, step)
-            done |= ((damping <= _DAMPING_INIT) & (decrement < 0.0)
-                     & (decrement >= decrement_floor * rss_live))
-        if not stepping or np.count_nonzero(done):
-            ended = done | at_cap
-            rows = live[ended]
-            x[rows], rss[rows], jac[rows], gnorm[rows] = (
-                x_live[ended], rss_live[ended], jac_live[ended], gnorm_live[ended])
-            iterations[rows] = iteration
-            # done past the gradient and damping tests is the decrement test
-            stop[rows] = np.where(gnorm_live[ended] < _GTOL * (1.0 + rss_live[ended]), _GRADIENT,
-                                  np.where(damping[ended] > _DAMPING_MAX, _DAMPING,
-                                           np.where(done[ended], _DECREMENT, _ITERATIONS)))
-            if _all(ended):
+            cause = [_DECREMENT if c is None and d <= _DAMPING_INIT and 0.0 > g >= decrement_floor * s else c
+                     for c, d, g, s in zip(cause, damping, _dots(grad_live, step).tolist(), rss_live)]
+        ended = [i for i, c in enumerate(cause) if c is not None or not stepping]
+        if ended:
+            index = np.array(ended)
+            rows = live.take(index)
+            x[rows], jac[rows] = x_live.take(index, axis=0), jac_live.take(index, axis=0)
+            for i, row in zip(ended, rows.tolist()):
+                rss[row], gnorm[row], iterations[row] = rss_live[i], gnorm_live[i], iteration
+                stop[row] = _ITERATIONS if cause[i] is None else cause[i]
+            if len(ended) == len(cause):
                 break
-            keep = ~ended
-            live, x_live, r_live, rss_live, jac_live, grad_live, gnorm_live, damping, step = (
-                a[keep] for a in (live, x_live, r_live, rss_live, jac_live, grad_live, gnorm_live, damping, step))
+            keep = [i for i, c in enumerate(cause) if c is None]
+            rss_live, gnorm_live, damping = ([a[i] for i in keep] for a in (rss_live, gnorm_live, damping))
+            keep = np.array(keep)
+            live, x_live, r_live, jac_live, grad_live, step = (
+                a.take(keep, axis=0) for a in (live, x_live, r_live, jac_live, grad_live, step))
+            cause = [None] * keep.size
         x_trial = np.maximum(x_live + step, bound)
         r_trial, jac_trial = (np.ascontiguousarray(a, dtype=float) for a in evaluate(x_trial, live))
-        rss_trial = _dots(r_trial, r_trial)
+        rss_trial = _dots(r_trial, r_trial).tolist()
         # rss_live is finite, so a smaller rss_trial is finite, and so is
         # every residual it sums
-        take = rss_trial < rss_live
-        every = _all(take)
-        if not every:
+        take = [t < s for t, s in zip(rss_trial, rss_live)]
+        if not all(take):
             # near the optimum the exact cost decrease of a polish step falls
             # below the rounding granularity of rss itself; such a step still
             # moves the gradient to its floating-point floor, so accept it
-            # when it is negligibly small and within a few ulps of the cost
-            tiny_step = ((np.abs(step) <= 1e-8 * np.maximum(np.abs(x_live), 1e-300)).all(axis=1)
-                         & (x_trial != x_live).any(axis=1))
-            # a zero step (singular system) moves nowhere, so it is never accepted
-            take |= (tiny_step & (rss_trial <= rss_live * (1.0 + 64.0 * np.finfo(float).eps))
-                     & np.isfinite(r_trial).all(axis=1))
-            every = _all(take)
-        if every:
+            # when it is negligibly small and within a few ulps of the cost.
+            # A zero step (singular system) moves nowhere, so it is never accepted
+            steps, xs, trials = step.tolist(), x_live.tolist(), x_trial.tolist()
+            for i in [i for i, t in enumerate(take) if not t]:
+                take[i] = (rss_trial[i] <= rss_live[i] * _COST_SLACK and xs[i] != trials[i]
+                           and all(abs(s) <= 1e-8 * max(abs(v), 1e-300) for s, v in zip(steps[i], xs[i]))
+                           and bool(np.isfinite(r_trial[i]).all()))
+        if any(take):
+            if not all(take):
+                # a fit that rejects its trial keeps its state
+                mask = np.array(take)[:, None]
+                x_trial, r_trial = np.where(mask, x_trial, x_live), np.where(mask, r_trial, r_live)
+                jac_trial = np.where(mask[:, :, None], jac_trial, jac_live)
+                rss_trial = [t if taken else s for taken, t, s in zip(take, rss_trial, rss_live)]
             x_live, r_live, rss_live, jac_live = x_trial, r_trial, rss_trial, jac_trial
             grad_live, gnorm_live = _gradients(jac_live, r_live, x_live, bound)
-            # shrinking damping cannot pass the damping stop
-            damping = np.maximum(damping / _DAMPING_SHRINK, 1e-15)
-            done = gnorm_live < _GTOL * (1.0 + rss_live)
-        elif np.count_nonzero(take):
-            x_live = np.where(take[:, None], x_trial, x_live)
-            r_live = np.where(take[:, None], r_trial, r_live)
-            rss_live = np.where(take, rss_trial, rss_live)
-            jac_live = np.where(take[:, None, None], jac_trial, jac_live)
-            grad_live, gnorm_live = _gradients(jac_live, r_live, x_live, bound)
-            damping = np.where(take, np.maximum(damping / _DAMPING_SHRINK, 1e-15), damping * _DAMPING_GROW)
-            done = (gnorm_live < _GTOL * (1.0 + rss_live)) | (damping > _DAMPING_MAX)
-        else:
-            # with no step taken the state, its gradients and the gradient
-            # test stay as they are
-            damping = damping * _DAMPING_GROW
-            done = damping > _DAMPING_MAX
+        # a fit that took its step cannot pass the damping stop, and one that
+        # kept its state still fails the gradient test it failed before
+        damping = [max(d / _DAMPING_SHRINK, 1e-15) if taken else d * _DAMPING_GROW
+                   for taken, d in zip(take, damping)]
+        cause = [_GRADIENT if g < _GTOL * (1.0 + s) else _DAMPING if d > _DAMPING_MAX else None
+                 for g, s, d in zip(gnorm_live, rss_live, damping)]
 
-    covariances = iter(_covariances(jac[started], rss[started]))
+    covariances = iter(_covariances(jac[started], np.array(rss)[started]))
+    bounds = bound.tolist()
     results: list[FitResult | ValueError] = []
-    for i in range(k):
-        if not started[i]:
+    for i, (start, point) in enumerate(zip(started.tolist(), x.tolist())):
+        if not start:
             results.append(ValueError("residuals are not finite at the initial guess"))
             continue
         covariance, stderr = next(covariances)
-        at_bound = tuple(bool(x[i, j] <= bound[j]) for j in range(p))
         results.append(FitResult(
-            names=param_names,
-            values=x[i].copy(),
-            stderr=stderr,
-            covariance=covariance,
-            rss=float(rss[i]),
-            iterations=int(iterations[i]),
-            at_bound=at_bound,
-            gradient_norm=float(gnorm[i]),
-            stop=_STOPS[stop[i]],
-        ))
+            names=param_names, values=x[i].copy(), stderr=stderr, covariance=covariance, rss=rss[i],
+            iterations=iterations[i], at_bound=tuple(v <= b for v, b in zip(point, bounds)),
+            gradient_norm=gnorm[i], stop=_STOPS[stop[i]]))
     return results
 

@@ -224,6 +224,41 @@ def test_stacked_dip_fits_equal_single_fits(monkeypatch, engine_results):
     assert sum(isinstance(fit, ConvergenceError) for fit in stacked) == 1
 
 
+def test_fit_batch_dips_as_one_stack_equal_each_pipelines_stack(monkeypatch):
+    """fit-batch's 400 seed-1 dip rows fitted as one stack, each row bit for
+    bit its own pipeline's 10-row stack; every rows the engine hands evaluate
+    is a subsequence of the rows of the call before, the contract that lets
+    the front door slice its data once per live set."""
+    stacks = [pipeline_rows(monkeypatch, config)[0] for config in _fit_batch_pipelines(1)]
+    x = stacks[0][0]
+    assert all(np.array_equal(stack_x, x) for stack_x, _, _ in stacks)
+    own = [fit for _, y, sigma in stacks for fit in estimation.fit_dip_stack(x, y, sigma)]
+    engine = estimation.levenberg_marquardt_stack
+    calls: list[list[int]] = []
+
+    def checked(evaluate, x0, **kwargs):
+        def subsequence_of_last(theta, rows):
+            rows = rows.tolist()
+            if calls:
+                last = iter(calls[-1])
+                # each row is found in what is left of the last call's rows
+                assert all(row in last for row in rows)
+            calls.append(rows)
+            return evaluate(theta, np.array(rows))
+
+        return engine(subsequence_of_last, x0, **kwargs)
+
+    monkeypatch.setattr(estimation, "levenberg_marquardt_stack", checked)
+    y = np.concatenate([stack_y for _, stack_y, _ in stacks])
+    sigma = np.concatenate([stack_sigma for _, _, stack_sigma in stacks])
+    stacked = estimation.fit_dip_stack(x, y, sigma)
+    assert [_fit_record(fit) for fit in stacked] == [_fit_record(fit) for fit in own]
+    # many fits leave the stack, at many different iterations
+    assert len(calls[0]) == 400 and len(calls[-1]) < 10
+    assert len({len(rows) for rows in calls}) > 10
+    assert len({fit.iterations for fit in stacked if isinstance(fit, leastsq.FitResult)}) > 10
+
+
 # ---------------------------------------------------------------------------
 # The estimators' front door, on a toy complex model
 # ---------------------------------------------------------------------------
